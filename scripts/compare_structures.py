@@ -8,10 +8,8 @@ import sys
 from pathlib import Path
 
 from splitstream.config import load_config
-from splitstream.experiment import build_world, protocol_config, synthesize_data
-from splitstream.models import pretrain_autoencoder
+from splitstream.experiment import build_world, prepare, protocol_config
 from splitstream.protocol import SimClock, run_split_training
-from splitstream.rng import RngState
 
 ROOT = Path(__file__).parent.parent
 
@@ -29,9 +27,8 @@ def main():
         cfg.defense.kind = defense
         cfg.attacks.methods = []
         cfg.validate()
-        data = synthesize_data(cfg)
-        ae = pretrain_autoencoder(data.train[0], 1, RngState(cfg.seed).split("autoencoder"))
-        world = build_world(cfg, defense, ae, data, 0.16)
+        data, ae, alpha = prepare(cfg)
+        world = build_world(cfg, defense, ae, data, alpha)
         pcfg = protocol_config(cfg)
         pcfg.clock = clock
         res = run_split_training(world, pcfg)

@@ -17,7 +17,6 @@ from . import data as dtt
 from .config import ExperimentConfig, load_config
 from .diffusion import make_linear_schedule
 from .privacy import (BudgetTable, epsilon_for_timestep, timestep_for_epsilon)
-from .rng import RngState
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -45,15 +44,10 @@ def cmd_gen_data(args):
 
 def cmd_pretrain(args):
     from .checkpoint import save_checkpoint
-    from .experiment import synthesize_data
-    from .models import pretrain_autoencoder
+    from .experiment import prepare
 
     cfg = _load_cfg(args)
-    data = synthesize_data(cfg)
-    ae = pretrain_autoencoder(data.train[0], cfg.pretrain.ae_epochs,
-                              RngState(cfg.seed).split("autoencoder"),
-                              lr=cfg.pretrain.ae_lr, batch=cfg.pretrain.ae_batch,
-                              dropout_p=cfg.pretrain.ae_dropout)
+    _, ae, _ = prepare(cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "autoencoder.tckp", ae.named_parameters())
@@ -72,73 +66,41 @@ def cmd_train(args):
     if args.transport:
         cfg.protocol.transport = args.transport.replace("-", "_")
     cfg.validate()
-    if args.listen or args.connect:
-        _train_split_role(cfg, args)
-        return
-    from .experiment import (build_world, protocol_config, synthesize_data, _alpha)
-    from .models import pretrain_autoencoder
-    from .protocol import run_split_training
+    from .checkpoint import save_checkpoint
+    from .experiment import build_world, prepare, protocol_config
+    from .protocol import run_client_role, run_server_role, run_split_training
 
-    data = synthesize_data(cfg)
-    ae = pretrain_autoencoder(data.train[0], cfg.pretrain.ae_epochs,
-                              RngState(cfg.seed).split("autoencoder"),
-                              lr=cfg.pretrain.ae_lr, batch=cfg.pretrain.ae_batch,
-                              dropout_p=cfg.pretrain.ae_dropout)
-    world = build_world(cfg, cfg.defense.kind, ae, data, _alpha(cfg, ae, data))
+    # with --listen/--connect, both processes rebuild the same world from the config
+    data, ae, alpha = prepare(cfg)
+    world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
+    endpoint = args.listen or args.connect
+    if endpoint:
+        host, _, port = endpoint.rpartition(":")
+        host, port = host or "127.0.0.1", int(port)
+    if args.connect:
+        run_client_role(world, protocol_config(cfg), args.client_id, host, port)
+        print(f"client {args.client_id} finished {cfg.protocol.iterations} iterations")
+        return
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pcfg = protocol_config(cfg, capture_path=str(out / "packets_training.bin"))
-    res = run_split_training(world, pcfg)
+    res = run_server_role(world, pcfg, host, port) if args.listen else run_split_training(world, pcfg)
     with open(out / "ledger.json", "w") as f:
         json.dump(res.ledger.to_dict(pcfg.clock), f, indent=2, sort_keys=True)
-    from .checkpoint import save_checkpoint
-
     save_checkpoint(out / "control_branch.tckp", world.branch.server_parameters())
+    if args.listen:
+        print(f"served {res.ledger.packets} packets from {cfg.protocol.clients} clients -> {out}")
+        return
     losses = res.loss_history
     print(f"trained {cfg.protocol.mode} for {len(losses)} steps: "
           f"loss {losses[0]:.4f} -> {losses[-1]:.4f}" if losses else "no iterations run")
     print(f"ledger: up={res.ledger.bytes_up}B down={res.ledger.bytes_down}B -> {out}")
 
 
-def _train_split_role(cfg, args):
-    """Cross-process deployment: both roles rebuild the same world from the
-    shared config, then talk over TCP."""
-    from .experiment import _alpha, build_world, protocol_config, synthesize_data
-    from .models import pretrain_autoencoder
-    from .protocol import run_client_role, run_server_role
-
-    endpoint = args.listen or args.connect
-    host, _, port = endpoint.rpartition(":")
-    host = host or "127.0.0.1"
-    port = int(port)
-    data = synthesize_data(cfg)
-    ae = pretrain_autoencoder(data.train[0], cfg.pretrain.ae_epochs,
-                              RngState(cfg.seed).split("autoencoder"),
-                              lr=cfg.pretrain.ae_lr, batch=cfg.pretrain.ae_batch,
-                              dropout_p=cfg.pretrain.ae_dropout)
-    world = build_world(cfg, cfg.defense.kind, ae, data, _alpha(cfg, ae, data))
-    pcfg = protocol_config(cfg)
-    if args.listen:
-        out = Path(args.out or cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        pcfg.capture_path = str(out / "packets_training.bin")
-        res = run_server_role(world, pcfg, host, port)
-        with open(out / "ledger.json", "w") as f:
-            json.dump(res.ledger.to_dict(pcfg.clock), f, indent=2, sort_keys=True)
-        from .checkpoint import save_checkpoint
-
-        save_checkpoint(out / "control_branch.tckp", world.branch.server_parameters())
-        print(f"served {res.ledger.packets} packets from {cfg.protocol.clients} clients -> {out}")
-    else:
-        run_client_role(world, pcfg, args.client_id, host, port)
-        print(f"client {args.client_id} finished {cfg.protocol.iterations} iterations")
-
-
 def cmd_attack(args):
-    from .experiment import _alpha, build_world, generate_eval_packets, synthesize_data
-    from .experiment import (run_inverse_net_attack, run_unsplit_attack_arm,
-                             run_whitebox_attack, EvalCapture)
-    from .models import pretrain_autoencoder
+    from .experiment import (EvalCapture, build_world, generate_eval_packets, prepare,
+                             run_inverse_net_attack, run_unsplit_attack_arm,
+                             run_whitebox_attack)
     from .wire import FeaturePacket, iter_frames
 
     cfg = _load_cfg(args)
@@ -147,12 +109,8 @@ def cmd_attack(args):
         cfg.defense = dcfg.defense
         if cfg.defense.kind not in cfg.attacks.defenses:
             cfg.attacks.defenses = [cfg.defense.kind]
-    data = synthesize_data(cfg)
-    ae = pretrain_autoencoder(data.train[0], cfg.pretrain.ae_epochs,
-                              RngState(cfg.seed).split("autoencoder"),
-                              lr=cfg.pretrain.ae_lr, batch=cfg.pretrain.ae_batch,
-                              dropout_p=cfg.pretrain.ae_dropout)
-    world = build_world(cfg, cfg.defense.kind, ae, data, _alpha(cfg, ae, data))
+    data, ae, alpha = prepare(cfg)
+    world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
     cap = generate_eval_packets(world, data, cfg.seed + 7)
     if args.packets:
         with open(args.packets, "rb") as f:

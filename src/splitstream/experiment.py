@@ -27,17 +27,17 @@ from .attacks import (FeatureScaler, InverseNet, ReconstructionReport,
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, config_to_dict
 from .defenses import DefenseConfig
-from .diffusion import forward_diffuse, make_linear_schedule, write_schedule_csv
+from .diffusion import make_linear_schedule, write_schedule_csv
 from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
-                     PromptEncoder, ToyUNet, noise_confound, param_fingerprint,
-                     pretrain_autoencoder, prompt_hide_transform)
+                     PromptEncoder, ToyAutoencoder, ToyUNet, noise_confound,
+                     param_fingerprint, pretrain_autoencoder, prompt_hide_transform)
 from .privacy import (PrivacyParams, epsilon_for_timestep, estimate_sensitivity,
                       timestep_for_epsilon)
 from .protocol import (ClientDataset, ProtocolConfig, SimClock, SplitWorld,
-                       run_split_training)
+                       client_features, run_split_training)
 from .rng import RngState
 from .tensor import Tensor
-from .wire import frame_message
+from .wire import FeaturePacket, frame_message
 
 
 @dataclass
@@ -62,6 +62,17 @@ def synthesize_data(cfg: ExperimentConfig) -> DataBundle:
         train_samples=train,
         private_samples=private,
     )
+
+
+def prepare(cfg: ExperimentConfig) -> tuple[DataBundle, ToyAutoencoder, float]:
+    """Everything `build_world` takes besides the defense: the data, the
+    autoencoder pretrained with the config's settings, and the sensitivity."""
+    data = synthesize_data(cfg)
+    ae = pretrain_autoencoder(data.train[0], cfg.pretrain.ae_epochs,
+                              RngState(cfg.seed).split("autoencoder"),
+                              lr=cfg.pretrain.ae_lr, batch=cfg.pretrain.ae_batch,
+                              dropout_p=cfg.pretrain.ae_dropout)
+    return data, ae, _alpha(cfg, ae, data)
 
 
 def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
@@ -135,30 +146,21 @@ class EvalCapture:
 
 def generate_eval_packets(world: SplitWorld, data: DataBundle, seed: int) -> EvalCapture:
     """One packet per private sample at the worst-case timestep t = t_s."""
-    from .wire import FeaturePacket
-
     images, conds, prompts = data.private
     t = world.privacy.t_s
     drop = RngState(seed).split("eval-dropout")
     noise = RngState(seed).split("eval-noise")
     packets, zts, nhats = [], [], []
     for i in range(len(images)):
-        img, cond = images[i : i + 1], conds[i : i + 1]
-        z0 = world.autoencoder.encode(Tensor(img), drop, training=True)
-        state = forward_diffuse(z0.data, t, world.sched, noise, world.variant)
-        pf = world.prompt_encoder.encode([prompts[i]])
-        h1 = world.unet.encode_block1(Tensor(state.zt), t, Tensor(pf))
-        cf = world.branch.encode_condition(Tensor(cond), drop, training=True)
-        s = tt.add(Tensor(state.zt), cf)
-        if world.act is not None:
-            s = noise_confound(s, world.act)
+        f = client_features(world, images[i : i + 1], conds[i : i + 1], [prompts[i]], t,
+                            drop, noise, world.branch.encode_condition, world.act)
         packets.append(FeaturePacket(
             client_id=0, iteration=i, timestep=t,
-            feat_unet=h1.data, feat_control=s.data, label_noise=state.n_hat,
-            prompt_feat=None if world.defense.hides_prompt else pf,
+            feat_unet=f.h1, feat_control=f.s.data, label_noise=f.n_hat,
+            prompt_feat=None if world.defense.hides_prompt else f.prompt_feat,
         ))
-        zts.append(state.zt[0])
-        nhats.append(state.n_hat[0])
+        zts.append(f.zt[0])
+        nhats.append(f.n_hat[0])
     return EvalCapture(packets=packets, zt=np.stack(zts), n_hat=np.stack(nhats), t=t,
                        truth_conds=conds, truth_images=images)
 
@@ -171,6 +173,13 @@ def _packet_matrix(packets) -> np.ndarray:
     ], axis=0)
 
 
+def _guess_act(world: SplitWorld) -> NoiseConfoundingActivation | None:
+    """The attacker's stand-in for the confound activation: zero offset."""
+    if world.act is None:
+        return None
+    return NoiseConfoundingActivation(delta=np.zeros((4, 8, 8), np.float32))
+
+
 def attacker_view_features(world: SplitWorld, images, conds, prompts, t: int,
                            seed: int) -> np.ndarray:
     """The attacker's own simulation of the client pipeline on public data.
@@ -178,19 +187,10 @@ def attacker_view_features(world: SplitWorld, images, conds, prompts, t: int,
     It knows every frozen weight and the sampling policy; it does not know
     the secret confound offset and uses zero for it.
     """
-    guess_act = (NoiseConfoundingActivation(delta=np.zeros((4, 8, 8), np.float32))
-                 if world.act is not None else None)
-    drop = RngState(seed).split("atk-dropout")
-    noise = RngState(seed).split("atk-noise")
-    z0 = world.autoencoder.encode(Tensor(images), drop, training=True)
-    state = forward_diffuse(z0.data, t, world.sched, noise, world.variant)
-    pf = world.prompt_encoder.encode(prompts)
-    h1 = world.unet.encode_block1(Tensor(state.zt), t, Tensor(pf))
-    cf = world.autoencoder.encode(Tensor(conds), drop, training=True)
-    s = tt.add(Tensor(state.zt), cf)
-    if guess_act is not None:
-        s = noise_confound(s, guess_act)
-    return np.concatenate([s.data, h1.data, state.n_hat], axis=1)
+    f = client_features(world, images, conds, prompts, t,
+                        RngState(seed).split("atk-dropout"), RngState(seed).split("atk-noise"),
+                        world.autoencoder.encode, _guess_act(world))
+    return np.concatenate([f.s.data, f.h1, f.n_hat], axis=1)
 
 
 def run_inverse_net_attack(world: SplitWorld, data: DataBundle, cap: EvalCapture,
@@ -229,8 +229,7 @@ def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
     and decode; with it, the secret offset and the folded sign are missing.
     """
     recons, diverged = [], False
-    guess_act = (NoiseConfoundingActivation(delta=np.zeros((4, 8, 8), np.float32))
-                 if world.act is not None else None)
+    guess_act = _guess_act(world)
     for i, pkt in enumerate(cap.packets):
         zt = Tensor(cap.zt[i : i + 1])
         target = pkt.feat_control
@@ -282,12 +281,12 @@ def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
     return rep
 
 
-def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle,
+def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
                      out_dir: Path | None = None) -> list[dict]:
     """Attacks x defense-arms grid; every arm shares seeds and private data."""
     rows = []
     for defense_kind in cfg.attacks.defenses:
-        world = build_world(cfg, defense_kind, ae, data, _alpha(cfg, ae, data))
+        world = build_world(cfg, defense_kind, ae, data, alpha)
         cap = generate_eval_packets(world, data, cfg.seed + 7)
         if out_dir is not None:
             pkt_file = out_dir / f"packets_{defense_kind}.bin"
@@ -338,16 +337,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics: list[dict] = []
 
-    data = synthesize_data(cfg)
+    data, ae, alpha = prepare(cfg)
     images = data.train[0]
-    ae = pretrain_autoencoder(images, cfg.pretrain.ae_epochs,
-                              RngState(cfg.seed).split("autoencoder"),
-                              lr=cfg.pretrain.ae_lr, batch=cfg.pretrain.ae_batch,
-                              dropout_p=cfg.pretrain.ae_dropout)
     metrics.append({"kind": "pretrain", "epochs": cfg.pretrain.ae_epochs,
                     "final_loss": ae.pretrain_losses[-1] if ae.pretrain_losses else None})
 
-    alpha = _alpha(cfg, ae, data)
     sched = make_linear_schedule(cfg.schedule.T, cfg.schedule.k, cfg.schedule.beta0,
                                  cfg.schedule.lam)
     rng_est = RngState(cfg.seed).split("sensitivity-log")
@@ -391,7 +385,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     # attacks over defended/undefended arms
     if cfg.attacks.methods and cfg.attacks.defenses:
-        metrics.extend(run_attack_suite(cfg, ae, data, out_dir))
+        metrics.extend(run_attack_suite(cfg, ae, data, alpha, out_dir))
 
     manifest = {
         "package_version": __version__,

@@ -430,7 +430,6 @@ class PromptEncoder:
         self.dim = dim
         self.max_len = max_len
         self.table = rng.normal((len(vocab), dim)) / np.float32(math.sqrt(dim))
-        self.zero_feature = np.zeros((1, dim), dtype=np.float32)
 
     def encode(self, prompts: list[list[str]]) -> np.ndarray:
         """(N, max_len, dim) features; unknown tokens are an error, padding is zero."""
@@ -441,9 +440,6 @@ class PromptEncoder:
             for j, tok in enumerate(toks):
                 out[i, j] = self.table[self.index[tok]]
         return out
-
-    def encode_zero(self, n: int) -> np.ndarray:
-        return np.zeros((n, 1, self.dim), dtype=np.float32)
 
 
 def prompt_hide_transform(branch: ControlBranch, unet: ToyUNet) -> tuple[ControlBranch, ToyUNet]:

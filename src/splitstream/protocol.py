@@ -5,11 +5,17 @@ encoder from gradients the server returns each iteration (the server also
 returns its noise estimate, since generation happens client-side).
 Gradient-free mode freezes every client module (the pretrained encoder
 replaces the condition encoder), so clients stream packets through a
-bounded queue and nothing flows downstream; server-side monitoring of the
-noise estimate stays in the server's own log rather than on the wire.
+bounded queue and nothing flows downstream; the server keeps no copy of
+its noise estimates.
 
-Packets cross the boundary only as framed bytes, in-process or over TCP,
-so the byte ledger measures exactly what a real deployment would send.
+Packets cross the boundary only as framed bytes. There is one client loop
+and one serve loop: each client sends HELLO, one packet per iteration and
+DONE in-band over its byte channel, and the server reads every channel
+from one inbox, counts and captures each uplink frame, trains on it and
+routes any reply back to the channel whose HELLO named that client. A
+channel is an in-process queue pair or a TCP connection with one reader
+thread; the session ends when every client has sent DONE, so the byte
+ledger measures exactly what a real deployment would send.
 The clock model is simulated: per-iteration client/server compute costs
 plus transfer time at a configured rate, from which the ledger derives
 both the sequential total (sum of stages) and the pipelined total
@@ -18,6 +24,7 @@ both the sequential total (sum of stages) and the pipelined total
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import threading
@@ -35,8 +42,8 @@ from .optim import AdamW
 from .privacy import PrivacyParams, sample_private_timestep
 from .rng import RngState
 from .tensor import Tensor
-from .wire import (CTRL_DONE, ControlMessage, FeaturePacket, GradientPacket,
-                   frame_message, parse_message, read_frame, tensor_payload_bytes)
+from .wire import (CTRL_DONE, CTRL_HELLO, ControlMessage, FeaturePacket, GradientPacket,
+                   WireError, frame_message, parse_message, read_frame, tensor_payload_bytes)
 
 
 class TransportError(RuntimeError):
@@ -50,7 +57,6 @@ class SimClock:
     t_client: float = 1.0
     t_server: float = 1.0
     rate: float = 1e6  # bytes per clock unit
-    wall: bool = False  # measure real compute time instead of the constants
 
 
 @dataclass
@@ -173,13 +179,8 @@ class ProtocolConfig:
     server_lr: float = 1e-3
     client_lr: float = 1e-3
     weight_decay: float = 0.0
-    return_n_pred: bool = True  # classic downlink carries the noise estimate
-    monitor_n_pred: bool = False  # gradient-free: log estimates server-side
     capture_path: str | None = None
     clock: SimClock = field(default_factory=SimClock)
-    tcp_host: str = "127.0.0.1"
-    tcp_port: int = 0
-    connect_retries: int = 3
 
     def validate(self):
         if self.mode not in ("classic", "gradient_free"):
@@ -188,6 +189,35 @@ class ProtocolConfig:
             raise ValueError(f"transport must be in_process|tcp, got {self.transport!r}")
         if self.clients < 1 or self.iterations < 0 or self.batch < 1:
             raise ValueError("clients/iterations/batch out of range")
+
+
+@dataclass
+class ClientFeatures:
+    """What the client pipeline computes for one batch."""
+
+    h1: np.ndarray  # denoiser enc_block_1 output
+    s: Tensor  # condition-path feature, still in the graph of the condition encoder
+    zt: np.ndarray
+    n_hat: np.ndarray
+    prompt_feat: np.ndarray
+
+
+def client_features(world: SplitWorld, images, conds, prompts, t: int, drop: RngState,
+                    noise: RngState, cond_encoder, act) -> ClientFeatures:
+    """The client pipeline: encode the image, diffuse it to timestep `t`, run
+    enc_block_1, encode the condition, add it to z_t, confound with `act`.
+
+    `cond_encoder(x, rng, training)` is the condition encoder the caller
+    runs; `drop` feeds dropout in both encoders and `noise` the diffusion.
+    """
+    z0 = world.autoencoder.encode(Tensor(images), drop, training=True)
+    state = forward_diffuse(z0.data, t, world.sched, noise, world.variant)
+    prompt_feat = world.prompt_encoder.encode(prompts)
+    h1 = world.unet.encode_block1(Tensor(state.zt), t, Tensor(prompt_feat))
+    s = tt.add(Tensor(state.zt), cond_encoder(Tensor(conds), drop, training=True))
+    if act is not None:
+        s = noise_confound(s, act)
+    return ClientFeatures(h1.data, s, state.zt, state.n_hat, prompt_feat)
 
 
 class ClientWorker:
@@ -219,37 +249,22 @@ class ClientWorker:
                 lr=cfg.client_lr, weight_decay=cfg.weight_decay,
             )
         else:
-            self.cond_encoder = None  # the shared frozen autoencoder stands in
+            self.cond_encoder = world.autoencoder.encode  # the shared frozen encoder stands in
             self.opt = None
         self._pending: Tensor | None = None
-
-    def encode_condition(self, cond: Tensor) -> Tensor:
-        if self.cond_encoder is not None:
-            return self.cond_encoder(cond, self.rng_drop, training=True)
-        return self.world.autoencoder.encode(cond, self.rng_drop, training=True)
 
     def forward_step(self, iteration: int) -> FeaturePacket:
         w = self.world
         idx = np.asarray(self.rng_order.integers(0, len(self.data.images) - 1, (self.cfg.batch,)))
-        images = self.data.images[idx]
-        conds = self.data.conds[idx]
         prompts = [self.data.prompts[i] for i in idx]
-        images, conds = preprocess_batch(images, conds, w.defense, self.rng_defense)
-
+        images, conds = preprocess_batch(self.data.images[idx], self.data.conds[idx],
+                                         w.defense, self.rng_defense)
         t = sample_private_timestep(w.privacy, self.rng_t)
-        z0 = w.autoencoder.encode(Tensor(images), self.rng_drop, training=True)
-        state = forward_diffuse(z0.data, t, w.sched, self.rng_noise, w.variant)
-        prompt_feat = w.prompt_encoder.encode(prompts)
-        h1 = w.unet.encode_block1(Tensor(state.zt), t, Tensor(prompt_feat))
-
-        cond_feat = self.encode_condition(Tensor(conds))
-        s = tt.add(Tensor(state.zt), cond_feat)
-        if w.act is not None:
-            s = noise_confound(s, w.act)
-        self._pending = s if self.trainable else None
-
+        f = client_features(w, images, conds, prompts, t, self.rng_drop, self.rng_noise,
+                            self.cond_encoder, w.act)
+        self._pending = f.s if self.trainable else None
         feat_unet, feat_control = postprocess_features(
-            h1.data, s.data, w.defense, w.privacy.delta, w.privacy.alpha_sens, self.rng_defense
+            f.h1, f.s.data, w.defense, w.privacy.delta, w.privacy.alpha_sens, self.rng_defense
         )
         return FeaturePacket(
             client_id=self.client_id,
@@ -257,8 +272,8 @@ class ClientWorker:
             timestep=t,
             feat_unet=feat_unet,
             feat_control=feat_control,
-            label_noise=state.n_hat,
-            prompt_feat=None if w.defense.hides_prompt else prompt_feat,
+            label_noise=f.n_hat,
+            prompt_feat=None if w.defense.hides_prompt else f.prompt_feat,
         )
 
     def apply_gradient(self, gpkt: GradientPacket) -> None:
@@ -268,11 +283,6 @@ class ClientWorker:
         tt.backward(self._pending, seed_grad=gpkt.grad_control)
         self.opt.step()
         self._pending = None
-
-
-def client_forward_step(client: ClientWorker, iteration: int) -> FeaturePacket:
-    """One client inference pass; emits the transmission unit for `iteration`."""
-    return client.forward_step(iteration)
 
 
 class ServerWorker:
@@ -286,7 +296,6 @@ class ServerWorker:
             lr=cfg.server_lr, weight_decay=cfg.weight_decay,
         )
         self.loss_history: list[float] = []
-        self.n_pred_log: list[np.ndarray] = []
 
     def train_step(self, pkt: FeaturePacket) -> tuple[float, GradientPacket | None]:
         w = self.world
@@ -313,18 +322,9 @@ class ServerWorker:
         self.loss_history.append(loss_val)
         if classic:
             return loss_val, GradientPacket(
-                iteration=pkt.iteration,
-                grad_control=s.grad.copy(),
-                n_pred=n.data.copy() if self.cfg.return_n_pred else None,
+                iteration=pkt.iteration, grad_control=s.grad.copy(), n_pred=n.data.copy()
             )
-        if self.cfg.monitor_n_pred:
-            self.n_pred_log.append(n.data.copy())
         return loss_val, None
-
-
-def server_train_step(server: ServerWorker, pkt: FeaturePacket):
-    """One server training pass over a received packet."""
-    return server.train_step(pkt)
 
 
 @dataclass
@@ -336,18 +336,270 @@ class SplitResult:
     capture_path: str | None
 
 
-# ---------------------------------------------------------------------------
-# transports
-
-
-_DONE = object()
-
-
-def run_split_training(world: SplitWorld, cfg: ProtocolConfig) -> SplitResult:
-    """Drive the whole session; returns the ledger and trained server state."""
+def _validate(world: SplitWorld, cfg: ProtocolConfig) -> None:
     cfg.validate()
     if cfg.mode == "gradient_free" and not isinstance(world.branch.condition_encoder, ToyAutoencoder):
         raise ValueError("gradient_free mode requires the pretrained encoder as condition encoder")
+
+
+# ---------------------------------------------------------------------------
+# byte channels, the client loop and the serve loop
+
+
+CONNECT_DEADLINE_S = 30.0  # a client retries its connect until this much time has passed
+IO_TIMEOUT_S = 10.0  # a client gives up on a server that stays silent this long
+JOIN_TIMEOUT_S = 10.0  # teardown waits this long for each thread it started
+
+
+class _Inbox:
+    """The server's bounded queue of (reply, frame) pairs from every channel.
+
+    `reply(frame)` sends bytes back down the channel the frame came in on;
+    a frame of None marks the end of that channel and an exception its
+    failure. Closing the inbox releases every producer blocked on it.
+    """
+
+    def __init__(self, depth: int):
+        self._q: queue.Queue = queue.Queue(maxsize=depth)
+        self._closed = threading.Event()
+
+    def put(self, reply, frame) -> bool:
+        """False once the inbox is closed: nobody reads it any more."""
+        while not self._closed.is_set():
+            try:
+                self._q.put((reply, frame), timeout=0.05)
+                return True
+            except queue.Full:
+                pass
+        return False
+
+    def get(self):
+        return self._q.get()
+
+    def close(self) -> None:
+        self._closed.set()
+
+
+class _QueueChannel:
+    """In-process channel: frames go into the server's inbox, replies come
+    back through a queue of the channel's own (None once the server hangs up)."""
+
+    def __init__(self, inbox: _Inbox):
+        self.inbox = inbox
+        self.replies: queue.Queue = queue.Queue()
+        self.reply = self.replies.put  # one object, so the server can tell channels apart
+
+    def send(self, frame: bytes) -> None:
+        if not self.inbox.put(self.reply, frame):
+            raise TransportError("server closed the channel")
+
+    def recv(self) -> bytes | None:
+        return self.replies.get()
+
+    def close(self) -> None:
+        self.inbox.put(self.reply, None)
+
+
+class _SocketChannel:
+    """The client end of a TCP connection."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+
+    def send(self, frame: bytes) -> None:
+        self.sock.sendall(frame)
+
+    def recv(self) -> bytes | None:
+        return read_frame(self.sock)
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def _client_loop(client: ClientWorker, cfg: ProtocolConfig, channel) -> None:
+    """HELLO, one packet per iteration (waiting for its gradient in classic
+    mode), DONE; the channel is closed however the loop ends."""
+    try:
+        channel.send(frame_message(ControlMessage(code=CTRL_HELLO, client_id=client.client_id)))
+        for it in range(cfg.iterations):
+            channel.send(frame_message(client.forward_step(it)))
+            if cfg.mode == "classic":
+                frame = channel.recv()
+                if frame is None:
+                    raise TransportError("server closed the channel mid-session")
+                gpkt = parse_message(frame)
+                if not isinstance(gpkt, GradientPacket):
+                    raise TransportError(f"expected GradientPacket, got {type(gpkt).__name__}")
+                client.apply_gradient(gpkt)
+        channel.send(frame_message(ControlMessage(code=CTRL_DONE, client_id=client.client_id)))
+    finally:
+        channel.close()
+
+
+def _serve(server: ServerWorker, cfg: ProtocolConfig, inbox: _Inbox,
+           ledger: TransmissionLedger, capture) -> None:
+    """Train on every uplink frame until `cfg.clients` clients have sent DONE."""
+    routes: dict[int, object] = {}  # client id -> reply of the channel its HELLO came in on
+    done: set[int] = set()
+    while len(done) < cfg.clients:
+        reply, frame = inbox.get()
+        if isinstance(frame, BaseException):
+            raise frame
+        if frame is None:  # a channel ended
+            cid = next((c for c, r in routes.items() if r is reply), None)
+            if cid not in done:
+                raise TransportError(f"client {cid} closed its channel before DONE")
+            continue
+        msg = parse_message(frame)
+        if isinstance(msg, ControlMessage):
+            if msg.code == CTRL_HELLO and msg.client_id not in routes:
+                routes[msg.client_id] = reply
+            elif msg.code == CTRL_DONE and routes.get(msg.client_id) is reply:
+                done.add(msg.client_id)
+            else:
+                raise TransportError(f"unexpected control message {msg}")
+            continue
+        if not isinstance(msg, FeaturePacket):
+            raise TransportError(f"server received a {type(msg).__name__}")
+        if routes.get(msg.client_id) is not reply:
+            raise TransportError(f"packet from unregistered client id {msg.client_id}")
+        ledger.add("up", len(frame), tensor_payload_bytes(msg))
+        if capture is not None:
+            capture.write(frame)
+        _, gpkt = server.train_step(msg)
+        bytes_down = 0
+        if gpkt is not None:
+            framed = frame_message(gpkt)
+            bytes_down = len(framed)
+            ledger.add("down", bytes_down, tensor_payload_bytes(gpkt))
+            reply(framed)
+        ledger.add_sample(IterationSample(
+            client_id=msg.client_id,
+            t_client=cfg.clock.t_client,
+            t_server=cfg.clock.t_server,
+            bytes_up=len(frame),
+            bytes_down=bytes_down,
+        ))
+
+
+def _serve_queues(server, cfg, channels: list[_QueueChannel], inbox: _Inbox, ledger, capture) -> None:
+    try:
+        _serve(server, cfg, inbox, ledger, capture)
+    finally:
+        inbox.close()
+        for ch in channels:
+            ch.reply(None)  # wakes a client waiting for its gradient
+
+
+def _read_into(inbox: _Inbox, conn: socket.socket) -> None:
+    """Reader thread of one connection: every frame into the inbox, then
+    the end of the connection or its failure."""
+    def reply(frame: bytes) -> None:
+        try:
+            conn.sendall(frame)
+        except OSError as exc:
+            raise TransportError(f"connection to the client lost: {exc}") from exc
+
+    try:
+        while True:
+            frame = read_frame(conn)
+            if not inbox.put(reply, frame) or frame is None:
+                return
+    except WireError as exc:
+        inbox.put(reply, exc)
+    except OSError as exc:
+        inbox.put(reply, TransportError(f"connection to the client lost: {exc}"))
+
+
+def _serve_connections(server, cfg, conns: list[socket.socket], ledger, capture) -> None:
+    """The serve loop over accepted connections, one reader thread each. On
+    the way out each socket is shut down, every reader joined, then each
+    socket closed, so no reader ever reads a closed socket."""
+    inbox = _Inbox(cfg.queue_depth)
+    readers = [threading.Thread(target=_read_into, args=(inbox, conn), daemon=True,
+                                name=f"splitstream-reader-{i}")
+               for i, conn in enumerate(conns)]
+    for r in readers:
+        r.start()
+    try:
+        _serve(server, cfg, inbox, ledger, capture)
+    finally:
+        inbox.close()
+        for conn in conns:
+            with contextlib.suppress(OSError):  # the peer may be gone already
+                conn.shutdown(socket.SHUT_RDWR)
+        try:
+            _join(readers)
+        finally:
+            for conn in conns:
+                conn.close()
+
+
+def _run_clients(clients: list[ClientWorker], cfg: ProtocolConfig, channels, serve) -> None:
+    """Each client loop in a thread of its own while `serve()` runs; `serve`
+    hangs up on every channel however it ends. A client's own failure
+    becomes the cause of the transport error it led to."""
+    errors: list[BaseException] = []
+
+    def run(client, channel):
+        try:
+            _client_loop(client, cfg, channel)
+        except Exception as exc:  # raised in the caller's thread once all are joined
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(c, ch), daemon=True,
+                                name=f"splitstream-client-{c.client_id}")
+               for c, ch in zip(clients, channels)]
+    for t in threads:
+        t.start()
+    failure = None
+    try:
+        serve()
+    except BaseException as exc:
+        failure = exc
+    _join(threads)
+    if isinstance(failure, TransportError) and errors:
+        raise failure from errors[0]
+    if failure is not None:
+        raise failure
+
+
+def _join(threads: list[threading.Thread]) -> None:
+    for t in threads:
+        t.join(JOIN_TIMEOUT_S)
+    stuck = [t.name for t in threads if t.is_alive()]
+    if stuck:
+        raise TransportError(f"{stuck} still running {JOIN_TIMEOUT_S:.0f} s after the session")
+
+
+def _connect(host: str, port: int) -> socket.socket:
+    deadline = time.monotonic() + CONNECT_DEADLINE_S
+    while True:
+        try:
+            return socket.create_connection((host, port), timeout=IO_TIMEOUT_S)
+        except OSError as exc:
+            if time.monotonic() >= deadline:
+                raise TransportError(
+                    f"could not connect to {host}:{port} within {CONNECT_DEADLINE_S:.0f} s"
+                ) from exc
+            time.sleep(0.05)
+
+
+def _capture(cfg: ProtocolConfig):
+    return open(cfg.capture_path, "wb") if cfg.capture_path else contextlib.nullcontext()
+
+
+# ---------------------------------------------------------------------------
+# sessions
+
+
+def run_split_training(world: SplitWorld, cfg: ProtocolConfig) -> SplitResult:
+    """Drive the whole session; returns the ledger and trained server state.
+
+    In-process, each client writes its frames into the server's inbox; over
+    TCP, each client gets a loopback connection on an ephemeral port.
+    """
+    _validate(world, cfg)
     server = ServerWorker(world, cfg)
     root = RngState(cfg.seed)
     clients = [
@@ -355,221 +607,19 @@ def run_split_training(world: SplitWorld, cfg: ProtocolConfig) -> SplitResult:
         for i in range(cfg.clients)
     ]
     ledger = TransmissionLedger()
-    capture = open(cfg.capture_path, "wb") if cfg.capture_path else None
-    capture_lock = threading.Lock()
-    try:
+    with _capture(cfg) as capture:
         if cfg.transport == "in_process":
-            _run_in_process(world, cfg, server, clients, ledger, capture, capture_lock)
+            inbox = _Inbox(cfg.queue_depth)
+            channels = [_QueueChannel(inbox) for _ in clients]
+            _run_clients(clients, cfg, channels,
+                         lambda: _serve_queues(server, cfg, channels, inbox, ledger, capture))
         else:
-            _run_tcp(world, cfg, server, clients, ledger, capture, capture_lock)
-    finally:
-        if capture:
-            capture.close()
+            with socket.create_server(("127.0.0.1", 0), backlog=cfg.clients) as lsock:
+                socks = [_connect(*lsock.getsockname()) for _ in clients]
+                conns = [lsock.accept()[0] for _ in clients]
+            _run_clients(clients, cfg, [_SocketChannel(s) for s in socks],
+                         lambda: _serve_connections(server, cfg, conns, ledger, capture))
     return SplitResult(ledger, server.loss_history, server, clients, cfg.capture_path)
-
-
-def _client_loop(client: ClientWorker, cfg: ProtocolConfig, send, recv, ledger, capture, capture_lock, errors):
-    try:
-        for it in range(cfg.iterations):
-            t0 = time.perf_counter()
-            pkt = client.forward_step(it)
-            elapsed = time.perf_counter() - t0
-            framed = frame_message(pkt)
-            ledger.add("up", len(framed), tensor_payload_bytes(pkt))
-            if capture is not None:
-                with capture_lock:
-                    capture.write(framed)
-            send((framed, elapsed))
-            if cfg.mode == "classic":
-                resp = recv()
-                if resp is None:
-                    return  # server aborted
-                gpkt = parse_message(resp)
-                if not isinstance(gpkt, GradientPacket):
-                    raise TransportError(f"expected GradientPacket, got {type(gpkt).__name__}")
-                client.apply_gradient(gpkt)
-    except BaseException as e:  # surfaced after join
-        errors.append(e)
-        send((None, 0.0))
-
-
-def _run_in_process(world, cfg, server, clients, ledger, capture, capture_lock):
-    up_q: queue.Queue = queue.Queue(maxsize=cfg.queue_depth)
-    resp_qs = {c.client_id: queue.Queue(maxsize=1) for c in clients}
-    errors: list[BaseException] = []
-    threads = []
-    for c in clients:
-        t = threading.Thread(
-            target=_client_loop,
-            args=(c, cfg, up_q.put, resp_qs[c.client_id].get, ledger, capture, capture_lock, errors),
-            daemon=True,
-        )
-        threads.append(t)
-        t.start()
-    total = cfg.clients * cfg.iterations
-    processed = 0
-    try:
-        while processed < total and not errors:
-            framed, t_client_wall = up_q.get()
-            if framed is None:
-                break
-            pkt = parse_message(framed)
-            t0 = time.perf_counter()
-            _, gpkt = server.train_step(pkt)
-            t_server_wall = time.perf_counter() - t0
-            down_bytes = 0
-            if gpkt is not None:
-                framed_down = frame_message(gpkt)
-                down_bytes = len(framed_down)
-                ledger.add("down", down_bytes, tensor_payload_bytes(gpkt))
-                resp_qs[pkt.client_id].put(framed_down)
-            clock = cfg.clock
-            ledger.add_sample(IterationSample(
-                client_id=pkt.client_id,
-                t_client=t_client_wall if clock.wall else clock.t_client,
-                t_server=t_server_wall if clock.wall else clock.t_server,
-                bytes_up=len(framed),
-                bytes_down=down_bytes,
-            ))
-            processed += 1
-    finally:
-        # unblock any client waiting on a response or a full queue
-        for q in resp_qs.values():
-            try:
-                q.put_nowait(None)
-            except queue.Full:
-                pass
-        while True:
-            try:
-                up_q.get_nowait()
-            except queue.Empty:
-                break
-        for t in threads:
-            t.join(timeout=60)
-    if errors:
-        raise errors[0]
-
-
-def _run_tcp(world, cfg, server, clients, ledger, capture, capture_lock):
-    lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    lsock.bind((cfg.tcp_host, cfg.tcp_port))
-    lsock.listen(cfg.clients)
-    port = lsock.getsockname()[1]
-
-    up_q: queue.Queue = queue.Queue(maxsize=max(cfg.queue_depth, cfg.clients))
-    conns: dict[int, socket.socket] = {}
-    errors: list[BaseException] = []
-
-    def reader(conn: socket.socket):
-        try:
-            while True:
-                frame = read_frame(conn)
-                if frame is None:
-                    return
-                msg = parse_message(frame)
-                if isinstance(msg, ControlMessage):
-                    if msg.code == CTRL_DONE:
-                        return
-                    conns[msg.client_id] = conn
-                    continue
-                up_q.put((frame, msg))
-        except BaseException as e:
-            errors.append(e)
-            up_q.put((None, None))
-
-    def tcp_send(conn):
-        def send(item):
-            framed, _ = item
-            if framed is not None:
-                conn.sendall(framed)
-        return send
-
-    def tcp_recv(conn):
-        def recv():
-            frame = read_frame(conn)
-            if frame is None:
-                raise TransportError("server closed connection mid-session")
-            return frame
-        return recv
-
-    accept_threads = []
-    client_threads = []
-    client_socks = []
-    try:
-        for c in clients:
-            csock = _connect_with_retry(cfg.tcp_host, port, cfg.connect_retries)
-            client_socks.append(csock)
-            csock.sendall(frame_message(ControlMessage(code=0, client_id=c.client_id)))
-            sconn, _ = lsock.accept()
-            rt = threading.Thread(target=reader, args=(sconn,), daemon=True)
-            rt.start()
-            accept_threads.append((rt, sconn))
-            ct = threading.Thread(
-                target=_client_loop,
-                args=(c, cfg, tcp_send(csock), tcp_recv(csock), ledger, capture, capture_lock, errors),
-                daemon=True,
-            )
-            client_threads.append(ct)
-        # hellos register the response route before any packet flows
-        deadline = time.time() + 10
-        while len(conns) < cfg.clients and time.time() < deadline and not errors:
-            time.sleep(0.001)
-        for ct in client_threads:
-            ct.start()
-        total = cfg.clients * cfg.iterations
-        processed = 0
-        while processed < total and not errors:
-            frame, pkt = up_q.get()
-            if frame is None:
-                break
-            t0 = time.perf_counter()
-            _, gpkt = server.train_step(pkt)
-            t_server_wall = time.perf_counter() - t0
-            down_bytes = 0
-            if gpkt is not None:
-                framed_down = frame_message(gpkt)
-                down_bytes = len(framed_down)
-                ledger.add("down", down_bytes, tensor_payload_bytes(gpkt))
-                conns[pkt.client_id].sendall(framed_down)
-            clock = cfg.clock
-            ledger.add_sample(IterationSample(
-                client_id=pkt.client_id,
-                t_client=clock.t_client,
-                t_server=t_server_wall if clock.wall else clock.t_server,
-                bytes_up=len(frame),
-                bytes_down=down_bytes,
-            ))
-            processed += 1
-        for ct in client_threads:
-            ct.join(timeout=60)
-    finally:
-        for s in client_socks:
-            try:
-                s.sendall(frame_message(ControlMessage(code=CTRL_DONE, client_id=0)))
-            except OSError:
-                pass
-            s.close()
-        for rt, sconn in accept_threads:
-            sconn.close()
-        lsock.close()
-    if errors:
-        raise errors[0]
-
-
-def _connect_with_retry(host: str, port: int, retries: int) -> socket.socket:
-    last = None
-    for attempt in range(retries):
-        try:
-            return socket.create_connection((host, port), timeout=10)
-        except OSError as e:
-            last = e
-            time.sleep(0.05 * (attempt + 1))
-    raise TransportError(f"could not connect to {host}:{port} after {retries} attempts") from last
-
-
-# ---------------------------------------------------------------------------
-# standalone roles (cross-process deployment over TCP)
 
 
 def run_server_role(world: SplitWorld, cfg: ProtocolConfig, host: str, port: int) -> SplitResult:
@@ -578,104 +628,19 @@ def run_server_role(world: SplitWorld, cfg: ProtocolConfig, host: str, port: int
     Both endpoints rebuild the same world from the shared config; only
     framed messages cross the wire.
     """
-    cfg.validate()
+    _validate(world, cfg)
     server = ServerWorker(world, cfg)
     ledger = TransmissionLedger()
-    capture = open(cfg.capture_path, "wb") if cfg.capture_path else None
-    lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    lsock.bind((host, port))
-    lsock.listen(cfg.clients)
-
-    up_q: queue.Queue = queue.Queue(maxsize=max(cfg.queue_depth, cfg.clients))
-    conns: dict[int, socket.socket] = {}
-    errors: list[BaseException] = []
-    _DONE_MARK = "done"
-
-    def reader(conn):
-        try:
-            while True:
-                frame = read_frame(conn)
-                if frame is None:
-                    return
-                msg = parse_message(frame)
-                if isinstance(msg, ControlMessage):
-                    if msg.code == CTRL_DONE:
-                        # in-band so queued packets drain before we count it
-                        up_q.put((_DONE_MARK, msg.client_id))
-                        return
-                    conns[msg.client_id] = conn
-                    continue
-                up_q.put((frame, msg))
-        except BaseException as e:
-            errors.append(e)
-            up_q.put((None, None))
-
-    readers = []
-    finished = 0
-    try:
-        for _ in range(cfg.clients):
-            conn, _ = lsock.accept()
-            t = threading.Thread(target=reader, args=(conn,), daemon=True)
-            t.start()
-            readers.append((t, conn))
-        while finished < cfg.clients and not errors:
-            frame, pkt = up_q.get()
-            if frame is None:
-                break
-            if frame == _DONE_MARK:
-                finished += 1
-                continue
-            ledger.add("up", len(frame), tensor_payload_bytes(pkt))
-            if capture is not None:
-                capture.write(frame)
-            t0 = time.perf_counter()
-            _, gpkt = server.train_step(pkt)
-            t_server_wall = time.perf_counter() - t0
-            down_bytes = 0
-            if gpkt is not None:
-                framed_down = frame_message(gpkt)
-                down_bytes = len(framed_down)
-                ledger.add("down", down_bytes, tensor_payload_bytes(gpkt))
-                conns[pkt.client_id].sendall(framed_down)
-            clock = cfg.clock
-            ledger.add_sample(IterationSample(
-                client_id=pkt.client_id,
-                t_client=clock.t_client,
-                t_server=t_server_wall if clock.wall else clock.t_server,
-                bytes_up=len(frame),
-                bytes_down=down_bytes,
-            ))
-    finally:
-        for t, conn in readers:
-            conn.close()
-        lsock.close()
-        if capture:
-            capture.close()
-    if errors:
-        raise errors[0]
+    with socket.create_server((host, port), backlog=cfg.clients) as lsock:
+        conns = [lsock.accept()[0] for _ in range(cfg.clients)]
+    with _capture(cfg) as capture:
+        _serve_connections(server, cfg, conns, ledger, capture)
     return SplitResult(ledger, server.loss_history, server, [], cfg.capture_path)
 
 
 def run_client_role(world: SplitWorld, cfg: ProtocolConfig, client_id: int,
                     host: str, port: int) -> None:
     """One remote client: stream packets, apply gradients in classic mode."""
-    cfg.validate()
+    _validate(world, cfg)
     client = ClientWorker(client_id, world, cfg, RngState(cfg.seed).split(f"client-{client_id}"))
-    sock = _connect_with_retry(host, port, cfg.connect_retries)
-    try:
-        sock.sendall(frame_message(ControlMessage(code=0, client_id=client_id)))
-        for it in range(cfg.iterations):
-            pkt = client.forward_step(it)
-            sock.sendall(frame_message(pkt))
-            if cfg.mode == "classic":
-                frame = read_frame(sock)
-                if frame is None:
-                    raise TransportError("server closed connection mid-session")
-                gpkt = parse_message(frame)
-                if not isinstance(gpkt, GradientPacket):
-                    raise TransportError(f"expected GradientPacket, got {type(gpkt).__name__}")
-                client.apply_gradient(gpkt)
-        sock.sendall(frame_message(ControlMessage(code=CTRL_DONE, client_id=client_id)))
-    finally:
-        sock.close()
+    _client_loop(client, cfg, _SocketChannel(_connect(host, port)))

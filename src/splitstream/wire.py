@@ -12,6 +12,7 @@ implausible tensor headers are all reported structurally.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -133,9 +134,11 @@ class _Reader:
         if rank > _MAX_RANK:
             raise WireError(f"{what}: implausible tensor rank {rank}")
         dims = struct.unpack(f"<{rank}I", self.take(4 * rank, f"{what} dims"))
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        if n > _MAX_ELEMENTS:
-            raise WireError(f"{what}: implausible element count {n}")
+        # exact integers: a fixed-width product can wrap to a small count, and
+        # a zero dim must not hide dims numpy cannot shape
+        if math.prod(max(d, 1) for d in dims) > _MAX_ELEMENTS:
+            raise WireError(f"{what}: implausible tensor dims {dims}")
+        n = math.prod(dims)
         raw = self.take(4 * n, f"{what} data")
         return np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
 

@@ -274,11 +274,6 @@ class TestAutoencoder:
 
 
 class TestPromptEncoder:
-    def test_zero_feature_exactly_zero(self, world):
-        *_, pe = world
-        assert np.all(pe.zero_feature == 0.0)
-        assert pe.zero_feature.shape == (1, 32)
-
     def test_padded_encoding(self, world):
         *_, pe = world
         out = pe.encode([["one", "red"], ["circle"]])

@@ -2,6 +2,8 @@
 the simulated time model, and transport parity."""
 
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,12 +17,11 @@ from splitstream.models import (ControlBranch, NoiseConfoundingActivation,
 from splitstream.privacy import PrivacyParams, epsilon_for_timestep
 from splitstream.protocol import (ClientDataset, ClientWorker, IterationSample,
                                   ProtocolConfig, ServerWorker, SimClock, SplitWorld,
-                                  TransmissionLedger, account_transmission,
-                                  client_forward_step, run_split_training,
-                                  server_train_step)
+                                  TransmissionLedger, TransportError, account_transmission,
+                                  run_split_training)
 from splitstream.rng import RngState
 from splitstream.tensor import Tensor
-from splitstream.wire import FeaturePacket, iter_frames
+from splitstream.wire import FeaturePacket, WireError, iter_frames
 
 DELTA, ALPHA = 1e-4, 0.16
 VOCAB = ["one", "two", "red", "blue", "circle", "rect"]
@@ -69,20 +70,20 @@ class TestClientForwardStep:
     def test_prompt_hiding_omits_prompt(self):
         world = build_world("ours_plus_plus")
         client = ClientWorker(0, world, make_cfg(), RngState(1))
-        pkt = client_forward_step(client, 0)
+        pkt = client.forward_step(0)
         assert pkt.prompt_feat is None
 
     def test_prompt_present_without_hiding(self):
         world = build_world("none")
         client = ClientWorker(0, world, make_cfg(), RngState(1))
-        pkt = client_forward_step(client, 0)
+        pkt = client.forward_step(0)
         assert pkt.prompt_feat is not None
         assert pkt.prompt_feat.shape[0] == 2  # batch
 
     def test_deterministic_given_rng(self):
         world = build_world("ours_plus_plus")
-        a = client_forward_step(ClientWorker(0, world, make_cfg(), RngState(2)), 0)
-        b = client_forward_step(ClientWorker(0, build_world("ours_plus_plus"), make_cfg(), RngState(2)), 0)
+        a = ClientWorker(0, world, make_cfg(), RngState(2)).forward_step(0)
+        b = ClientWorker(0, build_world("ours_plus_plus"), make_cfg(), RngState(2)).forward_step(0)
         assert a == b
 
     def test_timestep_respects_floor(self):
@@ -90,21 +91,21 @@ class TestClientForwardStep:
         client = ClientWorker(0, world, make_cfg(), RngState(3))
         eps_s = epsilon_for_timestep(world.privacy.t_s, world.sched, DELTA, ALPHA)
         for it in range(40):
-            pkt = client_forward_step(client, it)
+            pkt = client.forward_step(it)
             assert 536 <= pkt.timestep <= 1000
             assert epsilon_for_timestep(pkt.timestep, world.sched, DELTA, ALPHA) <= eps_s
 
     def test_undefended_samples_full_range(self):
         world = build_world("none")
         client = ClientWorker(0, world, make_cfg(), RngState(4))
-        ts = {client_forward_step(client, i).timestep for i in range(50)}
+        ts = {client.forward_step(i).timestep for i in range(50)}
         assert min(ts) < 536  # not clamped to the private floor
 
     def test_confound_changes_control_feature(self):
         base = build_world("none", seed=88)
         defended = build_world("ours_c", seed=88)
-        pa = client_forward_step(ClientWorker(0, base, make_cfg(), RngState(5)), 0)
-        pb = client_forward_step(ClientWorker(0, defended, make_cfg(), RngState(5)), 0)
+        pa = ClientWorker(0, base, make_cfg(), RngState(5)).forward_step(0)
+        pb = ClientWorker(0, defended, make_cfg(), RngState(5)).forward_step(0)
         # same rng, same data: unet features before defenses agree on t? t_s
         # differs, so just check the defended control features are nonnegative
         # up to delta (|x| * 2 sigmoid(x) >= 0)
@@ -116,14 +117,14 @@ class TestServerTrainStep:
         world = build_world("none")
         cfg = make_cfg()
         client = ClientWorker(0, world, cfg, RngState(6))
-        pkt = client_forward_step(client, 0)
+        pkt = client.forward_step(0)
         uncond = unet_denoise(pkt.feat_unet, pkt.timestep, pkt.prompt_feat, [], world.unet)
         # careful: unet_denoise runs block 1 again; compare via server path
         h1 = Tensor(pkt.feat_unet)
         uncond = world.unet.server_forward(h1, pkt.timestep, Tensor(pkt.prompt_feat), [])
         want = float(np.mean((pkt.label_noise.astype(np.float64) - uncond.data) ** 2))
         server = ServerWorker(world, cfg)
-        loss, gpkt = server_train_step(server, pkt)
+        loss, gpkt = server.train_step(pkt)
         assert gpkt is None
         assert abs(loss - want) < 1e-6 * max(1.0, want)
 
@@ -131,17 +132,17 @@ class TestServerTrainStep:
         world = build_world("none")
         cfg = make_cfg(mode="classic")
         client = ClientWorker(0, world, cfg, RngState(7))
-        pkt = client_forward_step(client, 0)
+        pkt = client.forward_step(0)
         server = ServerWorker(world, cfg)
-        loss, gpkt = server_train_step(server, pkt)
+        loss, gpkt = server.train_step(pkt)
         assert gpkt is not None
         assert gpkt.grad_control.shape == pkt.feat_control.shape
         assert gpkt.n_pred is not None and gpkt.n_pred.shape == pkt.label_noise.shape
         # zero convs block the partition gradient at init; it appears once
         # they have moved off zero
         assert np.all(gpkt.grad_control == 0.0)
-        pkt2 = client_forward_step(client, 1)
-        _, gpkt2 = server_train_step(server, pkt2)
+        pkt2 = client.forward_step(1)
+        _, gpkt2 = server.train_step(pkt2)
         assert np.abs(gpkt2.grad_control).max() > 0
 
     def test_frozen_hash_unchanged_after_steps(self):
@@ -152,7 +153,7 @@ class TestServerTrainStep:
         before = param_fingerprint({**world.unet.named_parameters("u."),
                                     **world.autoencoder.named_parameters("a.")})
         for it in range(25):
-            server_train_step(server, client_forward_step(client, it))
+            server.train_step(client.forward_step(it))
         after = param_fingerprint({**world.unet.named_parameters("u."),
                                    **world.autoencoder.named_parameters("a.")})
         assert before == after
@@ -165,15 +166,15 @@ class TestServerTrainStep:
                             np.zeros((1, 4, 4, 4), np.float32),
                             np.zeros((1, 4, 8, 8), np.float32))
         with pytest.raises(ValueError, match="shape"):
-            server_train_step(server, bad)
+            server.train_step(bad)
 
     def test_nan_loss_aborts_with_diagnostic(self):
         world = build_world("none")
         server = ServerWorker(world, make_cfg())
-        pkt = client_forward_step(ClientWorker(0, world, make_cfg(), RngState(9)), 3)
+        pkt = ClientWorker(0, world, make_cfg(), RngState(9)).forward_step(3)
         pkt.feat_unet = np.full_like(pkt.feat_unet, np.nan)
         with pytest.raises(FloatingPointError, match="iteration 3"):
-            server_train_step(server, pkt)
+            server.train_step(pkt)
 
 
 class TestLedger:
@@ -383,3 +384,124 @@ class TestStandaloneRoles:
         t.join(timeout=30)
         assert holder["res"].ledger.bytes_down > 0
         assert len(holder["res"].loss_history) == 3
+
+
+def run_within(fn, seconds=10.0) -> dict:
+    """Run `fn` in a thread joined with a deadline (there is no pytest
+    timeout plugin); returns {"result": ...} or {"error": ...}."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"session still running after {seconds} s"
+    return box
+
+
+def splitstream_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("splitstream-")]
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+class TestFaults:
+    """A broken peer ends the session with a structured error, never a hang."""
+
+    def run_faulty(self, transport, mode="classic", defense="none"):
+        world = build_world(defense, seed=40)
+        cfg = make_cfg(mode=mode, iterations=5, transport=transport)
+        box = run_within(lambda: run_split_training(world, cfg))
+        assert isinstance(box.get("error"), (TransportError, WireError)), box
+        assert not splitstream_threads()
+        return box["error"]
+
+    @pytest.mark.parametrize("mode", ["classic", "gradient_free"])
+    def test_client_dies_mid_session(self, transport, mode, monkeypatch):
+        real = ClientWorker.forward_step
+
+        def dying(self, iteration):
+            if iteration == 2:
+                time.sleep(1.0)
+                raise RuntimeError("client crashed")
+            return real(self, iteration)
+
+        monkeypatch.setattr(ClientWorker, "forward_step", dying)
+        err = self.run_faulty(transport, mode)
+        assert isinstance(err.__cause__, RuntimeError)
+
+    def test_corrupt_frame(self, transport, monkeypatch):
+        real = pr.frame_message
+
+        def corrupting(msg):
+            frame = real(msg)
+            if isinstance(msg, FeaturePacket) and msg.iteration == 2:
+                return b"JUNK" + frame[4:]
+            return frame
+
+        monkeypatch.setattr(pr, "frame_message", corrupting)
+        assert isinstance(self.run_faulty(transport), WireError)
+
+    def test_packet_from_unregistered_client_id(self, transport, monkeypatch):
+        real = ClientWorker.forward_step
+
+        def impostor(self, iteration):
+            pkt = real(self, iteration)
+            if iteration == 1:
+                pkt.client_id = 99
+            return pkt
+
+        monkeypatch.setattr(ClientWorker, "forward_step", impostor)
+        err = self.run_faulty(transport, mode="gradient_free", defense="ours_plus_plus")
+        assert "unregistered client id 99" in str(err)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_many_clients_share_one_inbox(transport, tmp_path):
+    # more clients than cores, with frequent thread switches: every frame is
+    # counted once, captured once, and each client's packets keep their order
+    import sys
+
+    cap = tmp_path / "packets.bin"
+    world = build_world("none", seed=42, n_data=6, clients=4)
+    cfg = make_cfg(mode="classic", clients=4, iterations=3, transport=transport,
+                   queue_depth=2, capture_path=str(cap))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        box = run_within(lambda: run_split_training(world, cfg), seconds=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert "error" not in box, box
+    res = box["result"]
+    with open(cap, "rb") as f:
+        frames = list(iter_frames(f))
+    assert len(res.loss_history) == len(frames) == 12
+    assert res.ledger.bytes_up == cap.stat().st_size
+    for cid in range(4):
+        assert [p.iteration for p in frames if p.client_id == cid] == [0, 1, 2]
+    assert not splitstream_threads()
+
+
+def test_tcp_teardown_joins_slow_readers(monkeypatch):
+    # a reader that is slow to get back to its socket must be joined before
+    # the socket is closed, not left to read a closed descriptor
+    real = pr.read_frame
+
+    def slow(stream):
+        frame = real(stream)
+        time.sleep(0.2)
+        return frame
+
+    monkeypatch.setattr(pr, "read_frame", slow)
+    before = set(threading.enumerate())
+    world = build_world("none", seed=41)
+    box = run_within(lambda: run_split_training(
+        world, make_cfg(mode="classic", iterations=3, transport="tcp")))
+    assert "error" not in box, box
+    assert len(box["result"].loss_history) == 3
+    assert [t.name for t in set(threading.enumerate()) - before if t.is_alive()] == []

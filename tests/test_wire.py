@@ -159,3 +159,79 @@ def test_roundtrip_property(fu, fc, ln, with_prompt, cid, it, t):
     pkt = FeaturePacket(cid, it, t, fu, fc, ln,
                         prompt_feat=fu if with_prompt else None)
     assert parse_message(frame_message(pkt)) == pkt
+
+
+def _feature_frame_with_dims(dims) -> bytes:
+    """A FeaturePacket frame whose feat_unet header declares `dims`."""
+    tiny = np.zeros((1,), np.float32)
+    payload = (struct.pack("<IQI", 0, 0, 1)
+               + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+               + frame_message(FeaturePacket(0, 0, 1, tiny, tiny, tiny))[HEADER_LEN + 16 + 9:])
+    return MAGIC + struct.pack("<BBQ", 1, 0, len(payload)) + payload
+
+
+@pytest.mark.parametrize("dims", [(65536,) * 4, (0, 2**32 - 1, 2**32 - 1)])
+def test_overflowing_tensor_dims_are_wire_errors(dims):
+    # 65536**4 wraps to 0 in int64; a zero dim hides dims numpy cannot shape
+    with pytest.raises(WireError, match="implausible"):
+        parse_message(_feature_frame_with_dims(dims))
+
+
+BASE_FRAMES = [
+    frame_message(random_feature_packet(RngState(50))),
+    frame_message(random_feature_packet(RngState(51), with_prompt=False)),
+    frame_message(GradientPacket(3, RngState(52).normal((1, 4, 2, 2)), RngState(53).normal((1, 4, 2, 2)))),
+    frame_message(ControlMessage(1, 7)),
+]
+
+
+@st.composite
+def mutated_frames(draw):
+    """A valid frame with a few bytes, u32 words or its tail changed."""
+    frame = bytearray(draw(st.sampled_from(BASE_FRAMES)))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(frame) - 1))
+        kind = draw(st.sampled_from(["byte", "u32", "cut"]))
+        if kind == "byte":
+            frame[pos] = draw(st.integers(0, 255))
+        elif kind == "u32":  # lands on dims, ids, counts or lengths
+            word = draw(st.one_of(st.sampled_from([0, 1, 65536, 2**31, 2**32 - 1]),
+                                  st.integers(0, 2**32 - 1)))
+            frame[pos : pos + 4] = struct.pack("<I", word)
+        else:
+            del frame[pos:]
+        if not frame:
+            break
+    return bytes(frame)
+
+
+@st.composite
+def forged_frames(draw):
+    """Well-framed feature or gradient payloads whose tensor headers say anything."""
+    mtype = draw(st.sampled_from([0, 1]))
+    parts = [struct.pack("<IQI", 0, 0, 1) if mtype == 0 else struct.pack("<Q", 0)]
+    for _ in range(draw(st.integers(1, 4))):
+        dims = draw(st.lists(st.one_of(st.integers(0, 4), st.sampled_from([65536, 2**31, 2**32 - 1])),
+                             max_size=9))
+        parts.append(struct.pack(f"<B{len(dims)}I", len(dims), *dims))
+        parts.append(draw(st.binary(max_size=64)))
+    payload = b"".join(parts)
+    return MAGIC + struct.pack("<BBQ", 1, mtype, len(payload)) + payload
+
+
+@given(st.one_of(st.binary(max_size=96), st.binary(max_size=96).map(lambda b: MAGIC + b),
+                 mutated_frames(), forged_frames()))
+@settings(max_examples=400, deadline=None)
+def test_parsers_raise_only_wire_error(data):
+    try:
+        parse_message(data)
+    except WireError:
+        pass
+    try:
+        list(iter_frames(io.BytesIO(data)))  # read_frame, then parse_message per frame
+    except WireError:
+        pass
+    try:
+        read_frame(io.BytesIO(data))
+    except WireError:
+        pass
