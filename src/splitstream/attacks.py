@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as tt
 from .metrics import psnr, ssim
-from .models import Conv
+from .models import Conv, Module
 from .optim import AdamW
 from .rng import RngState
 from .tensor import Tensor
@@ -146,7 +146,7 @@ def unsplit_attack(target_feats: np.ndarray, make_guess_model, x_shape: tuple,
 # inverse networks
 
 
-class InverseNet:
+class InverseNet(Module):
     """Feature-to-image decoder mirroring the reference attack stack at toy
     scale (conv + nearest upsample + SiLU trunk, Sigmoid head). Both types
     process at the latent resolution before upsampling, which the
@@ -184,15 +184,6 @@ class InverseNet:
                 h = tt.upsample2x(h)
         return tt.sigmoid(h)
 
-    def parameters(self) -> list[Tensor]:
-        return [p for c in self.convs for p in (c.w, c.b)]
-
-    def named_parameters(self, prefix=""):
-        out = {}
-        for i, c in enumerate(self.convs):
-            out.update(c.named_parameters(f"{prefix}conv{i}."))
-        return out
-
 
 class FeatureScaler:
     """Per-channel standardization fitted on the attacker's own feature set.
@@ -215,7 +206,7 @@ def train_inverse_network(features: np.ndarray, targets: np.ndarray, net: Invers
     cfg = {"lr": 1e-5, "iters": 2000, "batch": 8, **(cfg or {})}
     if len(features) != len(targets):
         raise ValueError("features/targets length mismatch")
-    opt = AdamW(net.parameters(), lr=cfg["lr"])
+    opt = AdamW(list(net.named_parameters().values()), lr=cfg["lr"])
     losses = []
     for _ in range(int(cfg["iters"])):
         idx = np.asarray(rng.integers(0, len(features) - 1, (int(cfg["batch"]),)))

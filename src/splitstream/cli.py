@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dtt
-from .config import ExperimentConfig, load_config
+from .config import ATTACK_METHODS, ExperimentConfig, load_config
 from .diffusion import make_linear_schedule
 from .privacy import (BudgetTable, epsilon_for_timestep, timestep_for_epsilon)
 
@@ -98,9 +98,7 @@ def cmd_train(args):
 
 
 def cmd_attack(args):
-    from .experiment import (EvalCapture, build_world, generate_eval_packets, prepare,
-                             run_inverse_net_attack, run_unsplit_attack_arm,
-                             run_whitebox_attack)
+    from .experiment import EvalCapture, build_world, generate_eval_packets, prepare, run_attack
     from .wire import FeaturePacket, iter_frames
 
     cfg = _load_cfg(args)
@@ -123,14 +121,7 @@ def cmd_attack(args):
                           truth_conds=cap.truth_conds[: len(packets)],
                           truth_images=cap.truth_images[: len(packets)])
     method = args.method.replace("-", "_")
-    if method == "inverse_net":
-        report = run_inverse_net_attack(world, data, cap, cfg)
-    elif method == "whitebox":
-        report = run_whitebox_attack(world, cap, cfg)
-    elif method == "unsplit":
-        report = run_unsplit_attack_arm(world, cap, cfg)
-    else:
-        raise SystemExit(f"unknown attack method {args.method!r}")
+    report = run_attack(method, world, data, cap, cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"attack_{method}.jsonl", "w") as f:
@@ -210,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(fn=cmd_train)
 
     at = sub.add_parser("attack", help="run an inversion attack over captured packets")
-    at.add_argument("--method", required=True,
-                    choices=["unsplit", "whitebox", "inverse-net", "inverse_net"])
+    dashed = (m.replace("_", "-") for m in ATTACK_METHODS)
+    at.add_argument("--method", required=True, choices=sorted({*ATTACK_METHODS, *dashed}))
     at.add_argument("--packets", help="captured packet frames (defaults to fresh eval packets)")
     at.add_argument("--defense-config", help="config whose [defense] section describes the arm")
     at.add_argument("--config")

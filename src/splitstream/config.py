@@ -11,7 +11,9 @@ import configparser
 import os
 from dataclasses import dataclass, field, fields
 
-from .defenses import KINDS as DEFENSE_KINDS
+from .defenses import KINDS as DEFENSE_KINDS, DefenseConfig
+
+ATTACK_METHODS = ("inverse_net", "inverse_net_type1", "whitebox", "unsplit")
 
 
 class ConfigError(ValueError):
@@ -42,17 +44,6 @@ class PrivacyConfig:
     clip_norm: float | None = None
     epsilon: float | None = None  # alternative way to pick the floor
     t_max: int = 1000
-
-
-@dataclass
-class DefenseSection:
-    kind: str = "ours_plus_plus"
-    epsilon: float = 0.3
-    rr_bits: int = 8
-    sigma2: float = 1.0
-    mix_count: int = 4
-    patch: int = 4
-    t_s: int = 536
 
 
 @dataclass
@@ -93,7 +84,6 @@ class AttackConfig:
     unsplit_inner_x: int = 30
     unsplit_inner_theta: int = 30
     unsplit_lr: float = 1e-3
-    eval_samples: int = 16
     # toy-scale calibration constants asserted by the acceptance suite
     ssim_attack_floor: float = 0.6
     ssim_drop_inverse: float = 0.2
@@ -107,7 +97,7 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     privacy: PrivacyConfig = field(default_factory=PrivacyConfig)
-    defense: DefenseSection = field(default_factory=DefenseSection)
+    defense: DefenseConfig = field(default_factory=lambda: DefenseConfig("ours_plus_plus"))
     protocol: ProtocolSection = field(default_factory=ProtocolSection)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     attacks: AttackConfig = field(default_factory=AttackConfig)
@@ -123,10 +113,12 @@ class ExperimentConfig:
             if kind not in DEFENSE_KINDS:
                 raise ConfigError(f"unknown attack-arm defense {kind!r}")
         for m in self.attacks.methods:
-            if m not in ("inverse_net", "inverse_net_type1", "whitebox", "unsplit"):
+            if m not in ATTACK_METHODS:
                 raise ConfigError(f"unknown attack method {m!r}")
         if self.protocol.mode not in ("classic", "gradient_free"):
             raise ConfigError(f"unknown protocol mode {self.protocol.mode!r}")
+        if self.protocol.condition_encoder not in ("pretrained", "scratch"):
+            raise ConfigError(f"unknown condition encoder {self.protocol.condition_encoder!r}")
         if self.protocol.transport not in ("in_process", "tcp"):
             raise ConfigError(f"unknown transport {self.protocol.transport!r}")
         return self
@@ -136,7 +128,7 @@ _SECTION_MAP = {
     "dataset": ("dataset", DatasetConfig),
     "schedule": ("schedule", ScheduleConfig),
     "privacy": ("privacy", PrivacyConfig),
-    "defense": ("defense", DefenseSection),
+    "defense": ("defense", DefenseConfig),
     "protocol": ("protocol", ProtocolSection),
     "pretrain": ("pretrain", PretrainConfig),
     "attacks": ("attacks", AttackConfig),

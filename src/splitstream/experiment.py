@@ -13,7 +13,7 @@ pipeline is a pure function of the config, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .attacks import (FeatureScaler, InverseNet, ReconstructionReport,
                       whitebox_gd_attack)
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, config_to_dict
-from .defenses import DefenseConfig
 from .diffusion import make_linear_schedule, write_schedule_csv
 from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
                      PromptEncoder, ToyAutoencoder, ToyUNet, noise_confound,
@@ -82,18 +81,10 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
     rng = RngState(cfg.seed)
     sched = make_linear_schedule(cfg.schedule.T, cfg.schedule.k, cfg.schedule.beta0,
                                  cfg.schedule.lam)
-    defense = DefenseConfig(
-        kind=defense_kind,
-        epsilon=cfg.defense.epsilon,
-        rr_bits=cfg.defense.rr_bits,
-        sigma2=cfg.defense.sigma2,
-        mix_count=cfg.defense.mix_count,
-        patch=cfg.defense.patch,
-        t_s=cfg.defense.t_s,
-    )
-    if defense.kind in ("ours_c", "ours_plus_plus") and cfg.privacy.epsilon is not None:
-        defense.t_s = timestep_for_epsilon(cfg.privacy.epsilon, sched,
-                                           cfg.privacy.delta, alpha_sens)
+    defense = replace(cfg.defense, kind=defense_kind)
+    if defense_kind in ("ours_c", "ours_plus_plus") and cfg.privacy.epsilon is not None:
+        defense = replace(defense, t_s=timestep_for_epsilon(cfg.privacy.epsilon, sched,
+                                                            cfg.privacy.delta, alpha_sens))
     privacy = PrivacyParams.from_ts(sched, cfg.privacy.delta, alpha_sens,
                                     defense.timestep_floor, cfg.privacy.t_max)
     unet = ToyUNet(rng.split("unet"))
@@ -281,6 +272,20 @@ def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
     return rep
 
 
+def run_attack(method: str, world: SplitWorld, data: DataBundle, cap: EvalCapture,
+               cfg: ExperimentConfig) -> ReconstructionReport:
+    """The attack arm named by `method`, one of `config.ATTACK_METHODS`."""
+    if method == "inverse_net":
+        return run_inverse_net_attack(world, data, cap, cfg)
+    if method == "inverse_net_type1":
+        return run_inverse_net_attack(world, data, cap, cfg, "type1_raw_image")
+    if method == "whitebox":
+        return run_whitebox_attack(world, cap, cfg)
+    if method == "unsplit":
+        return run_unsplit_attack_arm(world, cap, cfg)
+    raise ValueError(f"unknown attack method {method!r}")
+
+
 def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
                      out_dir: Path | None = None) -> list[dict]:
     """Attacks x defense-arms grid; every arm shares seeds and private data."""
@@ -294,16 +299,7 @@ def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
                 for p in cap.packets:
                     f.write(frame_message(p))
         for method in cfg.attacks.methods:
-            if method == "inverse_net":
-                report = run_inverse_net_attack(world, data, cap, cfg)
-            elif method == "inverse_net_type1":
-                report = run_inverse_net_attack(world, data, cap, cfg, "type1_raw_image")
-            elif method == "whitebox":
-                report = run_whitebox_attack(world, cap, cfg)
-            elif method == "unsplit":
-                report = run_unsplit_attack_arm(world, cap, cfg)
-            else:
-                raise ValueError(f"unknown attack method {method!r}")
+            report = run_attack(method, world, data, cap, cfg)
             row = report.summary_row()
             row.update(kind="attack", defense=defense_kind, t_s=cap.t,
                        psnr=report.psnr, ssim=report.ssim)
@@ -317,15 +313,20 @@ def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
     return rows
 
 
+def _estimated_alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:
+    """Max pairwise distance over the first 128 training latents (eval
+    mode: no dropout, so the RNG is never drawn from)."""
+    images = data.train[0][:128]
+    latents = ae.encode(Tensor(images), RngState(cfg.seed).split("sensitivity"),
+                        training=False).data
+    return estimate_sensitivity(list(latents), clip_norm=cfg.privacy.clip_norm)
+
+
 def _alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:
-    """Sensitivity: the configured constant when given, else estimated over
-    the training latents."""
+    """Sensitivity: the configured constant when given, else estimated."""
     if cfg.privacy.alpha is not None:
         return cfg.privacy.alpha
-    images = data.train[0][: min(128, len(data.train[0]))]
-    rng = RngState(cfg.seed).split("sensitivity")
-    latents = ae.encode(Tensor(images), rng, training=False).data
-    return estimate_sensitivity(list(latents), clip_norm=cfg.privacy.clip_norm)
+    return _estimated_alpha(cfg, ae, data)
 
 
 # ---------------------------------------------------------------------------
@@ -338,28 +339,21 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     metrics: list[dict] = []
 
     data, ae, alpha = prepare(cfg)
-    images = data.train[0]
     metrics.append({"kind": "pretrain", "epochs": cfg.pretrain.ae_epochs,
                     "final_loss": ae.pretrain_losses[-1] if ae.pretrain_losses else None})
 
-    sched = make_linear_schedule(cfg.schedule.T, cfg.schedule.k, cfg.schedule.beta0,
-                                 cfg.schedule.lam)
-    rng_est = RngState(cfg.seed).split("sensitivity-log")
-    latents = ae.encode(Tensor(images[: min(128, len(images))]), rng_est, training=False).data
-    alpha_est = estimate_sensitivity(list(latents), clip_norm=cfg.privacy.clip_norm)
-    with open(out_dir / "budget.csv", "w") as f:
-        write_schedule_csv(sched, f,
-                           epsilon_fn=lambda t: epsilon_for_timestep(
-                               t, sched, cfg.privacy.delta, alpha))
-    metrics.append({"kind": "calibration", "alpha_used": alpha,
-                    "alpha_estimated": alpha_est, "delta": cfg.privacy.delta,
-                    "t_s": DefenseConfig(cfg.defense.kind, t_s=cfg.defense.t_s).timestep_floor,
-                    "epsilon_at_t_s": epsilon_for_timestep(
-                        DefenseConfig(cfg.defense.kind, t_s=cfg.defense.t_s).timestep_floor,
-                        sched, cfg.privacy.delta, alpha)})
-
-    # split training under the configured mode and defense
+    # the world trains under the configured mode and defense; its privacy
+    # parameters are the calibration the run reports
     world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
+    with open(out_dir / "budget.csv", "w") as f:
+        write_schedule_csv(world.sched, f,
+                           epsilon_fn=lambda t: epsilon_for_timestep(
+                               t, world.sched, cfg.privacy.delta, alpha))
+    metrics.append({"kind": "calibration", "alpha_used": alpha,
+                    "alpha_estimated": _estimated_alpha(cfg, ae, data),
+                    "delta": cfg.privacy.delta, "t_s": world.privacy.t_s,
+                    "epsilon_at_t_s": world.privacy.epsilon})
+
     frozen_before = param_fingerprint({**world.unet.named_parameters("unet."),
                                        **world.autoencoder.named_parameters("ae.")})
     result = None

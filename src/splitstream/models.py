@@ -17,6 +17,7 @@ encoded condition; every block downstream runs on the server.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass
@@ -40,7 +41,40 @@ N_TAPS = 3
 # parameter containers
 
 
-class Conv:
+class Module:
+    """Parameter tree: every Tensor attribute is a parameter, found through
+    child Modules and lists of them and named by its attribute path."""
+
+    def named_parameters(self, prefix="") -> dict[str, Tensor]:
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[prefix + name] = value
+            elif isinstance(value, Module):
+                out.update(value.named_parameters(f"{prefix}{name}."))
+            elif isinstance(value, list):
+                for i, child in enumerate(value):
+                    if isinstance(child, Module):
+                        out.update(child.named_parameters(f"{prefix}{name}.{i}."))
+        return out
+
+    @property
+    def frozen(self) -> bool:
+        return not any(p.requires_grad for p in self.named_parameters().values())
+
+    def freeze(self):
+        for p in self.named_parameters().values():
+            p.requires_grad = False
+
+    def clone(self):
+        """Independent deep copy with every parameter trainable."""
+        twin = copy.deepcopy(self)
+        for p in twin.named_parameters().values():
+            p.requires_grad, p.grad = True, None
+        return twin
+
+
+class Conv(Module):
     def __init__(self, in_ch, out_ch, k, rng: RngState | None, stride=1, padding=0, zero_init=False):
         if zero_init:
             w = np.zeros((out_ch, in_ch, k, k), dtype=np.float32)
@@ -54,11 +88,8 @@ class Conv:
     def __call__(self, x: Tensor) -> Tensor:
         return tt.bias_add(tt.conv2d(x, self.w, self.stride, self.padding), self.b)
 
-    def named_parameters(self, prefix=""):
-        return {f"{prefix}w": self.w, f"{prefix}b": self.b}
 
-
-class Dense:
+class Dense(Module):
     def __init__(self, in_dim, out_dim, rng: RngState):
         self.w = Tensor(rng.normal((in_dim, out_dim)) * np.float32(1.0 / math.sqrt(in_dim)),
                         requires_grad=True)
@@ -67,9 +98,6 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         return tt.dense(x, self.w, self.b)
 
-    def named_parameters(self, prefix=""):
-        return {f"{prefix}w": self.w, f"{prefix}b": self.b}
-
 
 def _dense3(tokens: Tensor, w: Tensor) -> Tensor:
     """(N, L, C) @ (C, A) -> (N, L, A)."""
@@ -77,7 +105,7 @@ def _dense3(tokens: Tensor, w: Tensor) -> Tensor:
     return tt.reshape(tt.matmul(tt.reshape(tokens, (n * l, c)), w), (n, l, w.shape[1]))
 
 
-class CrossAttention:
+class CrossAttention(Module):
     """Prompt cross-attention over spatial tokens, returned as a residual term."""
 
     def __init__(self, channels, d_context, d_attn, rng: RngState):
@@ -95,19 +123,12 @@ class CrossAttention:
         v = _dense3(context, self.wv)
         return _dense3(tt.attention(q, k, v), self.wo)
 
-    def named_parameters(self, prefix=""):
-        return {f"{prefix}wq": self.wq, f"{prefix}wk": self.wk,
-                f"{prefix}wv": self.wv, f"{prefix}wo": self.wo}
 
-
-class SelfAttention:
+class SelfAttention(Module):
     """Projection-free self-attention over the block's own tokens."""
 
     def __call__(self, tokens: Tensor) -> Tensor:
         return tt.attention(tokens, tokens, tokens)
-
-    def named_parameters(self, prefix=""):
-        return {}
 
 
 def timestep_embedding(t: int, dim: int = D_TEMB) -> np.ndarray:
@@ -117,7 +138,7 @@ def timestep_embedding(t: int, dim: int = D_TEMB) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
 
 
-class UNetBlock:
+class UNetBlock(Module):
     """conv -> +timestep embedding -> silu -> attention -> (upsample) -> conv."""
 
     def __init__(self, in_ch, mid_ch, out_ch, rng: RngState, stride=1, upsample=False):
@@ -152,42 +173,12 @@ class UNetBlock:
             h = tt.upsample2x(h)
         return self.conv2(h)
 
-    def named_parameters(self, prefix=""):
-        out = {}
-        out.update(self.conv1.named_parameters(f"{prefix}conv1."))
-        out.update(self.temb.named_parameters(f"{prefix}temb."))
-        out.update(self.attn.named_parameters(f"{prefix}attn."))
-        out.update(self.conv2.named_parameters(f"{prefix}conv2."))
-        return out
-
-
-def clone_block(block: UNetBlock) -> UNetBlock:
-    """Independent copy with identical weights (trainable)."""
-    twin = UNetBlock.__new__(UNetBlock)
-    twin.conv1 = Conv.__new__(Conv)
-    twin.conv1.w = Tensor(block.conv1.w.data.copy(), requires_grad=True)
-    twin.conv1.b = Tensor(block.conv1.b.data.copy(), requires_grad=True)
-    twin.conv1.stride, twin.conv1.padding = block.conv1.stride, block.conv1.padding
-    twin.temb = Dense.__new__(Dense)
-    twin.temb.w = Tensor(block.temb.w.data.copy(), requires_grad=True)
-    twin.temb.b = Tensor(block.temb.b.data.copy(), requires_grad=True)
-    twin.attn = CrossAttention.__new__(CrossAttention)
-    for name in ("wq", "wk", "wv", "wo"):
-        setattr(twin.attn, name, Tensor(getattr(block.attn, name).data.copy(), requires_grad=True))
-    twin.conv2 = Conv.__new__(Conv)
-    twin.conv2.w = Tensor(block.conv2.w.data.copy(), requires_grad=True)
-    twin.conv2.b = Tensor(block.conv2.b.data.copy(), requires_grad=True)
-    twin.conv2.stride, twin.conv2.padding = block.conv2.stride, block.conv2.padding
-    twin.upsample = block.upsample
-    twin.bound_zero_prompt = None
-    return twin
-
 
 # ---------------------------------------------------------------------------
 # autoencoder
 
 
-class CondEncoder:
+class CondEncoder(Module):
     """3x32x32 -> 4x8x8 conv encoder with dropout; also serves as E."""
 
     def __init__(self, rng: RngState, dropout_p: float = 0.1):
@@ -200,14 +191,8 @@ class CondEncoder:
         h = tt.dropout(h, self.dropout_p, rng, training)
         return self.conv2(h)
 
-    def named_parameters(self, prefix=""):
-        out = {}
-        out.update(self.conv1.named_parameters(f"{prefix}conv1."))
-        out.update(self.conv2.named_parameters(f"{prefix}conv2."))
-        return out
 
-
-class Decoder:
+class Decoder(Module):
     def __init__(self, rng: RngState):
         self.conv1 = Conv(4, 32, 3, rng, padding=1)
         self.conv2 = Conv(32, 16, 3, rng, padding=1)
@@ -218,18 +203,11 @@ class Decoder:
         h = tt.upsample2x(tt.silu(self.conv2(h)))
         return tt.sigmoid(self.conv3(h))
 
-    def named_parameters(self, prefix=""):
-        out = {}
-        for i, c in enumerate((self.conv1, self.conv2, self.conv3), 1):
-            out.update(c.named_parameters(f"{prefix}conv{i}."))
-        return out
 
-
-class ToyAutoencoder:
+class ToyAutoencoder(Module):
     def __init__(self, rng: RngState, dropout_p: float = 0.1):
         self.E = CondEncoder(rng.split("encoder"), dropout_p)
         self.D = Decoder(rng.split("decoder"))
-        self.frozen = False
         self.pretrain_losses: list[float] = []
 
     def encode(self, img, rng: RngState, training: bool = True) -> Tensor:
@@ -239,17 +217,6 @@ class ToyAutoencoder:
     def decode(self, z) -> Tensor:
         x = z if isinstance(z, Tensor) else Tensor(z)
         return self.D(x)
-
-    def named_parameters(self, prefix=""):
-        out = {}
-        out.update(self.E.named_parameters(f"{prefix}E."))
-        out.update(self.D.named_parameters(f"{prefix}D."))
-        return out
-
-    def freeze(self):
-        self.frozen = True
-        for p in self.named_parameters().values():
-            p.requires_grad = False
 
 
 def pretrain_autoencoder(images: np.ndarray, epochs: int, rng: RngState,
@@ -283,14 +250,13 @@ def pretrain_autoencoder(images: np.ndarray, epochs: int, rng: RngState,
 # denoiser and control branch
 
 
-class ToyUNet:
+class ToyUNet(Module):
     def __init__(self, rng: RngState):
         self.enc_block_1 = UNetBlock(4, 32, 4, rng.split("enc1"))
         self.enc_block_2 = UNetBlock(4, 64, 64, rng.split("enc2"), stride=2)
         self.mid = UNetBlock(64, 64, 64, rng.split("mid"))
         self.dec_block_2 = UNetBlock(128, 64, 32, rng.split("dec2"), upsample=True)
         self.dec_block_1 = UNetBlock(36, 32, 4, rng.split("dec1"))
-        self.frozen = False
 
     def blocks(self):
         return (self.enc_block_1, self.enc_block_2, self.mid,
@@ -318,18 +284,6 @@ class ToyUNet:
         d2 = self.dec_block_2(tt.concat_channels(m, skip2), t, prompt)
         return self.dec_block_1(tt.concat_channels(d2, skip1), t, prompt)
 
-    def named_parameters(self, prefix=""):
-        out = {}
-        names = ("enc_block_1", "enc_block_2", "mid", "dec_block_2", "dec_block_1")
-        for name in names:
-            out.update(getattr(self, name).named_parameters(f"{prefix}{name}."))
-        return out
-
-    def freeze(self):
-        self.frozen = True
-        for p in self.named_parameters().values():
-            p.requires_grad = False
-
 
 def unet_denoise(zt, t: int, prompt_feat, control_taps, model: ToyUNet) -> Tensor:
     """Full denoiser pass; with all-zero taps this equals the unconditional output."""
@@ -339,14 +293,14 @@ def unet_denoise(zt, t: int, prompt_feat, control_taps, model: ToyUNet) -> Tenso
     return model.server_forward(h1, t, p, control_taps)
 
 
-class ControlBranch:
+class ControlBranch(Module):
     """Trainable twin of the denoiser's encoder half plus zero convolutions."""
 
     def __init__(self, unet: ToyUNet, condition_encoder, rng: RngState):
         self.condition_encoder = condition_encoder
-        self.enc_block_1 = clone_block(unet.enc_block_1)
-        self.enc_block_2 = clone_block(unet.enc_block_2)
-        self.mid = clone_block(unet.mid)
+        self.enc_block_1 = unet.enc_block_1.clone()
+        self.enc_block_2 = unet.enc_block_2.clone()
+        self.mid = unet.mid.clone()
         self.zero_conv_1 = Conv(4, 4, 1, None, zero_init=True)
         self.zero_conv_2 = Conv(64, 64, 1, None, zero_init=True)
         self.zero_conv_mid = Conv(64, 64, 1, None, zero_init=True)
@@ -365,20 +319,8 @@ class ControlBranch:
 
     def server_parameters(self) -> dict[str, Tensor]:
         """The server-side trainables (condition encoder excluded)."""
-        out = {}
-        out.update(self.enc_block_1.named_parameters("enc_block_1."))
-        out.update(self.enc_block_2.named_parameters("enc_block_2."))
-        out.update(self.mid.named_parameters("mid."))
-        out.update(self.zero_conv_1.named_parameters("zero_conv_1."))
-        out.update(self.zero_conv_2.named_parameters("zero_conv_2."))
-        out.update(self.zero_conv_mid.named_parameters("zero_conv_mid."))
-        return out
-
-    def named_parameters(self, prefix=""):
-        out = {f"{prefix}{k}": v for k, v in self.server_parameters().items()}
-        if not isinstance(self.condition_encoder, ToyAutoencoder):
-            out.update(self.condition_encoder.named_parameters(f"{prefix}condition_encoder."))
-        return out
+        return {k: v for k, v in self.named_parameters().items()
+                if not k.startswith("condition_encoder.")}
 
 
 @dataclass

@@ -237,13 +237,8 @@ class ClientWorker:
             world.branch.condition_encoder, ToyAutoencoder
         )
         if self.trainable:
-            # classic split learning: each client trains its own condition encoder
-            from .models import CondEncoder
-
-            self.cond_encoder = CondEncoder(rng.split("cond_encoder"))
-            src = world.branch.condition_encoder.named_parameters()
-            for name, p in self.cond_encoder.named_parameters().items():
-                p.data[...] = src[name].data
+            # classic split learning: each client trains its own copy of the condition encoder
+            self.cond_encoder = world.branch.condition_encoder.clone()
             self.opt = AdamW(
                 list(self.cond_encoder.named_parameters().values()),
                 lr=cfg.client_lr, weight_decay=cfg.weight_decay,

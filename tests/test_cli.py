@@ -25,7 +25,6 @@ methods = whitebox
 defenses = none, ours_plus_plus
 whitebox_iters = 20
 inverse_iters = 60
-eval_samples = 3
 """
 
 
@@ -118,3 +117,12 @@ def test_attack_fresh_packets(tmp_path, mini_config, capsys):
     main(["attack", "--method", "inverse-net", "--config", str(mini_config),
           "--out", str(atk_dir)])
     assert (atk_dir / "attack_inverse_net.jsonl").exists()
+
+
+def test_attack_inverse_net_type1(tmp_path, capsys):
+    p = tmp_path / "mini.ini"
+    p.write_text(MINI_INI.replace("inverse_iters = 60", "inverse_iters = 5"))
+    atk_dir = tmp_path / "atk3"
+    main(["attack", "--method", "inverse-net-type1", "--config", str(p), "--out", str(atk_dir)])
+    row = json.loads((atk_dir / "attack_inverse_net_type1.jsonl").read_text())
+    assert row["method"] == "inverse_net_type1_raw_image" and len(row["ssim"]) == 3

@@ -10,7 +10,10 @@ import pytest
 
 from splitstream.config import (ConfigError, ExperimentConfig, config_to_dict,
                                 load_config)
+from splitstream.diffusion import make_linear_schedule
 from splitstream.experiment import run_experiment, synthesize_data
+from splitstream.privacy import timestep_for_epsilon
+from splitstream.wire import iter_frames
 
 
 def mini_cfg(tmp_path, **overrides) -> ExperimentConfig:
@@ -69,9 +72,11 @@ class TestConfig:
 
     def test_bad_values_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
-        p.write_text("[defense]\nkind = shredder\n")
-        with pytest.raises(ConfigError):
-            load_config(p)
+        for text in ("[defense]\nkind = shredder\n",
+                     "[protocol]\ncondition_encoder = scrach\n"):
+            p.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(p)
 
     def test_config_to_dict_roundtrips_fields(self):
         d = config_to_dict(ExperimentConfig())
@@ -151,6 +156,22 @@ class TestRunExperiment:
         row = lines[537].split(",")
         assert row[0] == "536"
         assert 7.5 <= float(row[4]) <= 8.6
+
+    def test_calibration_reports_the_floor_trained_at(self, tmp_path):
+        # with [privacy] epsilon the floor comes from the budget, not [defense] t_s
+        cfg = mini_cfg(tmp_path, **{"privacy.epsilon": 8.0})
+        cfg.attacks.methods = []
+        out = Path(run_experiment(cfg))
+        rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+        cal = next(r for r in rows if r["kind"] == "calibration")
+        sched = make_linear_schedule(cfg.schedule.T, cfg.schedule.k, cfg.schedule.beta0,
+                                     cfg.schedule.lam)
+        assert cal["t_s"] == timestep_for_epsilon(8.0, sched, cfg.privacy.delta, cfg.privacy.alpha)
+        assert cal["t_s"] != cfg.defense.t_s
+        assert cal["epsilon_at_t_s"] <= 8.0
+        with open(out / "packets_training.bin", "rb") as f:
+            timesteps = [pkt.timestep for pkt in iter_frames(f)]
+        assert len(timesteps) == 4 and min(timesteps) >= cal["t_s"]
 
     def test_metrics_rows_complete(self, tmp_path):
         out = Path(run_experiment(mini_cfg(tmp_path)))

@@ -246,6 +246,49 @@ class TestFrozenConservation:
         assert frozen_before == frozen_after
 
 
+class TestParameterTree:
+    def test_server_parameters_order_is_the_checkpoint_layout(self):
+        rng = RngState(21)
+        unet = ToyUNet(rng.split("u"))
+        unet.freeze()
+        branch = ControlBranch(unet, M.CondEncoder(rng.split("c")), rng.split("b"))
+        block = ("conv1.w", "conv1.b", "temb.w", "temb.b", "attn.wq", "attn.wk",
+                 "attn.wv", "attn.wo", "conv2.w", "conv2.b")
+        want = ([f"{b}.{k}" for b in ("enc_block_1", "enc_block_2", "mid") for k in block]
+                + [f"zero_conv_{z}.{k}" for z in ("1", "2", "mid") for k in ("w", "b")])
+        assert list(branch.server_parameters()) == want
+        assert all(p.requires_grad for p in branch.server_parameters().values())
+
+    def test_clone_of_prompt_hidden_blocks(self):
+        rng = RngState(22)
+        unet = ToyUNet(rng.split("u"))
+        unet.freeze()
+        ae = ToyAutoencoder(rng.split("a"))
+        branch, unet = prompt_hide_transform(ControlBranch(unet, ae, rng.split("b")), unet)
+        x = Tensor(rng.normal((1, 64, 4, 4)))
+        for blk in (branch.mid, unet.mid):
+            twin = blk.clone()
+            assert type(twin.attn) is type(blk.attn)
+            assert twin(x, 7, None).data.tobytes() == blk(x, 7, None).data.tobytes()
+            mine, theirs = twin.named_parameters(), blk.named_parameters()
+            assert list(mine) == list(theirs)
+            for name, p in mine.items():
+                assert p.requires_grad
+                assert not np.shares_memory(p.data, theirs[name].data), name
+        assert isinstance(branch.mid.clone().attn, M.SelfAttention)
+        twin = unet.mid.clone()
+        assert np.array_equal(twin.bound_zero_prompt, unet.mid.bound_zero_prompt)
+        assert not np.shares_memory(twin.bound_zero_prompt, unet.mid.bound_zero_prompt)
+
+    def test_frozen_follows_freeze(self):
+        ae = ToyAutoencoder(RngState(23))
+        assert not ae.frozen
+        ae.freeze()
+        assert ae.frozen
+        twin = ae.clone()
+        assert not twin.frozen and ae.frozen
+
+
 class TestAutoencoder:
     def test_zero_epochs_returns_frozen_random_init(self):
         imgs = RngState(18).uniform((4, 3, 32, 32))
