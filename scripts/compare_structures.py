@@ -1,10 +1,14 @@
 """Classic vs gradient-free structure comparison: bytes on the wire and the
 simulated time model, at matched tensors and iteration counts.
 
+`t_seq`/`t_pipe` are SimClock model totals in clock units, not
+measurements; `wall` is the measured wall time of each training session.
+
 Usage: python scripts/compare_structures.py [iterations]
 """
 
 import sys
+import time
 from pathlib import Path
 
 from splitstream.config import load_config
@@ -31,11 +35,14 @@ def main():
         world = build_world(cfg, defense, ae, data, alpha)
         pcfg = protocol_config(cfg)
         pcfg.clock = clock
+        t0 = time.perf_counter()
         res = run_split_training(world, pcfg)
+        wall = time.perf_counter() - t0
         ledgers[mode] = res.ledger
         d = res.ledger.to_dict(clock)
         print(f"{mode:14s} up={d['bytes_up']:>9} B  down={d['bytes_down']:>8} B  "
-              f"t_seq={d['t_total_sequential']:8.1f}  t_pipe={d['t_total_pipelined']:8.1f}")
+              f"SimClock model: t_seq={d['t_total_sequential']:8.1f}  "
+              f"t_pipe={d['t_total_pipelined']:8.1f}  measured: wall={wall:7.2f} s")
     ratio = ledgers["classic"].total_bytes() / ledgers["gradient_free"].total_bytes()
     print(f"\nbyte ratio classic/gradient_free = {ratio:.2f}")
 

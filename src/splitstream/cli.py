@@ -107,12 +107,21 @@ def cmd_attack(args):
         cfg.defense = dcfg.defense
         if cfg.defense.kind not in cfg.attacks.defenses:
             cfg.attacks.defenses = [cfg.defense.kind]
+    if args.packets:
+        with open(args.packets, "rb") as f:
+            packets = [p for p in iter_frames(f) if isinstance(p, FeaturePacket)]
+        # attacks score packet i against private sample i, one sample a packet
+        batches = sorted({len(p.feat_unet) for p in packets})
+        if batches not in ([], [1]) or len(packets) > cfg.dataset.n_private:
+            raise SystemExit(
+                f"{args.packets}: {len(packets)} packets of batch "
+                f"{'/'.join(map(str, batches))}, but attacks score packets of batch 1, at most "
+                f"one per private sample ({cfg.dataset.n_private}); pass the eval capture "
+                "packets_<defense>.bin that `splitstream run` writes")
     data, ae, alpha = prepare(cfg)
     world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
     cap = generate_eval_packets(world, data, cfg.seed + 7)
     if args.packets:
-        with open(args.packets, "rb") as f:
-            packets = [p for p in iter_frames(f) if isinstance(p, FeaturePacket)]
         if len(packets) != len(cap.packets):
             print(f"note: scoring uses the {len(packets)} packets from {args.packets}",
                   file=sys.stderr)

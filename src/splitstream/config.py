@@ -53,7 +53,6 @@ class ProtocolSection:
     iterations: int = 500
     batch: int = 4
     transport: str = "in_process"
-    queue_depth: int = 8
     server_lr: float = 1e-3
     client_lr: float = 1e-3
     weight_decay: float = 0.0

@@ -112,7 +112,7 @@ def protocol_config(cfg: ExperimentConfig, capture_path=None) -> ProtocolConfig:
     p = cfg.protocol
     return ProtocolConfig(
         mode=p.mode, clients=p.clients, iterations=p.iterations, batch=p.batch,
-        seed=cfg.seed, transport=p.transport, queue_depth=p.queue_depth,
+        seed=cfg.seed, transport=p.transport,
         server_lr=p.server_lr, client_lr=p.client_lr, weight_decay=p.weight_decay,
         capture_path=capture_path,
         clock=SimClock(t_client=p.t_client, t_server=p.t_server, rate=p.rate),

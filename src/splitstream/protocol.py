@@ -4,18 +4,19 @@ Classic mode is the sequential structure: the client trains its condition
 encoder from gradients the server returns each iteration (the server also
 returns its noise estimate, since generation happens client-side).
 Gradient-free mode freezes every client module (the pretrained encoder
-replaces the condition encoder), so clients stream packets through a
-bounded queue and nothing flows downstream; the server keeps no copy of
-its noise estimates.
+replaces the condition encoder), so clients stream packets ahead of a busy
+server, as far as the socket buffer lets them, and nothing flows
+downstream; the server keeps no copy of its noise estimates.
 
-Packets cross the boundary only as framed bytes. There is one client loop
-and one serve loop: each client sends HELLO, one packet per iteration and
-DONE in-band over its byte channel, and the server reads every channel
-from one inbox, counts and captures each uplink frame, trains on it and
-routes any reply back to the channel whose HELLO named that client. A
-channel is an in-process queue pair or a TCP connection with one reader
-thread; the session ends when every client has sent DONE, so the byte
-ledger measures exactly what a real deployment would send.
+Packets cross the boundary only as framed bytes over sockets: one end of a
+socketpair per client in-process, a loopback TCP connection per client
+otherwise. There is one client loop and one serve loop: each client sends
+HELLO, one packet per iteration and DONE in-band over its socket, and one
+serve thread waits on every connection, reads one whole frame from each
+ready one, counts and captures each uplink frame, trains on it and sends
+any reply back down the connection whose HELLO named that client. The
+session ends when every client has sent DONE, so the byte ledger measures
+exactly what a real deployment would send.
 The clock model is simulated: per-iteration client/server compute costs
 plus transfer time at a configured rate, from which the ledger derives
 both the sequential total (sum of stages) and the pipelined total
@@ -25,7 +26,7 @@ both the sequential total (sum of stages) and the pipelined total
 from __future__ import annotations
 
 import contextlib
-import queue
+import selectors
 import socket
 import threading
 import time
@@ -43,7 +44,7 @@ from .privacy import PrivacyParams, sample_private_timestep
 from .rng import RngState
 from .tensor import Tensor
 from .wire import (CTRL_DONE, CTRL_HELLO, ControlMessage, FeaturePacket, GradientPacket,
-                   WireError, frame_message, parse_message, read_frame, tensor_payload_bytes)
+                   frame_message, parse_message, read_frame, tensor_payload_bytes)
 
 
 class TransportError(RuntimeError):
@@ -175,7 +176,6 @@ class ProtocolConfig:
     batch: int = 4
     seed: int = 0
     transport: str = "in_process"  # | "tcp"
-    queue_depth: int = 8
     server_lr: float = 1e-3
     client_lr: float = 1e-3
     weight_decay: float = 0.0
@@ -338,213 +338,115 @@ def _validate(world: SplitWorld, cfg: ProtocolConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# byte channels, the client loop and the serve loop
+# the client loop and the serve loop over sockets
 
 
-CONNECT_DEADLINE_S = 30.0  # a client retries its connect until this much time has passed
-IO_TIMEOUT_S = 10.0  # a client gives up on a server that stays silent this long
-JOIN_TIMEOUT_S = 10.0  # teardown waits this long for each thread it started
+CONNECT_DEADLINE_S = 30.0  # a client retries its connect, a listener waits for each client
+IO_TIMEOUT_S = 10.0  # a client or the server gives up on a peer that stays silent this long
+JOIN_TIMEOUT_S = 10.0  # teardown waits this long for each client thread
 
 
-class _Inbox:
-    """The server's bounded queue of (reply, frame) pairs from every channel.
-
-    `reply(frame)` sends bytes back down the channel the frame came in on;
-    a frame of None marks the end of that channel and an exception its
-    failure. Closing the inbox releases every producer blocked on it.
-    """
-
-    def __init__(self, depth: int):
-        self._q: queue.Queue = queue.Queue(maxsize=depth)
-        self._closed = threading.Event()
-
-    def put(self, reply, frame) -> bool:
-        """False once the inbox is closed: nobody reads it any more."""
-        while not self._closed.is_set():
-            try:
-                self._q.put((reply, frame), timeout=0.05)
-                return True
-            except queue.Full:
-                pass
-        return False
-
-    def get(self):
-        return self._q.get()
-
-    def close(self) -> None:
-        self._closed.set()
-
-
-class _QueueChannel:
-    """In-process channel: frames go into the server's inbox, replies come
-    back through a queue of the channel's own (None once the server hangs up)."""
-
-    def __init__(self, inbox: _Inbox):
-        self.inbox = inbox
-        self.replies: queue.Queue = queue.Queue()
-        self.reply = self.replies.put  # one object, so the server can tell channels apart
-
-    def send(self, frame: bytes) -> None:
-        if not self.inbox.put(self.reply, frame):
-            raise TransportError("server closed the channel")
-
-    def recv(self) -> bytes | None:
-        return self.replies.get()
-
-    def close(self) -> None:
-        self.inbox.put(self.reply, None)
-
-
-class _SocketChannel:
-    """The client end of a TCP connection."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-
-    def send(self, frame: bytes) -> None:
-        self.sock.sendall(frame)
-
-    def recv(self) -> bytes | None:
-        return read_frame(self.sock)
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-def _client_loop(client: ClientWorker, cfg: ProtocolConfig, channel) -> None:
+def _client_loop(client: ClientWorker, cfg: ProtocolConfig, sock: socket.socket) -> None:
     """HELLO, one packet per iteration (waiting for its gradient in classic
-    mode), DONE; the channel is closed however the loop ends."""
-    try:
-        channel.send(frame_message(ControlMessage(code=CTRL_HELLO, client_id=client.client_id)))
+    mode), DONE; the socket is closed however the loop ends."""
+    with sock:
+        sock.sendall(frame_message(ControlMessage(code=CTRL_HELLO, client_id=client.client_id)))
         for it in range(cfg.iterations):
-            channel.send(frame_message(client.forward_step(it)))
+            sock.sendall(frame_message(client.forward_step(it)))
             if cfg.mode == "classic":
-                frame = channel.recv()
+                frame = read_frame(sock)
                 if frame is None:
-                    raise TransportError("server closed the channel mid-session")
+                    raise TransportError("server closed the connection mid-session")
                 gpkt = parse_message(frame)
                 if not isinstance(gpkt, GradientPacket):
                     raise TransportError(f"expected GradientPacket, got {type(gpkt).__name__}")
                 client.apply_gradient(gpkt)
-        channel.send(frame_message(ControlMessage(code=CTRL_DONE, client_id=client.client_id)))
-    finally:
-        channel.close()
+        sock.sendall(frame_message(ControlMessage(code=CTRL_DONE, client_id=client.client_id)))
 
 
-def _serve(server: ServerWorker, cfg: ProtocolConfig, inbox: _Inbox,
+def _serve(server: ServerWorker, cfg: ProtocolConfig, conns: list[socket.socket],
            ledger: TransmissionLedger, capture) -> None:
-    """Train on every uplink frame until `cfg.clients` clients have sent DONE."""
-    routes: dict[int, object] = {}  # client id -> reply of the channel its HELLO came in on
+    """Train on every uplink frame until `cfg.clients` clients have sent DONE.
+
+    One thread waits on every connection and reads one whole frame from
+    each ready one; a peer silent for IO_TIMEOUT_S ends the session. Every
+    connection is closed here, however the loop ends.
+    """
+    routes: dict[int, socket.socket] = {}  # client id -> connection its HELLO came in on
     done: set[int] = set()
-    while len(done) < cfg.clients:
-        reply, frame = inbox.get()
-        if isinstance(frame, BaseException):
-            raise frame
-        if frame is None:  # a channel ended
-            cid = next((c for c, r in routes.items() if r is reply), None)
-            if cid not in done:
-                raise TransportError(f"client {cid} closed its channel before DONE")
-            continue
-        msg = parse_message(frame)
-        if isinstance(msg, ControlMessage):
-            if msg.code == CTRL_HELLO and msg.client_id not in routes:
-                routes[msg.client_id] = reply
-            elif msg.code == CTRL_DONE and routes.get(msg.client_id) is reply:
-                done.add(msg.client_id)
-            else:
-                raise TransportError(f"unexpected control message {msg}")
-            continue
-        if not isinstance(msg, FeaturePacket):
-            raise TransportError(f"server received a {type(msg).__name__}")
-        if routes.get(msg.client_id) is not reply:
-            raise TransportError(f"packet from unregistered client id {msg.client_id}")
-        ledger.add("up", len(frame), tensor_payload_bytes(msg))
-        if capture is not None:
-            capture.write(frame)
-        _, gpkt = server.train_step(msg)
-        bytes_down = 0
-        if gpkt is not None:
-            framed = frame_message(gpkt)
-            bytes_down = len(framed)
-            ledger.add("down", bytes_down, tensor_payload_bytes(gpkt))
-            reply(framed)
-        ledger.add_sample(IterationSample(
-            client_id=msg.client_id,
-            t_client=cfg.clock.t_client,
-            t_server=cfg.clock.t_server,
-            bytes_up=len(frame),
-            bytes_down=bytes_down,
-        ))
-
-
-def _serve_queues(server, cfg, channels: list[_QueueChannel], inbox: _Inbox, ledger, capture) -> None:
-    try:
-        _serve(server, cfg, inbox, ledger, capture)
-    finally:
-        inbox.close()
-        for ch in channels:
-            ch.reply(None)  # wakes a client waiting for its gradient
-
-
-def _read_into(inbox: _Inbox, conn: socket.socket) -> None:
-    """Reader thread of one connection: every frame into the inbox, then
-    the end of the connection or its failure."""
-    def reply(frame: bytes) -> None:
-        try:
-            conn.sendall(frame)
-        except OSError as exc:
-            raise TransportError(f"connection to the client lost: {exc}") from exc
-
-    try:
-        while True:
-            frame = read_frame(conn)
-            if not inbox.put(reply, frame) or frame is None:
-                return
-    except WireError as exc:
-        inbox.put(reply, exc)
-    except OSError as exc:
-        inbox.put(reply, TransportError(f"connection to the client lost: {exc}"))
-
-
-def _serve_connections(server, cfg, conns: list[socket.socket], ledger, capture) -> None:
-    """The serve loop over accepted connections, one reader thread each. On
-    the way out each socket is shut down, every reader joined, then each
-    socket closed, so no reader ever reads a closed socket."""
-    inbox = _Inbox(cfg.queue_depth)
-    readers = [threading.Thread(target=_read_into, args=(inbox, conn), daemon=True,
-                                name=f"splitstream-reader-{i}")
-               for i, conn in enumerate(conns)]
-    for r in readers:
-        r.start()
-    try:
-        _serve(server, cfg, inbox, ledger, capture)
-    finally:
-        inbox.close()
+    with contextlib.ExitStack() as stack:
+        sel = stack.enter_context(selectors.DefaultSelector())
         for conn in conns:
-            with contextlib.suppress(OSError):  # the peer may be gone already
-                conn.shutdown(socket.SHUT_RDWR)
-        try:
-            _join(readers)
-        finally:
-            for conn in conns:
-                conn.close()
+            stack.enter_context(conn)
+            conn.settimeout(IO_TIMEOUT_S)
+            sel.register(conn, selectors.EVENT_READ)
+        while len(done) < cfg.clients:
+            ready = sel.select(IO_TIMEOUT_S)
+            if not ready:
+                raise TransportError(f"no client sent anything for {IO_TIMEOUT_S:g} s")
+            for key, _ in ready:
+                conn = key.fileobj
+                try:
+                    frame = read_frame(conn)
+                except OSError as exc:  # reset, or silent mid-frame
+                    raise TransportError(f"connection to a client lost: {exc}") from exc
+                if frame is None:  # a connection ended
+                    sel.unregister(conn)
+                    cid = next((c for c, r in routes.items() if r is conn), None)
+                    if cid not in done:
+                        raise TransportError(f"client {cid} closed its connection before DONE")
+                    continue
+                msg = parse_message(frame)
+                if isinstance(msg, ControlMessage):
+                    if msg.code == CTRL_HELLO and msg.client_id not in routes:
+                        routes[msg.client_id] = conn
+                    elif msg.code == CTRL_DONE and routes.get(msg.client_id) is conn:
+                        done.add(msg.client_id)
+                    else:
+                        raise TransportError(f"unexpected control message {msg}")
+                    continue
+                if not isinstance(msg, FeaturePacket):
+                    raise TransportError(f"server received a {type(msg).__name__}")
+                if routes.get(msg.client_id) is not conn:
+                    raise TransportError(f"packet from unregistered client id {msg.client_id}")
+                ledger.add("up", len(frame), tensor_payload_bytes(msg))
+                if capture is not None:
+                    capture.write(frame)
+                _, gpkt = server.train_step(msg)
+                bytes_down = 0
+                if gpkt is not None:
+                    framed = frame_message(gpkt)
+                    bytes_down = len(framed)
+                    ledger.add("down", bytes_down, tensor_payload_bytes(gpkt))
+                    try:
+                        conn.sendall(framed)
+                    except OSError as exc:
+                        raise TransportError(f"connection to client {msg.client_id} lost") from exc
+                ledger.add_sample(IterationSample(
+                    client_id=msg.client_id,
+                    t_client=cfg.clock.t_client,
+                    t_server=cfg.clock.t_server,
+                    bytes_up=len(frame),
+                    bytes_down=bytes_down,
+                ))
 
 
-def _run_clients(clients: list[ClientWorker], cfg: ProtocolConfig, channels, serve) -> None:
-    """Each client loop in a thread of its own while `serve()` runs; `serve`
-    hangs up on every channel however it ends. A client's own failure
-    becomes the cause of the transport error it led to."""
+def _run_clients(clients: list[ClientWorker], cfg: ProtocolConfig, socks: list[socket.socket],
+                 serve) -> None:
+    """Each client loop in a thread of its own while `serve()` runs in the
+    caller's; `serve` closes the server ends however it ends. A client's
+    own failure becomes the cause of the transport error it led to."""
     errors: list[BaseException] = []
 
-    def run(client, channel):
+    def run(client, sock):
         try:
-            _client_loop(client, cfg, channel)
+            _client_loop(client, cfg, sock)
         except Exception as exc:  # raised in the caller's thread once all are joined
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(c, ch), daemon=True,
+    threads = [threading.Thread(target=run, args=(c, s), daemon=True,
                                 name=f"splitstream-client-{c.client_id}")
-               for c, ch in zip(clients, channels)]
+               for c, s in zip(clients, socks)]
     for t in threads:
         t.start()
     failure = None
@@ -552,19 +454,15 @@ def _run_clients(clients: list[ClientWorker], cfg: ProtocolConfig, channels, ser
         serve()
     except BaseException as exc:
         failure = exc
-    _join(threads)
+    for t in threads:
+        t.join(JOIN_TIMEOUT_S)
+    stuck = [t.name for t in threads if t.is_alive()]
+    if stuck and failure is None:
+        failure = TransportError(f"{stuck} still running {JOIN_TIMEOUT_S:g} s after the session")
     if isinstance(failure, TransportError) and errors:
         raise failure from errors[0]
     if failure is not None:
         raise failure
-
-
-def _join(threads: list[threading.Thread]) -> None:
-    for t in threads:
-        t.join(JOIN_TIMEOUT_S)
-    stuck = [t.name for t in threads if t.is_alive()]
-    if stuck:
-        raise TransportError(f"{stuck} still running {JOIN_TIMEOUT_S:.0f} s after the session")
 
 
 def _connect(host: str, port: int) -> socket.socket:
@@ -575,9 +473,24 @@ def _connect(host: str, port: int) -> socket.socket:
         except OSError as exc:
             if time.monotonic() >= deadline:
                 raise TransportError(
-                    f"could not connect to {host}:{port} within {CONNECT_DEADLINE_S:.0f} s"
+                    f"could not connect to {host}:{port} within {CONNECT_DEADLINE_S:g} s"
                 ) from exc
             time.sleep(0.05)
+
+
+def _accept(lsock: socket.socket, n: int) -> list[socket.socket]:
+    """`n` connections; TransportError once none arrives for CONNECT_DEADLINE_S."""
+    lsock.settimeout(CONNECT_DEADLINE_S)
+    conns: list[socket.socket] = []
+    try:
+        while len(conns) < n:
+            conns.append(lsock.accept()[0])
+    except TimeoutError as exc:
+        for conn in conns:
+            conn.close()
+        raise TransportError(f"{len(conns)} of {n} clients connected; none more within "
+                             f"{CONNECT_DEADLINE_S:g} s") from exc
+    return conns
 
 
 def _capture(cfg: ProtocolConfig):
@@ -591,8 +504,8 @@ def _capture(cfg: ProtocolConfig):
 def run_split_training(world: SplitWorld, cfg: ProtocolConfig) -> SplitResult:
     """Drive the whole session; returns the ledger and trained server state.
 
-    In-process, each client writes its frames into the server's inbox; over
-    TCP, each client gets a loopback connection on an ephemeral port.
+    In-process, each client holds one end of a socketpair; over TCP, each
+    client gets a loopback connection on an ephemeral port.
     """
     _validate(world, cfg)
     server = ServerWorker(world, cfg)
@@ -604,16 +517,14 @@ def run_split_training(world: SplitWorld, cfg: ProtocolConfig) -> SplitResult:
     ledger = TransmissionLedger()
     with _capture(cfg) as capture:
         if cfg.transport == "in_process":
-            inbox = _Inbox(cfg.queue_depth)
-            channels = [_QueueChannel(inbox) for _ in clients]
-            _run_clients(clients, cfg, channels,
-                         lambda: _serve_queues(server, cfg, channels, inbox, ledger, capture))
+            socks, conns = map(list, zip(*(socket.socketpair() for _ in clients)))
+            for sock in socks:
+                sock.settimeout(IO_TIMEOUT_S)
         else:
             with socket.create_server(("127.0.0.1", 0), backlog=cfg.clients) as lsock:
                 socks = [_connect(*lsock.getsockname()) for _ in clients]
-                conns = [lsock.accept()[0] for _ in clients]
-            _run_clients(clients, cfg, [_SocketChannel(s) for s in socks],
-                         lambda: _serve_connections(server, cfg, conns, ledger, capture))
+                conns = _accept(lsock, cfg.clients)
+        _run_clients(clients, cfg, socks, lambda: _serve(server, cfg, conns, ledger, capture))
     return SplitResult(ledger, server.loss_history, server, clients, cfg.capture_path)
 
 
@@ -627,9 +538,9 @@ def run_server_role(world: SplitWorld, cfg: ProtocolConfig, host: str, port: int
     server = ServerWorker(world, cfg)
     ledger = TransmissionLedger()
     with socket.create_server((host, port), backlog=cfg.clients) as lsock:
-        conns = [lsock.accept()[0] for _ in range(cfg.clients)]
+        conns = _accept(lsock, cfg.clients)
     with _capture(cfg) as capture:
-        _serve_connections(server, cfg, conns, ledger, capture)
+        _serve(server, cfg, conns, ledger, capture)
     return SplitResult(ledger, server.loss_history, server, [], cfg.capture_path)
 
 
@@ -638,4 +549,4 @@ def run_client_role(world: SplitWorld, cfg: ProtocolConfig, client_id: int,
     """One remote client: stream packets, apply gradients in classic mode."""
     _validate(world, cfg)
     client = ClientWorker(client_id, world, cfg, RngState(cfg.seed).split(f"client-{client_id}"))
-    _client_loop(client, cfg, _SocketChannel(_connect(host, port)))
+    _client_loop(client, cfg, _connect(host, port))

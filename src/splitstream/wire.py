@@ -31,6 +31,9 @@ CTRL_DONE = 1
 
 _MAX_RANK = 8
 _MAX_ELEMENTS = 1 << 26  # refuse absurd allocations from corrupt frames
+# the largest legal payload: a FeaturePacket's fixed fields, four tensors
+# (rank, dims, f32 data) and the prompt flag
+_MAX_PAYLOAD = 16 + 4 * (1 + 4 * _MAX_RANK + 4 * _MAX_ELEMENTS) + 1
 
 
 class WireError(ValueError):
@@ -239,7 +242,7 @@ def read_frame(stream) -> bytes | None:
     if header[:4] != MAGIC:
         raise WireError(f"bad magic {header[:4]!r}")
     (plen,) = struct.unpack("<Q", header[6:14])
-    if plen > 4 * _MAX_ELEMENTS * 8:
+    if plen > _MAX_PAYLOAD:
         raise WireError(f"implausible payload length {plen}")
     payload = _read_exact(stream, plen) if plen else b""
     if plen and payload is None:

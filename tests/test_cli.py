@@ -112,6 +112,17 @@ def test_attack_with_packet_file(tmp_path, mini_config, capsys):
     assert "ssim" in row and len(row["ssim"]) == 3
 
 
+def test_attack_rejects_a_training_capture(tmp_path, mini_config, capsys):
+    # training packets carry `batch` samples each; attacks score one per packet
+    train_dir = tmp_path / "train"
+    main(["train", "--config", str(mini_config), "--out", str(train_dir)])
+    capture = train_dir / "packets_training.bin"
+    with pytest.raises(SystemExit, match="batch 2"):
+        main(["attack", "--method", "inverse-net", "--config", str(mini_config),
+              "--packets", str(capture), "--out", str(tmp_path / "atk")])
+    assert not (tmp_path / "atk").exists()
+
+
 def test_attack_fresh_packets(tmp_path, mini_config, capsys):
     atk_dir = tmp_path / "atk2"
     main(["attack", "--method", "inverse-net", "--config", str(mini_config),

@@ -142,7 +142,7 @@ class TestRunExperiment:
         for name in ("kind", "epsilon", "rr_bits", "sigma2", "mix_count", "patch", "t_s"):
             assert hasattr(cfg.defense, name)
         for name in ("mode", "clients", "iterations", "batch", "transport",
-                     "queue_depth", "server_lr", "client_lr", "weight_decay",
+                     "server_lr", "client_lr", "weight_decay",
                      "condition_encoder", "t_client", "t_server", "rate"):
             assert hasattr(cfg.protocol, name)
         for name in ("ae_epochs", "ae_lr", "ae_dropout", "ae_batch"):

@@ -2,6 +2,7 @@
 the simulated time model, and transport parity."""
 
 import io
+import socket
 import threading
 import time
 
@@ -21,7 +22,8 @@ from splitstream.protocol import (ClientDataset, ClientWorker, IterationSample,
                                   run_split_training)
 from splitstream.rng import RngState
 from splitstream.tensor import Tensor
-from splitstream.wire import FeaturePacket, WireError, iter_frames
+from splitstream.wire import (CTRL_HELLO, ControlMessage, FeaturePacket, WireError,
+                              frame_message, iter_frames)
 
 DELTA, ALPHA = 1e-4, 0.16
 VOCAB = ["one", "two", "red", "blue", "circle", "rect"]
@@ -255,15 +257,6 @@ class TestRunSplitTraining:
         with pytest.raises(ValueError, match="pretrained encoder"):
             run_split_training(world, make_cfg(mode="gradient_free"))
 
-    def test_queue_depth_invariance_single_client(self):
-        prints = []
-        for depth in (1, 8):
-            world = build_world("ours_plus_plus", seed=99)
-            res = run_split_training(world, make_cfg(iterations=6, queue_depth=depth))
-            prints.append(param_fingerprint(world.branch.server_parameters()))
-            assert len(res.loss_history) == 6
-        assert prints[0] == prints[1]
-
     def test_capture_file_replays(self, tmp_path):
         cap = tmp_path / "packets.bin"
         world = build_world("ours_plus_plus", seed=55)
@@ -461,7 +454,7 @@ class TestFaults:
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
-def test_many_clients_share_one_inbox(transport, tmp_path):
+def test_many_clients_share_one_serve_loop(transport, tmp_path):
     # more clients than cores, with frequent thread switches: every frame is
     # counted once, captured once, and each client's packets keep their order
     import sys
@@ -469,7 +462,7 @@ def test_many_clients_share_one_inbox(transport, tmp_path):
     cap = tmp_path / "packets.bin"
     world = build_world("none", seed=42, n_data=6, clients=4)
     cfg = make_cfg(mode="classic", clients=4, iterations=3, transport=transport,
-                   queue_depth=2, capture_path=str(cap))
+                   capture_path=str(cap))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -487,9 +480,10 @@ def test_many_clients_share_one_inbox(transport, tmp_path):
     assert not splitstream_threads()
 
 
-def test_tcp_teardown_joins_slow_readers(monkeypatch):
-    # a reader that is slow to get back to its socket must be joined before
-    # the socket is closed, not left to read a closed descriptor
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_slow_reads_end_with_every_thread_joined(transport, monkeypatch):
+    # reads that are slow to return on both sides still end the session with
+    # every thread it started joined
     real = pr.read_frame
 
     def slow(stream):
@@ -501,7 +495,45 @@ def test_tcp_teardown_joins_slow_readers(monkeypatch):
     before = set(threading.enumerate())
     world = build_world("none", seed=41)
     box = run_within(lambda: run_split_training(
-        world, make_cfg(mode="classic", iterations=3, transport="tcp")))
+        world, make_cfg(mode="classic", iterations=3, transport=transport)))
     assert "error" not in box, box
     assert len(box["result"].loss_history) == 3
     assert [t.name for t in set(threading.enumerate()) - before if t.is_alive()] == []
+
+
+def free_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def test_silent_peer_ends_the_server_role(monkeypatch):
+    # a peer that says HELLO and then neither sends nor closes
+    monkeypatch.setattr(pr, "IO_TIMEOUT_S", 0.5)
+    port = free_port()
+    world = build_world("ours_plus_plus", seed=43)
+    peers = []
+
+    def say_hello_then_nothing():
+        sock = pr._connect("127.0.0.1", port)
+        sock.sendall(frame_message(ControlMessage(code=CTRL_HELLO, client_id=0)))
+        peers.append(sock)
+
+    t = threading.Thread(target=say_hello_then_nothing, daemon=True)
+    t.start()
+    try:
+        box = run_within(lambda: pr.run_server_role(world, make_cfg(), "127.0.0.1", port))
+    finally:
+        t.join(10)
+        for sock in peers:
+            sock.close()
+    assert isinstance(box.get("error"), TransportError), box
+    assert "no client sent anything" in str(box["error"])
+
+
+def test_server_role_gives_up_when_nobody_connects(monkeypatch):
+    monkeypatch.setattr(pr, "CONNECT_DEADLINE_S", 0.3)
+    world = build_world("ours_plus_plus", seed=44)
+    box = run_within(lambda: pr.run_server_role(world, make_cfg(), "127.0.0.1", free_port()))
+    assert isinstance(box.get("error"), TransportError), box
+    assert "0 of 1 clients connected" in str(box["error"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitstream.rng import RngState
-from splitstream.wire import (HEADER_LEN, MAGIC, ControlMessage, FeaturePacket,
+from splitstream.wire import (_MAX_PAYLOAD, HEADER_LEN, MAGIC, ControlMessage, FeaturePacket,
                               GradientPacket, WireError, frame_message, iter_frames,
                               parse_message, read_frame, tensor_payload_bytes)
 
@@ -142,6 +142,15 @@ class TestStreams:
         framed = frame_message(ControlMessage(0, 1))
         with pytest.raises(WireError):
             read_frame(io.BytesIO(framed[: HEADER_LEN + 2]))
+
+    def test_read_frame_refuses_payloads_larger_than_any_packet(self):
+        def header(plen):
+            return io.BytesIO(MAGIC + struct.pack("<BBQ", 1, 0, plen))
+
+        with pytest.raises(WireError, match="implausible payload length"):
+            read_frame(header(_MAX_PAYLOAD + 1))
+        with pytest.raises(WireError, match="truncated frame payload"):
+            read_frame(header(_MAX_PAYLOAD))
 
 
 @st.composite
