@@ -107,6 +107,7 @@ def cmd_attack(args):
         cfg.defense = dcfg.defense
         if cfg.defense.kind not in cfg.attacks.defenses:
             cfg.attacks.defenses = [cfg.defense.kind]
+        cfg.validate()
     if args.packets:
         with open(args.packets, "rb") as f:
             packets = [p for p in iter_frames(f) if isinstance(p, FeaturePacket)]
@@ -125,8 +126,7 @@ def cmd_attack(args):
         if len(packets) != len(cap.packets):
             print(f"note: scoring uses the {len(packets)} packets from {args.packets}",
                   file=sys.stderr)
-        cap = EvalCapture(packets=packets, zt=cap.zt[: len(packets)],
-                          n_hat=cap.n_hat[: len(packets)], t=cap.t,
+        cap = EvalCapture(packets=packets, zt=cap.zt[: len(packets)], t=cap.t,
                           truth_conds=cap.truth_conds[: len(packets)],
                           truth_images=cap.truth_images[: len(packets)])
     method = args.method.replace("-", "_")

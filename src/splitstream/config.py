@@ -11,7 +11,7 @@ import configparser
 import os
 from dataclasses import dataclass, field, fields
 
-from .defenses import KINDS as DEFENSE_KINDS, DefenseConfig
+from .defenses import BATCH_MIXING, KINDS as DEFENSE_KINDS, DefenseConfig
 
 ATTACK_METHODS = ("inverse_net", "inverse_net_type1", "whitebox", "unsplit")
 
@@ -108,9 +108,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown forward variant {self.schedule.variant!r}")
         if self.defense.kind not in DEFENSE_KINDS:
             raise ConfigError(f"unknown defense kind {self.defense.kind!r}")
+        if self.defense.kind == "mixup" and self.protocol.batch < self.defense.mix_count:
+            raise ConfigError(f"mixup averages mix_count = {self.defense.mix_count} samples, "
+                              f"more than [protocol] batch = {self.protocol.batch}")
         for kind in self.attacks.defenses:
             if kind not in DEFENSE_KINDS:
                 raise ConfigError(f"unknown attack-arm defense {kind!r}")
+            if kind in BATCH_MIXING:
+                raise ConfigError(f"attack-arm defense {kind!r} mixes a batch, "
+                                  "but eval packets hold one sample each")
         for m in self.attacks.methods:
             if m not in ATTACK_METHODS:
                 raise ConfigError(f"unknown attack method {m!r}")

@@ -4,8 +4,11 @@ Raw-data defenses (add_raw, mixup, patch_shuffle) run on the image/condition
 batch before encoding; feature defenses (ldp_gauss, ldp_rr) perturb the
 transmitted activations. The proposed mechanisms are flags consumed by the
 client step itself: a timestep floor, the noise-confounding activation, and
-prompt hiding. Every kind plugs into the same client hook so attack
-comparisons are like-for-like.
+prompt hiding. Both hooks run in `protocol.client_packet`, which builds the
+training packets and the evaluation packets the attacks score, so attack
+comparisons are like-for-like. The batch-mixing kinds need several samples
+per batch, so they can train but are not attack arms: an evaluation packet
+holds one sample.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ KINDS = (
     "none", "ldp_gauss", "ldp_rr", "add_raw", "mixup", "patch_shuffle",
     "ours_t", "ours_c", "ours_plus_plus",
 )
+BATCH_MIXING = ("mixup", "patch_shuffle")  # need a batch of several samples
 
 
 @dataclass
@@ -83,11 +87,6 @@ def mixup_apply(batch: np.ndarray, perm: np.ndarray, mix_count: int) -> np.ndarr
     return out
 
 
-def mixup_batch(batch: np.ndarray, rng: RngState, mix_count: int = 4) -> np.ndarray:
-    """Each output is the uniform average of mix_count distinct batch members."""
-    return mixup_apply(batch, mixup_indices(batch.shape[0], rng), mix_count)
-
-
 def patch_shuffle_perms(batch_size: int, h: int, w: int, patch: int, rng: RngState) -> np.ndarray:
     if h % patch or w % patch:
         raise ValueError(f"spatial dims {h}x{w} not divisible by patch {patch}")
@@ -107,12 +106,6 @@ def patch_shuffle_apply(batch: np.ndarray, perms: np.ndarray, patch: int) -> np.
             tile = np.s_[:, :, i * patch : (i + 1) * patch, j * patch : (j + 1) * patch]
             out[tile] = batch[tile][perms[i, j]]
     return out
-
-
-def patch_shuffle_batch(batch: np.ndarray, patch: int, rng: RngState) -> np.ndarray:
-    """Shuffle patch x patch tiles across the batch, one permutation per slot."""
-    b, _, h, w = batch.shape
-    return patch_shuffle_apply(batch, patch_shuffle_perms(b, h, w, patch, rng), patch)
 
 
 def preprocess_batch(images: np.ndarray, conds: np.ndarray, cfg: DefenseConfig,

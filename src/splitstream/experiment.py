@@ -3,8 +3,8 @@
 Stages: synthesize data (train / public / private from disjoint seed
 ranges), pretrain and freeze the autoencoder, calibrate the privacy
 budget, run split training with the configured mode and defense, capture
-worst-case evaluation packets (timestep pinned to t_s), run the attack
-suite against defended and undefended arms on the same seeds, and emit a
+worst-case evaluation packets (timestep pinned to t_s, defense hooks run),
+attack every defended and undefended arm on the same seeds, and emit a
 report directory: metrics JSONL, budget CSV, ledger JSON, reconstruction
 PPMs, and a manifest with every seed and calibration constant. The whole
 pipeline is a pure function of the config, so reruns are byte-identical.
@@ -33,10 +33,10 @@ from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
 from .privacy import (PrivacyParams, epsilon_for_timestep, estimate_sensitivity,
                       timestep_for_epsilon)
 from .protocol import (ClientDataset, ProtocolConfig, SimClock, SplitWorld,
-                       client_features, run_split_training)
+                       client_features, client_packet, run_split_training)
 from .rng import RngState
 from .tensor import Tensor
-from .wire import FeaturePacket, frame_message
+from .wire import frame_message
 
 
 @dataclass
@@ -129,30 +129,25 @@ class EvalCapture:
 
     packets: list
     zt: np.ndarray          # (N, 4, 8, 8) noisy latents (whitebox side info)
-    n_hat: np.ndarray
     t: int
     truth_conds: np.ndarray
     truth_images: np.ndarray
 
 
 def generate_eval_packets(world: SplitWorld, data: DataBundle, seed: int) -> EvalCapture:
-    """One packet per private sample at the worst-case timestep t = t_s."""
+    """One packet per private sample at the worst-case timestep t = t_s, built
+    by the training client step, so the arm's defense hooks run on it too."""
     images, conds, prompts = data.private
     t = world.privacy.t_s
-    drop = RngState(seed).split("eval-dropout")
-    noise = RngState(seed).split("eval-noise")
-    packets, zts, nhats = [], [], []
+    drop, noise, defense = (RngState(seed).split(f"eval-{name}")
+                            for name in ("dropout", "noise", "defense"))
+    packets, zts = [], []
     for i in range(len(images)):
-        f = client_features(world, images[i : i + 1], conds[i : i + 1], [prompts[i]], t,
-                            drop, noise, world.branch.encode_condition, world.act)
-        packets.append(FeaturePacket(
-            client_id=0, iteration=i, timestep=t,
-            feat_unet=f.h1, feat_control=f.s.data, label_noise=f.n_hat,
-            prompt_feat=None if world.defense.hides_prompt else f.prompt_feat,
-        ))
+        pkt, f = client_packet(world, images[i : i + 1], conds[i : i + 1], [prompts[i]], t,
+                               drop, noise, defense, world.branch.encode_condition, iteration=i)
+        packets.append(pkt)
         zts.append(f.zt[0])
-        nhats.append(f.n_hat[0])
-    return EvalCapture(packets=packets, zt=np.stack(zts), n_hat=np.stack(nhats), t=t,
+    return EvalCapture(packets=packets, zt=np.stack(zts), t=t,
                        truth_conds=conds, truth_images=images)
 
 

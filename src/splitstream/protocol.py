@@ -220,6 +220,23 @@ def client_features(world: SplitWorld, images, conds, prompts, t: int, drop: Rng
     return ClientFeatures(h1.data, s, state.zt, state.n_hat, prompt_feat)
 
 
+def client_packet(world: SplitWorld, images, conds, prompts, t: int, drop: RngState,
+                  noise: RngState, defense: RngState, cond_encoder, client_id: int = 0,
+                  iteration: int = 0) -> tuple[FeaturePacket, ClientFeatures]:
+    """One client step, raw batch to packet: the arm's raw-data defense, the
+    client pipeline at timestep `t`, the arm's feature defense. Training and
+    evaluation packets are both built here. `defense` feeds both hooks; the
+    features come back as they were before the feature defense."""
+    arm, privacy = world.defense, world.privacy
+    images, conds = preprocess_batch(images, conds, arm, defense)
+    f = client_features(world, images, conds, prompts, t, drop, noise, cond_encoder, world.act)
+    feat_unet, feat_control = postprocess_features(f.h1, f.s.data, arm, privacy.delta,
+                                                   privacy.alpha_sens, defense)
+    prompt_feat = None if arm.hides_prompt else f.prompt_feat
+    return FeaturePacket(client_id, iteration, t, feat_unet, feat_control, f.n_hat,
+                         prompt_feat), f
+
+
 class ClientWorker:
     """Client-side state: frozen encoders, the condition encoder, secrets."""
 
@@ -249,27 +266,14 @@ class ClientWorker:
         self._pending: Tensor | None = None
 
     def forward_step(self, iteration: int) -> FeaturePacket:
-        w = self.world
-        idx = np.asarray(self.rng_order.integers(0, len(self.data.images) - 1, (self.cfg.batch,)))
-        prompts = [self.data.prompts[i] for i in idx]
-        images, conds = preprocess_batch(self.data.images[idx], self.data.conds[idx],
-                                         w.defense, self.rng_defense)
-        t = sample_private_timestep(w.privacy, self.rng_t)
-        f = client_features(w, images, conds, prompts, t, self.rng_drop, self.rng_noise,
-                            self.cond_encoder, w.act)
+        d = self.data
+        idx = np.asarray(self.rng_order.integers(0, len(d.images) - 1, (self.cfg.batch,)))
+        t = sample_private_timestep(self.world.privacy, self.rng_t)
+        pkt, f = client_packet(self.world, d.images[idx], d.conds[idx],
+                               [d.prompts[i] for i in idx], t, self.rng_drop, self.rng_noise,
+                               self.rng_defense, self.cond_encoder, self.client_id, iteration)
         self._pending = f.s if self.trainable else None
-        feat_unet, feat_control = postprocess_features(
-            f.h1, f.s.data, w.defense, w.privacy.delta, w.privacy.alpha_sens, self.rng_defense
-        )
-        return FeaturePacket(
-            client_id=self.client_id,
-            iteration=iteration,
-            timestep=t,
-            feat_unet=feat_unet,
-            feat_control=feat_control,
-            label_noise=f.n_hat,
-            prompt_feat=None if w.defense.hides_prompt else f.prompt_feat,
-        )
+        return pkt
 
     def apply_gradient(self, gpkt: GradientPacket) -> None:
         if self.opt is None or self._pending is None:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from splitstream.cli import main
+from splitstream.config import ConfigError
 from splitstream.data import read_ppm
 
 
@@ -120,6 +121,16 @@ def test_attack_rejects_a_training_capture(tmp_path, mini_config, capsys):
     with pytest.raises(SystemExit, match="batch 2"):
         main(["attack", "--method", "inverse-net", "--config", str(mini_config),
               "--packets", str(capture), "--out", str(tmp_path / "atk")])
+    assert not (tmp_path / "atk").exists()
+
+
+def test_attack_revalidates_the_defense_config(tmp_path, mini_config, capsys):
+    # a batch-mixing arm cannot be scored on one-sample eval packets
+    arm = tmp_path / "arm.ini"
+    arm.write_text("[defense]\nkind = patch_shuffle\n")
+    with pytest.raises(ConfigError, match="patch_shuffle"):
+        main(["attack", "--method", "whitebox", "--config", str(mini_config),
+              "--defense-config", str(arm), "--out", str(tmp_path / "atk")])
     assert not (tmp_path / "atk").exists()
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from splitstream.defenses import (DefenseConfig, add_raw_noise, ldp_gauss_features,
-                                  mixup_batch, mixup_apply, mixup_indices,
-                                  patch_shuffle_apply, patch_shuffle_batch,
+                                  mixup_apply, mixup_indices, patch_shuffle_apply,
                                   patch_shuffle_perms, postprocess_features,
                                   preprocess_batch)
 from splitstream.metrics import psnr
@@ -68,35 +67,36 @@ class TestMixup:
     def test_identical_members_fixed_point(self):
         one = RngState(10).normal((3, 4, 4))
         batch = np.broadcast_to(one, (5, 3, 4, 4)).copy()
-        out = mixup_batch(batch, RngState(11), mix_count=4)
+        out = mixup_apply(batch, mixup_indices(5, RngState(11)), 4)
         assert np.abs(out - one).max() < 1e-6
 
     def test_batch_mean_preserved(self):
         rng = RngState(12)
         batch = rng.normal((8, 3, 8, 8))
-        out = mixup_batch(batch, RngState(13), mix_count=4)
+        out = mixup_apply(batch, mixup_indices(8, RngState(13)), 4)
         assert np.abs(out.mean(axis=0) - batch.mean(axis=0)).max() < 1e-5
 
     def test_coefficients_sum_to_one(self):
         # constant-one batch stays exactly one if coefficients sum to 1
         batch = np.ones((4, 1, 2, 2), dtype=np.float32)
-        out = mixup_batch(batch, RngState(14), mix_count=4)
+        out = mixup_apply(batch, mixup_indices(4, RngState(14)), 4)
         assert np.abs(out - 1.0).max() < 1e-6
 
     def test_too_small_batch(self):
         with pytest.raises(ValueError, match="batch"):
-            mixup_batch(np.ones((2, 1, 2, 2)), RngState(15), mix_count=4)
+            mixup_apply(np.ones((2, 1, 2, 2)), mixup_indices(2, RngState(15)), 4)
 
 
 class TestPatchShuffle:
     def test_single_sample_identity(self):
         x = RngState(16).normal((1, 3, 8, 8))
-        assert np.array_equal(patch_shuffle_batch(x, 4, RngState(17)), x)
+        perms = patch_shuffle_perms(1, 8, 8, 4, RngState(17))
+        assert np.array_equal(patch_shuffle_apply(x, perms, 4), x)
 
     def test_tile_multiset_preserved(self):
         rng = RngState(18)
         x = rng.normal((4, 2, 8, 8))
-        out = patch_shuffle_batch(x, 4, RngState(19))
+        out = patch_shuffle_apply(x, patch_shuffle_perms(4, 8, 8, 4, RngState(19)), 4)
         def tiles(arr):
             t = []
             for b in range(4):
@@ -119,7 +119,7 @@ class TestPatchShuffle:
 
     def test_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
-            patch_shuffle_batch(np.ones((2, 1, 10, 10)), 4, RngState(22))
+            patch_shuffle_perms(2, 10, 10, 4, RngState(22))
 
 
 class TestConfigAndHooks:

@@ -10,9 +10,13 @@ import pytest
 
 from splitstream.config import (ConfigError, ExperimentConfig, config_to_dict,
                                 load_config)
+from splitstream.defenses import postprocess_features, preprocess_batch
 from splitstream.diffusion import make_linear_schedule
-from splitstream.experiment import run_experiment, synthesize_data
+from splitstream.experiment import (build_world, generate_eval_packets, prepare,
+                                    run_experiment, synthesize_data)
 from splitstream.privacy import timestep_for_epsilon
+from splitstream.protocol import client_features
+from splitstream.rng import RngState
 from splitstream.wire import iter_frames
 
 
@@ -73,10 +77,17 @@ class TestConfig:
     def test_bad_values_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
         for text in ("[defense]\nkind = shredder\n",
-                     "[protocol]\ncondition_encoder = scrach\n"):
+                     "[protocol]\ncondition_encoder = scrach\n",
+                     # mixup averages mix_count = 4 samples of a training batch
+                     "[defense]\nkind = mixup\n[protocol]\nbatch = 2\n",
+                     # eval packets hold one sample: nothing for these arms to mix
+                     "[attacks]\ndefenses = none, mixup\n",
+                     "[attacks]\ndefenses = patch_shuffle\n"):
             p.write_text(text)
             with pytest.raises(ConfigError):
                 load_config(p)
+        p.write_text("[defense]\nkind = mixup\n[protocol]\nbatch = 4\n")
+        assert load_config(p).defense.kind == "mixup"
 
     def test_config_to_dict_roundtrips_fields(self):
         d = config_to_dict(ExperimentConfig())
@@ -93,6 +104,34 @@ class TestSynthesizeData:
         pub = data.public[0].tobytes()
         priv = data.private[0].tobytes()
         assert tr != pub and pub != priv and tr != priv
+
+
+class TestEvalPackets:
+    def test_defended_arms_run_their_hooks(self, tmp_path):
+        cfg = mini_cfg(tmp_path, **{"attacks.defenses": ["none", "ldp_gauss", "ldp_rr",
+                                                         "add_raw"]})
+        data, ae, alpha = prepare(cfg)
+        images, conds, prompts = data.private
+        seed = cfg.seed + 7
+        base = generate_eval_packets(build_world(cfg, "none", ae, data, alpha), data, seed)
+        for kind in cfg.attacks.defenses[1:]:
+            world = build_world(cfg, kind, ae, data, alpha)
+            cap = generate_eval_packets(world, data, seed)
+            drop, noise, defense = (RngState(seed).split(f"eval-{name}")
+                                    for name in ("dropout", "noise", "defense"))
+            for i, (pkt, undefended) in enumerate(zip(cap.packets, base.packets)):
+                assert not np.array_equal(pkt.feat_unet, undefended.feat_unet), kind
+                assert not np.array_equal(pkt.feat_control, undefended.feat_control), kind
+                im, co = preprocess_batch(images[i : i + 1], conds[i : i + 1], world.defense,
+                                          defense)
+                f = client_features(world, im, co, [prompts[i]], cap.t, drop, noise,
+                                    world.branch.encode_condition, world.act)
+                fu, fc = postprocess_features(f.h1, f.s.data, world.defense,
+                                              world.privacy.delta, world.privacy.alpha_sens,
+                                              defense)
+                assert np.array_equal(pkt.feat_unet, fu), kind
+                assert np.array_equal(pkt.feat_control, fc), kind
+                assert np.array_equal(pkt.label_noise, f.n_hat), kind
 
 
 class TestRunExperiment:
