@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dtt
-from .config import ATTACK_METHODS, ExperimentConfig, load_config
+from .config import ATTACK_METHODS, ConfigError, ExperimentConfig, load_config
 from .diffusion import make_linear_schedule
 from .privacy import (BudgetTable, epsilon_for_timestep, timestep_for_epsilon)
 
@@ -242,8 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.fn(args)
+    except ConfigError as e:
+        # argparse's error line and exit status; the arguments themselves parsed, so no usage
+        parser.exit(2, f"{parser.prog}: error: {e}\n")
 
 
 if __name__ == "__main__":

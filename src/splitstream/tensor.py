@@ -4,6 +4,8 @@ Dense float32 arrays plus just enough operators for small convolutional
 denoisers and gradient-based reconstruction attacks: conv2d, dense layers,
 attention, dropout, pointwise nonlinearities, and reductions. Reductions
 accumulate in float64 before casting back so summed losses are stable.
+conv2d is im2col plus one matrix product; its backward is two GEMMs, a
+float32 input gradient and a weight gradient accumulated in float64.
 
 Broadcasting is deliberately restricted: the only implicit broadcast is
 bias_add, which adds a tensor whose shape equals the trailing dims of the
@@ -484,11 +486,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     def bwd(g):
         gflat = g.reshape(n, o, ho * wo)
         if kernel.requires_grad:
-            gw = np.einsum("nol,nkl->ok", gflat, cols, dtype=np.float64)
+            # float64 per-sample GEMMs: no float64 copy of the whole of cols
+            gw = np.zeros((o, c * kh * kw), dtype=np.float64)
+            for i in range(n):
+                gw += gflat[i].astype(np.float64) @ cols[i].T.astype(np.float64)
             kernel._accumulate(gw.astype(np.float32).reshape(kernel.shape))
         if x.requires_grad:
-            gcols = np.einsum("ok,nol->nkl", wflat, gflat).astype(np.float32)
-            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding))
+            x._accumulate(_col2im(wflat.T @ gflat, x.shape, kh, kw, stride, padding))
 
     return _out(y, (x, kernel), bwd)
 

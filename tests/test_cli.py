@@ -5,7 +5,6 @@ import json
 import pytest
 
 from splitstream.cli import main
-from splitstream.config import ConfigError
 from splitstream.data import read_ppm
 
 
@@ -128,10 +127,22 @@ def test_attack_revalidates_the_defense_config(tmp_path, mini_config, capsys):
     # a batch-mixing arm cannot be scored on one-sample eval packets
     arm = tmp_path / "arm.ini"
     arm.write_text("[defense]\nkind = patch_shuffle\n")
-    with pytest.raises(ConfigError, match="patch_shuffle"):
+    with pytest.raises(SystemExit) as exc:
         main(["attack", "--method", "whitebox", "--config", str(mini_config),
               "--defense-config", str(arm), "--out", str(tmp_path / "atk")])
+    assert exc.value.code == 2 and "patch_shuffle" in capsys.readouterr().err
     assert not (tmp_path / "atk").exists()
+
+
+def test_config_error_is_one_line_and_exit_2(tmp_path, mini_config, capsys):
+    arm = tmp_path / "arm.ini"
+    arm.write_text("[defense]\nkind = mixup\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--method", "whitebox", "--config", str(mini_config),
+              "--defense-config", str(arm), "--out", str(tmp_path / "atk")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("\n") == 1 and err.startswith("splitstream: error: ") and "mixup" in err
 
 
 def test_attack_fresh_packets(tmp_path, mini_config, capsys):

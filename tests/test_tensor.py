@@ -1,6 +1,12 @@
 """Tensor core: op semantics against brute-force oracles, autodiff against
 finite differences, optimizer and RNG determinism."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,25 +19,43 @@ from splitstream.rng import RngState
 from splitstream.tensor import GraphError, ShapeError, Tensor
 
 
-def conv2d_oracle(x, w, stride, padding):
-    """Naive sextuple-loop cross-correlation."""
-    n, c, h, wid = x.shape
-    o, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+def _conv_taps(x_shape, w_shape, stride, padding):
+    """Every (output, padded input, kernel) index triple a cross-correlation multiplies."""
+    n, c, h, wid = x_shape
+    o, _, kh, kw = w_shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wid + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, o, ho, wo), dtype=np.float64)
-    for b in range(n):
-        for oc in range(o):
-            for i in range(ho):
-                for j in range(wo):
-                    acc = 0.0
-                    for ic in range(c):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += xp[b, ic, i * stride + u, j * stride + v] * w[oc, ic, u, v]
-                    out[b, oc, i, j] = acc
+    for b, oc, i, j, ic, u, v in itertools.product(range(n), range(o), range(ho), range(wo),
+                                                   range(c), range(kh), range(kw)):
+        yield (b, oc, i, j), (b, ic, i * stride + u, j * stride + v), (oc, ic, u, v)
+
+
+def _pad(x, padding):
+    return np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def conv2d_oracle(x, w, stride, padding):
+    """Naive loop cross-correlation in float64."""
+    n, c, h, wid = x.shape
+    o, _, kh, kw = w.shape
+    xp = _pad(x, padding)
+    out = np.zeros((n, o, (h + 2 * padding - kh) // stride + 1,
+                    (wid + 2 * padding - kw) // stride + 1), dtype=np.float64)
+    for yi, xi, wi in _conv_taps(x.shape, w.shape, stride, padding):
+        out[yi] += xp[xi] * w[wi]
     return out
+
+
+def conv2d_grad_oracle(x, w, stride, padding, g):
+    """Input and kernel gradients of sum(g * conv2d_oracle(x, w)), by the same loop."""
+    h, wid = x.shape[2:]
+    xp = _pad(x, padding)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    for yi, xi, wi in _conv_taps(x.shape, w.shape, stride, padding):
+        gxp[xi] += g[yi] * w[wi]
+        gw[wi] += g[yi] * xp[xi]
+    return gxp[:, :, padding:padding + h, padding:padding + wid], gw
 
 
 class TestConv2d:
@@ -68,6 +92,51 @@ class TestConv2d:
             tt.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
         with pytest.raises(ShapeError, match="larger than padded"):
             tt.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+    @pytest.mark.parametrize("trainable", ["both", "kernel", "input"])
+    @pytest.mark.parametrize("k,stride,padding", list(itertools.product((1, 3), (1, 2), (0, 1))))
+    def test_gradients_match_loop_oracle(self, k, stride, padding, trainable):
+        rng = RngState(100 * k + 10 * stride + padding)
+        x_np, w_np = rng.normal((4, 2, 5, 5)), rng.normal((3, 2, k, k))
+        x = Tensor(x_np, requires_grad=trainable != "kernel")
+        w = Tensor(w_np, requires_grad=trainable != "input")
+        y = tt.conv2d(x, w, stride=stride, padding=padding)
+        g = rng.normal(y.shape)
+        tt.backward(y, seed_grad=g)
+        want_x, want_w = conv2d_grad_oracle(x_np, w_np, stride, padding, g)
+        for t, want in ((x, want_x), (w, want_w)):
+            if not t.requires_grad:
+                assert t.grad is None
+            else:
+                assert t.grad.dtype == np.float32 and t.grad.shape == want.shape
+                assert np.abs(t.grad - want).max() < 1e-5 * max(1.0, np.abs(want).max())
+
+
+def conv2d_grad_bytes():
+    """Gradient bytes of one conv2d forward and backward at two training shapes:
+    the 64->64 mid block at 4x4 (batch 4) and the 32->16 decoder conv at 32x32
+    (batch 16)."""
+    out = b""
+    for n, c, hw, o in ((4, 64, 4, 64), (16, 32, 32, 16)):
+        rng = RngState(hw)
+        x = Tensor(rng.normal((n, c, hw, hw)), requires_grad=True)
+        w = Tensor(rng.normal((o, c, 3, 3)) * 0.1, requires_grad=True)
+        y = tt.conv2d(x, w, stride=1, padding=1)
+        tt.backward(y, seed_grad=rng.normal(y.shape))
+        out += y.data.tobytes() + x.grad.tobytes() + w.grad.tobytes()
+    return out
+
+
+def test_conv2d_gradients_independent_of_blas_threads():
+    # the default BLAS thread count here against one thread in a fresh process
+    src = str(Path(tt.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = [src, tests] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(path)}
+    code = "import sys, test_tensor; sys.stdout.buffer.write(test_tensor.conv2d_grad_bytes())"
+    one_thread = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                check=True, timeout=120).stdout
+    assert one_thread == conv2d_grad_bytes()
 
 
 class TestDense:
