@@ -4,8 +4,10 @@ Dense float32 arrays plus just enough operators for small convolutional
 denoisers and gradient-based reconstruction attacks: conv2d, dense layers,
 attention, dropout, pointwise nonlinearities, and reductions. Reductions
 accumulate in float64 before casting back so summed losses are stable.
-conv2d is im2col plus one matrix product; its backward is two GEMMs, a
-float32 input gradient and a weight gradient accumulated in float64.
+conv2d is im2col plus one matrix product. Its input gradient is the forward
+correlation again, of the stride-dilated output gradient (subnormals zeroed)
+with the flipped kernel; its weight gradient is a per-sample GEMM
+accumulated in float64.
 
 Broadcasting is deliberately restricted: the only implicit broadcast is
 bias_add, which adds a tensor whose shape equals the trailing dims of the
@@ -437,40 +439,58 @@ def attention(query: Tensor, key: Tensor, value: Tensor) -> Tensor:
 # convolution and resampling
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+_F32_TINY = np.finfo(np.float32).tiny
+
+
+def _axis_slices(length: int, lo: int, size: int, dilate: int):
+    """Source and destination slices of one axis when `length` samples are
+    spread `dilate` apart and shifted by `lo` into `size` slots (a negative
+    `lo` crops the samples that fall before slot 0)."""
+    first = -(min(lo, 0) // dilate)
+    last = min(length - 1, (size - 1 - lo) // dilate)
+    start = lo + dilate * first
+    return slice(first, last + 1), slice(start, start + dilate * (last - first) + 1, dilate)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1):
+    """Columns (n, c*kh*kw, ho*wo) of a kh x kw correlation over x.
+
+    x is first dilated (dilate - 1 zeros between samples) and padded by
+    pads = (top, bottom, left, right), all in one zero buffer; a negative
+    pad crops.
+    """
     n, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    cols = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-    )
-    return np.ascontiguousarray(cols.reshape(n, c * kh * kw, ho * wo)), ho, wo
-
-
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int):
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
+    top, bottom, left, right = pads
+    hp = (h - 1) * dilate + 1 + top + bottom
+    wp = (w - 1) * dilate + 1 + left + right
+    if dilate != 1 or any(pads):
+        src_h, dst_h = _axis_slices(h, top, hp, dilate)
+        src_w, dst_w = _axis_slices(w, left, wp, dilate)
+        buf = np.zeros((n, c, hp, wp), dtype=np.float32)
+        buf[:, :, dst_h, dst_w] = x[:, :, src_h, src_w]
+        x = buf
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    xpad = np.zeros((n, c, hp, wp), dtype=np.float32)
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            xpad[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    if padding:
-        return xpad[:, :, padding : padding + h, padding : padding + w]
-    return xpad
+    # a strided view over x (C-contiguous here: a tensor's data, a gradient or
+    # the zero buffer); the reshape copies it into the columns
+    s0, s1, s2, s3 = x.strides
+    cols = np.ndarray((n, c, kh, kw, ho, wo), np.float32, x, 0,
+                      (s0, s1, s2, s3, s2 * stride, s3 * stride))
+    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with OCkhkw kernel."""
+    """Cross-correlation of NCHW input with OCkhkw kernel.
+
+    The input gradient is itself a correlation: the output gradient, dilated
+    by the stride and padded by k-1-padding (plus the rows and columns the
+    forward never read), against the flipped kernel with in and out channels
+    swapped.
+    """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: need rank-4 input/kernel, got {x.shape}, {kernel.shape}")
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"conv2d: need stride >= 1 and padding >= 0, got {stride}, {padding}")
     n, c, h, w = x.shape
     o, ck, kh, kw = kernel.shape
     if ck != c:
@@ -479,20 +499,30 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+    cols, ho, wo = _im2col(x.data, kh, kw, stride, (padding,) * 4)
     wflat = kernel.data.reshape(o, c * kh * kw)
     y = (wflat @ cols).reshape(n, o, ho, wo)
 
     def bwd(g):
-        gflat = g.reshape(n, o, ho * wo)
         if kernel.requires_grad:
             # float64 per-sample GEMMs: no float64 copy of the whole of cols
+            gflat = g.reshape(n, o, ho * wo)
             gw = np.zeros((o, c * kh * kw), dtype=np.float64)
             for i in range(n):
                 gw += gflat[i].astype(np.float64) @ cols[i].T.astype(np.float64)
             kernel._accumulate(gw.astype(np.float32).reshape(kernel.shape))
         if x.requires_grad:
-            x._accumulate(_col2im(wflat.T @ gflat, x.shape, kh, kw, stride, padding))
+            # silu's backward over very negative inputs leaves subnormal
+            # values in g, and BLAS multiplies subnormals many times slower;
+            # zeroing them moves no input-gradient entry by more than
+            # o*kh*kw*max|kernel| times the smallest normal float32
+            g = np.where(np.abs(g) < _F32_TINY, np.float32(0), g)
+            top, left = kh - 1 - padding, kw - 1 - padding
+            unread_h = (h + 2 * padding - kh) % stride
+            unread_w = (w + 2 * padding - kw) % stride
+            gcols, _, _ = _im2col(g, kh, kw, 1, (top, top + unread_h, left, left + unread_w), stride)
+            wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+            x._accumulate((wflip @ gcols).reshape(x.shape))
 
     return _out(y, (x, kernel), bwd)
 
@@ -563,10 +593,3 @@ def sum_squares(x: Tensor) -> Tensor:
             x._accumulate(g.reshape(()) * 2.0 * x.data)
 
     return _out(val, (x,), bwd)
-
-
-def check_finite(x: Tensor, context: str = "tensor") -> Tensor:
-    """Raise if x contains NaN/Inf; NaN anywhere is an error state."""
-    if not np.isfinite(x.data).all():
-        raise FloatingPointError(f"{context}: non-finite values encountered")
-    return x

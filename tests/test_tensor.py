@@ -93,11 +93,26 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="larger than padded"):
             tt.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
+    @pytest.mark.parametrize("stride,padding", [(0, 0), (-1, 0), (1, -1), (2, -2)])
+    def test_bad_stride_or_padding_rejected_before_any_work(self, stride, padding, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("conv2d did work before validating stride and padding")
+
+        monkeypatch.setattr(tt, "_im2col", no_work)
+        with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+            tt.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), stride, padding)
+
     @pytest.mark.parametrize("trainable", ["both", "kernel", "input"])
-    @pytest.mark.parametrize("k,stride,padding", list(itertools.product((1, 3), (1, 2), (0, 1))))
-    def test_gradients_match_loop_oracle(self, k, stride, padding, trainable):
+    @pytest.mark.parametrize("k,stride,padding,hw", [
+        # 6x7 and 7x6 at stride 2 leave an unread row or column, as 8x8 with k3 s2 p1 does
+        pytest.param(k, s, p, hw,
+                     id="-".join(map(str, (k, s, p))) + ("" if hw == (5, 5) else "-%dx%d" % hw))
+        for hw in ((5, 5), (6, 7), (7, 6))
+        for k, s, p in itertools.product((1, 3), (1, 2), (0, 1))
+    ])
+    def test_gradients_match_loop_oracle(self, k, stride, padding, hw, trainable):
         rng = RngState(100 * k + 10 * stride + padding)
-        x_np, w_np = rng.normal((4, 2, 5, 5)), rng.normal((3, 2, k, k))
+        x_np, w_np = rng.normal((4, 2) + hw), rng.normal((3, 2, k, k))
         x = Tensor(x_np, requires_grad=trainable != "kernel")
         w = Tensor(w_np, requires_grad=trainable != "input")
         y = tt.conv2d(x, w, stride=stride, padding=padding)
@@ -111,17 +126,30 @@ class TestConv2d:
                 assert t.grad.dtype == np.float32 and t.grad.shape == want.shape
                 assert np.abs(t.grad - want).max() < 1e-5 * max(1.0, np.abs(want).max())
 
+    def test_subnormal_output_gradient_reaches_only_the_kernel_gradient(self):
+        rng = RngState(7)
+        x_np, w_np = rng.normal((2, 2, 4, 4)) * 1e6, rng.normal((3, 2, 3, 3))
+        x, w = Tensor(x_np, requires_grad=True), Tensor(w_np, requires_grad=True)
+        y = tt.conv2d(x, w, stride=1, padding=1)
+        g = np.full(y.shape, 1e-39, dtype=np.float32)
+        assert 0 < g.flat[0] < np.finfo(np.float32).tiny
+        tt.backward(y, seed_grad=g)
+        assert not x.grad.any()
+        want_w = conv2d_grad_oracle(x_np, w_np, 1, 1, g)[1]
+        assert np.abs(w.grad - want_w).max() < 1e-5 * np.abs(want_w).max()
+
 
 def conv2d_grad_bytes():
-    """Gradient bytes of one conv2d forward and backward at two training shapes:
-    the 64->64 mid block at 4x4 (batch 4) and the 32->16 decoder conv at 32x32
-    (batch 16)."""
+    """Gradient bytes of one conv2d forward and backward at three training
+    shapes: the 64->64 mid block at 4x4 (batch 4), the 32->16 decoder conv at
+    32x32 (batch 16) and the stride-2 4->64 control-branch conv at 8x8
+    (batch 4)."""
     out = b""
-    for n, c, hw, o in ((4, 64, 4, 64), (16, 32, 32, 16)):
+    for n, c, hw, o, stride in ((4, 64, 4, 64, 1), (16, 32, 32, 16, 1), (4, 4, 8, 64, 2)):
         rng = RngState(hw)
         x = Tensor(rng.normal((n, c, hw, hw)), requires_grad=True)
         w = Tensor(rng.normal((o, c, 3, 3)) * 0.1, requires_grad=True)
-        y = tt.conv2d(x, w, stride=1, padding=1)
+        y = tt.conv2d(x, w, stride=stride, padding=1)
         tt.backward(y, seed_grad=rng.normal(y.shape))
         out += y.data.tobytes() + x.grad.tobytes() + w.grad.tobytes()
     return out
@@ -482,8 +510,3 @@ def test_shape_error_mentions_offending_dims():
         assert "(2, 3)" in str(e) and "(3, 2)" in str(e)
     else:
         pytest.fail("expected ShapeError")
-
-
-def test_check_finite():
-    with pytest.raises(FloatingPointError):
-        tt.check_finite(Tensor(np.array([np.inf], dtype=np.float32)))
