@@ -232,27 +232,3 @@ def apply_inverse_net(net: InverseNet, features: np.ndarray,
     )
     return _score_or_empty(report, ground_truth)
 
-
-def estimate_client_model(make_model, pipeline_loss_fn, public_conds: np.ndarray,
-                          cfg: dict | None, rng: RngState):
-    """Black-box preliminary: fit a client-model stand-in through the known
-    server-side computation.
-
-    `pipeline_loss_fn(cond_feat: Tensor, batch_idx) -> Tensor` runs the rest
-    of the (known) pipeline on the candidate condition features and returns
-    the training loss the server would observe.
-    """
-    cfg = {"lr": 1e-3, "iters": 300, "batch": 8, **(cfg or {})}
-    model = make_model(rng.split("init"))
-    opt = AdamW(list(model.named_parameters().values()), lr=cfg["lr"])
-    drop_rng = rng.split("dropout")
-    for _ in range(int(cfg["iters"])):
-        idx = np.asarray(rng.integers(0, len(public_conds) - 1, (int(cfg["batch"]),)))
-        cond_feat = model(Tensor(public_conds[idx]), drop_rng, training=True)
-        loss = pipeline_loss_fn(cond_feat, idx)
-        if not np.isfinite(loss.data):
-            raise FloatingPointError("client-model estimation diverged")
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-    return model

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import data as dtt
 from .config import ATTACK_METHODS, ConfigError, ExperimentConfig, load_config
-from .diffusion import make_linear_schedule
-from .privacy import (BudgetTable, epsilon_for_timestep, timestep_for_epsilon)
+from .diffusion import make_linear_schedule, write_schedule_csv
+from .privacy import epsilon_for_timestep, timestep_for_epsilon
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -59,7 +59,7 @@ def cmd_train(args):
     cfg = _load_cfg(args)
     if args.mode:
         cfg.protocol.mode = args.mode.replace("-", "_")
-    if args.clients:
+    if args.clients is not None:
         cfg.protocol.clients = args.clients
     if args.iterations is not None:
         cfg.protocol.iterations = args.iterations
@@ -113,12 +113,12 @@ def cmd_attack(args):
             packets = [p for p in iter_frames(f) if isinstance(p, FeaturePacket)]
         # attacks score packet i against private sample i, one sample a packet
         batches = sorted({len(p.feat_unet) for p in packets})
-        if batches not in ([], [1]) or len(packets) > cfg.dataset.n_private:
+        if batches != [1] or len(packets) > cfg.dataset.n_private:
             raise SystemExit(
                 f"{args.packets}: {len(packets)} packets of batch "
-                f"{'/'.join(map(str, batches))}, but attacks score packets of batch 1, at most "
-                f"one per private sample ({cfg.dataset.n_private}); pass the eval capture "
-                "packets_<defense>.bin that `splitstream run` writes")
+                f"{'/'.join(map(str, batches)) or '-'}, but attacks score 1 to "
+                f"{cfg.dataset.n_private} packets of batch 1, one per private sample; pass the "
+                "eval capture packets_<defense>.bin that `splitstream run` writes")
     data, ae, alpha = prepare(cfg)
     world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
     cap = generate_eval_packets(world, data, cfg.seed + 7)
@@ -152,8 +152,9 @@ def cmd_budget(args):
     else:
         t_s = args.t_s
     eps_s = epsilon_for_timestep(t_s, sched, args.delta, args.alpha)
-    table = BudgetTable.from_schedule(sched, args.delta, args.alpha)
-    table.write_csv(sys.stdout)
+    # the same table `run` writes to budget.csv
+    write_schedule_csv(sched, sys.stdout,
+                       epsilon_fn=lambda t: epsilon_for_timestep(t, sched, args.delta, args.alpha))
     print(f"t_s = {t_s}, epsilon_s = {eps_s:.4f}", file=sys.stderr)
 
 
@@ -201,10 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--clients", type=int)
     tr.add_argument("--iterations", type=int)
     tr.add_argument("--transport", choices=["in-process", "in_process", "tcp"])
-    tr.add_argument("--listen", metavar="HOST:PORT",
-                    help="run the server role only, for cross-process deployments")
-    tr.add_argument("--connect", metavar="HOST:PORT",
-                    help="run one client role against a remote server")
+    role = tr.add_mutually_exclusive_group()
+    role.add_argument("--listen", metavar="HOST:PORT",
+                      help="run the server role only, for cross-process deployments")
+    role.add_argument("--connect", metavar="HOST:PORT",
+                      help="run one client role against a remote server")
     tr.add_argument("--client-id", type=int, default=0)
     tr.add_argument("--out")
     tr.set_defaults(fn=cmd_train)
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--out")
     at.set_defaults(fn=cmd_attack)
 
-    bu = sub.add_parser("budget", help="print the timestep/budget table as CSV")
+    bu = sub.add_parser("budget", help="print the schedule/budget table as CSV, as budget.csv")
     bu.add_argument("--k", type=float, default=1.115e-5)
     bu.add_argument("--beta0", type=float, default=8.85e-4)
     bu.add_argument("--T", type=int, default=1000)

@@ -11,7 +11,9 @@ import configparser
 import os
 from dataclasses import dataclass, field, fields
 
+from .data import CONDITION_KINDS
 from .defenses import BATCH_MIXING, KINDS as DEFENSE_KINDS, DefenseConfig
+from .diffusion import VARIANTS
 
 ATTACK_METHODS = ("inverse_net", "inverse_net_type1", "whitebox", "unsplit")
 
@@ -102,9 +104,9 @@ class ExperimentConfig:
     attacks: AttackConfig = field(default_factory=AttackConfig)
 
     def validate(self) -> "ExperimentConfig":
-        if self.dataset.condition not in ("canny_like", "scribble", "segmentation"):
+        if self.dataset.condition not in CONDITION_KINDS:
             raise ConfigError(f"unknown condition kind {self.dataset.condition!r}")
-        if self.schedule.variant not in ("per_step", "cumulative"):
+        if self.schedule.variant not in VARIANTS:
             raise ConfigError(f"unknown forward variant {self.schedule.variant!r}")
         if self.defense.kind not in DEFENSE_KINDS:
             raise ConfigError(f"unknown defense kind {self.defense.kind!r}")
@@ -126,6 +128,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown condition encoder {self.protocol.condition_encoder!r}")
         if self.protocol.transport not in ("in_process", "tcp"):
             raise ConfigError(f"unknown transport {self.protocol.transport!r}")
+        p = self.protocol
+        if p.clients < 1 or p.batch < 1 or p.iterations < 0:
+            raise ConfigError(f"[protocol] needs clients >= 1, batch >= 1 and iterations >= 0, "
+                              f"got {p.clients}, {p.batch} and {p.iterations}")
+        if p.clients > self.dataset.n_train:
+            raise ConfigError(f"[protocol] clients = {p.clients} is more than [dataset] "
+                              f"n_train = {self.dataset.n_train}: a client would hold no data")
         return self
 
 

@@ -83,13 +83,10 @@ def make_linear_schedule(T: int, k: float, beta0: float, lam: float = 0.0) -> No
 
 @dataclass
 class LatentState:
-    """One noising event: clean latent, its noisy version, and the true noise."""
+    """One noising event: the noisy latent and the noise drawn for it."""
 
-    z0: np.ndarray
     zt: np.ndarray
-    t: int
     n_hat: np.ndarray
-    n: np.ndarray | None = None
 
 
 def _data(x) -> np.ndarray:
@@ -105,7 +102,7 @@ def forward_diffuse(
     n_hat = rng.normal(z0.shape)
     a = sched.coeff(t, variant)
     zt = np.float32(np.sqrt(a)) * z0 + np.float32(np.sqrt(1.0 - a)) * n_hat
-    return LatentState(z0=z0, zt=zt, t=t, n_hat=n_hat)
+    return LatentState(zt=zt, n_hat=n_hat)
 
 
 def predict_x0(zt, n, t: int, sched: NoiseSchedule, variant: str = "cumulative"):

@@ -29,7 +29,6 @@ from .optim import AdamW
 from .rng import RngState
 from .tensor import Tensor
 
-IMAGE_SHAPE = (3, 32, 32)
 LATENT_SHAPE = (4, 8, 8)
 D_PROMPT = 32
 D_TEMB = 32
@@ -332,7 +331,6 @@ class NoiseConfoundingActivation:
     """
 
     delta: np.ndarray
-    client_secret: bool = True
 
     @classmethod
     def create(cls, rng: RngState, shape=LATENT_SHAPE) -> "NoiseConfoundingActivation":

@@ -55,9 +55,3 @@ class AdamW:
             if not np.isfinite(p.data).all():
                 raise FloatingPointError("AdamW.step produced non-finite parameters")
 
-
-def adamw_step(params: list[Tensor], opt: AdamW) -> None:
-    """One optimizer step over `params` (must be the set opt was built with)."""
-    if params is not opt.params and list(params) != opt.params:
-        raise ValueError("adamw_step: params differ from the optimizer's own set")
-    opt.step()

@@ -13,7 +13,6 @@ baseline defense, not part of that calibration.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,12 +112,6 @@ class PrivacyParams:
             H=hyperparameter(delta, alpha_sens), t_s=int(t_s), t_max=int(t_max),
         )
 
-    @classmethod
-    def from_budget(cls, sched: NoiseSchedule, delta: float, alpha_sens: float,
-                    epsilon: float, t_max: int | None = None) -> "PrivacyParams":
-        t_s = timestep_for_epsilon(epsilon, sched, delta, alpha_sens)
-        return cls.from_ts(sched, delta, alpha_sens, t_s, t_max)
-
 
 def sample_private_timestep(params: PrivacyParams, rng: RngState) -> int:
     """Uniform draw from [t_s, t_max]; every draw spends at most epsilon(t_s)."""
@@ -215,22 +208,3 @@ def solve_intercept_for_budget(epsilon: float, t_s: int, k: float,
         )
     return beta0
 
-
-@dataclass
-class BudgetTable:
-    """Materialized (t, beta_t, epsilon_t) rows for a schedule."""
-
-    rows: list[tuple[int, float, float]]
-
-    @classmethod
-    def from_schedule(cls, sched: NoiseSchedule, delta: float, alpha_sens: float) -> "BudgetTable":
-        return cls(rows=[
-            (t, float(sched.beta[t]), epsilon_for_timestep(t, sched, delta, alpha_sens))
-            for t in range(sched.T + 1)
-        ])
-
-    def write_csv(self, file) -> None:
-        w = csv.writer(file)
-        w.writerow(["t", "beta", "epsilon"])
-        for t, beta, eps in self.rows:
-            w.writerow([t, f"{beta:.10g}", f"{eps:.6g}"])

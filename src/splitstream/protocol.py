@@ -65,37 +65,39 @@ class IterationSample:
     client_id: int
     t_client: float
     t_server: float
-    bytes_up: int
-    bytes_down: int
+    bytes_up: int  # framed
+    bytes_down: int  # framed; 0 when nothing went back down
+    payload_up: int = 0  # tensor bytes inside the frame
+    payload_down: int = 0
 
 
 class TransmissionLedger:
-    """Exact on-the-wire byte accounting plus per-iteration timing samples."""
+    """Exact on-the-wire byte accounting: one sample per uplink packet, and
+    every total summed from the samples."""
 
     def __init__(self):
-        self.bytes_up = 0
-        self.bytes_down = 0
-        self.payload_bytes_up = 0
-        self.payload_bytes_down = 0
-        self.packets = 0
         self.samples: list[IterationSample] = []
-        self._lock = threading.Lock()
 
-    def add(self, direction: str, framed_bytes: int, payload_bytes: int) -> None:
-        with self._lock:
-            if direction == "up":
-                self.bytes_up += framed_bytes
-                self.payload_bytes_up += payload_bytes
-            elif direction == "down":
-                self.bytes_down += framed_bytes
-                self.payload_bytes_down += payload_bytes
-            else:
-                raise ValueError(f"direction must be up/down, got {direction!r}")
-            self.packets += 1
+    @property
+    def bytes_up(self) -> int:
+        return sum(s.bytes_up for s in self.samples)
 
-    def add_sample(self, sample: IterationSample) -> None:
-        with self._lock:
-            self.samples.append(sample)
+    @property
+    def bytes_down(self) -> int:
+        return sum(s.bytes_down for s in self.samples)
+
+    @property
+    def payload_bytes_up(self) -> int:
+        return sum(s.payload_up for s in self.samples)
+
+    @property
+    def payload_bytes_down(self) -> int:
+        return sum(s.payload_down for s in self.samples)
+
+    @property
+    def packets(self) -> int:
+        """Frames counted both ways: each uplink packet and each reply."""
+        return sum(1 + (s.bytes_down > 0) for s in self.samples)
 
     def total_bytes(self) -> int:
         return self.bytes_up + self.bytes_down
@@ -134,11 +136,6 @@ class TransmissionLedger:
             "payload_bytes_up": self.payload_bytes_up,
             "payload_bytes_down": self.payload_bytes_down,
         }
-
-
-def account_transmission(ledger: TransmissionLedger, msg, direction: str = "up") -> None:
-    """Add one message's exact framed size to the ledger."""
-    ledger.add(direction, len(frame_message(msg)), tensor_payload_bytes(msg))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +327,7 @@ class ServerWorker:
 class SplitResult:
     ledger: TransmissionLedger
     loss_history: list[float]
-    server: ServerWorker
     clients: list[ClientWorker]
-    capture_path: str | None
 
 
 def _validate(world: SplitWorld, cfg: ProtocolConfig) -> None:
@@ -413,26 +408,21 @@ def _serve(server: ServerWorker, cfg: ProtocolConfig, conns: list[socket.socket]
                     raise TransportError(f"server received a {type(msg).__name__}")
                 if routes.get(msg.client_id) is not conn:
                     raise TransportError(f"packet from unregistered client id {msg.client_id}")
-                ledger.add("up", len(frame), tensor_payload_bytes(msg))
                 if capture is not None:
                     capture.write(frame)
                 _, gpkt = server.train_step(msg)
-                bytes_down = 0
+                sample = IterationSample(client_id=msg.client_id, t_client=cfg.clock.t_client,
+                                         t_server=cfg.clock.t_server, bytes_up=len(frame),
+                                         bytes_down=0, payload_up=tensor_payload_bytes(msg))
                 if gpkt is not None:
                     framed = frame_message(gpkt)
-                    bytes_down = len(framed)
-                    ledger.add("down", bytes_down, tensor_payload_bytes(gpkt))
+                    sample.bytes_down = len(framed)
+                    sample.payload_down = tensor_payload_bytes(gpkt)
                     try:
                         conn.sendall(framed)
                     except OSError as exc:
                         raise TransportError(f"connection to client {msg.client_id} lost") from exc
-                ledger.add_sample(IterationSample(
-                    client_id=msg.client_id,
-                    t_client=cfg.clock.t_client,
-                    t_server=cfg.clock.t_server,
-                    bytes_up=len(frame),
-                    bytes_down=bytes_down,
-                ))
+                ledger.samples.append(sample)
 
 
 def _run_clients(clients: list[ClientWorker], cfg: ProtocolConfig, socks: list[socket.socket],
@@ -529,7 +519,7 @@ def run_split_training(world: SplitWorld, cfg: ProtocolConfig) -> SplitResult:
                 socks = [_connect(*lsock.getsockname()) for _ in clients]
                 conns = _accept(lsock, cfg.clients)
         _run_clients(clients, cfg, socks, lambda: _serve(server, cfg, conns, ledger, capture))
-    return SplitResult(ledger, server.loss_history, server, clients, cfg.capture_path)
+    return SplitResult(ledger, server.loss_history, clients)
 
 
 def run_server_role(world: SplitWorld, cfg: ProtocolConfig, host: str, port: int) -> SplitResult:
@@ -545,7 +535,7 @@ def run_server_role(world: SplitWorld, cfg: ProtocolConfig, host: str, port: int
         conns = _accept(lsock, cfg.clients)
     with _capture(cfg) as capture:
         _serve(server, cfg, conns, ledger, capture)
-    return SplitResult(ledger, server.loss_history, server, [], cfg.capture_path)
+    return SplitResult(ledger, server.loss_history, [])
 
 
 def run_client_role(world: SplitWorld, cfg: ProtocolConfig, client_id: int,

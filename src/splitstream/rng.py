@@ -13,8 +13,6 @@ import hashlib
 
 import numpy as np
 
-_ALGORITHM = "philox4x64"
-
 
 class RngState:
     """A named, splittable random stream.
@@ -24,11 +22,8 @@ class RngState:
     scheduling order.
     """
 
-    def __init__(self, seed: int, algorithm: str = _ALGORITHM):
-        if algorithm != _ALGORITHM:
-            raise ValueError(f"unsupported rng algorithm {algorithm!r}")
+    def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.algorithm = algorithm
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def split(self, label: str) -> "RngState":
@@ -38,12 +33,6 @@ class RngState:
             digest_size=8,
         )
         return RngState(int.from_bytes(h.digest(), "little"))
-
-    def clone(self) -> "RngState":
-        """Copy of this stream at its current position."""
-        c = RngState(self.seed)
-        c._gen.bit_generator.state = self._gen.bit_generator.state
-        return c
 
     def normal(self, shape=()) -> np.ndarray:
         return self._gen.standard_normal(shape, dtype=np.float32)
@@ -59,4 +48,4 @@ class RngState:
         return self._gen.permutation(n)
 
     def __repr__(self) -> str:
-        return f"RngState(seed={self.seed:#x}, algorithm={self.algorithm!r})"
+        return f"RngState(seed={self.seed:#x})"

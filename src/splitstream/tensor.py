@@ -67,12 +67,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -80,24 +74,6 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
-
-    # operator sugar for the common arithmetic
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -122,7 +98,7 @@ def backward(loss: Tensor, seed_grad: np.ndarray | None = None) -> None:
     Without `seed_grad` the root must be scalar and is seeded with 1.
     A seed gradient of the root's shape starts backprop mid-graph (used by
     the split protocol to continue a cut-off graph on the client).
-    Grads accumulate across calls until cleared with zero_grad().
+    Grads accumulate across calls until an optimizer's zero_grad() clears them.
     """
     if seed_grad is None:
         if loss.data.size != 1:
@@ -169,18 +145,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g)
 
     return _out(a.data + b.data, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    return _out(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -280,17 +244,6 @@ def abs_(x: Tensor) -> Tensor:
             x._accumulate(g * sign)
 
     return _out(np.abs(x.data), (x,), bwd)
-
-
-_POINTWISE = {"silu": silu, "sigmoid": sigmoid, "abs": abs_, "relu": relu}
-
-
-def pointwise(x: Tensor, fn: str) -> Tensor:
-    """Apply one of the named elementwise nonlinearities."""
-    try:
-        return _POINTWISE[fn](x)
-    except KeyError:
-        raise ValueError(f"unknown pointwise fn {fn!r}, have {sorted(_POINTWISE)}") from None
 
 
 def dropout(x: Tensor, p: float, rng: RngState, training: bool = True) -> Tensor:

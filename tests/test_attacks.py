@@ -1,16 +1,15 @@
 """Attack harness: sanity oracles on toy clients, degradation orderings,
-inverse-network training, white-box vs black-box."""
+inverse-network training."""
 
 import numpy as np
 import pytest
 
 from splitstream import tensor as tt
 from splitstream.attacks import (FeatureScaler, InverseNet, ReconstructionReport,
-                                 apply_inverse_net, estimate_client_model,
-                                 train_inverse_network, unsplit_attack,
+                                 apply_inverse_net, train_inverse_network, unsplit_attack,
                                  whitebox_gd_attack)
 from splitstream.metrics import psnr, ssim
-from splitstream.models import CondEncoder, NoiseConfoundingActivation, noise_confound
+from splitstream.models import NoiseConfoundingActivation, noise_confound
 from splitstream.rng import RngState
 from splitstream.tensor import Tensor
 
@@ -173,44 +172,6 @@ class TestInverseNet:
         out = scaler(feats)
         assert np.abs(out.mean(axis=(0, 2, 3))).max() < 1e-4
         assert np.abs(out.std(axis=(0, 2, 3)) - 1).max() < 1e-3
-
-
-class TestWhiteboxVsBlackbox:
-    def test_estimated_client_model_adds_error(self):
-        rng = RngState(630)
-        true_enc = CondEncoder(rng.split("true"), dropout_p=0.0)
-        pub_conds = rng.uniform((48, 3, 16, 16))
-        priv_conds = rng.uniform((12, 3, 16, 16))
-        eval_rng = rng.split("eval")
-
-        def true_feats(conds):
-            return true_enc(Tensor(conds), eval_rng, training=False).data
-
-        # the known "server side": a fixed random projection of the features
-        proj = Tensor(rng.normal((4, 4, 1, 1)) * 0.7)
-        observed = tt.conv2d(Tensor(true_feats(pub_conds)), proj).data
-
-        def pipeline_loss(cond_feat, idx):
-            return tt.mse(tt.conv2d(cond_feat, proj), Tensor(observed[idx]))
-
-        est = estimate_client_model(
-            lambda r: CondEncoder(r, dropout_p=0.0), pipeline_loss, pub_conds,
-            {"lr": 2e-3, "iters": 250, "batch": 8}, RngState(631))
-
-        def est_feats(conds):
-            return est(Tensor(conds), eval_rng, training=False).data
-
-        def fit_and_eval(feat_fn):
-            net = InverseNet("type2_condition", RngState(632), in_ch=4)
-            net, _ = train_inverse_network(feat_fn(pub_conds), pub_conds, net,
-                                           {"lr": 1e-2, "iters": 300, "batch": 8},
-                                           RngState(633))
-            recon = net(Tensor(true_feats(priv_conds))).data
-            return float(np.mean((recon - priv_conds) ** 2))
-
-        wb = fit_and_eval(true_feats)
-        bb = fit_and_eval(est_feats)
-        assert wb <= bb * 1.05
 
 
 class TestReport:

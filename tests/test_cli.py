@@ -56,10 +56,10 @@ def test_budget_requires_exactly_one_selector(capsys):
 def test_budget_csv_stdout(capsys):
     main(["budget", "--t-s", "536"])
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == "t,beta,epsilon"
+    assert out[0] == "t,beta,alpha,alpha_bar,epsilon"  # the header of a run's budget.csv
     assert len(out) == 1002
     row = out[537].split(",")
-    assert row[0] == "536" and 7.5 <= float(row[2]) <= 8.6
+    assert row[0] == "536" and 7.5 <= float(row[4]) <= 8.6
 
 
 def test_budget_epsilon_selector(capsys):
@@ -121,6 +121,32 @@ def test_attack_rejects_a_training_capture(tmp_path, mini_config, capsys):
         main(["attack", "--method", "inverse-net", "--config", str(mini_config),
               "--packets", str(capture), "--out", str(tmp_path / "atk")])
     assert not (tmp_path / "atk").exists()
+
+
+def test_attack_refuses_an_empty_packet_file(tmp_path, mini_config, capsys):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    with pytest.raises(SystemExit, match="0 packets") as exc:
+        main(["attack", "--method", "whitebox", "--config", str(mini_config),
+              "--packets", str(empty), "--out", str(tmp_path / "atk")])
+    assert str(exc.value).count("\n") == 0
+    assert not (tmp_path / "atk").exists()
+
+
+def test_train_refuses_listen_with_connect(tmp_path, mini_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(mini_config), "--listen", "127.0.0.1:0",
+              "--connect", "127.0.0.1:1", "--out", str(tmp_path / "tr")])
+    assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "tr").exists()
+
+
+def test_train_rejects_zero_clients(tmp_path, mini_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(mini_config), "--clients", "0",
+              "--out", str(tmp_path / "tr")])
+    assert exc.value.code == 2 and "clients >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "tr").exists()
 
 
 def test_attack_revalidates_the_defense_config(tmp_path, mini_config, capsys):

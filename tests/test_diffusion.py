@@ -80,8 +80,7 @@ class TestForwardDiffuse:
     def test_stores_noise_label(self, sched):
         st_ = forward_diffuse(np.zeros((2, 2)), 10, sched, RngState(6))
         assert isinstance(st_, LatentState)
-        assert st_.n_hat.shape == (2, 2)
-        assert st_.t == 10
+        assert st_.n_hat.shape == st_.zt.shape == (2, 2)
 
     def test_t_out_of_range(self, sched):
         with pytest.raises(ScheduleError):

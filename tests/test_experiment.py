@@ -82,12 +82,21 @@ class TestConfig:
                      "[defense]\nkind = mixup\n[protocol]\nbatch = 2\n",
                      # eval packets hold one sample: nothing for these arms to mix
                      "[attacks]\ndefenses = none, mixup\n",
-                     "[attacks]\ndefenses = patch_shuffle\n"):
+                     "[attacks]\ndefenses = patch_shuffle\n",
+                     "[schedule]\nvariant = per-step\n",
+                     "[dataset]\ncondition = edges\n",
+                     "[protocol]\nbatch = 0\n",
+                     "[protocol]\niterations = -1\n",
+                     "[protocol]\nclients = 0\n",
+                     # every client needs a share of the training set
+                     "[dataset]\nn_train = 32\n[protocol]\nclients = 40\n"):
             p.write_text(text)
             with pytest.raises(ConfigError):
                 load_config(p)
         p.write_text("[defense]\nkind = mixup\n[protocol]\nbatch = 4\n")
         assert load_config(p).defense.kind == "mixup"
+        p.write_text("[dataset]\nn_train = 32\n[protocol]\nclients = 32\niterations = 0\n")
+        assert load_config(p).protocol.clients == 32
 
     def test_config_to_dict_roundtrips_fields(self):
         d = config_to_dict(ExperimentConfig())

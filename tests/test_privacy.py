@@ -1,7 +1,6 @@
 """Privacy calibration: Gaussian mechanism, budget/timestep maps, sampler,
 sensitivity estimation, randomized response."""
 
-import io
 import math
 import warnings
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitstream.diffusion import make_linear_schedule
-from splitstream.privacy import (BudgetTable, CalibrationError, PrivacyParams,
+from splitstream.privacy import (CalibrationError, PrivacyParams,
                                  epsilon_for_timestep, estimate_sensitivity,
                                  flip_probability, gaussian_sigma, hyperparameter,
                                  randomized_response, sample_private_timestep,
@@ -141,11 +140,6 @@ class TestPrivacyParams:
         assert p.H == hyperparameter(DELTA, ALPHA)
         assert abs(p.epsilon - 8.3612) < 1e-3
 
-    def test_from_budget(self, sched):
-        p = PrivacyParams.from_budget(sched, DELTA, ALPHA, 8.0)
-        assert p.t_s == timestep_for_epsilon(8.0, sched, DELTA, ALPHA)
-        assert p.epsilon <= 8.0
-
     def test_bad_range(self):
         with pytest.raises(CalibrationError):
             PrivacyParams(epsilon=1.0, delta=DELTA, alpha_sens=ALPHA,
@@ -242,21 +236,6 @@ class TestRandomizedResponse:
             randomized_response(np.arange(4.0), 2.0, 0, RngState(9))
         with pytest.raises(ValueError):
             randomized_response(np.arange(4.0), 2.0, 17, RngState(9))
-
-
-class TestBudgetTable:
-    def test_monotone_and_csv(self, sched):
-        table = BudgetTable.from_schedule(sched, DELTA, ALPHA)
-        eps = [row[2] for row in table.rows]
-        assert all(a > b for a, b in zip(eps, eps[1:]))
-        buf = io.StringIO()
-        table.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,beta,epsilon"
-        assert len(lines) == 1002
-        t536 = lines[537].split(",")
-        assert t536[0] == "536"
-        assert 7.5 <= float(t536[2]) <= 8.6
 
 
 @given(st.floats(0.05, 50.0))

@@ -18,12 +18,11 @@ from splitstream.models import (ControlBranch, NoiseConfoundingActivation,
 from splitstream.privacy import PrivacyParams, epsilon_for_timestep
 from splitstream.protocol import (ClientDataset, ClientWorker, IterationSample,
                                   ProtocolConfig, ServerWorker, SimClock, SplitWorld,
-                                  TransmissionLedger, TransportError, account_transmission,
-                                  run_split_training)
+                                  TransmissionLedger, TransportError, run_split_training)
 from splitstream.rng import RngState
 from splitstream.tensor import Tensor
-from splitstream.wire import (CTRL_HELLO, ControlMessage, FeaturePacket, WireError,
-                              frame_message, iter_frames)
+from splitstream.wire import (CTRL_HELLO, ControlMessage, FeaturePacket, GradientPacket,
+                              WireError, frame_message, iter_frames, tensor_payload_bytes)
 
 DELTA, ALPHA = 1e-4, 0.16
 VOCAB = ["one", "two", "red", "blue", "circle", "rect"]
@@ -180,35 +179,11 @@ class TestServerTrainStep:
 
 
 class TestLedger:
-    def test_account_transmission_exact(self):
-        from splitstream.wire import frame_message
-
-        ledger = TransmissionLedger()
-        pkt = FeaturePacket(0, 0, 1, np.zeros((1, 4, 8, 8), np.float32),
-                            np.zeros((1, 4, 8, 8), np.float32),
-                            np.zeros((1, 4, 8, 8), np.float32))
-        account_transmission(ledger, pkt, "up")
-        assert ledger.bytes_up == len(frame_message(pkt))
-        assert ledger.payload_bytes_up == 3 * 256 * 4
-        assert ledger.bytes_up >= 3 * 256 * 4 + 14
-
-    def test_hundred_identical_packets(self):
-        ledger = TransmissionLedger()
-        pkt = FeaturePacket(0, 0, 1, np.zeros((2, 4, 8, 8), np.float32),
-                            np.zeros((2, 4, 8, 8), np.float32),
-                            np.zeros((2, 4, 8, 8), np.float32))
-        for _ in range(100):
-            account_transmission(ledger, pkt, "up")
-        one = TransmissionLedger()
-        account_transmission(one, pkt, "up")
-        assert ledger.bytes_up == 100 * one.bytes_up
-        assert ledger.packets == 100
-
     def test_time_totals_analytic(self):
         clock = SimClock(t_client=2.0, t_server=3.0, rate=1000.0)
         ledger = TransmissionLedger()
         for _ in range(30):
-            ledger.add_sample(IterationSample(0, 2.0, 3.0, 500, 0))
+            ledger.samples.append(IterationSample(0, 2.0, 3.0, 500, 0))
         seq = ledger.t_total_sequential(clock)
         pipe = ledger.t_total_pipelined(clock)
         assert abs(seq - 30 * (2 + 3 + 0.5)) < 1e-9
@@ -258,14 +233,26 @@ class TestRunSplitTraining:
             run_split_training(world, make_cfg(mode="gradient_free"))
 
     def test_capture_file_replays(self, tmp_path):
-        cap = tmp_path / "packets.bin"
-        world = build_world("ours_plus_plus", seed=55)
-        res = run_split_training(world, make_cfg(iterations=4, capture_path=str(cap)))
-        with open(cap, "rb") as f:
-            pkts = list(iter_frames(f))
-        assert len(pkts) == 4
-        assert all(isinstance(p, FeaturePacket) for p in pkts)
-        assert [p.iteration for p in pkts] == [0, 1, 2, 3]
+        # the ledger counts exactly the framed bytes that crossed the wire
+        for mode in ("gradient_free", "classic"):
+            cap = tmp_path / f"packets_{mode}.bin"
+            world = build_world("ours_plus_plus", seed=55)
+            res = run_split_training(world, make_cfg(mode=mode, iterations=4,
+                                                     capture_path=str(cap)))
+            with open(cap, "rb") as f:
+                pkts = list(iter_frames(f))
+            assert len(pkts) == 4
+            assert all(isinstance(p, FeaturePacket) for p in pkts)
+            assert [p.iteration for p in pkts] == [0, 1, 2, 3]
+            assert res.ledger.bytes_up == cap.stat().st_size
+            # a reply frames one gradient and one noise estimate of the packet's shape
+            down = [frame_message(GradientPacket(p.iteration, np.zeros_like(p.feat_control),
+                                                 np.zeros_like(p.label_noise)))
+                    for p in pkts] if mode == "classic" else []
+            assert res.ledger.bytes_down == sum(map(len, down))
+            assert res.ledger.packets == len(pkts) + len(down)
+            assert res.ledger.payload_bytes_up == sum(map(tensor_payload_bytes, pkts))
+            assert res.ledger.payload_bytes_down == len(down) * 2 * pkts[0].feat_control.nbytes
 
     def test_multi_client_processes_all(self):
         world = build_world("none", clients=3)
