@@ -159,14 +159,13 @@ class UNetBlock(Module):
         tok = tt.reshape(tt.permute(h, (0, 2, 3, 1)), (n, hh * ww, c))
         if isinstance(self.attn, SelfAttention):
             tok = tt.add(tok, self.attn(tok))
-        else:
-            if self.bound_zero_prompt is not None:
-                ctx = Tensor(np.broadcast_to(self.bound_zero_prompt[None], (n,) + self.bound_zero_prompt.shape).copy())
-            elif prompt is None:
+        elif self.bound_zero_prompt is None:
+            if prompt is None:
                 raise ValueError("block needs prompt features (or a bound zero feature)")
-            else:
-                ctx = prompt if isinstance(prompt, Tensor) else Tensor(prompt)
+            ctx = prompt if isinstance(prompt, Tensor) else Tensor(prompt)
             tok = tt.add(tok, self.attn(tok, ctx))
+        # bound to the zero prompt: K and V have no bias, so cross-attention
+        # over a zero context is exactly zero and is skipped
         h = tt.permute(tt.reshape(tok, (n, hh, ww, c)), (0, 3, 1, 2))
         if self.upsample:
             h = tt.upsample2x(h)
@@ -387,7 +386,9 @@ def prompt_hide_transform(branch: ControlBranch, unet: ToyUNet) -> tuple[Control
 
     Control-branch attention becomes self-attention over condition features;
     the frozen denoiser blocks behind the cut are permanently bound to the
-    zero text feature. The client-side enc_block_1 is untouched.
+    zero text feature. Their cross-attention keys and values are projections
+    without bias, so its term is exactly zero: a bound block skips it and
+    builds no graph for it. The client-side enc_block_1 is untouched.
     """
     for blk in (branch.enc_block_1, branch.enc_block_2, branch.mid):
         blk.attn = SelfAttention()

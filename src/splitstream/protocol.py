@@ -542,5 +542,7 @@ def run_client_role(world: SplitWorld, cfg: ProtocolConfig, client_id: int,
                     host: str, port: int) -> None:
     """One remote client: stream packets, apply gradients in classic mode."""
     _validate(world, cfg)
+    if not 0 <= client_id < cfg.clients:
+        raise ValueError(f"client_id must be in 0..{cfg.clients - 1}, got {client_id}")
     client = ClientWorker(client_id, world, cfg, RngState(cfg.seed).split(f"client-{client_id}"))
     _client_loop(client, cfg, _connect(host, port))

@@ -4,10 +4,13 @@ Dense float32 arrays plus just enough operators for small convolutional
 denoisers and gradient-based reconstruction attacks: conv2d, dense layers,
 attention, dropout, pointwise nonlinearities, and reductions. Reductions
 accumulate in float64 before casting back so summed losses are stable.
-conv2d is im2col plus one matrix product. Its input gradient is the forward
-correlation again, of the stride-dilated output gradient (subnormals zeroed)
-with the flipped kernel; its weight gradient is a per-sample GEMM
-accumulated in float64.
+conv2d lays the whole batch out as one im2col matrix of shape
+(c*kh*kw, n*ho*wo), so each direction is one float32 GEMM: the forward
+multiplies it by the kernel, the weight gradient multiplies the output
+gradient by its transpose (summing over all n*ho*wo positions), and the input
+gradient is the forward correlation again, of the stride-dilated output
+gradient (subnormals zeroed) with the flipped kernel. silu's backward zeroes
+the subnormal gradients its underflowing slope makes.
 
 Broadcasting is deliberately restricted: the only implicit broadcast is
 bias_add, which adds a tensor whose shape equals the trailing dims of the
@@ -198,6 +201,15 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 # pointwise nonlinearities
 
 
+_F32_TINY = np.finfo(np.float32).tiny
+
+
+def _flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """a with its subnormal values zeroed. BLAS multiplies subnormals many
+    times slower; each zeroed value is below the smallest normal float32."""
+    return np.where(np.abs(a) < _F32_TINY, np.float32(0), a)
+
+
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     # exp overflow for very negative x saturates to the correct limit 0
     with np.errstate(over="ignore"):
@@ -220,7 +232,9 @@ def silu(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(g * (s + x.data * s * (1.0 - s)))
+            # the slope underflows over very negative inputs; its subnormal
+            # products would slow every GEMM downstream
+            x._accumulate(_flush_subnormals(g * (s + x.data * s * (1.0 - s))))
 
     return _out(y, (x,), bwd)
 
@@ -392,9 +406,6 @@ def attention(query: Tensor, key: Tensor, value: Tensor) -> Tensor:
 # convolution and resampling
 
 
-_F32_TINY = np.finfo(np.float32).tiny
-
-
 def _axis_slices(length: int, lo: int, size: int, dilate: int):
     """Source and destination slices of one axis when `length` samples are
     spread `dilate` apart and shifted by `lo` into `size` slots (a negative
@@ -406,7 +417,8 @@ def _axis_slices(length: int, lo: int, size: int, dilate: int):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1):
-    """Columns (n, c*kh*kw, ho*wo) of a kh x kw correlation over x.
+    """Columns (c*kh*kw, n*ho*wo) of a kh x kw correlation over x, the whole
+    batch side by side.
 
     x is first dilated (dilate - 1 zeros between samples) and padded by
     pads = (top, bottom, left, right), all in one zero buffer; a negative
@@ -427,9 +439,14 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
     # a strided view over x (C-contiguous here: a tensor's data, a gradient or
     # the zero buffer); the reshape copies it into the columns
     s0, s1, s2, s3 = x.strides
-    cols = np.ndarray((n, c, kh, kw, ho, wo), np.float32, x, 0,
-                      (s0, s1, s2, s3, s2 * stride, s3 * stride))
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+    cols = np.ndarray((c, kh, kw, n, ho, wo), np.float32, x, 0,
+                      (s1, s2, s3, s0, s2 * stride, s3 * stride))
+    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
+
+
+def _batch_first(flat: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """A (ch, n*h*w) GEMM result as an (n, ch, h, w) view."""
+    return flat.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -453,29 +470,22 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     cols, ho, wo = _im2col(x.data, kh, kw, stride, (padding,) * 4)
-    wflat = kernel.data.reshape(o, c * kh * kw)
-    y = (wflat @ cols).reshape(n, o, ho, wo)
+    y = _batch_first(kernel.data.reshape(o, c * kh * kw) @ cols, n, ho, wo)
 
     def bwd(g):
         if kernel.requires_grad:
-            # float64 per-sample GEMMs: no float64 copy of the whole of cols
-            gflat = g.reshape(n, o, ho * wo)
-            gw = np.zeros((o, c * kh * kw), dtype=np.float64)
-            for i in range(n):
-                gw += gflat[i].astype(np.float64) @ cols[i].T.astype(np.float64)
-            kernel._accumulate(gw.astype(np.float32).reshape(kernel.shape))
+            gflat = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+            kernel._accumulate((gflat @ cols.T).reshape(kernel.shape))
         if x.requires_grad:
-            # silu's backward over very negative inputs leaves subnormal
-            # values in g, and BLAS multiplies subnormals many times slower;
-            # zeroing them moves no input-gradient entry by more than
-            # o*kh*kw*max|kernel| times the smallest normal float32
-            g = np.where(np.abs(g) < _F32_TINY, np.float32(0), g)
+            # zeroing subnormal values in g moves no input-gradient entry by
+            # more than o*kh*kw*max|kernel| times the smallest normal float32
+            g = _flush_subnormals(g)
             top, left = kh - 1 - padding, kw - 1 - padding
             unread_h = (h + 2 * padding - kh) % stride
             unread_w = (w + 2 * padding - kw) % stride
             gcols, _, _ = _im2col(g, kh, kw, 1, (top, top + unread_h, left, left + unread_w), stride)
             wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-            x._accumulate((wflip @ gcols).reshape(x.shape))
+            x._accumulate(_batch_first(wflip @ gcols, n, h, w))
 
     return _out(y, (x, kernel), bwd)
 
@@ -488,9 +498,10 @@ def upsample2x(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            n, c, h2, w2 = g.shape
-            gr = g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
-            x._accumulate(gr.astype(np.float32))
+            # four strided slices, summed in the order the 2x2 reduction
+            # over a (n, c, h, 2, w, 2) view sums them
+            x._accumulate((g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
+                          + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]))
 
     return _out(y, (x,), bwd)
 

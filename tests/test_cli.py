@@ -1,12 +1,14 @@
 """CLI surface: every subcommand drives the pipeline it names."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from splitstream.cli import main
 from splitstream.data import read_ppm
 
+SMOKE_INI = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
 
 MINI_INI = """
 [experiment]
@@ -147,6 +149,22 @@ def test_train_rejects_zero_clients(tmp_path, mini_config, capsys):
               "--out", str(tmp_path / "tr")])
     assert exc.value.code == 2 and "clients >= 1" in capsys.readouterr().err
     assert not (tmp_path / "tr").exists()
+
+
+@pytest.mark.parametrize("client_id", ["3", "-1"])
+def test_train_connect_rejects_an_unknown_client_id(client_id, monkeypatch, capsys):
+    import splitstream.experiment
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretrained before checking --client-id")
+
+    monkeypatch.setattr(splitstream.experiment, "prepare", no_pretraining)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(SMOKE_INI), "--connect", "127.0.0.1:1",
+              "--client-id", client_id])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert f"--client-id must be in 0..0, got {client_id}" in err
 
 
 def test_attack_revalidates_the_defense_config(tmp_path, mini_config, capsys):

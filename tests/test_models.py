@@ -210,6 +210,29 @@ class TestPromptHiding:
         want = tt.attention(tokens, tokens, tokens)
         assert np.abs(got.data - want.data).max() < 1e-6
 
+    def test_bound_blocks_equal_explicit_zero_prompt_attention(self):
+        # a bound block skips its cross-attention; unbound, the same block
+        # attends to the zero prompt, and output and input gradient must not
+        # move by a bit
+        rng = RngState(18)
+        unet = ToyUNet(rng.split("u"))
+        unet.freeze()
+        ae = ToyAutoencoder(rng.split("a"))
+        _, unet = prompt_hide_transform(ControlBranch(unet, ae, rng.split("b")), unet)
+        shapes = ((3, 4, 8, 8), (3, 64, 4, 4), (3, 128, 4, 4), (3, 36, 8, 8))
+        for blk, shape in zip(unet.server_blocks(), shapes):
+            x_np, zero = rng.normal(shape), blk.bound_zero_prompt
+            prompt = Tensor(np.broadcast_to(zero, (shape[0],) + zero.shape))
+            runs = []
+            for bound, p in ((zero, None), (None, prompt)):
+                blk.bound_zero_prompt = bound
+                x = Tensor(x_np, requires_grad=True)
+                y = blk(x, 11, p)
+                tt.backward(y, seed_grad=RngState(19).normal(y.shape))
+                runs.append((y.data.tobytes(), x.grad.tobytes()))
+            blk.bound_zero_prompt = zero
+            assert runs[0] == runs[1]
+
     def test_zeroed_value_path_makes_prompt_irrelevant(self):
         rng = RngState(16)
         unet = ToyUNet(rng.split("u"))

@@ -365,6 +365,13 @@ class TestStandaloneRoles:
         assert holder["res"].ledger.bytes_down > 0
         assert len(holder["res"].loss_history) == 3
 
+    @pytest.mark.parametrize("client_id", [1, -1])
+    def test_client_role_rejects_an_unknown_client_id(self, client_id):
+        from splitstream.protocol import run_client_role
+
+        with pytest.raises(ValueError, match="client_id must be in 0..0"):
+            run_client_role(build_world("none", seed=25), make_cfg(), client_id, "127.0.0.1", 1)
+
 
 def run_within(fn, seconds=10.0) -> dict:
     """Run `fn` in a thread joined with a deadline (there is no pytest

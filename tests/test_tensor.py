@@ -138,6 +138,34 @@ class TestConv2d:
         want_w = conv2d_grad_oracle(x_np, w_np, 1, 1, g)[1]
         assert np.abs(w.grad - want_w).max() < 1e-5 * np.abs(want_w).max()
 
+    def test_weight_gradient_at_the_largest_training_shape(self):
+        # the autoencoder decoder's last conv, 16->3 at 32x32 over a batch of
+        # 8: one float32 GEMM sums K = 8*32*32 = 8192 products per entry
+        rng = RngState(32)
+        x_np, w_np = rng.normal((8, 16, 32, 32)), rng.normal((3, 16, 3, 3)) * 0.1
+        w = Tensor(w_np, requires_grad=True)
+        y = tt.conv2d(Tensor(x_np), w, stride=1, padding=1)
+        g = rng.normal(y.shape)
+        tt.backward(y, seed_grad=g)
+        # float64 oracle, one kernel tap at a time
+        xp, want = _pad(x_np, 1), np.zeros(w_np.shape)
+        for u, v in itertools.product(range(3), range(3)):
+            want[:, :, u, v] = np.einsum("noij,ncij->oc", g.astype(np.float64),
+                                         xp[:, :, u:u + 32, v:v + 32])
+        assert w.grad.dtype == np.float32
+        assert np.abs(w.grad - want).max() < 1e-5 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(4, 64, 8, 8), (8, 32, 16, 16), (8, 16, 32, 32), (3, 5, 6, 7)])
+def test_upsample2x_gradient_matches_the_2x2_reduction(shape):
+    n, c, h, w = shape
+    x = Tensor(np.zeros(shape), requires_grad=True)
+    g = RngState(sum(shape)).normal((n, c, 2 * h, 2 * w))
+    tt.backward(tt.upsample2x(x), seed_grad=g)
+    want = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+    assert x.grad.dtype == np.float32
+    assert x.grad.tobytes() == want.tobytes()
+
 
 def conv2d_grad_bytes():
     """Gradient bytes of one conv2d forward and backward at three training
@@ -208,6 +236,17 @@ class TestPointwise:
     def test_silu_one(self):
         y = tt.silu(Tensor(np.ones(1, np.float32))).data[0]
         assert abs(y - 0.7310585786300049) < 1e-6
+
+    def test_silu_gradient_zeroes_only_subnormal_values(self):
+        # at x = -85 the slope is about -1e-35; times 1e-4 it is subnormal
+        x = Tensor(np.array([-85.0, -85.0, 0.5], dtype=np.float32), requires_grad=True)
+        g = np.array([1e-4, 1.0, 1.0], dtype=np.float32)
+        tt.backward(tt.silu(x), seed_grad=g)
+        s = 1.0 / (1.0 + np.exp(-x.data.astype(np.float64)))
+        slope = s + x.data * s * (1.0 - s)
+        assert 0 < abs(1e-4 * slope[0]) < np.finfo(np.float32).tiny
+        assert x.grad[0] == 0.0
+        assert np.abs(x.grad[1:] - slope[1:]).max() < 1e-6 * np.abs(slope[1:]).max()
 
     def test_abs_and_relu(self):
         x = Tensor(np.array([-2.0, 0.0, 3.0], dtype=np.float32))
