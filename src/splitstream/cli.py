@@ -67,7 +67,8 @@ def cmd_train(args):
         cfg.protocol.transport = args.transport.replace("-", "_")
     cfg.validate()
     if args.connect and not 0 <= args.client_id < cfg.protocol.clients:
-        raise ConfigError(f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {args.client_id}")
+        raise ConfigError(
+            f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {args.client_id}")
     from .checkpoint import save_checkpoint
     from .experiment import build_world, prepare, protocol_config
     from .protocol import run_client_role, run_server_role, run_split_training

@@ -159,13 +159,13 @@ class UNetBlock(Module):
         tok = tt.reshape(tt.permute(h, (0, 2, 3, 1)), (n, hh * ww, c))
         if isinstance(self.attn, SelfAttention):
             tok = tt.add(tok, self.attn(tok))
+        # a block bound to the zero prompt skips its cross-attention: K and V
+        # have no bias, so attention over a zero context is exactly zero
         elif self.bound_zero_prompt is None:
             if prompt is None:
                 raise ValueError("block needs prompt features (or a bound zero feature)")
             ctx = prompt if isinstance(prompt, Tensor) else Tensor(prompt)
             tok = tt.add(tok, self.attn(tok, ctx))
-        # bound to the zero prompt: K and V have no bias, so cross-attention
-        # over a zero context is exactly zero and is skipped
         h = tt.permute(tt.reshape(tok, (n, hh, ww, c)), (0, 3, 1, 2))
         if self.upsample:
             h = tt.upsample2x(h)
