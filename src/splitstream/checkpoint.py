@@ -2,9 +2,14 @@
 
 Layout (all integers little-endian):
     magic "TCKP" | version u8 | count u32 | records...
-    record: name_len u16 | name utf-8 | rank u8 | dims u32 * rank | f32 payload
+    record: name_len u16 | name utf-8 | tensor record
+where the tensor record is wire's (rank u8 | dims u32 * rank | f32 row-major
+data), written by wire.encode_tensor and read by wire.Reader.
 
-Round-trips are bit-exact; payloads are written in row-major order.
+Round-trips are bit-exact. parse_checkpoint raises only CheckpointError: for
+a bad magic or version, truncation, a rank above 8 or more than 2**26
+elements in a record, a name that is not UTF-8, a duplicate name, or bytes
+after the last record.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from typing import Mapping
 import numpy as np
 
 from .tensor import Tensor
+from .wire import Reader, encode_tensor
 
 MAGIC = b"TCKP"
 VERSION = 1
+_HEAD = struct.Struct("<BI")
+_NAME_LEN = struct.Struct("<H")
 
 
 class CheckpointError(ValueError):
@@ -25,48 +33,31 @@ class CheckpointError(ValueError):
 
 
 def dump_checkpoint(tensors: Mapping[str, "np.ndarray | Tensor"]) -> bytes:
-    out = [MAGIC, struct.pack("<BI", VERSION, len(tensors))]
+    out = [MAGIC, _HEAD.pack(VERSION, len(tensors))]
     for name, t in tensors.items():
-        arr = np.asarray(t.data if isinstance(t, Tensor) else t, dtype="<f4", order="C")
         enc = name.encode("utf-8")
-        out.append(struct.pack("<H", len(enc)))
-        out.append(enc)
-        out.append(struct.pack("<B", arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(arr.tobytes())
+        out += [_NAME_LEN.pack(len(enc)), enc, encode_tensor(t.data if isinstance(t, Tensor) else t)]
     return b"".join(out)
 
 
 def parse_checkpoint(blob: bytes) -> dict[str, np.ndarray]:
-    view = memoryview(blob)
-    if len(view) < 9 or bytes(view[:4]) != MAGIC:
+    if blob[:4] != MAGIC:
         raise CheckpointError("bad checkpoint magic")
-    version, count = struct.unpack_from("<BI", view, 4)
+    r = Reader(blob, CheckpointError, len(MAGIC))
+    version, count = r.unpack(_HEAD, "checkpoint header")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    pos = 9
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        if pos + 2 > len(view):
-            raise CheckpointError("truncated checkpoint (name length)")
-        (nlen,) = struct.unpack_from("<H", view, pos)
-        pos += 2
-        if pos + nlen + 1 > len(view):
-            raise CheckpointError("truncated checkpoint (name)")
-        name = bytes(view[pos : pos + nlen]).decode("utf-8")
-        pos += nlen
-        rank = view[pos]
-        pos += 1
-        if pos + 4 * rank > len(view):
-            raise CheckpointError("truncated checkpoint (dims)")
-        dims = struct.unpack_from(f"<{rank}I", view, pos)
-        pos += 4 * rank
-        nbytes = 4 * int(np.prod(dims, dtype=np.int64)) if rank else 4
-        if pos + nbytes > len(view):
-            raise CheckpointError("truncated checkpoint (payload)")
-        arr = np.frombuffer(view[pos : pos + nbytes], dtype="<f4").reshape(dims).copy()
-        pos += nbytes
-        out[name] = arr
+        (nlen,) = r.unpack(_NAME_LEN, "name length")
+        try:
+            name = str(r.take(nlen, "name"), "utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"checkpoint name is not UTF-8: {e}") from None
+        if name in out:
+            raise CheckpointError(f"duplicate checkpoint name {name!r}")
+        out[name] = r.tensor(name)
+    r.done("checkpoint")
     return out
 
 

@@ -102,7 +102,7 @@ def cmd_train(args):
 
 def cmd_attack(args):
     from .experiment import EvalCapture, build_world, generate_eval_packets, prepare, run_attack
-    from .wire import FeaturePacket, iter_frames
+    from .wire import FeaturePacket, WireError, iter_frames
 
     cfg = _load_cfg(args)
     if args.defense_config:
@@ -112,8 +112,11 @@ def cmd_attack(args):
             cfg.attacks.defenses = [cfg.defense.kind]
         cfg.validate()
     if args.packets:
-        with open(args.packets, "rb") as f:
-            packets = [p for p in iter_frames(f) if isinstance(p, FeaturePacket)]
+        try:
+            with open(args.packets, "rb") as f:
+                packets = [p for p in iter_frames(f) if isinstance(p, FeaturePacket)]
+        except WireError as e:
+            raise SystemExit(f"{args.packets}: corrupt packet capture: WireError: {e}") from None
         # attacks score packet i against private sample i, one sample a packet
         batches = sorted({len(p.feat_unet) for p in packets})
         if batches != [1] or len(packets) > cfg.dataset.n_private:

@@ -9,8 +9,8 @@ conv2d lays the whole batch out as one im2col matrix of shape
 multiplies it by the kernel, the weight gradient multiplies the output
 gradient by its transpose (summing over all n*ho*wo positions), and the input
 gradient is the forward correlation again, of the stride-dilated output
-gradient (subnormals zeroed) with the flipped kernel. silu's backward zeroes
-the subnormal gradients its underflowing slope makes.
+gradient with the flipped kernel. silu's backward zeroes the subnormal
+gradients its underflowing slope makes.
 
 Broadcasting is deliberately restricted: the only implicit broadcast is
 bias_add, which adds a tensor whose shape equals the trailing dims of the
@@ -477,9 +477,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             gflat = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
             kernel._accumulate((gflat @ cols.T).reshape(kernel.shape))
         if x.requires_grad:
-            # zeroing subnormal values in g moves no input-gradient entry by
-            # more than o*kh*kw*max|kernel| times the smallest normal float32
-            g = _flush_subnormals(g)
             top, left = kh - 1 - padding, kw - 1 - padding
             unread_h = (h + 2 * padding - kh) % stride
             unread_w = (w + 2 * padding - kw) % stride

