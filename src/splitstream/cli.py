@@ -26,6 +26,8 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def cmd_gen_data(args):
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     samples = dtt.generate_dataset(args.n, args.seed)
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -115,6 +117,8 @@ def cmd_attack(args):
         try:
             with open(args.packets, "rb") as f:
                 packets = [p for p in iter_frames(f) if isinstance(p, FeaturePacket)]
+        except OSError as e:
+            raise SystemExit(f"{args.packets}: cannot read packet capture: {e.strerror}") from None
         except WireError as e:
             raise SystemExit(f"{args.packets}: corrupt packet capture: WireError: {e}") from None
         # attacks score packet i against private sample i, one sample a packet

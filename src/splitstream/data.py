@@ -6,11 +6,17 @@ naming them from a closed vocabulary. Conditions range from detailed to
 coarse: a Sobel edge map (canny_like), a blocky downsampled edge sketch
 (scribble), and a flat-color segmentation map rendered from the
 generator's own ground truth.
+
+Each sample's masks and edge map are computed once and shared by its
+conditions: one mask per shape paints both the image and the segmentation,
+and one gray -> Sobel -> threshold pass feeds both canny_like and scribble.
+`derive_condition` rebuilds any one condition from the same helpers, so the
+two paths give the same bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,16 +65,27 @@ class ShapeSample:
     image: np.ndarray  # (3, 32, 32) in [0, 1]
     prompt: list[str]
     shapes: list[ShapeSpec]
-    conditions: dict[str, np.ndarray] = field(default_factory=dict)
+    conditions: dict[str, np.ndarray]
 
 
-def _grid():
-    ys, xs = np.mgrid[0:IMAGE_HW, 0:IMAGE_HW]
-    return xs.astype(np.float32), ys.astype(np.float32)
+# The pixel grid, built once as an open grid: xs is one row (1, W) and ys one
+# column (H, 1), and numpy broadcasts them to (H, W) per pixel.
+_XS = np.arange(IMAGE_HW, dtype=np.float32)[None, :]
+_YS = np.arange(IMAGE_HW, dtype=np.float32)[:, None]
+_XS.flags.writeable = False
+_YS.flags.writeable = False
+
+# dark vertical gradient every image starts from
+_BACKDROP = np.broadcast_to(0.05 + 0.10 * _YS / (IMAGE_HW - 1), (3, IMAGE_HW, IMAGE_HW))
+
+# sobel_magnitude's edge padding: padded row/column i reads clamp(i - 1)
+_CLAMPED = np.clip(np.arange(-1, IMAGE_HW + 1), 0, IMAGE_HW - 1)
+_CLAMPED.flags.writeable = False
+_EDGE_INDEX = np.ix_(_CLAMPED, _CLAMPED)
 
 
 def _shape_mask(spec: ShapeSpec) -> np.ndarray:
-    xs, ys = _grid()
+    xs, ys = _XS, _YS
     if spec.kind == "circle":
         cx, cy, r = spec.params
         return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
@@ -83,9 +100,9 @@ def _shape_mask(spec: ShapeSpec) -> np.ndarray:
     raise ValueError(f"unknown shape kind {spec.kind!r}")
 
 
-def _shading(spec: ShapeSpec, mask: np.ndarray) -> np.ndarray:
+def _shading(spec: ShapeSpec) -> np.ndarray:
     """Radial falloff so images are shaded while segmentation stays flat."""
-    xs, ys = _grid()
+    xs, ys = _XS, _YS
     if spec.kind == "circle":
         cx, cy, r = spec.params
         d = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2) / max(r, 1.0)
@@ -97,8 +114,27 @@ def _shading(spec: ShapeSpec, mask: np.ndarray) -> np.ndarray:
     else:
         cx, y0, y1, half = spec.params
         d = np.abs(ys - (y0 + y1) / 2.0) / max((y1 - y0) / 2.0, 1.0)
-    shade = 1.0 - 0.35 * np.clip(d, 0.0, 1.0)
-    return np.where(mask, shade, 0.0).astype(np.float32)
+    return 1.0 - 0.35 * np.minimum(d, 1.0)  # d >= 0
+
+
+def _segmentation(shapes: list[ShapeSpec], masks: list[np.ndarray]) -> np.ndarray:
+    seg = np.empty((3, IMAGE_HW, IMAGE_HW), dtype=np.float32)
+    seg[:] = BACKGROUND[:, None, None]
+    for spec, mask in zip(shapes, masks):
+        np.copyto(seg, PALETTE[spec.color][:, None, None], where=mask)
+    return seg
+
+
+def _edges(image: np.ndarray) -> np.ndarray:
+    """Thresholded Sobel edges of the gray image, (H, W) in {0, 1}."""
+    gray = np.asarray(image, dtype=np.float32).mean(axis=0)
+    return (sobel_magnitude(gray) > EDGE_THRESHOLD).astype(np.float32)
+
+
+def _scribble(edges: np.ndarray) -> np.ndarray:
+    # average-pool 4x, re-threshold (more than 4 of 16 edge pixels), upsample back
+    blocky = (edges.reshape(8, 4, 8, 4).sum(axis=(1, 3)) > 4).astype(np.float32)
+    return blocky.repeat(4, axis=0).repeat(4, axis=1)[None]
 
 
 def _draw_sample(rng: RngState) -> ShapeSample:
@@ -123,16 +159,11 @@ def _draw_sample(rng: RngState) -> ShapeSample:
                       float(rng.integers(5, 9)))
         shapes.append(ShapeSpec(kind, color, params))
 
-    # dark vertical gradient background, shaded shapes on top
-    _, ys = _grid()
-    img = np.empty((3, IMAGE_HW, IMAGE_HW), dtype=np.float32)
-    img[:] = (0.05 + 0.10 * ys / (IMAGE_HW - 1))[None]
-    for spec in shapes:
-        mask = _shape_mask(spec)
-        shade = _shading(spec, mask)
-        color = PALETTE[spec.color]
-        for c in range(3):
-            img[c] = np.where(mask, color[c] * shade, img[c])
+    # shaded shapes over the backdrop; each mask also paints the segmentation
+    masks = [_shape_mask(spec) for spec in shapes]
+    img = _BACKDROP.copy()
+    for spec, mask in zip(shapes, masks):
+        np.copyto(img, PALETTE[spec.color][:, None, None] * _shading(spec), where=mask)
 
     prompt: list[str] = []
     groups: dict[tuple[int, str], int] = {}
@@ -141,10 +172,11 @@ def _draw_sample(rng: RngState) -> ShapeSample:
     for (color, kind), count in groups.items():
         prompt += [COUNT_WORDS[count - 1], COLOR_WORDS[color], kind]
 
-    sample = ShapeSample(image=np.clip(img, 0.0, 1.0), prompt=prompt, shapes=shapes)
-    for kind in CONDITION_KINDS:
-        sample.conditions[kind] = derive_condition(sample.image, kind, sample.shapes)
-    return sample
+    image = np.clip(img, 0.0, 1.0)
+    edges = _edges(image)
+    conditions = {"canny_like": edges[None], "scribble": _scribble(edges),
+                  "segmentation": _segmentation(shapes, masks)}
+    return ShapeSample(image=image, prompt=prompt, shapes=shapes, conditions=conditions)
 
 
 def generate_dataset(n: int, seed: int) -> list[ShapeSample]:
@@ -155,18 +187,24 @@ def generate_dataset(n: int, seed: int) -> list[ShapeSample]:
     return [_draw_sample(rng) for _ in range(n)]
 
 
-def _conv3(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    xp = np.pad(x, 1, mode="edge")
-    out = np.zeros_like(x)
+def _conv3(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """3x3 correlation of an edge-padded map, trimmed back to the unpadded size."""
+    h, w = xp.shape[0] - 2, xp.shape[1] - 2
+    out = np.zeros((h, w), dtype=xp.dtype)
     for i in range(3):
         for j in range(3):
-            out += k[i, j] * xp[i : i + x.shape[0], j : j + x.shape[1]]
+            if k[i, j]:  # adding a zero tap changes no bit of the sum
+                out += k[i, j] * xp[i : i + h, j : j + w]
     return out
 
 
 def sobel_magnitude(gray: np.ndarray) -> np.ndarray:
-    gx = _conv3(gray, SOBEL_X)
-    gy = _conv3(gray, SOBEL_Y)
+    """Sobel gradient magnitude of an (IMAGE_HW, IMAGE_HW) map, edges clamped."""
+    if gray.shape != (IMAGE_HW, IMAGE_HW):
+        raise ValueError(f"sobel_magnitude expects ({IMAGE_HW}, {IMAGE_HW}), got {gray.shape}")
+    xp = gray[_EDGE_INDEX]
+    gx = _conv3(xp, SOBEL_X)
+    gy = _conv3(xp, SOBEL_Y)
     return np.sqrt(gx * gx + gy * gy)
 
 
@@ -177,22 +215,9 @@ def derive_condition(image: np.ndarray, kind: str, shapes: list[ShapeSpec] | Non
     if kind == "segmentation":
         if shapes is None:
             raise ValueError("segmentation condition needs the ground-truth shape list")
-        seg = np.zeros((3, IMAGE_HW, IMAGE_HW), dtype=np.float32)
-        seg[:] = BACKGROUND[:, None, None]
-        for spec in shapes:
-            mask = _shape_mask(spec)
-            for c in range(3):
-                seg[c] = np.where(mask, PALETTE[spec.color][c], seg[c])
-        return seg
-    gray = np.asarray(image, dtype=np.float32).mean(axis=0)
-    mag = sobel_magnitude(gray)
-    edges = (mag > EDGE_THRESHOLD).astype(np.float32)
-    if kind == "canny_like":
-        return edges[None]
-    # scribble: average-pool 4x, re-threshold, upsample back
-    coarse = edges.reshape(8, 4, 8, 4).mean(axis=(1, 3))
-    blocky = (coarse > 0.25).astype(np.float32)
-    return blocky.repeat(4, axis=0).repeat(4, axis=1)[None]
+        return _segmentation(shapes, [_shape_mask(spec) for spec in shapes])
+    edges = _edges(image)
+    return edges[None] if kind == "canny_like" else _scribble(edges)
 
 
 def condition_to_input(cond: np.ndarray) -> np.ndarray:

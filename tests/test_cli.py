@@ -50,6 +50,16 @@ def test_gen_data(tmp_path, capsys):
     assert len(prompts) == 5 and all(p for p in prompts)
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_data_rejects_an_empty_dataset(tmp_path, capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--n", n, "--out", str(tmp_path / "data")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert f"--n must be >= 1, got {n}" in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_budget_requires_exactly_one_selector(capsys):
     with pytest.raises(SystemExit):
         main(["budget"])
@@ -133,6 +143,21 @@ def test_attack_refuses_an_empty_packet_file(tmp_path, mini_config, capsys):
     with pytest.raises(SystemExit, match="0 packets") as exc:
         main(["attack", "--method", "whitebox", "--config", str(mini_config),
               "--packets", str(empty), "--out", str(tmp_path / "atk")])
+    assert str(exc.value).count("\n") == 0
+    assert not (tmp_path / "atk").exists()
+
+
+def test_attack_refuses_a_missing_packet_file(tmp_path, monkeypatch):
+    import splitstream.experiment
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretrained before reading --packets")
+
+    monkeypatch.setattr(splitstream.experiment, "prepare", no_pretraining)
+    missing = tmp_path / "missing.bin"
+    with pytest.raises(SystemExit, match="missing.bin: cannot read packet capture") as exc:
+        main(["attack", "--method", "whitebox", "--config", str(SMOKE_INI),
+              "--packets", str(missing), "--out", str(tmp_path / "atk")])
     assert str(exc.value).count("\n") == 0
     assert not (tmp_path / "atk").exists()
 

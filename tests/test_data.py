@@ -1,10 +1,12 @@
 """Synthetic dataset generation and condition derivation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from splitstream import data as dt
-from splitstream.data import (VOCAB, condition_to_input, dataset_arrays,
+from splitstream.data import (CONDITION_KINDS, VOCAB, condition_to_input, dataset_arrays,
                               derive_condition, generate_dataset, read_ppm,
                               sobel_magnitude, write_ppm)
 
@@ -18,6 +20,19 @@ class TestGeneration:
             assert x.prompt == y.prompt
             for k in x.conditions:
                 assert x.conditions[k].tobytes() == y.conditions[k].tobytes()
+
+    def test_bytes_pinned_across_commits(self):
+        # digest of images, prompts, shape specs and all conditions, as first
+        # generated; any change to the synthesis that moves a byte fails here
+        h = hashlib.sha256()
+        for s in generate_dataset(48, 2025):
+            h.update(s.image.tobytes())
+            h.update(" ".join(s.prompt).encode())
+            for spec in s.shapes:
+                h.update(repr((spec.kind, spec.color, spec.params)).encode())
+            for kind in CONDITION_KINDS:
+                h.update(s.conditions[kind].tobytes())
+        assert h.hexdigest() == "dcd2d3b8b39d78cadd74a7da3c2eb3969d3dec43e3ac88166e3749935adf6cee"
 
     def test_different_seed_differs(self):
         a = generate_dataset(4, 1)
@@ -66,6 +81,12 @@ class TestConditions:
         want = np.sqrt(gx**2 + gy**2)
         assert np.abs(got - want).max() < 1e-6
 
+    @pytest.mark.parametrize("hw", [16, 40])
+    def test_sobel_rejects_other_sizes(self, hw):
+        # the clamped padding index is built for the dataset's image size
+        with pytest.raises(ValueError, match="expects"):
+            sobel_magnitude(np.zeros((hw, hw), dtype=np.float32))
+
     def test_segmentation_palette_count(self):
         # a one-shape sample has exactly two flat colors: background + shape
         for s in generate_dataset(50, 9):
@@ -83,10 +104,17 @@ class TestConditions:
             derive_condition(img, "segmentation")
 
     def test_condition_shapes(self):
-        s = generate_dataset(1, 11)[0]
-        assert s.conditions["canny_like"].shape == (1, 32, 32)
-        assert s.conditions["scribble"].shape == (1, 32, 32)
-        assert s.conditions["segmentation"].shape == (3, 32, 32)
+        samples = generate_dataset(12, 11)
+        assert {spec.kind for s in samples for spec in s.shapes} == {"circle", "rect", "triangle"}
+        channels = {"canny_like": 1, "scribble": 1, "segmentation": 3}
+        for s in samples:
+            for kind in CONDITION_KINDS:
+                cond = s.conditions[kind]
+                assert cond.shape == (channels[kind], 32, 32) and cond.dtype == np.float32
+                # the public function and the generator's shared pass agree byte for byte
+                again = derive_condition(s.image, kind, s.shapes)
+                assert again.shape == cond.shape and again.dtype == cond.dtype
+                assert again.tobytes() == cond.tobytes()
 
     def test_scribble_is_blocky(self):
         s = generate_dataset(1, 12)[0]
