@@ -41,6 +41,9 @@ class ReconstructionReport:
         return float(np.mean(self.ssim)) if self.ssim else float("nan")
 
     def score_against(self, truth01: np.ndarray) -> "ReconstructionReport":
+        if len(self.recons) != len(truth01):
+            raise ValueError(f"score_against: {len(self.recons)} reconstructions "
+                             f"against {len(truth01)} ground-truth images")
         self.psnr = [psnr(r * 255.0, t * 255.0) for r, t in zip(self.recons, truth01)]
         self.ssim = [ssim(r * 255.0, t * 255.0) for r, t in zip(self.recons, truth01)]
         return self

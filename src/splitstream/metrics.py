@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 PEAK = 255.0
 C1 = (0.01 * PEAK) ** 2
@@ -31,29 +32,24 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * math.log10(PEAK * PEAK / err)
 
 
-def _windows(x: np.ndarray, win: int, stride: int):
-    h, w = x.shape
-    for i in range(0, h - win + 1, stride):
-        for j in range(0, w - win + 1, stride):
-            yield x[i : i + win, j : j + win]
+def _windows(x: np.ndarray, win: int, stride: int) -> np.ndarray:
+    """Every stride-th win x win window of (C,H,W) x, as one contiguous
+    (C, nh, nw, win*win) array: a reduction over its last axis sums each
+    window in the same order as reducing the window on its own."""
+    v = sliding_window_view(x, (win, win), axis=(1, 2))[:, ::stride, ::stride]
+    return v.reshape(*v.shape[:3], win * win)
 
 
-def _ssim_window(wa: np.ndarray, wb: np.ndarray) -> float:
-    mu_a = wa.mean()
-    mu_b = wb.mean()
-    var_a = wa.var()
-    var_b = wb.var()
-    cov = ((wa - mu_a) * (wb - mu_b)).mean()
-    sd_a = math.sqrt(var_a)
-    sd_b = math.sqrt(var_b)
-    lum = (2 * mu_a * mu_b + C1) / (mu_a**2 + mu_b**2 + C1)
-    con = (2 * sd_a * sd_b + C2) / (var_a + var_b + C2)
-    struct = (cov + C3) / (sd_a * sd_b + C3)
-    return lum * con * struct
+def _squares(m: np.ndarray) -> np.ndarray:
+    # Python float ** goes through C pow, as the scalar per-window formula did;
+    # m*m and np.power round differently in the last bit for some values
+    return np.array([x**2 for x in m.ravel().tolist()]).reshape(m.shape)
 
 
 def ssim(a: np.ndarray, b: np.ndarray, win: int = 8, stride: int = 4) -> float:
     """Mean local SSIM over channels and sliding windows."""
+    if win < 1 or stride < 1:
+        raise ValueError(f"ssim: win and stride must be >= 1, got win={win}, stride={stride}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -65,9 +61,16 @@ def ssim(a: np.ndarray, b: np.ndarray, win: int = 8, stride: int = 4) -> float:
         raise ValueError(f"ssim: expected (C,H,W) or (H,W), got {a.shape}")
     if a.shape[-1] < win or a.shape[-2] < win:
         raise ValueError(f"ssim: image {a.shape} smaller than window {win}")
-    vals = [
-        _ssim_window(wa, wb)
-        for ca, cb in zip(a, b)
-        for wa, wb in zip(_windows(ca, win, stride), _windows(cb, win, stride))
-    ]
-    return float(np.mean(vals))
+    wa = _windows(a, win, stride)
+    wb = _windows(b, win, stride)
+    mu_a = wa.mean(axis=-1)
+    mu_b = wb.mean(axis=-1)
+    var_a = wa.var(axis=-1)
+    var_b = wb.var(axis=-1)
+    cov = ((wa - mu_a[..., None]) * (wb - mu_b[..., None])).mean(axis=-1)
+    sd_a = np.sqrt(var_a)
+    sd_b = np.sqrt(var_b)
+    lum = (2 * mu_a * mu_b + C1) / (_squares(mu_a) + _squares(mu_b) + C1)
+    con = (2 * sd_a * sd_b + C2) / (var_a + var_b + C2)
+    struct = (cov + C3) / (sd_a * sd_b + C3)
+    return float((lum * con * struct).mean())

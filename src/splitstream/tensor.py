@@ -45,7 +45,10 @@ class Tensor:
 
     Tensors are immutable once produced by an op; optimizers update
     parameter tensors in place through their `data` buffer, which is the
-    only sanctioned mutation.
+    only sanctioned mutation. An optimizer rebinds each parameter's `data`
+    once, at construction, to a same-shape view of its own flat buffer; code
+    that holds a parameter reads `p.data` afresh rather than keeping an
+    earlier array.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")

@@ -183,6 +183,12 @@ class TestReport:
         assert all(s == pytest.approx(1.0) for s in rep.ssim)
         assert all(np.isinf(p) for p in rep.psnr)
 
+    def test_score_against_rejects_a_length_mismatch(self):
+        truth = RngState(641).uniform((3, 3, 32, 32))
+        rep = ReconstructionReport(method="x", recons=truth[:2].copy())
+        with pytest.raises(ValueError, match="2 reconstructions against 3"):
+            rep.score_against(truth)
+
     def test_summary_row(self):
         rep = ReconstructionReport(method="m", recons=np.zeros((1, 3, 8, 8)),
                                    psnr=[10.0], ssim=[0.5],

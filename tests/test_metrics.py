@@ -83,12 +83,35 @@ class TestSsim:
         assert ssim(a, 255.0 - a) < 0.0
 
     def test_matches_window_oracle(self, images):
+        # the vectorized windows reproduce the per-window formula bit for bit
         a, b = images
-        assert abs(ssim(a, b) - ssim_oracle(a, b)) < 1e-6
+        cases = [(a, b, 8, 4), (a, b, 5, 1)]
+        rng = np.random.default_rng(34)
+        for i in range(240):
+            win = (3, 5, 8, 12)[i % 4]
+            h, w = ((32, 32), (17, 23), (40, 36))[i // 4 % 3]
+            shape = (h, w) if i // 12 % 2 else (3, h, w)
+            if i // 24 % 2:  # integer-valued pixels
+                x = rng.integers(0, 256, shape).astype(np.float64)
+                y = rng.integers(0, 256, shape).astype(np.float64)
+            else:
+                x = rng.uniform(0, 255, shape)
+                y = np.clip(x + rng.normal(0, 25, shape), 0, 255)
+            cases.append((x, y, win, int(rng.integers(2, 7))))
+        for x, y, win, stride in cases:
+            oracle = ssim_oracle(x[None] if x.ndim == 2 else x,
+                                 y[None] if y.ndim == 2 else y, win, stride)
+            assert ssim(x, y, win, stride) == oracle, (x.shape, win, stride)
 
     def test_image_smaller_than_window(self):
         with pytest.raises(ValueError, match="window"):
             ssim(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
+
+    @pytest.mark.parametrize("win,stride", [(0, 4), (-2, 4), (8, 0), (8, -1)])
+    def test_nonpositive_window_or_stride(self, images, win, stride):
+        a, b = images
+        with pytest.raises(ValueError, match="stride"):
+            ssim(a, b, win, stride)
 
     def test_isometry_invariance(self, images):
         # flips map the window grid onto itself, so scores are unchanged

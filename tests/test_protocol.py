@@ -220,12 +220,15 @@ class TestRunSplitTraining:
     def test_classic_scratch_encoder_actually_trains(self):
         world = build_world("none", cond_encoder="scratch")
         cfg = make_cfg(mode="classic", iterations=6)
-        before = None
+        server_before = param_fingerprint(world.branch.server_parameters())
+        enc_before = param_fingerprint(world.branch.condition_encoder.named_parameters())
         res = run_split_training(world, cfg)
         client = res.clients[0]
         assert client.trainable
-        # optimizer stepped: moments allocated and step count advanced
         assert client.opt.step_count == 6
+        # the updates reached the tensors the models compute with
+        assert param_fingerprint(client.cond_encoder.named_parameters()) != enc_before
+        assert param_fingerprint(world.branch.server_parameters()) != server_before
 
     def test_gradient_free_requires_pretrained_encoder(self):
         world = build_world("none", cond_encoder="scratch")
