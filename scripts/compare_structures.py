@@ -1,8 +1,9 @@
 """Classic vs gradient-free structure comparison: bytes on the wire and the
 simulated time model, at matched tensors and iteration counts.
 
-`t_seq`/`t_pipe` are SimClock model totals in clock units, not
-measurements; `wall` is the measured wall time of each training session.
+Each session records only the bytes it sent; `t_seq`/`t_pipe` apply one
+SimClock model to those bytes when the ledger is reported, in clock units,
+not measurements. `wall` is the measured wall time of each training session.
 
 Usage: python scripts/compare_structures.py [iterations]
 """
@@ -33,10 +34,8 @@ def main():
         cfg.validate()
         data, ae, alpha = prepare(cfg)
         world = build_world(cfg, defense, ae, data, alpha)
-        pcfg = protocol_config(cfg)
-        pcfg.clock = clock
         t0 = time.perf_counter()
-        res = run_split_training(world, pcfg)
+        res = run_split_training(world, protocol_config(cfg))
         wall = time.perf_counter() - t0
         ledgers[mode] = res.ledger
         d = res.ledger.to_dict(clock)

@@ -22,6 +22,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _at_least(section: str, obj, **minimums) -> None:
+    for name, low in minimums.items():
+        value = getattr(obj, name)
+        if value < low:
+            raise ConfigError(f"needs [{section}] {name} >= {low}, got {value}")
+
+
 @dataclass
 class DatasetConfig:
     n_train: int = 256
@@ -62,6 +69,17 @@ class ProtocolSection:
     t_client: float = 1.0
     t_server: float = 1.0
     rate: float = 1e6
+
+    def validate(self) -> None:
+        if self.mode not in ("classic", "gradient_free"):
+            raise ConfigError(f"unknown protocol mode {self.mode!r}")
+        if self.condition_encoder not in ("pretrained", "scratch"):
+            raise ConfigError(f"unknown condition encoder {self.condition_encoder!r}")
+        if self.transport not in ("in_process", "tcp"):
+            raise ConfigError(f"unknown transport {self.transport!r}")
+        _at_least("protocol", self, clients=1, batch=1, iterations=0)
+        if not self.rate > 0:  # the clock model divides by it once the run is over
+            raise ConfigError(f"needs [protocol] rate > 0, got {self.rate}")
 
 
 @dataclass
@@ -122,49 +140,48 @@ class ExperimentConfig:
         for m in self.attacks.methods:
             if m not in ATTACK_METHODS:
                 raise ConfigError(f"unknown attack method {m!r}")
-        if self.protocol.mode not in ("classic", "gradient_free"):
-            raise ConfigError(f"unknown protocol mode {self.protocol.mode!r}")
-        if self.protocol.condition_encoder not in ("pretrained", "scratch"):
-            raise ConfigError(f"unknown condition encoder {self.protocol.condition_encoder!r}")
-        if self.protocol.transport not in ("in_process", "tcp"):
-            raise ConfigError(f"unknown transport {self.protocol.transport!r}")
+        self.protocol.validate()
+        # sizes below these fail only later: in data synthesis, a batch loop or a reshape
+        _at_least("dataset", self.dataset, n_public=1, n_private=1)
+        _at_least("pretrain", self.pretrain, ae_epochs=0, ae_batch=1)
+        _at_least("attacks", self.attacks, inverse_iters=1, inverse_batch=1, whitebox_iters=0,
+                  unsplit_outer=0, unsplit_inner_x=0, unsplit_inner_theta=0)
         p = self.protocol
-        if p.clients < 1 or p.batch < 1 or p.iterations < 0:
-            raise ConfigError(f"[protocol] needs clients >= 1, batch >= 1 and iterations >= 0, "
-                              f"got {p.clients}, {p.batch} and {p.iterations}")
         if p.clients > self.dataset.n_train:
             raise ConfigError(f"[protocol] clients = {p.clients} is more than [dataset] "
                               f"n_train = {self.dataset.n_train}: a client would hold no data")
         return self
 
 
-_SECTION_MAP = {
-    "dataset": ("dataset", DatasetConfig),
-    "schedule": ("schedule", ScheduleConfig),
-    "privacy": ("privacy", PrivacyConfig),
-    "defense": ("defense", DefenseConfig),
-    "protocol": ("protocol", ProtocolSection),
-    "pretrain": ("pretrain", PretrainConfig),
-    "attacks": ("attacks", AttackConfig),
-}
+_SECTIONS = ("dataset", "schedule", "privacy", "defense", "protocol", "pretrain", "attacks")
+_EXPERIMENT_KEYS = {"seed": "int", "out_dir": "str"}
 
 # INI keys that differ from the dataclass field name
 _KEY_ALIASES = {"lambda": "lam"}
 
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "float | None": (float, "a number")}
 
-def _coerce(raw: str, ftype, key: str):
+
+def _coerce(raw: str, ftype: str, where: str):
+    """`raw` as the declared (string) annotation `ftype`; `where` names the
+    key, `[section] key`, in every error."""
     raw = raw.strip()
     if raw == "":
-        return None
-    if ftype in (float, "float", "float | None"):
-        return float(raw)
-    if ftype in (int, "int"):
-        return int(raw)
-    if ftype in (str, "str"):
+        if ftype == "float | None":
+            return None
+        raise ConfigError(f"{where} is empty")
+    if ftype == "str":
         return raw
     if ftype == "list[str]":
         return [tok.strip() for tok in raw.split(",") if tok.strip()]
-    raise ConfigError(f"cannot coerce key {key!r} of declared type {ftype!r}")
+    if ftype not in _NUMBERS:
+        raise ConfigError(f"cannot coerce {where} of declared type {ftype!r}")
+    kind, noun = _NUMBERS[ftype]
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{where} = {raw!r} is not {noun}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -176,27 +193,20 @@ def load_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section == "experiment":
-            for key, raw in parser.items(section):
-                if key == "seed":
-                    cfg.seed = int(raw)
-                elif key == "out_dir":
-                    cfg.out_dir = raw.strip()
-                else:
-                    raise ConfigError(f"unknown key [experiment] {key!r}")
-            continue
-        if section not in _SECTION_MAP:
+            target, ftypes = cfg, _EXPERIMENT_KEYS
+        elif section in _SECTIONS:
+            target = getattr(cfg, section)
+            ftypes = {f.name: f.type for f in fields(target)}
+        else:
             raise ConfigError(f"unknown config section [{section}]")
-        attr, cls = _SECTION_MAP[section]
-        target = getattr(cfg, attr)
-        ftypes = {f.name: f.type for f in fields(cls)}
         for key, raw in parser.items(section):
             name = _KEY_ALIASES.get(key, key)
             if name not in ftypes:
                 raise ConfigError(f"unknown key [{section}] {key!r}")
-            setattr(target, name, _coerce(raw, ftypes[name], key))
+            setattr(target, name, _coerce(raw, ftypes[name], f"[{section}] {key}"))
     env_seed = os.environ.get("SPLITSTREAM_SEED")
     if env_seed:
-        cfg.seed = int(env_seed)
+        cfg.seed = _coerce(env_seed, "int", "SPLITSTREAM_SEED")
     return cfg.validate()
 
 

@@ -109,14 +109,13 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
 
 
 def protocol_config(cfg: ExperimentConfig, capture_path=None) -> ProtocolConfig:
+    return ProtocolConfig(**vars(cfg.protocol), seed=cfg.seed, capture_path=capture_path)
+
+
+def sim_clock(cfg: ExperimentConfig) -> SimClock:
+    """The time model `[protocol]` declares, for reporting a ledger."""
     p = cfg.protocol
-    return ProtocolConfig(
-        mode=p.mode, clients=p.clients, iterations=p.iterations, batch=p.batch,
-        seed=cfg.seed, transport=p.transport,
-        server_lr=p.server_lr, client_lr=p.client_lr, weight_decay=p.weight_decay,
-        capture_path=capture_path,
-        clock=SimClock(t_client=p.t_client, t_server=p.t_server, rate=p.rate),
-    )
+    return SimClock(t_client=p.t_client, t_server=p.t_server, rate=p.rate)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                            epsilon_fn=lambda t: epsilon_for_timestep(
                                t, world.sched, cfg.privacy.delta, alpha))
     metrics.append({"kind": "calibration", "alpha_used": alpha,
-                    "alpha_estimated": _estimated_alpha(cfg, ae, data),
+                    "alpha_estimated": (alpha if cfg.privacy.alpha is None
+                                        else _estimated_alpha(cfg, ae, data)),
                     "delta": cfg.privacy.delta, "t_s": world.privacy.t_s,
                     "epsilon_at_t_s": world.privacy.epsilon})
 
@@ -357,9 +357,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         result = run_split_training(world, pcfg)
         frozen_after = param_fingerprint({**world.unet.named_parameters("unet."),
                                           **world.autoencoder.named_parameters("ae.")})
+        ledger = result.ledger.to_dict(sim_clock(cfg))
         with open(out_dir / "ledger.json", "w") as f:
-            json.dump(result.ledger.to_dict(pcfg.clock), f, indent=2, sort_keys=True)
-        metrics.append({"kind": "ledger", **result.ledger.to_dict(pcfg.clock)})
+            json.dump(ledger, f, indent=2, sort_keys=True)
+        metrics.append({"kind": "ledger", **ledger})
         metrics.append({"kind": "training", "mode": cfg.protocol.mode,
                         "defense": cfg.defense.kind,
                         "iterations": cfg.protocol.iterations,

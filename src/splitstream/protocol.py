@@ -17,10 +17,11 @@ ready one, counts and captures each uplink frame, trains on it and sends
 any reply back down the connection whose HELLO named that client. The
 session ends when every client has sent DONE, so the byte ledger measures
 exactly what a real deployment would send.
-The clock model is simulated: per-iteration client/server compute costs
-plus transfer time at a configured rate, from which the ledger derives
-both the sequential total (sum of stages) and the pipelined total
-(makespan of the client/link/server pipeline).
+A session records only measured bytes, one ledger sample per uplink
+frame. Time is a model the caller applies when it reports the ledger: a
+`SimClock`'s per-iteration client/server costs and link rate give the
+sequential total (sum of stages) and the pipelined total (makespan of the
+client/link/server pipeline).
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import selectors
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tt
+from .config import ProtocolSection
 from .defenses import DefenseConfig, postprocess_features, preprocess_batch
 from .diffusion import NoiseSchedule, forward_diffuse, training_loss
 from .models import (ControlBranch, NoiseConfoundingActivation, PromptEncoder,
@@ -63,8 +65,6 @@ class SimClock:
 @dataclass
 class IterationSample:
     client_id: int
-    t_client: float
-    t_server: float
     bytes_up: int  # framed
     bytes_down: int  # framed; 0 when nothing went back down
     payload_up: int = 0  # tensor bytes inside the frame
@@ -105,7 +105,7 @@ class TransmissionLedger:
     def t_total_sequential(self, clock: SimClock) -> float:
         """Lock-step total: every stage of every iteration strictly in series."""
         return sum(
-            s.t_client + s.t_server + (s.bytes_up + s.bytes_down) / clock.rate
+            clock.t_client + clock.t_server + (s.bytes_up + s.bytes_down) / clock.rate
             for s in self.samples
         )
 
@@ -116,14 +116,14 @@ class TransmissionLedger:
         for s in self.samples:
             k = per_client.get(s.client_id, 0) + 1
             per_client[s.client_id] = k
-            ready.append((k * s.t_client, s))
+            ready.append((k * clock.t_client, s))
         ready.sort(key=lambda r: (r[0], r[1].client_id))
         link_free = 0.0
         server_free = 0.0
         for r, s in ready:
             link_done = max(link_free, r) + s.bytes_up / clock.rate
             link_free = link_done
-            server_free = max(server_free, link_done) + s.t_server
+            server_free = max(server_free, link_done) + clock.t_server
         return server_free
 
     def to_dict(self, clock: SimClock) -> dict:
@@ -166,26 +166,12 @@ class SplitWorld:
 
 
 @dataclass
-class ProtocolConfig:
-    mode: str = "gradient_free"  # | "classic"
-    clients: int = 1
-    iterations: int = 100  # per client
-    batch: int = 4
-    seed: int = 0
-    transport: str = "in_process"  # | "tcp"
-    server_lr: float = 1e-3
-    client_lr: float = 1e-3
-    weight_decay: float = 0.0
-    capture_path: str | None = None
-    clock: SimClock = field(default_factory=SimClock)
+class ProtocolConfig(ProtocolSection):
+    """The `[protocol]` section as declared, defaults included (500
+    iterations per client), plus the client RNGs' seed and the capture file."""
 
-    def validate(self):
-        if self.mode not in ("classic", "gradient_free"):
-            raise ValueError(f"mode must be classic|gradient_free, got {self.mode!r}")
-        if self.transport not in ("in_process", "tcp"):
-            raise ValueError(f"transport must be in_process|tcp, got {self.transport!r}")
-        if self.clients < 1 or self.iterations < 0 or self.batch < 1:
-            raise ValueError("clients/iterations/batch out of range")
+    seed: int = 0
+    capture_path: str | None = None
 
 
 @dataclass
@@ -411,8 +397,7 @@ def _serve(server: ServerWorker, cfg: ProtocolConfig, conns: list[socket.socket]
                 if capture is not None:
                     capture.write(frame)
                 _, gpkt = server.train_step(msg)
-                sample = IterationSample(client_id=msg.client_id, t_client=cfg.clock.t_client,
-                                         t_server=cfg.clock.t_server, bytes_up=len(frame),
+                sample = IterationSample(client_id=msg.client_id, bytes_up=len(frame),
                                          bytes_down=0, payload_up=tensor_payload_bytes(msg))
                 if gpkt is not None:
                     framed = frame_message(gpkt)

@@ -3,6 +3,7 @@ hooks, edge cases."""
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +94,29 @@ class TestConfig:
             p.write_text(text)
             with pytest.raises(ConfigError):
                 load_config(p)
+        # malformed and empty values, and sizes that could only fail later (some after
+        # a whole training run): each error names its [section] key
+        for section, line in (("protocol", "batch = four"), ("experiment", "seed = x"),
+                              ("privacy", "alpha = 0.1.6"), ("protocol", "batch ="),
+                              ("pretrain", "ae_lr ="), ("dataset", "n_public = 0"),
+                              ("dataset", "n_private = 0"), ("pretrain", "ae_batch = 0"),
+                              ("pretrain", "ae_epochs = -1"), ("attacks", "inverse_batch = 0"),
+                              ("attacks", "inverse_iters = 0"), ("attacks", "whitebox_iters = -1"),
+                              ("attacks", "unsplit_outer = -1"),
+                              ("attacks", "unsplit_inner_x = -1"),
+                              ("attacks", "unsplit_inner_theta = -1"),
+                              ("protocol", "rate = 0")):
+            p.write_text(f"[{section}]\n{line}\n")
+            key = line.partition("=")[0].strip()
+            with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+                load_config(p)
         p.write_text("[defense]\nkind = mixup\n[protocol]\nbatch = 4\n")
         assert load_config(p).defense.kind == "mixup"
         p.write_text("[dataset]\nn_train = 32\n[protocol]\nclients = 32\niterations = 0\n")
         assert load_config(p).protocol.clients == 32
+        # an empty value means "estimate" for the optional floats only
+        p.write_text("[privacy]\nalpha =\nclip_norm =\nepsilon =\n")
+        assert load_config(p).privacy.alpha is None
 
     def test_config_to_dict_roundtrips_fields(self):
         d = config_to_dict(ExperimentConfig())
@@ -252,3 +272,7 @@ class TestRunExperiment:
                     "t_total_sequential", "t_total_pipelined"):
             assert key in ledger
         assert ledger["payload_bytes_down"] == 0  # gradient-free run
+        # the bytes and both model totals this run has always written
+        assert ledger == {"bytes_down": 0, "bytes_up": 24904, "packets": 4,
+                          "payload_bytes_down": 0, "payload_bytes_up": 24576,
+                          "t_total_pipelined": 5.006226, "t_total_sequential": 8.024904}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from splitstream import protocol as pr
+from splitstream.config import ConfigError
 from splitstream.defenses import DefenseConfig
 from splitstream.diffusion import make_linear_schedule
 from splitstream.models import (ControlBranch, NoiseConfoundingActivation,
@@ -183,7 +184,7 @@ class TestLedger:
         clock = SimClock(t_client=2.0, t_server=3.0, rate=1000.0)
         ledger = TransmissionLedger()
         for _ in range(30):
-            ledger.samples.append(IterationSample(0, 2.0, 3.0, 500, 0))
+            ledger.samples.append(IterationSample(0, 500, 0))
         seq = ledger.t_total_sequential(clock)
         pipe = ledger.t_total_pipelined(clock)
         assert abs(seq - 30 * (2 + 3 + 0.5)) < 1e-9
@@ -276,13 +277,32 @@ class TestRunSplitTraining:
     def test_time_model_both_structures(self):
         clock = SimClock(t_client=1.0, t_server=2.0, rate=1e5)
         world = build_world("ours_plus_plus", seed=31)
-        res = run_split_training(world, make_cfg(iterations=20, clock=clock))
+        res = run_split_training(world, make_cfg(iterations=20))
         led = res.ledger
-        t_c = sum(s.t_client for s in led.samples)
-        t_s = sum(s.t_server for s in led.samples)
+        t_c = len(led.samples) * clock.t_client
+        t_s = len(led.samples) * clock.t_server
         t_r = sum(s.bytes_up + s.bytes_down for s in led.samples) / clock.rate
         assert abs(led.t_total_sequential(clock) - (t_c + t_s + t_r)) / (t_c + t_s + t_r) < 0.2
         assert abs(led.t_total_pipelined(clock) - max(t_c, t_s, t_r)) / max(t_c, t_s, t_r) < 0.2
+
+    def test_time_totals_read_only_the_clock_given(self):
+        # the session records bytes; the time model is whatever clock the report applies
+        world = build_world("ours_plus_plus", seed=31)
+        led = run_split_training(world, make_cfg(iterations=6)).ledger
+        for clock in (SimClock(), SimClock(t_client=2.0, t_server=3.0, rate=1e3)):
+            want = sum(clock.t_client + clock.t_server + (s.bytes_up + s.bytes_down) / clock.rate
+                       for s in led.samples)
+            assert led.to_dict(clock)["t_total_sequential"] == want
+
+    @pytest.mark.parametrize("bad", [dict(mode="sideways"), dict(transport="udp"),
+                                     dict(clients=0), dict(batch=0), dict(iterations=-1)])
+    def test_bad_config_raises_config_error(self, bad):
+        world = build_world("none")
+        cfg = make_cfg(**bad)
+        with pytest.raises(ConfigError):
+            run_split_training(world, cfg)
+        with pytest.raises(ConfigError):
+            pr.run_client_role(world, cfg, 0, "127.0.0.1", 1)
 
     def test_ledger_dict_keys(self):
         world = build_world("none", seed=2)
