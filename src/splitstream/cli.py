@@ -92,7 +92,7 @@ def cmd_train(args):
     res = run_server_role(world, pcfg, host, port) if args.listen else run_split_training(world, pcfg)
     with open(out / "ledger.json", "w") as f:
         json.dump(res.ledger.to_dict(sim_clock(cfg)), f, indent=2, sort_keys=True)
-    save_checkpoint(out / "control_branch.tckp", world.branch.server_parameters())
+    save_checkpoint(out / "control_branch.tckp", world.branch.named_parameters())
     if args.listen:
         print(f"served {res.ledger.packets} packets from {cfg.protocol.clients} clients -> {out}")
         return

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
-from .data import CONDITION_KINDS
-from .defenses import BATCH_MIXING, KINDS as DEFENSE_KINDS, DefenseConfig
-from .diffusion import VARIANTS
+import numpy as np
+
+from .data import CONDITION_KINDS, IMAGE_HW
+from .defenses import BATCH_MIXING, KINDS as DEFENSE_KINDS, DefenseConfig, preprocess_batch
+from .diffusion import VARIANTS, ScheduleError, make_linear_schedule
+from .privacy import CalibrationError, PrivacyParams
+from .rng import RngState
 
 ATTACK_METHODS = ("inverse_net", "inverse_net_type1", "whitebox", "unsplit")
 
@@ -75,6 +79,9 @@ class ProtocolSection:
             raise ConfigError(f"unknown protocol mode {self.mode!r}")
         if self.condition_encoder not in ("pretrained", "scratch"):
             raise ConfigError(f"unknown condition encoder {self.condition_encoder!r}")
+        if self.condition_encoder == "scratch" and self.mode == "gradient_free":
+            raise ConfigError("[protocol] condition_encoder = scratch needs mode = classic: "
+                              "a gradient-free client has no gradients to train it with")
         if self.transport not in ("in_process", "tcp"):
             raise ConfigError(f"unknown transport {self.transport!r}")
         _at_least("protocol", self, clients=1, batch=1, iterations=0)
@@ -128,9 +135,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown forward variant {self.schedule.variant!r}")
         if self.defense.kind not in DEFENSE_KINDS:
             raise ConfigError(f"unknown defense kind {self.defense.kind!r}")
-        if self.defense.kind == "mixup" and self.protocol.batch < self.defense.mix_count:
-            raise ConfigError(f"mixup averages mix_count = {self.defense.mix_count} samples, "
-                              f"more than [protocol] batch = {self.protocol.batch}")
         for kind in self.attacks.defenses:
             if kind not in DEFENSE_KINDS:
                 raise ConfigError(f"unknown attack-arm defense {kind!r}")
@@ -150,14 +154,46 @@ class ExperimentConfig:
         if p.clients > self.dataset.n_train:
             raise ConfigError(f"[protocol] clients = {p.clients} is more than [dataset] "
                               f"n_train = {self.dataset.n_train}: a client would hold no data")
+        self._check_with_owners()
         return self
 
+    def _check_with_owners(self) -> None:
+        """Values that would fail only once the world is built or the clients
+        run, put through the checks of the code that uses them."""
+        s, pv, d = self.schedule, self.privacy, self.defense
+        kinds = [d.kind, *(self.attacks.defenses if self.attacks.methods else ())]
+        # with [privacy] epsilon the floor comes from the budget, once alpha is known
+        floor = 1 if pv.epsilon is not None else max(
+            replace(d, kind=k).timestep_floor for k in kinds)
+        # an empty alpha is estimated after pretraining; a positive stand-in checks the rest
+        alpha = 1.0 if pv.alpha is None else pv.alpha
+        try:
+            sched = make_linear_schedule(s.T, s.k, s.beta0, s.lam)
+            PrivacyParams.from_ts(sched, pv.delta, alpha, floor, pv.t_max)
+        except (ScheduleError, CalibrationError) as exc:
+            raise ConfigError(f"{_OWNER_KEYS[exc.param]}: {exc}") from None
+        blank = np.zeros((self.protocol.batch, 3, IMAGE_HW, IMAGE_HW), np.float32)
+        try:
+            preprocess_batch(blank, blank, d, RngState(0))
+        except ValueError as exc:
+            key = _DEFENSE_KEYS[d.kind]
+            raise ConfigError(f"[defense] {key} = {getattr(d, key)} for kind = {d.kind} at "
+                              f"[protocol] batch = {self.protocol.batch}: {exc}") from None
 
-_SECTIONS = ("dataset", "schedule", "privacy", "defense", "protocol", "pretrain", "attacks")
+
 _EXPERIMENT_KEYS = {"seed": "int", "out_dir": "str"}
+_SECTIONS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _EXPERIMENT_KEYS)
 
 # INI keys that differ from the dataclass field name
 _KEY_ALIASES = {"lambda": "lam"}
+
+# the key behind each argument the schedule and calibration checks name
+_OWNER_KEYS = {"T": "[schedule] T", "k": "[schedule] k", "beta0": "[schedule] beta0",
+               "lam": "[schedule] lambda", "delta": "[privacy] delta",
+               "alpha_sens": "[privacy] alpha", "t_max": "[privacy] t_max",
+               "t_s": "[defense] t_s"}
+# the key each raw-data defense kind reads
+_DEFENSE_KEYS = {"add_raw": "sigma2", "mixup": "mix_count", "patch_shuffle": "patch"}
 
 _NUMBERS = {"int": (int, "an integer"), "float": (float, "a number"),
             "float | None": (float, "a number")}
@@ -211,17 +247,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    def section(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-    return {
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "dataset": section(cfg.dataset),
-        "schedule": section(cfg.schedule),
-        "privacy": section(cfg.privacy),
-        "defense": section(cfg.defense),
-        "protocol": section(cfg.protocol),
-        "pretrain": section(cfg.pretrain),
-        "attacks": section(cfg.attacks),
-    }
+    return asdict(cfg)

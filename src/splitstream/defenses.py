@@ -78,8 +78,8 @@ def mixup_indices(batch_size: int, rng: RngState) -> np.ndarray:
 
 def mixup_apply(batch: np.ndarray, perm: np.ndarray, mix_count: int) -> np.ndarray:
     b = batch.shape[0]
-    if b < mix_count:
-        raise ValueError(f"mixup needs batch >= {mix_count}, got {b}")
+    if not 1 <= mix_count <= b:
+        raise ValueError(f"mixup averages 1 to batch = {b} samples, not mix_count = {mix_count}")
     out = np.zeros_like(batch)
     w = np.float32(1.0 / mix_count)
     for j in range(mix_count):
@@ -88,7 +88,7 @@ def mixup_apply(batch: np.ndarray, perm: np.ndarray, mix_count: int) -> np.ndarr
 
 
 def patch_shuffle_perms(batch_size: int, h: int, w: int, patch: int, rng: RngState) -> np.ndarray:
-    if h % patch or w % patch:
+    if patch < 1 or h % patch or w % patch:
         raise ValueError(f"spatial dims {h}x{w} not divisible by patch {patch}")
     th, tw = h // patch, w // patch
     perms = np.empty((th, tw, batch_size), dtype=np.int64)

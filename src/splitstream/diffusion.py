@@ -26,7 +26,11 @@ VARIANTS = ("per_step", "cumulative")
 
 
 class ScheduleError(ValueError):
-    pass
+    """A schedule argument out of range; `param` names the argument at fault."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 @dataclass(frozen=True)
@@ -49,26 +53,26 @@ class NoiseSchedule:
             return float(self.alpha[t])
         raise ValueError(f"unknown variant {variant!r}")
 
-    def check_t(self, t: int) -> int:
+    def check_t(self, t: int, param: str = "t") -> int:
         t = int(t)
         if not 0 <= t <= self.T:
-            raise ScheduleError(f"timestep {t} outside [0, {self.T}]")
+            raise ScheduleError(f"timestep {t} outside [0, {self.T}]", param)
         return t
 
 
 def make_linear_schedule(T: int, k: float, beta0: float, lam: float = 0.0) -> NoiseSchedule:
     if T < 1:
-        raise ScheduleError(f"T must be >= 1, got {T}")
+        raise ScheduleError(f"T must be >= 1, got {T}", "T")
     if beta0 <= 0:
-        raise ScheduleError(f"beta0 must be > 0, got {beta0}")
+        raise ScheduleError(f"beta0 must be > 0, got {beta0}", "beta0")
     if k < 0:
-        raise ScheduleError(f"slope k must be >= 0, got {k}")
+        raise ScheduleError(f"slope k must be >= 0, got {k}", "k")
     if lam < 0:
-        raise ScheduleError(f"noise coefficient must be >= 0, got {lam}")
+        raise ScheduleError(f"noise coefficient must be >= 0, got {lam}", "lam")
     t = np.arange(T + 1, dtype=np.float64)
     beta = k * t + beta0
     if beta[-1] >= 1.0:
-        raise ScheduleError(f"schedule leaves (0,1): beta[{T}] = {beta[-1]:.6g}")
+        raise ScheduleError(f"schedule leaves (0,1): beta[{T}] = {beta[-1]:.6g}", "k")
     alpha = 1.0 - beta
     # abar_0 := 1; the cumulative product starts at t = 1
     alpha_bar = np.empty(T + 1, dtype=np.float64)

@@ -89,11 +89,11 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
                                     defense.timestep_floor, cfg.privacy.t_max)
     unet = ToyUNet(rng.split("unet"))
     unet.freeze()
-    if cfg.protocol.condition_encoder == "scratch" and cfg.protocol.mode == "classic":
+    if cfg.protocol.condition_encoder == "scratch":
         cond_encoder = CondEncoder(rng.split("cond-encoder"), cfg.pretrain.ae_dropout)
     else:
-        cond_encoder = ae
-    branch = ControlBranch(unet, cond_encoder, rng.split("branch"))
+        cond_encoder = ae.E
+    branch = ControlBranch(unet)
     pe = PromptEncoder(dtt.VOCAB, rng.split("prompt-encoder"))
     act = NoiseConfoundingActivation.create(rng.split("confound")) if defense.uses_confound else None
     if defense.hides_prompt:
@@ -104,8 +104,8 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
     for c in range(cfg.protocol.clients):
         sl = slice(c * per, (c + 1) * per)
         datasets.append(ClientDataset(images[sl], conds[sl], prompts[sl]))
-    return SplitWorld(sched, cfg.schedule.variant, privacy, defense, pe, ae, unet,
-                      branch, act, datasets)
+    return SplitWorld(sched, cfg.schedule.variant, privacy, defense, pe, ae, cond_encoder,
+                      unet, branch, act, datasets)
 
 
 def protocol_config(cfg: ExperimentConfig, capture_path=None) -> ProtocolConfig:
@@ -143,7 +143,7 @@ def generate_eval_packets(world: SplitWorld, data: DataBundle, seed: int) -> Eva
     packets, zts = [], []
     for i in range(len(images)):
         pkt, f = client_packet(world, images[i : i + 1], conds[i : i + 1], [prompts[i]], t,
-                               drop, noise, defense, world.branch.encode_condition, iteration=i)
+                               drop, noise, defense, world.cond_encoder, iteration=i)
         packets.append(pkt)
         zts.append(f.zt[0])
     return EvalCapture(packets=packets, zt=np.stack(zts), t=t,
@@ -174,7 +174,7 @@ def attacker_view_features(world: SplitWorld, images, conds, prompts, t: int,
     """
     f = client_features(world, images, conds, prompts, t,
                         RngState(seed).split("atk-dropout"), RngState(seed).split("atk-noise"),
-                        world.autoencoder.encode, _guess_act(world))
+                        world.autoencoder.E, _guess_act(world))
     return np.concatenate([f.s.data, f.h1, f.n_hat], axis=1)
 
 
@@ -232,7 +232,7 @@ def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
             RngState(cfg.seed + i).split("whitebox"),
         )
         diverged = diverged or rep.diverged
-        recons.append(world.autoencoder.decode(Tensor(rep.recons)).data[0])
+        recons.append(world.autoencoder.D(Tensor(rep.recons)).data[0])
     report = ReconstructionReport(
         method="whitebox", recons=np.stack(recons),
         attack_config={"iters": cfg.attacks.whitebox_iters, "lr": cfg.attacks.whitebox_lr,
@@ -311,8 +311,8 @@ def _estimated_alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:
     """Max pairwise distance over the first 128 training latents (eval
     mode: no dropout, so the RNG is never drawn from)."""
     images = data.train[0][:128]
-    latents = ae.encode(Tensor(images), RngState(cfg.seed).split("sensitivity"),
-                        training=False).data
+    latents = ae.E(Tensor(images), RngState(cfg.seed).split("sensitivity"),
+                   training=False).data
     return estimate_sensitivity(list(latents), clip_norm=cfg.privacy.clip_norm)
 
 
@@ -366,7 +366,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                         "iterations": cfg.protocol.iterations,
                         "losses": result.loss_history,
                         "frozen_unchanged": frozen_before == frozen_after})
-        save_checkpoint(out_dir / "control_branch.tckp", world.branch.server_parameters())
+        save_checkpoint(out_dir / "control_branch.tckp", world.branch.named_parameters())
         _write_model_manifest(out_dir / "model_manifest.txt", world)
         if world.act is not None:
             secret_dir = out_dir / "client_secret"
@@ -419,7 +419,7 @@ def _write_model_manifest(path: Path, world: SplitWorld) -> None:
     groups = [
         ("autoencoder", world.autoencoder.named_parameters(), True),
         ("unet", world.unet.named_parameters(), True),
-        ("control_branch", world.branch.server_parameters(), False),
+        ("control_branch", world.branch.named_parameters(), False),
     ]
     for name, params, frozen in groups:
         for pname, p in sorted(params.items()):

@@ -5,14 +5,17 @@ Topology (images 3x32x32, latents 4x8x8):
     autoencoder   E: image -> latent (dropout in the encoder), D: latent -> image
     denoiser      enc_block_1 -> enc_block_2 -> mid -> dec_block_2 -> dec_block_1,
                   decoder blocks consume jump connections from their encoder twins
-    control       condition encoder + copies of (enc_block_1, enc_block_2, mid),
-                  each copy's output projected by a zero-initialized 1x1 conv and
-                  added to the corresponding jump connection / mid output
+    condition     CondEncoder: condition image -> latent, on the client (the
+                  frozen autoencoder E, or a scratch encoder the client trains)
+    control       copies of (enc_block_1, enc_block_2, mid), each copy's output
+                  projected by a zero-initialized 1x1 conv and added to the
+                  corresponding jump connection / mid output
 
 The cut between client and server falls right after the denoiser's
 enc_block_1 and after the condition encoder: the client ships the block-1
 activation and the (optionally noise-confounded) sum of noisy latent and
-encoded condition; every block downstream runs on the server.
+encoded condition; every block downstream, the whole control branch
+included, runs on the server.
 """
 
 from __future__ import annotations
@@ -208,14 +211,6 @@ class ToyAutoencoder(Module):
         self.D = Decoder(rng.split("decoder"))
         self.pretrain_losses: list[float] = []
 
-    def encode(self, img, rng: RngState, training: bool = True) -> Tensor:
-        x = img if isinstance(img, Tensor) else Tensor(img)
-        return self.E(x, rng, training)
-
-    def decode(self, z) -> Tensor:
-        x = z if isinstance(z, Tensor) else Tensor(z)
-        return self.D(x)
-
 
 def pretrain_autoencoder(images: np.ndarray, epochs: int, rng: RngState,
                          lr: float = 1e-3, batch: int = 8, dropout_p: float = 0.1) -> ToyAutoencoder:
@@ -232,7 +227,7 @@ def pretrain_autoencoder(images: np.ndarray, epochs: int, rng: RngState,
             for start in range(0, len(images), batch):
                 idx = order[start : start + batch]
                 x = Tensor(images[idx])
-                recon = ae.decode(ae.encode(x, drop_rng, training=True))
+                recon = ae.D(ae.E(x, drop_rng, training=True))
                 loss = tt.mse(recon, x)
                 if not np.isfinite(loss.data):
                     raise FloatingPointError("autoencoder pretraining diverged (NaN loss)")
@@ -292,10 +287,10 @@ def unet_denoise(zt, t: int, prompt_feat, control_taps, model: ToyUNet) -> Tenso
 
 
 class ControlBranch(Module):
-    """Trainable twin of the denoiser's encoder half plus zero convolutions."""
+    """Trainable twin of the denoiser's encoder half plus zero convolutions:
+    every parameter is the server's, in checkpoint order."""
 
-    def __init__(self, unet: ToyUNet, condition_encoder, rng: RngState):
-        self.condition_encoder = condition_encoder
+    def __init__(self, unet: ToyUNet):
         self.enc_block_1 = unet.enc_block_1.clone()
         self.enc_block_2 = unet.enc_block_2.clone()
         self.mid = unet.mid.clone()
@@ -303,22 +298,12 @@ class ControlBranch(Module):
         self.zero_conv_2 = Conv(64, 64, 1, None, zero_init=True)
         self.zero_conv_mid = Conv(64, 64, 1, None, zero_init=True)
 
-    def encode_condition(self, cond: Tensor, rng: RngState, training: bool = True) -> Tensor:
-        if isinstance(self.condition_encoder, ToyAutoencoder):
-            return self.condition_encoder.encode(cond, rng, training)
-        return self.condition_encoder(cond, rng, training)
-
     def server_forward(self, s: Tensor, t: int, prompt) -> list[Tensor]:
         """Run the copied encoders on the partition feature; return projected taps."""
         c1 = self.enc_block_1(s, t, prompt)
         c2 = self.enc_block_2(c1, t, prompt)
         cm = self.mid(c2, t, prompt)
         return [self.zero_conv_1(c1), self.zero_conv_2(c2), self.zero_conv_mid(cm)]
-
-    def server_parameters(self) -> dict[str, Tensor]:
-        """The server-side trainables (condition encoder excluded)."""
-        return {k: v for k, v in self.named_parameters().items()
-                if not k.startswith("condition_encoder.")}
 
 
 @dataclass

@@ -25,15 +25,20 @@ from .tensor import Tensor
 
 
 class CalibrationError(ValueError):
-    pass
+    """A calibration argument out of range; `param` names the argument at
+    fault, when one is."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 def hyperparameter(delta: float, alpha_sens: float) -> float:
     """H = 2 ln(1.25/delta) alpha^2, the variance scale of the mechanism."""
     if not 0.0 < delta < 1.0:
-        raise CalibrationError(f"delta must be in (0,1), got {delta}")
+        raise CalibrationError(f"delta must be in (0,1), got {delta}", "delta")
     if alpha_sens <= 0:
-        raise CalibrationError(f"sensitivity must be > 0, got {alpha_sens}")
+        raise CalibrationError(f"sensitivity must be > 0, got {alpha_sens}", "alpha_sens")
     return 2.0 * math.log(1.25 / delta) * alpha_sens * alpha_sens
 
 
@@ -100,14 +105,14 @@ class PrivacyParams:
         if self.H != expected:
             raise CalibrationError(f"inconsistent H: stored {self.H!r}, derived {expected!r}")
         if not 0 <= self.t_s <= self.t_max:
-            raise CalibrationError(f"invalid timestep range [{self.t_s}, {self.t_max}]")
+            raise CalibrationError(f"invalid timestep range [{self.t_s}, {self.t_max}]", "t_max")
 
     @classmethod
     def from_ts(cls, sched: NoiseSchedule, delta: float, alpha_sens: float,
                 t_s: int, t_max: int | None = None) -> "PrivacyParams":
-        t_max = sched.T if t_max is None else t_max
+        t_max = sched.T if t_max is None else sched.check_t(t_max, "t_max")
         return cls(
-            epsilon=epsilon_for_timestep(t_s, sched, delta, alpha_sens),
+            epsilon=epsilon_for_timestep(sched.check_t(t_s, "t_s"), sched, delta, alpha_sens),
             delta=delta, alpha_sens=alpha_sens,
             H=hyperparameter(delta, alpha_sens), t_s=int(t_s), t_max=int(t_max),
         )

@@ -39,7 +39,7 @@ from . import tensor as tt
 from .config import ProtocolSection
 from .defenses import DefenseConfig, postprocess_features, preprocess_batch
 from .diffusion import NoiseSchedule, forward_diffuse, training_loss
-from .models import (ControlBranch, NoiseConfoundingActivation, PromptEncoder,
+from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation, PromptEncoder,
                      ToyAutoencoder, ToyUNet, noise_confound)
 from .optim import AdamW
 from .privacy import PrivacyParams, sample_private_timestep
@@ -151,7 +151,12 @@ class ClientDataset:
 
 @dataclass
 class SplitWorld:
-    """Everything both parties hold before the partition is enforced."""
+    """Everything both parties hold before the partition is enforced.
+
+    The client's condition encoder is `cond_encoder`: the frozen pretrained
+    `autoencoder.E`, or a scratch encoder each classic client trains a copy
+    of. The control `branch` is the server's alone.
+    """
 
     sched: NoiseSchedule
     variant: str
@@ -159,6 +164,7 @@ class SplitWorld:
     defense: DefenseConfig
     prompt_encoder: PromptEncoder
     autoencoder: ToyAutoencoder
+    cond_encoder: CondEncoder
     unet: ToyUNet
     branch: ControlBranch
     act: NoiseConfoundingActivation | None
@@ -193,7 +199,7 @@ def client_features(world: SplitWorld, images, conds, prompts, t: int, drop: Rng
     `cond_encoder(x, rng, training)` is the condition encoder the caller
     runs; `drop` feeds dropout in both encoders and `noise` the diffusion.
     """
-    z0 = world.autoencoder.encode(Tensor(images), drop, training=True)
+    z0 = world.autoencoder.E(Tensor(images), drop, training=True)
     state = forward_diffuse(z0.data, t, world.sched, noise, world.variant)
     prompt_feat = world.prompt_encoder.encode(prompts)
     h1 = world.unet.encode_block1(Tensor(state.zt), t, Tensor(prompt_feat))
@@ -233,18 +239,16 @@ class ClientWorker:
         self.rng_noise = rng.split("noise")
         self.rng_drop = rng.split("dropout")
         self.rng_defense = rng.split("defense")
-        self.trainable = cfg.mode == "classic" and not isinstance(
-            world.branch.condition_encoder, ToyAutoencoder
-        )
+        self.trainable = cfg.mode == "classic" and not world.cond_encoder.frozen
         if self.trainable:
             # classic split learning: each client trains its own copy of the condition encoder
-            self.cond_encoder = world.branch.condition_encoder.clone()
+            self.cond_encoder = world.cond_encoder.clone()
             self.opt = AdamW(
                 list(self.cond_encoder.named_parameters().values()),
                 lr=cfg.client_lr, weight_decay=cfg.weight_decay,
             )
         else:
-            self.cond_encoder = world.autoencoder.encode  # the shared frozen encoder stands in
+            self.cond_encoder = world.cond_encoder  # frozen, shared by every client
             self.opt = None
         self._pending: Tensor | None = None
 
@@ -274,7 +278,7 @@ class ServerWorker:
         self.world = world
         self.cfg = cfg
         self.opt = AdamW(
-            list(world.branch.server_parameters().values()),
+            list(world.branch.named_parameters().values()),
             lr=cfg.server_lr, weight_decay=cfg.weight_decay,
         )
         self.loss_history: list[float] = []
@@ -318,8 +322,9 @@ class SplitResult:
 
 def _validate(world: SplitWorld, cfg: ProtocolConfig) -> None:
     cfg.validate()
-    if cfg.mode == "gradient_free" and not isinstance(world.branch.condition_encoder, ToyAutoencoder):
-        raise ValueError("gradient_free mode requires the pretrained encoder as condition encoder")
+    if cfg.mode == "gradient_free" and not world.cond_encoder.frozen:
+        raise ValueError("gradient_free mode requires a frozen condition encoder "
+                         "(the pretrained encoder)")
 
 
 # ---------------------------------------------------------------------------

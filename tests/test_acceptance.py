@@ -170,13 +170,13 @@ def test_criterion_06_zero_conv_neutrality():
     unet.freeze()
     ae = ToyAutoencoder(rng.split("ae"))
     ae.freeze()
-    branch = ControlBranch(unet, ae, rng.split("branch"))
+    branch = ControlBranch(unet)
     pe = PromptEncoder(["one", "red", "circle"], rng.split("pe"))
     for i in range(100):
         zt = rng.normal((1, 4, 8, 8))
         prompt = pe.encode([["one", "red"]])
         cond = rng.uniform((1, 3, 32, 32))
-        cf = branch.encode_condition(Tensor(cond), rng, training=False)
+        cf = ae.E(Tensor(cond), rng, training=False)
         taps = control_forward(zt, cf, int(rng.integers(1, 1000)), prompt, branch)
         uncond = unet_denoise(zt, 500, prompt, [], unet)
         cond_out = unet_denoise(zt, 500, prompt, taps, unet)

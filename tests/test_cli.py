@@ -241,6 +241,17 @@ def test_malformed_config_value_is_one_line_and_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_scratch_encoder_in_gradient_free_mode_is_one_line_and_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[protocol]\nmode = gradient_free\ncondition_encoder = scratch\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(bad), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "[protocol] condition_encoder = scratch" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_attack_fresh_packets(tmp_path, mini_config, capsys):
     atk_dir = tmp_path / "atk2"
     main(["attack", "--method", "inverse-net", "--config", str(mini_config),

@@ -1,6 +1,7 @@
 """Experiment orchestration: config loading, artifact layout, determinism
 hooks, edge cases."""
 
+import hashlib
 import json
 import os
 import re
@@ -105,10 +106,23 @@ class TestConfig:
                               ("attacks", "unsplit_outer = -1"),
                               ("attacks", "unsplit_inner_x = -1"),
                               ("attacks", "unsplit_inner_theta = -1"),
-                              ("protocol", "rate = 0")):
+                              ("protocol", "rate = 0"),
+                              # refused by the schedule's and the calibration's own checks
+                              ("schedule", "T = 0"), ("schedule", "k = 0.01"),
+                              ("privacy", "delta = 0"), ("privacy", "alpha = -1"),
+                              ("privacy", "t_max = 2000"),
+                              # below ours_plus_plus's floor t_s = 536
+                              ("privacy", "t_max = 500")):
             p.write_text(f"[{section}]\n{line}\n")
             key = line.partition("=")[0].strip()
             with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+                load_config(p)
+        # refused by the defense's own checks on a batch of [protocol] batch samples
+        for kind, line in (("patch_shuffle", "patch = 5"), ("mixup", "mix_count = 0"),
+                           ("add_raw", "sigma2 = -1")):
+            p.write_text(f"[defense]\nkind = {kind}\n{line}\n")
+            key = line.partition("=")[0].strip()
+            with pytest.raises(ConfigError, match=re.escape(f"[defense] {key}")):
                 load_config(p)
         p.write_text("[defense]\nkind = mixup\n[protocol]\nbatch = 4\n")
         assert load_config(p).defense.kind == "mixup"
@@ -154,7 +168,7 @@ class TestEvalPackets:
                 im, co = preprocess_batch(images[i : i + 1], conds[i : i + 1], world.defense,
                                           defense)
                 f = client_features(world, im, co, [prompts[i]], cap.t, drop, noise,
-                                    world.branch.encode_condition, world.act)
+                                    world.cond_encoder, world.act)
                 fu, fc = postprocess_features(f.h1, f.s.data, world.defense,
                                               world.privacy.delta, world.privacy.alpha_sens,
                                               defense)
@@ -276,3 +290,22 @@ class TestRunExperiment:
         assert ledger == {"bytes_down": 0, "bytes_up": 24904, "packets": 4,
                           "payload_bytes_down": 0, "payload_bytes_up": 24576,
                           "t_total_pipelined": 5.006226, "t_total_sequential": 8.024904}
+
+    @pytest.mark.parametrize("overrides, branch_sha256", [
+        ({}, "b29a0151210cfc6f574d341e71216ff24fd623bb67c6c8bbab2c8e15c89645f1"),
+        ({"protocol.mode": "classic", "protocol.condition_encoder": "scratch"},
+         "74100e8d7c1da391a9792c7ab3b2af78506f756d7b4e21b6d46a1ac49bc6fb9a"),
+    ], ids=["gradient_free", "classic_scratch"])
+    def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256):
+        # the trained control branch and its manifest, byte for byte as this run has
+        # always written them; the attacks run after both are written
+        cfg = mini_cfg(tmp_path, **overrides)
+        cfg.attacks.methods = []
+        out = Path(run_experiment(cfg))
+
+        def sha256(name):
+            return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+        assert sha256("control_branch.tckp") == branch_sha256
+        assert sha256("model_manifest.txt") == (
+            "5f50f14722d6a4eecd6461501973e2f6d5ad759c3861dd9129bd1c19a1710456")

@@ -25,7 +25,7 @@ def world():
     unet.freeze()
     ae = ToyAutoencoder(rng.split("ae"))
     ae.freeze()
-    branch = ControlBranch(unet, ae, rng.split("branch"))
+    branch = ControlBranch(unet)
     pe = PromptEncoder(["one", "red", "circle", "blue", "rect"], rng.split("pe"))
     return unet, ae, branch, pe
 
@@ -95,7 +95,7 @@ class TestZeroConvNeutrality:
             zt = rng.normal((2, 4, 8, 8))
             prompt = pe.encode([["one", "red"], ["circle"]])
             cond = rng.uniform((2, 3, 32, 32))
-            cf = branch.encode_condition(Tensor(cond), rng, training=False)
+            cf = ae.E(Tensor(cond), rng, training=False)
             taps = control_forward(zt, cf, 100, prompt, branch)
             assert all(np.all(t.data == 0.0) for t in taps)
             uncond = unet_denoise(zt, 100, prompt, [], unet)
@@ -112,9 +112,9 @@ class TestZeroConvNeutrality:
 
 class TestControlForward:
     def test_zero_condition_runs_copied_encoder_on_zt(self, world):
-        unet, ae, _, pe = world
+        unet, _, _, pe = world
         rng = RngState(11)
-        branch = ControlBranch(unet, ae, rng.split("b"))
+        branch = ControlBranch(unet)
         # make the zero convs identity so the taps expose the encoder output
         for zc in (branch.zero_conv_1,):
             eye = np.zeros_like(zc.w.data)
@@ -140,10 +140,10 @@ class TestControlForward:
             assert x.data.tobytes() == y.data.tobytes()
 
     def test_gradients_reach_branch_after_one_step(self, world):
-        unet, ae, _, pe = world
+        unet, _, _, pe = world
         rng = RngState(13)
-        branch = ControlBranch(unet, ae, rng.split("b2"))
-        params = list(branch.server_parameters().values())
+        branch = ControlBranch(unet)
+        params = list(branch.named_parameters().values())
         opt = AdamW(params, lr=1e-2)
         prompt = pe.encode([["one"]])
 
@@ -174,9 +174,7 @@ class TestPromptHiding:
         rng = RngState(14)
         unet = ToyUNet(rng.split("u"))
         unet.freeze()
-        ae = ToyAutoencoder(rng.split("a"))
-        ae.freeze()
-        branch = ControlBranch(unet, ae, rng.split("b"))
+        branch = ControlBranch(unet)
         pe = PromptEncoder(["one", "red", "circle", "blue"], rng.split("p"))
         branch, unet = prompt_hide_transform(branch, unet)
 
@@ -217,8 +215,7 @@ class TestPromptHiding:
         rng = RngState(18)
         unet = ToyUNet(rng.split("u"))
         unet.freeze()
-        ae = ToyAutoencoder(rng.split("a"))
-        _, unet = prompt_hide_transform(ControlBranch(unet, ae, rng.split("b")), unet)
+        _, unet = prompt_hide_transform(ControlBranch(unet), unet)
         shapes = ((3, 4, 8, 8), (3, 64, 4, 4), (3, 128, 4, 4), (3, 36, 8, 8))
         for blk, shape in zip(unet.server_blocks(), shapes):
             x_np, zero = rng.normal(shape), blk.bound_zero_prompt
@@ -250,14 +247,14 @@ class TestFrozenConservation:
     def test_finetuning_never_touches_frozen_weights(self, world):
         unet, ae, _, pe = world
         rng = RngState(17)
-        branch = ControlBranch(unet, ae, rng.split("b3"))
+        branch = ControlBranch(unet)
         frozen_before = param_fingerprint({**unet.named_parameters("unet."),
                                            **ae.named_parameters("ae.")})
-        opt = AdamW(list(branch.server_parameters().values()), lr=5e-3)
+        opt = AdamW(list(branch.named_parameters().values()), lr=5e-3)
         prompt = pe.encode([["one"], ["red", "circle"]])
         for _ in range(20):
             zt = rng.normal((2, 4, 8, 8))
-            cf = ae.encode(Tensor(rng.uniform((2, 3, 32, 32))), rng, training=True)
+            cf = ae.E(Tensor(rng.uniform((2, 3, 32, 32))), rng, training=True)
             taps = control_forward(zt, cf, 30, prompt, branch)
             out = unet_denoise(zt, 30, prompt, taps, unet)
             loss = training_loss(rng.normal((2, 4, 8, 8)), out)
@@ -270,24 +267,23 @@ class TestFrozenConservation:
 
 
 class TestParameterTree:
-    def test_server_parameters_order_is_the_checkpoint_layout(self):
+    def test_named_parameters_order_is_the_checkpoint_layout(self):
         rng = RngState(21)
         unet = ToyUNet(rng.split("u"))
         unet.freeze()
-        branch = ControlBranch(unet, M.CondEncoder(rng.split("c")), rng.split("b"))
+        branch = ControlBranch(unet)
         block = ("conv1.w", "conv1.b", "temb.w", "temb.b", "attn.wq", "attn.wk",
                  "attn.wv", "attn.wo", "conv2.w", "conv2.b")
         want = ([f"{b}.{k}" for b in ("enc_block_1", "enc_block_2", "mid") for k in block]
                 + [f"zero_conv_{z}.{k}" for z in ("1", "2", "mid") for k in ("w", "b")])
-        assert list(branch.server_parameters()) == want
-        assert all(p.requires_grad for p in branch.server_parameters().values())
+        assert list(branch.named_parameters()) == want
+        assert all(p.requires_grad for p in branch.named_parameters().values())
 
     def test_clone_of_prompt_hidden_blocks(self):
         rng = RngState(22)
         unet = ToyUNet(rng.split("u"))
         unet.freeze()
-        ae = ToyAutoencoder(rng.split("a"))
-        branch, unet = prompt_hide_transform(ControlBranch(unet, ae, rng.split("b")), unet)
+        branch, unet = prompt_hide_transform(ControlBranch(unet), unet)
         x = Tensor(rng.normal((1, 64, 4, 4)))
         for blk in (branch.mid, unet.mid):
             twin = blk.clone()
@@ -332,9 +328,9 @@ class TestAutoencoder:
 
     def test_latent_shape(self, world):
         _, ae, _, _ = world
-        z = ae.encode(Tensor(RngState(22).uniform((2, 3, 32, 32))), RngState(23), training=False)
+        z = ae.E(Tensor(RngState(22).uniform((2, 3, 32, 32))), RngState(23), training=False)
         assert z.shape == (2, 4, 8, 8)
-        img = ae.decode(z)
+        img = ae.D(z)
         assert img.shape == (2, 3, 32, 32)
         assert img.data.min() >= 0.0 and img.data.max() <= 1.0
 

@@ -40,12 +40,12 @@ def build_world(defense_kind="none", seed=777, n_data=12, clients=1,
     unet = ToyUNet(rng.split("unet"))
     unet.freeze()
     if cond_encoder == "pretrained":
-        enc = ae
+        enc = ae.E
     else:
         from splitstream.models import CondEncoder
 
         enc = CondEncoder(rng.split("cond"))
-    branch = ControlBranch(unet, enc, rng.split("branch"))
+    branch = ControlBranch(unet)
     pe = PromptEncoder(VOCAB, rng.split("pe"))
     act = NoiseConfoundingActivation.create(rng.split("act")) if defense.uses_confound else None
     if defense.hides_prompt:
@@ -59,7 +59,8 @@ def build_world(defense_kind="none", seed=777, n_data=12, clients=1,
         conds = data_rng.uniform((n_data, 3, 32, 32))
         prompts = [[VOCAB[int(data_rng.integers(0, len(VOCAB) - 1))]] for _ in range(n_data)]
         datasets.append(ClientDataset(images, conds, prompts))
-    return SplitWorld(sched, "cumulative", privacy, defense, pe, ae, unet, branch, act, datasets)
+    return SplitWorld(sched, "cumulative", privacy, defense, pe, ae, enc, unet, branch, act,
+                      datasets)
 
 
 def make_cfg(**kw) -> ProtocolConfig:
@@ -221,15 +222,24 @@ class TestRunSplitTraining:
     def test_classic_scratch_encoder_actually_trains(self):
         world = build_world("none", cond_encoder="scratch")
         cfg = make_cfg(mode="classic", iterations=6)
-        server_before = param_fingerprint(world.branch.server_parameters())
-        enc_before = param_fingerprint(world.branch.condition_encoder.named_parameters())
+        server_before = param_fingerprint(world.branch.named_parameters())
+        enc_before = param_fingerprint(world.cond_encoder.named_parameters())
         res = run_split_training(world, cfg)
         client = res.clients[0]
         assert client.trainable
         assert client.opt.step_count == 6
         # the updates reached the tensors the models compute with
         assert param_fingerprint(client.cond_encoder.named_parameters()) != enc_before
-        assert param_fingerprint(world.branch.server_parameters()) != server_before
+        assert param_fingerprint(world.branch.named_parameters()) != server_before
+        # the client trained a clone: the world's encoder is as it was built
+        assert client.cond_encoder is not world.cond_encoder
+        assert param_fingerprint(world.cond_encoder.named_parameters()) == enc_before
+
+    def test_gradient_free_client_runs_the_pretrained_encoder_itself(self):
+        world = build_world("none")
+        client = ClientWorker(0, world, make_cfg(), RngState(3))
+        assert not client.trainable and client.opt is None
+        assert client.cond_encoder is world.cond_encoder is world.autoencoder.E
 
     def test_gradient_free_requires_pretrained_encoder(self):
         world = build_world("none", cond_encoder="scratch")
