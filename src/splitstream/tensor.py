@@ -75,8 +75,12 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            if g.shape != self.data.shape:
+                raise ShapeError(f"gradient shape {g.shape} != tensor shape {self.shape}")
+            # a copy, never a view: ops hand on views of their output gradient
+            self.grad = np.array(g, dtype=np.float32, order="C")
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         backward(self)

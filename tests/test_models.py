@@ -18,6 +18,20 @@ from splitstream.rng import RngState
 from splitstream.tensor import Tensor
 
 
+def graph_ops(y: Tensor) -> set[str]:
+    """Names of the ops (their backward closures' functions) in y's graph."""
+    ops, seen, stack = set(), set(), [y]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            ops.add(node._backward.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    return ops
+
+
 @pytest.fixture(scope="module")
 def world():
     rng = RngState(1001)
@@ -225,6 +239,8 @@ class TestPromptHiding:
                 blk.bound_zero_prompt = bound
                 x = Tensor(x_np, requires_grad=True)
                 y = blk(x, 11, p)
+                # bound, the block never goes to tokens and back
+                assert ("permute" in graph_ops(y)) == (bound is None)
                 tt.backward(y, seed_grad=RngState(19).normal(y.shape))
                 runs.append((y.data.tobytes(), x.grad.tobytes()))
             blk.bound_zero_prompt = zero

@@ -156,6 +156,38 @@ class TestConv2d:
         assert np.abs(w.grad - want).max() < 1e-5 * np.abs(want).max()
 
 
+def test_first_gradients_are_copies_not_views():
+    # add hands the same array to both operands; reshape and the two
+    # concat_channels slices hand on views of their output gradient
+    rng = RngState(23)
+    x = Tensor(rng.normal((2, 8, 3, 3)), requires_grad=True)
+    r = Tensor(rng.normal((2, 72)), requires_grad=True)
+    a = Tensor(rng.normal((2, 3, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal((2, 5, 3, 3)), requires_grad=True)
+    s = tt.add(tt.add(x, x), tt.reshape(r, (2, 8, 3, 3)))
+    y = tt.add(s, tt.concat_channels(a, b))
+    g = rng.normal(y.shape)
+    g_before = g.copy()
+    tt.backward(y, seed_grad=g)
+    assert x.grad.tobytes() == (g + g).tobytes()
+    assert r.grad.tobytes() == g.reshape(2, 72).tobytes()
+    assert a.grad.tobytes() == np.ascontiguousarray(g[:, :3]).tobytes()
+    assert b.grad.tobytes() == np.ascontiguousarray(g[:, 3:]).tobytes()
+    assert g.tobytes() == g_before.tobytes()
+    grads = [t.grad for t in (x, r, a, b, s, y)]
+    for i, gi in enumerate(grads):
+        assert gi.dtype == np.float32 and gi.flags.c_contiguous
+        assert not np.shares_memory(gi, g)
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+
+
+def test_first_gradient_of_another_shape_is_refused():
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError, match="gradient shape"):
+        x._accumulate(np.zeros((3,), dtype=np.float32))
+
+
 @pytest.mark.parametrize("shape", [(4, 64, 8, 8), (8, 32, 16, 16), (8, 16, 32, 32), (3, 5, 6, 7)])
 def test_upsample2x_gradient_matches_the_2x2_reduction(shape):
     n, c, h, w = shape
