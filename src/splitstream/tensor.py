@@ -4,13 +4,17 @@ Dense float32 arrays plus just enough operators for small convolutional
 denoisers and gradient-based reconstruction attacks: conv2d, dense layers,
 attention, dropout, pointwise nonlinearities, and reductions. Reductions
 accumulate in float64 before casting back so summed losses are stable.
-conv2d lays the whole batch out as one im2col matrix of shape
-(c*kh*kw, n*ho*wo), so each direction is one float32 GEMM: the forward
-multiplies it by the kernel, the weight gradient multiplies the output
-gradient by its transpose (summing over all n*ho*wo positions), and the input
-gradient is the forward correlation again, of the stride-dilated output
-gradient with the flipped kernel. silu's backward zeroes the subnormal
-gradients its underflowing slope makes.
+conv2d lays the whole batch out as one im2col matrix, so each direction is
+one float32 GEMM: the forward multiplies it by the kernel, the weight
+gradient multiplies the output gradient by it (summing over all n*ho*wo
+positions), and the input gradient is the forward correlation again, of the
+stride-dilated output gradient with the flipped kernel. Each unfold picks its
+layout from the shape: channels-first columns (c*kh*kw, n*ho*wo), or
+channels-last rows (n*ho*wo, kh*kw*c) from an NHWC copy when kw*c is at
+least 3*wo, so that wide channel counts over small maps are copied in long
+runs; the kernel is reordered to match. silu's backward zeroes the subnormal
+gradients its underflowing slope makes. A node's first gradient is stored as
+a copy, never added onto zeros; later ones add onto it.
 
 Broadcasting is deliberately restricted: the only implicit broadcast is
 bias_add, which adds a tensor whose shape equals the trailing dims of the
@@ -424,8 +428,14 @@ def _axis_slices(length: int, lo: int, size: int, dilate: int):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1):
-    """Columns (c*kh*kw, n*ho*wo) of a kh x kw correlation over x, the whole
-    batch side by side.
+    """Columns of a kh x kw correlation over NCHW x, the whole batch side by
+    side, as (cols, ho, wo, channels_last).
+
+    Channels-first columns are (c*kh*kw, n*ho*wo). Channels-last columns are
+    (n*ho*wo, kh*kw*c), each row in (kh, kw, c) order, unfolded from an NHWC
+    copy of x. Copying the strided view into the columns moves runs of wo
+    floats channels-first and of kw*c floats channels-last; channels-last is
+    taken when its run is at least three times as long.
 
     x is first dilated (dilate - 1 zeros between samples) and padded by
     pads = (top, bottom, left, right), all in one zero buffer; a negative
@@ -435,25 +445,45 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
     top, bottom, left, right = pads
     hp = (h - 1) * dilate + 1 + top + bottom
     wp = (w - 1) * dilate + 1 + left + right
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    last = kw * c >= 3 * wo
     if dilate != 1 or any(pads):
         src_h, dst_h = _axis_slices(h, top, hp, dilate)
         src_w, dst_w = _axis_slices(w, left, wp, dilate)
-        buf = np.zeros((n, c, hp, wp), dtype=np.float32)
-        buf[:, :, dst_h, dst_w] = x[:, :, src_h, src_w]
+        if last:
+            buf = np.zeros((n, hp, wp, c), dtype=np.float32)
+            buf[:, dst_h, dst_w] = x[:, :, src_h, src_w].transpose(0, 2, 3, 1)
+        else:
+            buf = np.zeros((n, c, hp, wp), dtype=np.float32)
+            buf[:, :, dst_h, dst_w] = x[:, :, src_h, src_w]
         x = buf
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    elif last:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     # a strided view over x (C-contiguous here: a tensor's data, a gradient or
-    # the zero buffer); the reshape copies it into the columns
+    # a copy made above); the reshape copies it into the columns
     s0, s1, s2, s3 = x.strides
+    if last:
+        cols = np.ndarray((n, ho, wo, kh, kw, c), np.float32, x, 0,
+                          (s0, s1 * stride, s2 * stride, s1, s2, s3))
+        return cols.reshape(n * ho * wo, kh * kw * c), ho, wo, True
     cols = np.ndarray((c, kh, kw, n, ho, wo), np.float32, x, 0,
                       (s1, s2, s3, s0, s2 * stride, s3 * stride))
-    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
+    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo, False
 
 
-def _batch_first(flat: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
-    """A (ch, n*h*w) GEMM result as an (n, ch, h, w) view."""
-    return flat.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
+def _correlate(x: np.ndarray, kernel: np.ndarray, stride: int, pads, dilate: int = 1):
+    """x (n, c, h, w) correlated with kernel (o, c, kh, kw) as one GEMM over
+    _im2col's columns, the kernel reordered to match them: an (n, o, ho, wo)
+    view of the result, the columns and whether they are channels-last."""
+    o, c, kh, kw = kernel.shape
+    n = x.shape[0]
+    cols, ho, wo, last = _im2col(x, kh, kw, stride, pads, dilate)
+    if last:
+        flat = cols @ kernel.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
+        return flat.reshape(n, ho, wo, o).transpose(0, 3, 1, 2), cols, True
+    flat = kernel.reshape(o, c * kh * kw) @ cols
+    return flat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), cols, False
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -462,7 +492,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     The input gradient is itself a correlation: the output gradient, dilated
     by the stride and padded by k-1-padding (plus the rows and columns the
     forward never read), against the flipped kernel with in and out channels
-    swapped.
+    swapped. Each of the two unfolds picks its own column layout.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: need rank-4 input/kernel, got {x.shape}, {kernel.shape}")
@@ -476,20 +506,23 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, (padding,) * 4)
-    y = _batch_first(kernel.data.reshape(o, c * kh * kw) @ cols, n, ho, wo)
+    y, cols, last = _correlate(x.data, kernel.data, stride, (padding,) * 4)
 
     def bwd(g):
         if kernel.requires_grad:
-            gflat = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
-            kernel._accumulate((gflat @ cols.T).reshape(kernel.shape))
+            gflat = g.transpose(1, 0, 2, 3).reshape(o, -1)
+            if last:
+                gw = (gflat @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+            else:
+                gw = (gflat @ cols.T).reshape(kernel.shape)
+            kernel._accumulate(gw)
         if x.requires_grad:
             top, left = kh - 1 - padding, kw - 1 - padding
             unread_h = (h + 2 * padding - kh) % stride
             unread_w = (w + 2 * padding - kw) % stride
-            gcols, _, _ = _im2col(g, kh, kw, 1, (top, top + unread_h, left, left + unread_w), stride)
-            wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-            x._accumulate(_batch_first(wflip @ gcols, n, h, w))
+            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx, _, _ = _correlate(g, flipped, 1, (top, top + unread_h, left, left + unread_w), stride)
+            x._accumulate(gx)
 
     return _out(y, (x, kernel), bwd)
 

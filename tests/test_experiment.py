@@ -292,9 +292,9 @@ class TestRunExperiment:
                           "t_total_pipelined": 5.006226, "t_total_sequential": 8.024904}
 
     @pytest.mark.parametrize("overrides, branch_sha256", [
-        ({}, "b29a0151210cfc6f574d341e71216ff24fd623bb67c6c8bbab2c8e15c89645f1"),
+        ({}, "f57bdea22abb6e2f4eec1942957de9b0537907667359cd2021ae843f6f54ef7f"),
         ({"protocol.mode": "classic", "protocol.condition_encoder": "scratch"},
-         "74100e8d7c1da391a9792c7ab3b2af78506f756d7b4e21b6d46a1ac49bc6fb9a"),
+         "9b7fa0ca96521c67e89295f01eb1069eadfa6fe411ccae9e517f9617cde13646"),
     ], ids=["gradient_free", "classic_scratch"])
     def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256):
         # the trained control branch and its manifest, byte for byte as this run has

@@ -104,16 +104,34 @@ class TestConv2d:
             tt.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), stride, padding)
 
     @pytest.mark.parametrize("trainable", ["both", "kernel", "input"])
-    @pytest.mark.parametrize("k,stride,padding,hw", [
+    @pytest.mark.parametrize("c,o,k,stride,padding,hw,layouts", [
         # 6x7 and 7x6 at stride 2 leave an unread row or column, as 8x8 with k3 s2 p1 does
-        pytest.param(k, s, p, hw,
+        pytest.param(2, 3, k, s, p, hw, None,
                      id="-".join(map(str, (k, s, p))) + ("" if hw == (5, 5) else "-%dx%d" % hw))
         for hw in ((5, 5), (6, 7), (7, 6))
         for k, s, p in itertools.product((1, 3), (1, 2), (0, 1))
+    ] + [
+        # kw*c against 3*wo picks each unfold's layout (forward, input gradient):
+        # 16 channels at the server's 4x4 and 8x8 maps go channels-last
+        pytest.param(16, 16, 3, 1, 1, (4, 4), ("last", "last"), id="c16-o16-3-1-1-4x4"),
+        pytest.param(16, 16, 3, 1, 1, (8, 8), ("last", "last"), id="c16-o16-3-1-1-8x8"),
+        pytest.param(16, 16, 3, 2, 1, (8, 8), ("last", "last"), id="c16-o16-3-2-1-8x8"),
+        # 2 input channels stay channels-first, the 16-channel output gradient does not
+        pytest.param(2, 16, 3, 1, 1, (4, 4), ("first", "last"), id="c2-o16-3-1-1-4x4"),
     ])
-    def test_gradients_match_loop_oracle(self, k, stride, padding, hw, trainable):
+    def test_gradients_match_loop_oracle(self, c, o, k, stride, padding, hw, layouts, trainable,
+                                         monkeypatch):
+        taken = []
+        im2col = tt._im2col
+
+        def spy(*args):
+            out = im2col(*args)
+            taken.append("last" if out[3] else "first")
+            return out
+
+        monkeypatch.setattr(tt, "_im2col", spy)
         rng = RngState(100 * k + 10 * stride + padding)
-        x_np, w_np = rng.normal((4, 2) + hw), rng.normal((3, 2, k, k))
+        x_np, w_np = rng.normal((4, c) + hw), rng.normal((o, c, k, k))
         x = Tensor(x_np, requires_grad=trainable != "kernel")
         w = Tensor(w_np, requires_grad=trainable != "input")
         y = tt.conv2d(x, w, stride=stride, padding=padding)
@@ -126,6 +144,9 @@ class TestConv2d:
             else:
                 assert t.grad.dtype == np.float32 and t.grad.shape == want.shape
                 assert np.abs(t.grad - want).max() < 1e-5 * max(1.0, np.abs(want).max())
+        # the input-gradient unfold runs only for a trainable input
+        if layouts is not None:
+            assert tuple(taken) == (layouts if x.requires_grad else layouts[:1])
 
     def test_subnormal_output_gradient_reaches_the_kernel_gradient(self):
         rng = RngState(7)
