@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import configparser
 import os
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import CONDITION_KINDS, IMAGE_HW
-from .defenses import BATCH_MIXING, KINDS as DEFENSE_KINDS, DefenseConfig, preprocess_batch
+from .defenses import (BATCH_MIXING, KINDS as DEFENSE_KINDS, DefenseConfig,
+                       postprocess_features, preprocess_batch)
 from .diffusion import VARIANTS, ScheduleError, make_linear_schedule
-from .privacy import CalibrationError, PrivacyParams
+from .privacy import CalibrationError, PrivacyParams, timestep_for_epsilon
 from .rng import RngState
 
 ATTACK_METHODS = ("inverse_net", "inverse_net_type1", "whitebox", "unsplit")
@@ -157,11 +159,33 @@ class ExperimentConfig:
         self._check_with_owners()
         return self
 
+    @property
+    def arm_kinds(self) -> list[str]:
+        """The defense kind of the training run and of every attack arm."""
+        return [self.defense.kind, *(self.attacks.defenses if self.attacks.methods else ())]
+
+    def check_epsilon(self, alpha: float) -> None:
+        """[privacy] epsilon against the budget the schedule can give at
+        sensitivity `alpha`, when an arm calibrates its timestep floor from it.
+        An estimated alpha is known only after pretraining, so the experiment
+        calls this again then."""
+        pv, s = self.privacy, self.schedule
+        if pv.epsilon is None or not any(k in ("ours_c", "ours_plus_plus") for k in self.arm_kinds):
+            return
+        sched = make_linear_schedule(s.T, s.k, s.beta0, s.lam)
+        try:
+            with warnings.catch_warnings():
+                # a budget above epsilon(0) is legal; build_world says so when it calibrates
+                warnings.simplefilter("ignore")
+                timestep_for_epsilon(pv.epsilon, sched, pv.delta, alpha)
+        except CalibrationError as exc:
+            raise ConfigError(f"[privacy] epsilon = {pv.epsilon} at alpha = {alpha:.6g}: {exc}") from None
+
     def _check_with_owners(self) -> None:
         """Values that would fail only once the world is built or the clients
         run, put through the checks of the code that uses them."""
         s, pv, d = self.schedule, self.privacy, self.defense
-        kinds = [d.kind, *(self.attacks.defenses if self.attacks.methods else ())]
+        kinds = self.arm_kinds
         # with [privacy] epsilon the floor comes from the budget, once alpha is known
         floor = 1 if pv.epsilon is not None else max(
             replace(d, kind=k).timestep_floor for k in kinds)
@@ -172,6 +196,8 @@ class ExperimentConfig:
             PrivacyParams.from_ts(sched, pv.delta, alpha, floor, pv.t_max)
         except (ScheduleError, CalibrationError) as exc:
             raise ConfigError(f"{_OWNER_KEYS[exc.param]}: {exc}") from None
+        if pv.alpha is not None:
+            self.check_epsilon(pv.alpha)
         blank = np.zeros((self.protocol.batch, 3, IMAGE_HW, IMAGE_HW), np.float32)
         try:
             preprocess_batch(blank, blank, d, RngState(0))
@@ -179,6 +205,14 @@ class ExperimentConfig:
             key = _DEFENSE_KEYS[d.kind]
             raise ConfigError(f"[defense] {key} = {getattr(d, key)} for kind = {d.kind} at "
                               f"[protocol] batch = {self.protocol.batch}: {exc}") from None
+        feat = np.arange(2, dtype=np.float32)  # not constant: ldp_rr needs a range to quantize
+        for kind in kinds:
+            try:
+                postprocess_features(feat, feat, replace(d, kind=kind), pv.delta, alpha, RngState(0))
+            except CalibrationError as exc:
+                key = _FEATURE_KEYS[exc.param]
+                raise ConfigError(f"[defense] {key} = {getattr(d, key)} for kind = {kind}: "
+                                  f"{exc}") from None
 
 
 _EXPERIMENT_KEYS = {"seed": "int", "out_dir": "str"}
@@ -194,6 +228,8 @@ _OWNER_KEYS = {"T": "[schedule] T", "k": "[schedule] k", "beta0": "[schedule] be
                "t_s": "[defense] t_s"}
 # the key each raw-data defense kind reads
 _DEFENSE_KEYS = {"add_raw": "sigma2", "mixup": "mix_count", "patch_shuffle": "patch"}
+# the [defense] key behind each argument the feature defenses' checks name
+_FEATURE_KEYS = {"epsilon": "epsilon", "bits": "rr_bits"}
 
 _NUMBERS = {"int": (int, "an integer"), "float": (float, "a number"),
             "float | None": (float, "a number")}

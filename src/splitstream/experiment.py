@@ -317,10 +317,13 @@ def _estimated_alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:
 
 
 def _alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:
-    """Sensitivity: the configured constant when given, else estimated."""
+    """Sensitivity: the configured constant when given, else estimated, with
+    [privacy] epsilon checked against the estimate."""
     if cfg.privacy.alpha is not None:
         return cfg.privacy.alpha
-    return _estimated_alpha(cfg, ae, data)
+    alpha = _estimated_alpha(cfg, ae, data)
+    cfg.check_epsilon(alpha)
+    return alpha
 
 
 # ---------------------------------------------------------------------------

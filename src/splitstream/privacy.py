@@ -45,7 +45,7 @@ def hyperparameter(delta: float, alpha_sens: float) -> float:
 def gaussian_sigma(epsilon: float, delta: float, alpha_sens: float) -> float:
     """Std of the Gaussian calibrated for an (epsilon, delta) guarantee."""
     if epsilon <= 0:
-        raise CalibrationError(f"epsilon must be > 0, got {epsilon}")
+        raise CalibrationError(f"epsilon must be > 0, got {epsilon}", "epsilon")
     return math.sqrt(hyperparameter(delta, alpha_sens)) / epsilon
 
 
@@ -155,9 +155,9 @@ def randomized_response(features, epsilon: float, bits: int, rng: RngState):
     1/(1+e^eps), which is eps-LDP per bit.
     """
     if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1,16], got {bits}")
+        raise CalibrationError(f"bits must be in [1,16], got {bits}", "bits")
     if epsilon <= 0:
-        raise CalibrationError(f"epsilon must be > 0, got {epsilon}")
+        raise CalibrationError(f"epsilon must be > 0, got {epsilon}", "epsilon")
     was_tensor = isinstance(features, Tensor)
     x = features.data if was_tensor else np.asarray(features, dtype=np.float32)
     lo, hi = float(x.min()), float(x.max())

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splitstream import experiment
 from splitstream.config import (ConfigError, ExperimentConfig, config_to_dict,
                                 load_config)
 from splitstream.defenses import postprocess_features, preprocess_batch
@@ -112,14 +113,25 @@ class TestConfig:
                               ("privacy", "delta = 0"), ("privacy", "alpha = -1"),
                               ("privacy", "t_max = 2000"),
                               # below ours_plus_plus's floor t_s = 536
-                              ("privacy", "t_max = 500")):
+                              ("privacy", "t_max = 500"),
+                              # no budget, and one below the schedule's floor of 6.297
+                              # at alpha = 0.16
+                              ("privacy", "epsilon = -1"), ("privacy", "epsilon = 5")):
             p.write_text(f"[{section}]\n{line}\n")
             key = line.partition("=")[0].strip()
             with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
                 load_config(p)
+        # an attack arm's feature defense is checked as well as the training run's
+        p.write_text("[defense]\nepsilon = 0\n[attacks]\nmethods = whitebox\n"
+                     "defenses = none, ldp_gauss\n")
+        with pytest.raises(ConfigError, match=re.escape("[defense] epsilon = 0.0 for kind = ldp_gauss")):
+            load_config(p)
         # refused by the defense's own checks on a batch of [protocol] batch samples
         for kind, line in (("patch_shuffle", "patch = 5"), ("mixup", "mix_count = 0"),
-                           ("add_raw", "sigma2 = -1")):
+                           ("add_raw", "sigma2 = -1"),
+                           # and by the feature defenses' own checks
+                           ("ldp_gauss", "epsilon = 0"), ("ldp_rr", "epsilon = 0"),
+                           ("ldp_rr", "rr_bits = 0")):
             p.write_text(f"[defense]\nkind = {kind}\n{line}\n")
             key = line.partition("=")[0].strip()
             with pytest.raises(ConfigError, match=re.escape(f"[defense] {key}")):
@@ -187,6 +199,18 @@ class TestRunExperiment:
             assert (out / name).exists(), name
         assert (out / "client_secret" / "confound_delta.tckp").exists()
         assert list((out / "recons").glob("*.ppm"))
+
+    def test_epsilon_checked_against_the_estimated_alpha_before_training(self, tmp_path,
+                                                                          monkeypatch):
+        # validation cannot check [privacy] epsilon while alpha is still to be estimated
+        cfg = mini_cfg(tmp_path, **{"privacy.alpha": None, "privacy.epsilon": 1e-3})
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started with an unachievable epsilon")
+
+        monkeypatch.setattr(experiment, "run_split_training", no_training)
+        with pytest.raises(ConfigError, match=re.escape("[privacy] epsilon = 0.001 at alpha")):
+            run_experiment(cfg)
 
     def test_secret_not_in_server_manifest(self, tmp_path):
         out = Path(run_experiment(mini_cfg(tmp_path)))
