@@ -140,6 +140,15 @@ def timestep_embedding(t: int, dim: int = D_TEMB) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
 
 
+def _plus_on_tokens(h: Tensor, attend) -> Tensor:
+    """h + attend(h), with the map h (n, c, hh, ww) seen as n sequences of
+    hh*ww tokens of c features."""
+    n, c, hh, ww = h.shape
+    tok = tt.reshape(tt.permute(h, (0, 2, 3, 1)), (n, hh * ww, c))
+    tok = tt.add(tok, attend(tok))
+    return tt.permute(tt.reshape(tok, (n, hh, ww, c)), (0, 3, 1, 2))
+
+
 class UNetBlock(Module):
     """conv -> +timestep embedding -> silu -> attention -> (upsample) -> conv."""
 
@@ -158,20 +167,16 @@ class UNetBlock(Module):
         temb_row = Tensor(timestep_embedding(t)[None, :])
         h = tt.bias_add(h, tt.reshape(self.temb(temb_row), (mid_ch,)))
         h = tt.silu(h)
-        # a block bound to the zero prompt skips its cross-attention, and with
-        # it the round trip to tokens: K and V have no bias, so attention over
-        # a zero context is exactly zero
-        if isinstance(self.attn, SelfAttention) or self.bound_zero_prompt is None:
-            n, c, hh, ww = h.shape
-            tok = tt.reshape(tt.permute(h, (0, 2, 3, 1)), (n, hh * ww, c))
-            if isinstance(self.attn, SelfAttention):
-                tok = tt.add(tok, self.attn(tok))
-            else:
-                if prompt is None:
-                    raise ValueError("block needs prompt features (or a bound zero feature)")
-                ctx = prompt if isinstance(prompt, Tensor) else Tensor(prompt)
-                tok = tt.add(tok, self.attn(tok, ctx))
-            h = tt.permute(tt.reshape(tok, (n, hh, ww, c)), (0, 3, 1, 2))
+        if isinstance(self.attn, SelfAttention):
+            h = _plus_on_tokens(h, self.attn)
+        # a block bound to the zero prompt skips its cross-attention, and with it
+        # the round trip to tokens: K and V have no bias, so attention over a
+        # zero context is exactly zero
+        elif self.bound_zero_prompt is None:
+            if prompt is None:
+                raise ValueError("block needs prompt features (or a bound zero feature)")
+            ctx = prompt if isinstance(prompt, Tensor) else Tensor(prompt)
+            h = _plus_on_tokens(h, lambda tok: self.attn(tok, ctx))
         if self.upsample:
             h = tt.upsample2x(h)
         return self.conv2(h)
