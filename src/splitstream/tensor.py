@@ -11,8 +11,9 @@ positions), and the input gradient is the forward correlation again, of the
 stride-dilated output gradient with the flipped kernel. Each unfold picks its
 layout from the shape: channels-first columns (c*kh*kw, n*ho*wo), or
 channels-last rows (n*ho*wo, kh*kw*c) from an NHWC copy when kw*c is at
-least 3*wo, so that wide channel counts over small maps are copied in long
-runs; the kernel is reordered to match. silu's backward zeroes the subnormal
+least 3*wo and the columns hold at most 2**20 floats, so that wide channel
+counts over small maps are copied in long runs; the kernel is reordered to
+match. silu's backward zeroes the subnormal
 gradients its underflowing slope makes. A node's first gradient is stored as
 a copy, never added onto zeros; later ones add onto it.
 
@@ -435,7 +436,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
     (n*ho*wo, kh*kw*c), each row in (kh, kw, c) order, unfolded from an NHWC
     copy of x. Copying the strided view into the columns moves runs of wo
     floats channels-first and of kw*c floats channels-last; channels-last is
-    taken when its run is at least three times as long.
+    taken when its run is at least three times as long and the columns hold
+    at most 2**20 floats. Channels-last columns are the left operand of their
+    GEMM, which a multithreaded OpenBLAS packs whole into its own buffer, and
+    the pages it touches there stay resident.
 
     x is first dilated (dilate - 1 zeros between samples) and padded by
     pads = (top, bottom, left, right), all in one zero buffer; a negative
@@ -447,7 +451,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
     wp = (w - 1) * dilate + 1 + left + right
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    last = kw * c >= 3 * wo
+    last = kw * c >= 3 * wo and n * ho * wo * kh * kw * c <= 1 << 20
     if dilate != 1 or any(pads):
         src_h, dst_h = _axis_slices(h, top, hp, dilate)
         src_w, dst_w = _axis_slices(w, left, wp, dilate)
