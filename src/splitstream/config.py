@@ -165,10 +165,10 @@ class ExperimentConfig:
         return [self.defense.kind, *(self.attacks.defenses if self.attacks.methods else ())]
 
     def check_epsilon(self, alpha: float) -> None:
-        """[privacy] epsilon against the budget the schedule can give at
-        sensitivity `alpha`, when an arm calibrates its timestep floor from it.
-        An estimated alpha is known only after pretraining, so the experiment
-        calls this again then."""
+        """[privacy] epsilon against the budgets the schedule can give at
+        sensitivity `alpha` below [privacy] t_max, when an arm calibrates its
+        timestep floor from it. An estimated alpha is known only after
+        pretraining, so the experiment checks again then."""
         pv, s = self.privacy, self.schedule
         if pv.epsilon is None or not any(k in ("ours_c", "ours_plus_plus") for k in self.arm_kinds):
             return
@@ -177,7 +177,8 @@ class ExperimentConfig:
             with warnings.catch_warnings():
                 # a budget above epsilon(0) is legal; build_world says so when it calibrates
                 warnings.simplefilter("ignore")
-                timestep_for_epsilon(pv.epsilon, sched, pv.delta, alpha)
+                t_s = timestep_for_epsilon(pv.epsilon, sched, pv.delta, alpha)
+            PrivacyParams.from_ts(sched, pv.delta, alpha, t_s, pv.t_max)
         except CalibrationError as exc:
             raise ConfigError(f"[privacy] epsilon = {pv.epsilon} at alpha = {alpha:.6g}: {exc}") from None
 

@@ -116,7 +116,9 @@ class TestConfig:
                               ("privacy", "t_max = 500"),
                               # no budget, and one below the schedule's floor of 6.297
                               # at alpha = 0.16
-                              ("privacy", "epsilon = -1"), ("privacy", "epsilon = 5")):
+                              ("privacy", "epsilon = -1"), ("privacy", "epsilon = 5"),
+                              # a floor of t = 797, above t_max
+                              ("privacy", "epsilon = 7\nt_max = 600")):
             p.write_text(f"[{section}]\n{line}\n")
             key = line.partition("=")[0].strip()
             with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
