@@ -199,17 +199,19 @@ class ExperimentConfig:
             raise ConfigError(f"{_OWNER_KEYS[exc.param]}: {exc}") from None
         if pv.alpha is not None:
             self.check_epsilon(pv.alpha)
+        # every arm runs both defense hooks, on training or evaluation packets
         blank = np.zeros((self.protocol.batch, 3, IMAGE_HW, IMAGE_HW), np.float32)
-        try:
-            preprocess_batch(blank, blank, d, RngState(0))
-        except ValueError as exc:
-            key = _DEFENSE_KEYS[d.kind]
-            raise ConfigError(f"[defense] {key} = {getattr(d, key)} for kind = {d.kind} at "
-                              f"[protocol] batch = {self.protocol.batch}: {exc}") from None
         feat = np.arange(2, dtype=np.float32)  # not constant: ldp_rr needs a range to quantize
-        for kind in kinds:
+        for kind in dict.fromkeys(kinds):
+            arm = replace(d, kind=kind)
             try:
-                postprocess_features(feat, feat, replace(d, kind=kind), pv.delta, alpha, RngState(0))
+                preprocess_batch(blank, blank, arm, RngState(0))
+            except ValueError as exc:
+                key = _DEFENSE_KEYS[kind]
+                raise ConfigError(f"[defense] {key} = {getattr(d, key)} for kind = {kind} at "
+                                  f"[protocol] batch = {self.protocol.batch}: {exc}") from None
+            try:
+                postprocess_features(feat, feat, arm, pv.delta, alpha, RngState(0))
             except CalibrationError as exc:
                 key = _FEATURE_KEYS[exc.param]
                 raise ConfigError(f"[defense] {key} = {getattr(d, key)} for kind = {kind}: "

@@ -123,11 +123,13 @@ class TestConfig:
             key = line.partition("=")[0].strip()
             with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
                 load_config(p)
-        # an attack arm's feature defense is checked as well as the training run's
-        p.write_text("[defense]\nepsilon = 0\n[attacks]\nmethods = whitebox\n"
-                     "defenses = none, ldp_gauss\n")
-        with pytest.raises(ConfigError, match=re.escape("[defense] epsilon = 0.0 for kind = ldp_gauss")):
-            load_config(p)
+        # an attack arm's defense is checked as well as the training run's
+        for line, arm in (("epsilon = 0", "ldp_gauss"), ("sigma2 = -1", "add_raw")):
+            p.write_text(f"[defense]\nkind = none\n{line}\n[attacks]\nmethods = whitebox\n"
+                         f"defenses = none, {arm}\n")
+            key = line.partition("=")[0].strip()
+            with pytest.raises(ConfigError, match=rf"\[defense\] {key} = \S+ for kind = {arm}"):
+                load_config(p)
         # refused by the defense's own checks on a batch of [protocol] batch samples
         for kind, line in (("patch_shuffle", "patch = 5"), ("mixup", "mix_count = 0"),
                            ("add_raw", "sigma2 = -1"),
