@@ -502,7 +502,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(f"conv2d: need rank-4 input/kernel, got {x.shape}, {kernel.shape}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d: need stride >= 1 and padding >= 0, got {stride}, {padding}")
-    n, c, h, w = x.shape
+    _, c, h, w = x.shape
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d: input channels {c} != kernel channels {ck}")
