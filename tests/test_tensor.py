@@ -118,6 +118,9 @@ class TestConv2d:
         pytest.param(16, 16, 3, 2, 1, (8, 8), ("last", "last"), id="c16-o16-3-2-1-8x8"),
         # 2 input channels stay channels-first, the 16-channel output gradient does not
         pytest.param(2, 16, 3, 1, 1, (4, 4), ("first", "last"), id="c2-o16-3-1-1-4x4"),
+        # 1x1 kernels: no padding at all, and a padding the input gradient crops
+        pytest.param(32, 32, 1, 1, 0, (4, 4), ("last", "last"), id="c32-o32-1-1-0-4x4"),
+        pytest.param(32, 32, 1, 1, 1, (4, 4), ("last", "last"), id="c32-o32-1-1-1-4x4"),
     ])
     def test_gradients_match_loop_oracle(self, c, o, k, stride, padding, hw, layouts, trainable,
                                          monkeypatch):
