@@ -11,7 +11,7 @@ positions), and the input gradient is the forward correlation again, of the
 stride-dilated output gradient with the flipped kernel. Each unfold picks its
 layout from the shape: channels-first columns (c*kh*kw, n*ho*wo), or
 channels-last rows (n*ho*wo, kh*kw*c) from an NHWC copy when kw*c is at
-least 3*wo and the columns hold at most 2**20 floats, so that wide channel
+least 3*wo and the columns hold at most 2**18 floats, so that wide channel
 counts over small maps are copied in long runs; the kernel is reordered to
 match. silu's backward zeroes the subnormal
 gradients its underflowing slope makes. A node's first gradient is stored as
@@ -437,9 +437,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
     copy of x. Copying the strided view into the columns moves runs of wo
     floats channels-first and of kw*c floats channels-last; channels-last is
     taken when its run is at least three times as long and the columns hold
-    at most 2**20 floats. Channels-last columns are the left operand of their
-    GEMM, which a multithreaded OpenBLAS packs whole into its own buffer, and
-    the pages it touches there stay resident.
+    at most 2**18 floats (1 MiB). Channels-last columns are the left operand
+    of their GEMM, which a multithreaded OpenBLAS packs whole into its own
+    buffer, and the pages it touches there stay resident; the cap bounds
+    that at 1 MiB.
 
     x is first dilated (dilate - 1 zeros between samples) and padded by
     pads = (top, bottom, left, right), all in one zero buffer; a negative
@@ -451,7 +452,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
     wp = (w - 1) * dilate + 1 + left + right
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    last = kw * c >= 3 * wo and n * ho * wo * kh * kw * c <= 1 << 20
+    last = kw * c >= 3 * wo and n * ho * wo * kh * kw * c <= 1 << 18
     if dilate != 1 or any(pads):
         src_h, dst_h = _axis_slices(h, top, hp, dilate)
         src_w, dst_w = _axis_slices(w, left, wp, dilate)
@@ -478,16 +479,26 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
 
 def _correlate(x: np.ndarray, kernel: np.ndarray, stride: int, pads, dilate: int = 1):
     """x (n, c, h, w) correlated with kernel (o, c, kh, kw) as one GEMM over
-    _im2col's columns, the kernel reordered to match them: an (n, o, ho, wo)
-    view of the result, the columns and whether they are channels-last."""
+    _im2col's columns, the kernel reordered to match them. Returns an
+    (n, o, ho, wo) view of the result and a function that maps its gradient
+    to the kernel's, in the kernel's (o, c, kh, kw) order."""
     o, c, kh, kw = kernel.shape
     n = x.shape[0]
     cols, ho, wo, last = _im2col(x, kh, kw, stride, pads, dilate)
     if last:
         flat = cols @ kernel.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
-        return flat.reshape(n, ho, wo, o).transpose(0, 3, 1, 2), cols, True
-    flat = kernel.reshape(o, c * kh * kw) @ cols
-    return flat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), cols, False
+        y = flat.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
+    else:
+        flat = kernel.reshape(o, c * kh * kw) @ cols
+        y = flat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+
+    def kernel_grad(g):
+        gflat = g.transpose(1, 0, 2, 3).reshape(o, -1)
+        if last:
+            return (gflat @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+        return (gflat @ cols.T).reshape(o, c, kh, kw)
+
+    return y, kernel_grad
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -510,22 +521,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    y, cols, last = _correlate(x.data, kernel.data, stride, (padding,) * 4)
+    y, kernel_grad = _correlate(x.data, kernel.data, stride, (padding,) * 4)
 
     def bwd(g):
         if kernel.requires_grad:
-            gflat = g.transpose(1, 0, 2, 3).reshape(o, -1)
-            if last:
-                gw = (gflat @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
-            else:
-                gw = (gflat @ cols.T).reshape(kernel.shape)
-            kernel._accumulate(gw)
+            kernel._accumulate(kernel_grad(g))
         if x.requires_grad:
             top, left = kh - 1 - padding, kw - 1 - padding
             unread_h = (h + 2 * padding - kh) % stride
             unread_w = (w + 2 * padding - kw) % stride
             flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx, _, _ = _correlate(g, flipped, 1, (top, top + unread_h, left, left + unread_w), stride)
+            gx, _ = _correlate(g, flipped, 1, (top, top + unread_h, left, left + unread_w), stride)
             x._accumulate(gx)
 
     return _out(y, (x, kernel), bwd)

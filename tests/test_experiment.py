@@ -320,9 +320,9 @@ class TestRunExperiment:
                           "t_total_pipelined": 5.006226, "t_total_sequential": 8.024904}
 
     @pytest.mark.parametrize("overrides, branch_sha256", [
-        ({}, "f57bdea22abb6e2f4eec1942957de9b0537907667359cd2021ae843f6f54ef7f"),
+        ({}, "06e2889f65e4948d743e3d05aa5b124f875defa48d4dcabda0b2d49ce05ac78b"),
         ({"protocol.mode": "classic", "protocol.condition_encoder": "scratch"},
-         "9b7fa0ca96521c67e89295f01eb1069eadfa6fe411ccae9e517f9617cde13646"),
+         "9916ea1ea3d458a482831e285bd2f9150af1f8d9a227b1e97065e76113420fa6"),
     ], ids=["gradient_free", "classic_scratch"])
     def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256):
         # the trained control branch and its manifest, byte for byte as this run has

@@ -151,6 +151,19 @@ class TestConv2d:
         if layouts is not None:
             assert tuple(taken) == (layouts if x.requires_grad else layouts[:1])
 
+    @pytest.mark.parametrize("n,last", [
+        (14, True),    # 14*8*8 x 288 = 258048 floats, under the 2**18 cap
+        (15, False),   # 276480 floats, over it
+        (256, False),  # the 256-sample evaluation encode's 16384 x 288 columns
+    ])
+    def test_channels_last_columns_are_capped(self, n, last):
+        # 32 channels at 8x8 out: kw*c = 96 >= 3*wo = 24 picks channels-last
+        # wherever the columns fit under the cap
+        x = np.zeros((n, 32, 16, 16), dtype=np.float32)
+        cols, ho, wo, got = tt._im2col(x, 3, 3, 2, (1, 1, 1, 1))
+        assert (ho, wo, got) == (8, 8, last)
+        assert cols.shape == ((n * 64, 288) if last else (288, n * 64))
+
     def test_subnormal_output_gradient_reaches_the_kernel_gradient(self):
         rng = RngState(7)
         x_np, w_np = rng.normal((2, 2, 4, 4)) * 1e6, rng.normal((3, 2, 3, 3))
