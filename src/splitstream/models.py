@@ -21,6 +21,7 @@ included, runs on the server.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -69,10 +70,11 @@ class Module:
             p.requires_grad = False
 
     def clone(self):
-        """Independent deep copy with every parameter trainable."""
+        """Independent deep copy with every parameter trainable (and no
+        frozen kernel's packed layouts)."""
         twin = copy.deepcopy(self)
         for p in twin.named_parameters().values():
-            p.requires_grad, p.grad = True, None
+            p.requires_grad, p.grad, p._packs = True, None, None
         return twin
 
 
@@ -88,7 +90,7 @@ class Conv(Module):
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return tt.bias_add(tt.conv2d(x, self.w, self.stride, self.padding), self.b)
+        return tt.conv2d(x, self.w, self.stride, self.padding, bias=self.b)
 
 
 class Dense(Module):
@@ -127,17 +129,23 @@ class CrossAttention(Module):
 
 
 class SelfAttention(Module):
-    """Projection-free self-attention over the block's own tokens."""
+    """Projection-free self-attention over the block's own tokens, with its
+    residual: h (n, c, hh, ww) -> h + attention over h's hh*ww tokens."""
 
-    def __call__(self, tokens: Tensor) -> Tensor:
-        return tt.attention(tokens, tokens, tokens)
+    def __call__(self, h: Tensor) -> Tensor:
+        return tt.self_attention(h)
 
 
+@functools.lru_cache(maxsize=None)
 def timestep_embedding(t: int, dim: int = D_TEMB) -> np.ndarray:
+    """Sinusoidal embedding of timestep t, computed once per (t, dim) and
+    shared: the array is read-only."""
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
     ang = float(t) * freqs
-    return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
+    emb = np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
+    emb.flags.writeable = False
+    return emb
 
 
 def _plus_on_tokens(h: Tensor, attend) -> Tensor:
@@ -168,7 +176,7 @@ class UNetBlock(Module):
         h = tt.bias_add(h, tt.reshape(self.temb(temb_row), (mid_ch,)))
         h = tt.silu(h)
         if isinstance(self.attn, SelfAttention):
-            h = _plus_on_tokens(h, self.attn)
+            h = self.attn(h)
         # a block bound to the zero prompt skips its cross-attention, and with it
         # the round trip to tokens: K and V have no bias, so attention over a
         # zero context is exactly zero

@@ -359,18 +359,19 @@ def _serve(server: ServerWorker, cfg: ProtocolConfig, conns: list[socket.socket]
     """Train on every uplink frame until `cfg.clients` clients have sent DONE.
 
     One thread waits on every connection and reads one whole frame from
-    each ready one; a peer silent for IO_TIMEOUT_S ends the session. Every
+    each ready one; a peer silent for IO_TIMEOUT_S ends the session, and so
+    does any frame on a connection after its client's DONE. Every
     connection is closed here, however the loop ends.
     """
     routes: dict[int, socket.socket] = {}  # client id -> connection its HELLO came in on
-    done: set[int] = set()
+    finished: dict[socket.socket, int] = {}  # connection -> client whose DONE came in on it
     with contextlib.ExitStack() as stack:
         sel = stack.enter_context(selectors.DefaultSelector())
         for conn in conns:
             stack.enter_context(conn)
             conn.settimeout(IO_TIMEOUT_S)
             sel.register(conn, selectors.EVENT_READ)
-        while len(done) < cfg.clients:
+        while len(finished) < cfg.clients:
             ready = sel.select(IO_TIMEOUT_S)
             if not ready:
                 raise TransportError(f"no client sent anything for {IO_TIMEOUT_S:g} s")
@@ -383,15 +384,20 @@ def _serve(server: ServerWorker, cfg: ProtocolConfig, conns: list[socket.socket]
                 if frame is None:  # a connection ended
                     sel.unregister(conn)
                     cid = next((c for c, r in routes.items() if r is conn), None)
-                    if cid not in done:
+                    if cid is None:
+                        raise TransportError("a connection closed before its client sent HELLO")
+                    if conn not in finished:
                         raise TransportError(f"client {cid} closed its connection before DONE")
                     continue
                 msg = parse_message(frame)
+                if conn in finished:
+                    what = msg if isinstance(msg, ControlMessage) else type(msg).__name__
+                    raise TransportError(f"client {finished[conn]} sent {what} after DONE")
                 if isinstance(msg, ControlMessage):
                     if msg.code == CTRL_HELLO and msg.client_id not in routes:
                         routes[msg.client_id] = conn
                     elif msg.code == CTRL_DONE and routes.get(msg.client_id) is conn:
-                        done.add(msg.client_id)
+                        finished[conn] = msg.client_id
                     else:
                         raise TransportError(f"unexpected control message {msg}")
                     continue

@@ -13,14 +13,21 @@ layout from the shape: channels-first columns (c*kh*kw, n*ho*wo), or
 channels-last rows (n*ho*wo, kh*kw*c) from an NHWC copy when kw*c is at
 least 3*wo and the columns hold at most 2**18 floats, so that wide channel
 counts over small maps are copied in long runs; the kernel is reordered to
-match. silu's backward zeroes the subnormal
-gradients its underflowing slope makes. A node's first gradient is stored as
-a copy, never added onto zeros; later ones add onto it.
+match. A frozen kernel (requires_grad False) is reordered once per layout:
+the packed matrices stay on its Tensor and are reused while its `data` is
+the array they were packed from; a trainable kernel is reordered on every
+call. conv2d takes an optional bias, added while the output is written.
+self_attention is a map plus the attention of its tokens over themselves,
+as one node whose hand-written backward is bit-equal to the composed ops'.
+silu's backward zeroes the subnormal gradients its underflowing slope makes.
+Every gradient is checked against its tensor's shape; a node's first
+gradient is stored as a copy, never added onto zeros; later ones add onto it.
 
-Broadcasting is deliberately restricted: the only implicit broadcast is
+Broadcasting is deliberately restricted: the only implicit broadcasts are
 bias_add, which adds a tensor whose shape equals the trailing dims of the
-input (per-channel conv bias and per-feature dense bias are special cases).
-Everything else requires exact shape agreement and raises ShapeError.
+input (per-channel conv bias and per-feature dense bias are special cases),
+and conv2d's (o,) bias. Everything else requires exact shape agreement and
+raises ShapeError.
 """
 
 from __future__ import annotations
@@ -53,10 +60,12 @@ class Tensor:
     only sanctioned mutation. An optimizer rebinds each parameter's `data`
     once, at construction, to a same-shape view of its own flat buffer; code
     that holds a parameter reads `p.data` afresh rather than keeping an
-    earlier array.
+    earlier array. Nothing writes a frozen tensor's `data` in place:
+    conv2d keeps a frozen kernel's packed layouts for as long as `data` is
+    the same array, and drops them only on a call with the kernel trainable.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_packs")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_f32(data)
@@ -64,6 +73,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
+        # a frozen conv kernel's GEMM layouts: (the data they were packed from, {layout: matrix})
+        self._packs: tuple[np.ndarray, dict] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,9 +90,10 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # every gradient, not only the first: += would broadcast a wrong one
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient shape {g.shape} != tensor shape {self.shape}")
         if self.grad is None:
-            if g.shape != self.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} != tensor shape {self.shape}")
             # a copy, never a view: ops hand on views of their output gradient
             self.grad = np.array(g, dtype=np.float32, order="C")
         else:
@@ -189,7 +201,8 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 
     Two sanctioned forms: b.shape == x.shape[1:] (per-sample constant, e.g.
     a secret offset map), and rank-1 b matching the channel dim of a NCHW
-    map (conv bias). Dense bias (N,F)+(F,) is the first form.
+    map (a per-channel offset such as a conv bias). Dense bias (N,F)+(F,)
+    is the first form.
     """
     if b.shape == x.shape[1:]:
         bview = b.data.reshape((1,) + b.shape)
@@ -383,15 +396,24 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return _out(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
 
 
+def _softmax(a: np.ndarray) -> np.ndarray:
+    m = a.max(axis=-1, keepdims=True)
+    e = np.exp(a - m, dtype=np.float32)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the softmax input, given its output y and output gradient g."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - dot)
+
+
 def softmax_last(x: Tensor) -> Tensor:
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m, dtype=np.float32)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data)
 
     def bwd(g):
         if x.requires_grad:
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (g - dot))
+            x._accumulate(_softmax_grad(y, g))
 
     return _out(y, (x,), bwd)
 
@@ -412,6 +434,36 @@ def attention(query: Tensor, key: Tensor, value: Tensor) -> Tensor:
         raise ShapeError(f"attention: k/v length dims differ {key.shape} vs {value.shape}")
     scores = scale(bmm(query, transpose_last2(key)), 1.0 / math.sqrt(query.shape[2]))
     return bmm(softmax_last(scores), value)
+
+
+def self_attention(x: Tensor) -> Tensor:
+    """x + softmax(T Tᵀ / sqrt(c)) T over the tokens T (n, h*w, c) of an
+    NCHW map x, as one node.
+
+    Bit for bit the composed graph permute, reshape, attention(T, T, T),
+    add, reshape, permute: forward and backward make that graph's numpy
+    calls on the same operand layouts, and the token gradient is summed in
+    its order: residual, value, query, key.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"self_attention: need a rank-4 map, got {x.shape}")
+    n, c, h, w = x.shape
+    tok = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n, h * w, c)
+    tok_t = np.ascontiguousarray(tok.transpose(0, 2, 1))
+    s = np.float32(1.0 / math.sqrt(c))
+    p = _softmax((tok @ tok_t) * s)
+    y = tok + p @ tok
+
+    def bwd(g):
+        if x.requires_grad:
+            gy = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, h * w, c)
+            gs = _softmax_grad(p, gy @ tok.transpose(0, 2, 1)) * s
+            gt = gy + p.transpose(0, 2, 1) @ gy
+            gt += gs @ tok_t.transpose(0, 2, 1)
+            gt += (tok.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+            x._accumulate(np.ascontiguousarray(gt.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
+
+    return _out(np.ascontiguousarray(y.reshape(n, h, w, c).transpose(0, 3, 1, 2)), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +529,50 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
     return cols.reshape(c * kh * kw, n * ho * wo), ho, wo, False
 
 
-def _correlate(x: np.ndarray, kernel: np.ndarray, stride: int, pads, dilate: int = 1):
-    """x (n, c, h, w) correlated with kernel (o, c, kh, kw) as one GEMM over
-    _im2col's columns, the kernel reordered to match them. Returns an
-    (n, o, ho, wo) view of the result and a function that maps its gradient
-    to the kernel's, in the kernel's (o, c, kh, kw) order."""
+def _kernel_matrix(kernel: Tensor, last: bool, flip: bool = False) -> np.ndarray:
+    """kernel (o, c, kh, kw) as the GEMM operand of _im2col's columns:
+    (kh*kw*c, o) for channels-last columns, (o, c*kh*kw) for channels-first.
+    With flip, the kernel of the input gradient: flipped in space, in and
+    out channels swapped.
+
+    A frozen kernel keeps each layout it was asked for in its `_packs` and
+    reuses it while its `data` is the array it was packed from; a trainable
+    kernel is reordered on every call and drops what it kept.
+    """
+    w = kernel.data
+    packs = kernel._packs
+    if kernel.requires_grad:
+        kernel._packs = packs = None
+    elif packs is None or packs[0] is not w:
+        kernel._packs = packs = (w, {})
+    elif (last, flip) in packs[1]:
+        return packs[1][last, flip]
+    if flip:
+        w = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    o, c, kh, kw = w.shape
+    m = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o) if last else w.reshape(o, c * kh * kw)
+    if packs is not None:
+        packs[1][last, flip] = m
+    return m
+
+
+def _correlate(x: np.ndarray, kernel: Tensor, stride: int, pads, dilate: int = 1,
+               flip: bool = False):
+    """x (n, c, h, w) correlated with kernel (o, c, kh, kw), or with flip
+    with its flipped, channel-swapped twin, as one GEMM over _im2col's
+    columns and _kernel_matrix's operand. Returns an (n, o, ho, wo) view of
+    the result and a function that maps its gradient to the kernel's, in the
+    kernel's (o, c, kh, kw) order (unflipped only)."""
     o, c, kh, kw = kernel.shape
+    if flip:
+        o, c = c, o
     n = x.shape[0]
     cols, ho, wo, last = _im2col(x, kh, kw, stride, pads, dilate)
     if last:
-        flat = cols @ kernel.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
+        flat = cols @ _kernel_matrix(kernel, last, flip)
         y = flat.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
     else:
-        flat = kernel.reshape(o, c * kh * kw) @ cols
+        flat = _kernel_matrix(kernel, last, flip) @ cols
         y = flat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
 
     def kernel_grad(g):
@@ -501,13 +584,17 @@ def _correlate(x: np.ndarray, kernel: np.ndarray, stride: int, pads, dilate: int
     return y, kernel_grad
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with OCkhkw kernel.
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None) -> Tensor:
+    """Cross-correlation of NCHW input with OCkhkw kernel, plus a per-channel
+    bias (o,) when one is given.
 
     The input gradient is itself a correlation: the output gradient, dilated
     by the stride and padded by k-1-padding (plus the rows and columns the
     forward never read), against the flipped kernel with in and out channels
-    swapped. Each of the two unfolds picks its own column layout.
+    swapped. Each of the two unfolds picks its own column layout. The bias
+    is added while the GEMM's result is copied into the C-contiguous
+    output, and its gradient is summed in float64 as bias_add's is.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: need rank-4 input/kernel, got {x.shape}, {kernel.shape}")
@@ -521,7 +608,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    y, kernel_grad = _correlate(x.data, kernel.data, stride, (padding,) * 4)
+    if bias is not None and bias.shape != (o,):
+        raise ShapeError(f"conv2d: bias {bias.shape} for {o} output channels")
+    y, kernel_grad = _correlate(x.data, kernel, stride, (padding,) * 4)
+    if bias is not None:
+        y = np.add(y, bias.data.reshape(1, o, 1, 1), out=np.empty(y.shape, dtype=np.float32))
 
     def bwd(g):
         if kernel.requires_grad:
@@ -530,11 +621,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             top, left = kh - 1 - padding, kw - 1 - padding
             unread_h = (h + 2 * padding - kh) % stride
             unread_w = (w + 2 * padding - kw) % stride
-            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx, _ = _correlate(g, flipped, 1, (top, top + unread_h, left, left + unread_w), stride)
+            gx, _ = _correlate(g, kernel, 1, (top, top + unread_h, left, left + unread_w), stride,
+                               flip=True)
             x._accumulate(gx)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 
-    return _out(y, (x, kernel), bwd)
+    return _out(y, (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 
 def upsample2x(x: Tensor) -> Tensor:

@@ -214,13 +214,21 @@ class TestPromptHiding:
         assert len(taps) == 3
 
     def test_self_attention_matches_oracle(self):
-        from splitstream.models import SelfAttention
-
+        # the fused op against the graph it replaces, at the control
+        # branch's two attention shapes: output and input gradient equal
+        # bit for bit
         rng = RngState(15)
-        tokens = Tensor(rng.normal((2, 5, 8)))
-        got = SelfAttention()(tokens)
-        want = tt.attention(tokens, tokens, tokens)
-        assert np.abs(got.data - want.data).max() < 1e-6
+        for shape in ((4, 32, 8, 8), (4, 64, 4, 4)):
+            h_np, g = rng.normal(shape), rng.normal(shape)
+            runs = []
+            for attend in (M.SelfAttention(),
+                           lambda h: M._plus_on_tokens(h, lambda t: tt.attention(t, t, t))):
+                h = Tensor(h_np, requires_grad=True)
+                y = attend(h)
+                tt.backward(y, seed_grad=g)
+                runs.append((y.data.tobytes(), h.grad.tobytes()))
+            assert runs[0] == runs[1], shape
+            assert graph_ops(M.SelfAttention()(Tensor(h_np, requires_grad=True))) == {"self_attention"}
 
     def test_bound_blocks_equal_explicit_zero_prompt_attention(self):
         # a bound block skips its cross-attention; unbound, the same block
@@ -311,6 +319,9 @@ class TestParameterTree:
                 assert p.requires_grad
                 assert not np.shares_memory(p.data, theirs[name].data), name
         assert isinstance(branch.mid.clone().attn, M.SelfAttention)
+        # a frozen kernel's packed layouts stay behind
+        assert unet.mid.conv1.w._packs is not None
+        assert all(p._packs is None for p in unet.mid.clone().named_parameters().values())
         twin = unet.mid.clone()
         assert np.array_equal(twin.bound_zero_prompt, unet.mid.bound_zero_prompt)
         assert not np.shares_memory(twin.bound_zero_prompt, unet.mid.bound_zero_prompt)
@@ -379,6 +390,14 @@ def test_timestep_embedding_distinct_and_bounded():
     assert embs.shape[1] == M.D_TEMB
     assert np.abs(embs).max() <= 1.0
     assert len(np.unique(embs.round(6), axis=0)) == embs.shape[0]
+
+
+def test_timestep_embedding_is_computed_once_and_read_only():
+    emb = timestep_embedding(123)
+    assert timestep_embedding(123) is emb and timestep_embedding(123, 16) is not emb
+    assert not emb.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        emb[0] = 2.0
 
 
 def test_checkpoint_roundtrip_of_model(tmp_path):

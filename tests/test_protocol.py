@@ -22,8 +22,9 @@ from splitstream.protocol import (ClientDataset, ClientWorker, IterationSample,
                                   TransmissionLedger, TransportError, run_split_training)
 from splitstream.rng import RngState
 from splitstream.tensor import Tensor
-from splitstream.wire import (CTRL_HELLO, ControlMessage, FeaturePacket, GradientPacket,
-                              WireError, frame_message, iter_frames, tensor_payload_bytes)
+from splitstream.wire import (CTRL_DONE, CTRL_HELLO, ControlMessage, FeaturePacket,
+                              GradientPacket, WireError, frame_message, iter_frames,
+                              tensor_payload_bytes)
 
 DELTA, ALPHA = 1e-4, 0.16
 VOCAB = ["one", "two", "red", "blue", "circle", "rect"]
@@ -526,6 +527,73 @@ def test_slow_reads_end_with_every_thread_joined(transport, monkeypatch):
     assert "error" not in box, box
     assert len(box["result"].loss_history) == 3
     assert [t.name for t in set(threading.enumerate()) - before if t.is_alive()] == []
+
+
+def serve_hand_rolled(world, cfg, sent: list[list[bytes]], closed: set[int] = frozenset()):
+    """`_serve` over one socketpair per client; client i's end sends the
+    frames sent[i] and then stays open, or closes if i is in `closed`."""
+    pairs = [socket.socketpair() for _ in sent]
+    try:
+        for i, ((sock, _), frames) in enumerate(zip(pairs, sent)):
+            for frame in frames:
+                sock.sendall(frame)
+            if i in closed:
+                sock.close()
+        return run_within(lambda: pr._serve(ServerWorker(world, cfg), cfg,
+                                            [conn for _, conn in pairs], TransmissionLedger(), None))
+    finally:
+        for sock, _ in pairs:
+            sock.close()
+
+
+def control(code: int, client_id: int) -> bytes:
+    return frame_message(ControlMessage(code=code, client_id=client_id))
+
+
+@pytest.mark.parametrize("late", ["packet", "hello", "done"])
+def test_frames_after_done_are_refused(late, monkeypatch):
+    # client 0 stays in the session, so the server goes on reading client 1
+    monkeypatch.setattr(pr, "IO_TIMEOUT_S", 2.0)
+    world = build_world("ours_plus_plus", seed=45, clients=2)
+    cfg = make_cfg(clients=2)
+    pkt = frame_message(ClientWorker(1, world, cfg, RngState(8)).forward_step(0))
+    last = {"packet": pkt, "hello": control(CTRL_HELLO, 2), "done": control(CTRL_DONE, 1)}[late]
+    box = serve_hand_rolled(world, cfg, [[control(CTRL_HELLO, 0)],
+                                         [control(CTRL_HELLO, 1), pkt, control(CTRL_DONE, 1), last]])
+    assert isinstance(box.get("error"), TransportError), box
+    assert "client 1 sent" in str(box["error"]) and "after DONE" in str(box["error"])
+
+
+def test_connection_closed_before_hello_is_named_as_such(monkeypatch):
+    monkeypatch.setattr(pr, "IO_TIMEOUT_S", 2.0)
+    world = build_world("ours_plus_plus", seed=46, clients=2)
+    box = serve_hand_rolled(world, make_cfg(clients=2), [[control(CTRL_HELLO, 0)], []], closed={1})
+    assert isinstance(box.get("error"), TransportError), box
+    assert "closed before its client sent HELLO" in str(box["error"])
+
+
+def test_server_step_graph_size(monkeypatch):
+    # the gradient-free, prompt-hiding server step: every node with a
+    # backward closure in the graph of one step's loss
+    world = build_world("ours_plus_plus", seed=47)
+    cfg = make_cfg()
+    pkt = ClientWorker(0, world, cfg, RngState(9)).forward_step(0)
+    counted = []
+    backward = Tensor.backward
+
+    def counting(loss):
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                counted.append(node._backward is not None)
+                stack.extend(node._parents)
+        backward(loss)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    ServerWorker(world, cfg).train_step(pkt)
+    assert sum(counted) <= 45
 
 
 def free_port() -> int:

@@ -225,6 +225,121 @@ def test_first_gradient_of_another_shape_is_refused():
         x._accumulate(np.zeros((3,), dtype=np.float32))
 
 
+def test_later_gradient_that_broadcasts_is_refused():
+    x = Tensor(np.zeros((4, 3)), requires_grad=True)
+    x._accumulate(np.ones((4, 3), dtype=np.float32))
+    with pytest.raises(ShapeError, match="gradient shape"):
+        x._accumulate(np.ones((1, 3), dtype=np.float32))
+    assert np.array_equal(x.grad, np.ones((4, 3), dtype=np.float32))
+
+
+@pytest.mark.parametrize("n,c,o,hw,stride", [
+    (4, 64, 64, 4, 1),   # channels-last unfolds both ways
+    (4, 4, 32, 8, 1),    # channels-first forward, channels-last input gradient
+    (4, 4, 64, 8, 2),
+    (2, 3, 5, 6, 2),
+])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_conv2d_bias_equals_bias_add(n, c, o, hw, stride, frozen):
+    rng = RngState(n * c + o)
+    x_np, w_np, b_np = rng.normal((n, c, hw, hw)), rng.normal((o, c, 3, 3)) * 0.1, rng.normal((o,))
+    runs = []
+    for fused in (False, True):
+        x = Tensor(x_np, requires_grad=True)
+        w = Tensor(w_np, requires_grad=not frozen)
+        b = Tensor(b_np, requires_grad=True)
+        if fused:
+            y = tt.conv2d(x, w, stride=stride, padding=1, bias=b)
+        else:
+            y = tt.bias_add(tt.conv2d(x, w, stride=stride, padding=1), b)
+        tt.backward(y, seed_grad=RngState(3).normal(y.shape))
+        assert y.data.flags.c_contiguous
+        runs.append([y.data.tobytes(), x.grad.tobytes(), b.grad.tobytes(),
+                     None if frozen else w.grad.tobytes()])
+    assert runs[0] == runs[1]
+
+
+def test_conv2d_rejects_a_bias_of_another_length():
+    with pytest.raises(ShapeError, match="bias"):
+        tt.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))),
+                  bias=Tensor(np.zeros(2)))
+
+
+def conv_with_grads(x_np, w: Tensor, g):
+    """Output and input gradient of conv2d(x, w) (stride 1, padding 1) under seed g."""
+    x = Tensor(x_np, requires_grad=True)
+    y = tt.conv2d(x, w, padding=1)
+    tt.backward(y, seed_grad=g)
+    return y.data.tobytes() + x.grad.tobytes()
+
+
+class TestKernelPacks:
+    """A frozen kernel's GEMM layouts are packed once and never go stale."""
+
+    # 64 channels at 4x4 unfold channels-last; 4 channels at 8x8 forward
+    # channels-first with a channels-last input gradient
+    SHAPES = [((4, 64, 4, 4), (64, 64, 3, 3)), ((4, 4, 8, 8), (32, 4, 3, 3))]
+
+    @pytest.mark.parametrize("x_shape,w_shape", SHAPES)
+    def test_frozen_kernel_is_packed_once_per_layout(self, x_shape, w_shape):
+        rng = RngState(31)
+        x_np, w = rng.normal(x_shape), Tensor(rng.normal(w_shape) * 0.1)
+        g = rng.normal((x_shape[0], w_shape[0]) + x_shape[2:])
+        want = conv_with_grads(x_np, Tensor(w.data.copy()), g)
+        assert conv_with_grads(x_np, w, g) == want
+        packed_from, packs = w._packs
+        assert packed_from is w.data and len(packs) == 2  # forward and input gradient
+        kept = dict(packs)
+        for _ in range(3):
+            assert conv_with_grads(x_np, w, g) == want
+        assert w._packs[1] == kept and all(w._packs[1][k] is m for k, m in kept.items())
+
+    @pytest.mark.parametrize("x_shape,w_shape", SHAPES)
+    def test_trainable_kernel_is_never_served_a_pack(self, x_shape, w_shape, monkeypatch):
+        rng = RngState(32)
+        x_np, w = rng.normal(x_shape), Tensor(rng.normal(w_shape) * 0.1)
+        g = rng.normal((x_shape[0], w_shape[0]) + x_shape[2:])
+        conv_with_grads(x_np, w, g)
+        assert w._packs is not None
+        kept = []
+        kernel_matrix = tt._kernel_matrix
+
+        def spy(kernel, last, flip=False):
+            m = kernel_matrix(kernel, last, flip)
+            if kernel is w:
+                kept.append(kernel._packs)
+            return m
+
+        monkeypatch.setattr(tt, "_kernel_matrix", spy)
+        w.requires_grad = True
+        for _ in range(2):
+            w.data[...] += np.float32(0.5)  # as an optimizer would, in place
+            assert conv_with_grads(x_np, w, g) == conv_with_grads(x_np, Tensor(w.data.copy()), g)
+            assert w._packs is None
+        assert len(kept) == 4 and all(packs is None for packs in kept)
+
+    def test_no_pack_is_stale(self):
+        rng = RngState(33)
+        (x_shape, w_shape), _ = self.SHAPES
+        x_np, w = rng.normal(x_shape), Tensor(rng.normal(w_shape) * 0.1)
+        g = rng.normal(x_shape[:1] + w_shape[:1] + x_shape[2:])
+
+        def fresh():
+            return conv_with_grads(x_np, Tensor(w.data.copy()), g)
+
+        conv_with_grads(x_np, w, g)
+        # trainable for a while, changed in place, then frozen again
+        w.requires_grad = True
+        conv_with_grads(x_np, w, g)
+        w.data[...] *= np.float32(2.0)
+        w.requires_grad = False
+        assert conv_with_grads(x_np, w, g) == fresh()
+        # data rebound to another array
+        w.data = w.data * np.float32(-1.0)
+        assert conv_with_grads(x_np, w, g) == fresh()
+        assert w._packs[0] is w.data
+
+
 @pytest.mark.parametrize("shape", [(4, 64, 8, 8), (8, 32, 16, 16), (8, 16, 32, 32), (3, 5, 6, 7)])
 def test_upsample2x_gradient_matches_the_2x2_reduction(shape):
     n, c, h, w = shape
@@ -456,6 +571,10 @@ OPS = {
     "upsample": lambda x, rng: tt.upsample2x(x),
     "permute": lambda x, rng: tt.permute(x, (0, 2, 3, 1)),
     "mul_self": lambda x, rng: tt.mul(x, x),
+    # halved so that the residual's float32 rounding stays out of the quotient
+    "self_attention": lambda x, rng: tt.self_attention(tt.scale(x, 0.5)),
+    "conv2d_bias": lambda x, rng: tt.conv2d(x, Tensor(rng.normal((2, 2, 2, 2)) * 0.5), 1, 1,
+                                            bias=Tensor(rng.normal((2,)) * 0.5)),
 }
 
 
