@@ -529,7 +529,7 @@ def test_slow_reads_end_with_every_thread_joined(transport, monkeypatch):
     assert [t.name for t in set(threading.enumerate()) - before if t.is_alive()] == []
 
 
-def serve_hand_rolled(world, cfg, sent: list[list[bytes]], closed: set[int] = frozenset()):
+def serve_hand_rolled(world, cfg, sent: list[list[bytes]], closed=()):
     """`_serve` over one socketpair per client; client i's end sends the
     frames sent[i] and then stays open, or closes if i is in `closed`."""
     pairs = [socket.socketpair() for _ in sent]
