@@ -4,19 +4,29 @@ Dense float32 arrays plus just enough operators for small convolutional
 denoisers and gradient-based reconstruction attacks: conv2d, dense layers,
 attention, dropout, pointwise nonlinearities, and reductions. Reductions
 accumulate in float64 before casting back so summed losses are stable.
-conv2d lays the whole batch out as one im2col matrix, so each direction is
-one float32 GEMM: the forward multiplies it by the kernel, the weight
-gradient multiplies the output gradient by it (summing over all n*ho*wo
-positions), and the input gradient is the forward correlation again, of the
-stride-dilated output gradient with the flipped kernel. Each unfold picks its
-layout from the shape: channels-first columns (c*kh*kw, n*ho*wo), or
-channels-last rows (n*ho*wo, kh*kw*c) from an NHWC copy when kw*c is at
-least 3*wo and the columns hold at most 2**18 floats, so that wide channel
-counts over small maps are copied in long runs; the kernel is reordered to
-match. A frozen kernel (requires_grad False) is reordered once per layout:
-the packed matrices stay on its Tensor and are reused while its `data` is
-the array they were packed from; a trainable kernel is reordered on every
-call. conv2d takes an optional bias, added while the output is written.
+conv2d runs one of three formulations, chosen from the shape:
+- kn2row, for a stride-1 convolution whose output is at most half as wide
+  as its input (2*o <= c) over at least 1024 positions in the batch
+  (n*h*w): one GEMM per sample of the kernel's taps (kh*kw*o, c) by the
+  input as it is (c, h*w), then each tap's plane added at its shift. The
+  backward lays the output gradient out once per sample as (kh*kw*o, h*w)
+  and takes both gradients from it by GEMM, so no c*kh*kw columns are ever
+  copied and nothing but the input is kept between the two directions.
+- im2col otherwise: the whole batch unfolded into one column matrix, so each
+  direction is one float32 GEMM: the forward multiplies it by the kernel,
+  the weight gradient multiplies the output gradient by it (summing over all
+  n*ho*wo positions), and the input gradient is the forward correlation
+  again, of the stride-dilated output gradient with the flipped kernel.
+  Each unfold picks its layout from the shape:
+  - channels-last rows (n*ho*wo, kh*kw*c) from an NHWC copy when kw*c is
+    at least 3*wo and the columns hold at most 2**18 floats, so that wide
+    channel counts over small maps are copied in long runs;
+  - channels-first columns (c*kh*kw, n*ho*wo) for every other shape.
+The kernel is reordered to match. A frozen kernel (requires_grad False) is
+reordered once per layout: the packed matrices stay on its Tensor and are
+reused while its `data` is the array they were packed from; a trainable
+kernel is reordered on every call. conv2d takes an optional bias, added
+while the output is written.
 self_attention is a map plus the attention of its tokens over themselves,
 as one node whose hand-written backward is bit-equal to the composed ops'.
 silu's backward zeroes the subnormal gradients its underflowing slope makes.
@@ -475,7 +485,7 @@ def _axis_slices(length: int, lo: int, size: int, dilate: int):
     spread `dilate` apart and shifted by `lo` into `size` slots (a negative
     `lo` crops the samples that fall before slot 0)."""
     first = -(min(lo, 0) // dilate)
-    last = min(length - 1, (size - 1 - lo) // dilate)
+    last = max(first - 1, min(length - 1, (size - 1 - lo) // dilate))
     start = lo + dilate * first
     return slice(first, last + 1), slice(start, start + dilate * (last - first) + 1, dilate)
 
@@ -529,31 +539,38 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1)
     return cols.reshape(c * kh * kw, n * ho * wo), ho, wo, False
 
 
-def _kernel_matrix(kernel: Tensor, last: bool, flip: bool = False) -> np.ndarray:
-    """kernel (o, c, kh, kw) as the GEMM operand of _im2col's columns:
-    (kh*kw*c, o) for channels-last columns, (o, c*kh*kw) for channels-first.
-    With flip, the kernel of the input gradient: flipped in space, in and
-    out channels swapped.
-
-    A frozen kernel keeps each layout it was asked for in its `_packs` and
-    reuses it while its `data` is the array it was packed from; a trainable
-    kernel is reordered on every call and drops what it kept.
-    """
+def _packed(kernel: Tensor, key, pack) -> np.ndarray:
+    """pack(kernel.data), a GEMM operand of the kernel. A frozen kernel keeps
+    each operand under its key in its `_packs` and reuses it while its `data`
+    is the array it was packed from; a trainable kernel is reordered on every
+    call and drops what it kept."""
     w = kernel.data
     packs = kernel._packs
     if kernel.requires_grad:
         kernel._packs = packs = None
     elif packs is None or packs[0] is not w:
         kernel._packs = packs = (w, {})
-    elif (last, flip) in packs[1]:
-        return packs[1][last, flip]
-    if flip:
-        w = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    o, c, kh, kw = w.shape
-    m = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o) if last else w.reshape(o, c * kh * kw)
+    elif key in packs[1]:
+        return packs[1][key]
+    m = pack(w)
     if packs is not None:
-        packs[1][last, flip] = m
+        packs[1][key] = m
     return m
+
+
+def _kernel_matrix(kernel: Tensor, last: bool, flip: bool = False) -> np.ndarray:
+    """kernel (o, c, kh, kw) as the GEMM operand of _im2col's columns:
+    (kh*kw*c, o) for channels-last columns, (o, c*kh*kw) for channels-first.
+    With flip, the kernel of the input gradient: flipped in space, in and
+    out channels swapped. Packed once for a frozen kernel (_packed)."""
+
+    def pack(w):
+        if flip:
+            w = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        o, c, kh, kw = w.shape
+        return w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o) if last else w.reshape(o, c * kh * kw)
+
+    return _packed(kernel, (last, flip), pack)
 
 
 def _correlate(x: np.ndarray, kernel: Tensor, stride: int, pads, dilate: int = 1,
@@ -584,23 +601,96 @@ def _correlate(x: np.ndarray, kernel: Tensor, stride: int, pads, dilate: int = 1
     return y, kernel_grad
 
 
+def _kn2row_fits(n: int, c: int, o: int, stride: int, h: int, w: int) -> bool:
+    """Whether conv2d takes the kn2row path: stride 1, an output at most
+    half as wide as the input (2*o <= c), and at least 1024 positions over
+    the batch (n*h*w), where copying im2col's c*kh*kw rows costs more than
+    kn2row's o*kh*kw planes, its per-sample GEMMs and its kh*kw adds."""
+    return stride == 1 and 2 * o <= c and n * h * w >= 1024
+
+
+def _tap_slices(kh: int, kw: int, h: int, w: int, ho: int, wo: int, padding: int):
+    """(u, v, input rows, input columns, output rows, output columns) for each
+    tap of a stride-1 kh x kw correlation: tap (u, v) reads input (a, b)
+    into output (a + padding - u, b + padding - v)."""
+    for u in range(kh):
+        src_h, dst_h = _axis_slices(h, padding - u, ho, 1)
+        for v in range(kw):
+            src_w, dst_w = _axis_slices(w, padding - v, wo, 1)
+            yield u, v, src_h, src_w, dst_h, dst_w
+
+
+def _kn2row(x: Tensor, kernel: Tensor, padding: int, bias: Tensor | None):
+    """A stride-1 conv2d as one GEMM per sample over x as it is, then a
+    shifted add of each tap's plane (kn2row). Returns the output and a
+    function that maps its gradient to the input's and the kernel's, each
+    only where it is wanted; it keeps x and the taps, no columns.
+
+    The taps are (kh*kw*o, c), rows in (kh, kw, o) order, packed once for a
+    frozen kernel: taps @ x[n] (c, h*w) gives every tap's output plane, and
+    the output starts from the bias and adds each plane at its shift. The
+    output gradient is laid out once as gz[n] (kh*kw*o, h*w), each tap's rows
+    the output gradient at that tap's shift (zero where the tap falls in the
+    padding): the kernel gradient is sum_n gz[n] @ x[n].T and the input
+    gradient taps.T @ gz[n], already NCHW.
+    """
+    n, c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    ho, wo = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    xs = x.data.reshape(n, c, h * w)
+    taps = _packed(kernel, "taps", lambda k: k.transpose(2, 3, 0, 1).reshape(kh * kw * o, c))
+    planes = np.matmul(taps, xs).reshape(n, kh, kw, o, h, w)
+    y = np.empty((n, o, ho, wo), dtype=np.float32)
+    y[...] = 0 if bias is None else bias.data.reshape(1, o, 1, 1)
+    for u, v, src_h, src_w, dst_h, dst_w in _tap_slices(kh, kw, h, w, ho, wo, padding):
+        y[:, :, dst_h, dst_w] += planes[:, u, v, :, src_h, src_w]
+
+    def input_and_kernel_grad(g):
+        if not (x.requires_grad or kernel.requires_grad):
+            return
+        gz = np.zeros((n, kh, kw, o, h, w), dtype=np.float32)
+        for u, v, src_h, src_w, dst_h, dst_w in _tap_slices(kh, kw, h, w, ho, wo, padding):
+            gz[:, u, v, :, src_h, src_w] = g[:, :, dst_h, dst_w]
+        gz = gz.reshape(n, kh * kw * o, h * w)
+        if kernel.requires_grad:
+            gw = np.matmul(gz, xs.transpose(0, 2, 1)).sum(axis=0)
+            kernel._accumulate(gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            x._accumulate(np.matmul(taps.T, gz).reshape(n, c, h, w))
+
+    return y, input_and_kernel_grad
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
     """Cross-correlation of NCHW input with OCkhkw kernel, plus a per-channel
     bias (o,) when one is given.
 
-    The input gradient is itself a correlation: the output gradient, dilated
-    by the stride and padded by k-1-padding (plus the rows and columns the
-    forward never read), against the flipped kernel with in and out channels
-    swapped. Each of the two unfolds picks its own column layout. The bias
-    is added while the GEMM's result is copied into the C-contiguous
-    output, and its gradient is summed in float64 as bias_add's is.
+    Three formulations, picked from the shape:
+    - kn2row (_kn2row) where _kn2row_fits: stride 1, 2*o <= c and
+      n*h*w >= 1024, as for the autoencoder decoder's and the inverse net's
+      narrow convolutions at 16x16 and 32x32. Per sample, taps
+      (kh*kw*o, c) @ x[n] (c, h*w), each tap's plane added at its shift
+      onto the bias. The backward lays the output gradient out as gz[n]
+      (kh*kw*o, h*w): the kernel gradient is sum_n gz[n] @ x[n].T, the
+      input gradient taps.T @ gz[n].
+    - im2col with channels-last rows, where _im2col's rule picks them for
+      an unfold (kw*c >= 3*wo and at most 2**18 floats);
+    - im2col with channels-first columns for every other unfold.
+
+    Under im2col the input gradient is itself a correlation: the output
+    gradient, dilated by the stride and padded by k-1-padding (plus the rows
+    and columns the forward never read), against the flipped kernel with in
+    and out channels swapped. Each of the two unfolds picks its own column
+    layout. The bias is added while the GEMM's result is copied into the
+    C-contiguous output, and its gradient is summed in float64 as
+    bias_add's is.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: need rank-4 input/kernel, got {x.shape}, {kernel.shape}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d: need stride >= 1 and padding >= 0, got {stride}, {padding}")
-    _, c, h, w = x.shape
+    n, c, h, w = x.shape
     o, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d: input channels {c} != kernel channels {ck}")
@@ -610,20 +700,26 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         )
     if bias is not None and bias.shape != (o,):
         raise ShapeError(f"conv2d: bias {bias.shape} for {o} output channels")
-    y, kernel_grad = _correlate(x.data, kernel, stride, (padding,) * 4)
-    if bias is not None:
-        y = np.add(y, bias.data.reshape(1, o, 1, 1), out=np.empty(y.shape, dtype=np.float32))
+    if _kn2row_fits(n, c, o, stride, h, w):
+        y, input_and_kernel_grad = _kn2row(x, kernel, padding, bias)
+    else:
+        y, kernel_grad = _correlate(x.data, kernel, stride, (padding,) * 4)
+        if bias is not None:
+            y = np.add(y, bias.data.reshape(1, o, 1, 1), out=np.empty(y.shape, dtype=np.float32))
+
+        def input_and_kernel_grad(g):
+            if kernel.requires_grad:
+                kernel._accumulate(kernel_grad(g))
+            if x.requires_grad:
+                top, left = kh - 1 - padding, kw - 1 - padding
+                unread_h = (h + 2 * padding - kh) % stride
+                unread_w = (w + 2 * padding - kw) % stride
+                gx, _ = _correlate(g, kernel, 1, (top, top + unread_h, left, left + unread_w),
+                                   stride, flip=True)
+                x._accumulate(gx)
 
     def bwd(g):
-        if kernel.requires_grad:
-            kernel._accumulate(kernel_grad(g))
-        if x.requires_grad:
-            top, left = kh - 1 - padding, kw - 1 - padding
-            unread_h = (h + 2 * padding - kh) % stride
-            unread_w = (w + 2 * padding - kw) % stride
-            gx, _ = _correlate(g, kernel, 1, (top, top + unread_h, left, left + unread_w), stride,
-                               flip=True)
-            x._accumulate(gx)
+        input_and_kernel_grad(g)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 

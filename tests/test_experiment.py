@@ -320,9 +320,9 @@ class TestRunExperiment:
                           "t_total_pipelined": 5.006226, "t_total_sequential": 8.024904}
 
     @pytest.mark.parametrize("overrides, branch_sha256", [
-        ({}, "06e2889f65e4948d743e3d05aa5b124f875defa48d4dcabda0b2d49ce05ac78b"),
+        ({}, "4e353b72730c0617f30b4de2aaa6ffd8c1dee8fc343b61e8f548264904e644f4"),
         ({"protocol.mode": "classic", "protocol.condition_encoder": "scratch"},
-         "9916ea1ea3d458a482831e285bd2f9150af1f8d9a227b1e97065e76113420fa6"),
+         "97a2ac903ab1f317a24bfb56249d1c755ee6652f40bb6d34eb16666b2b58c073"),
     ], ids=["gradient_free", "classic_scratch"])
     def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256):
         # the trained control branch and its manifest, byte for byte as this run has
