@@ -257,6 +257,19 @@ class TestConv2d:
             assert have.dtype == np.float32 and have.shape == want.shape
             assert np.abs(have - want).max() < 1e-5 * max(1.0, np.abs(want).max())
 
+    def test_kn2row_tap_that_reads_only_padding(self):
+        # an 8x3 kernel over 4 rows padded by 2: ho = 1, and the first and last
+        # two kernel rows read only padding (out of the map by two rows or more)
+        rng = RngState(43)
+        x_np, w_np = rng.normal((1, 4, 4, 256)), rng.normal((2, 4, 8, 3))
+        x, w = Tensor(x_np, requires_grad=True), Tensor(w_np, requires_grad=True)
+        y = tt.conv2d(x, w, stride=1, padding=2)
+        assert y.shape == (1, 2, 1, 258)
+        g = rng.normal(y.shape)
+        tt.backward(y, seed_grad=g)
+        for have, want in zip((y.data, x.grad, w.grad), conv2d_tap_oracle(x_np, w_np, 2, g)):
+            assert np.abs(have - want).max() < 1e-5 * max(1.0, np.abs(want).max())
+
     @pytest.mark.parametrize("n,c,o,hw,stride,kn2row", [
         (8, 16, 3, 32, 1, True),     # the decoder's last conv while pretraining
         (1, 16, 3, 32, 1, True),     # the same over one sample: 1024 positions
