@@ -431,7 +431,6 @@ class TestKernelPacks:
         assert conv_with_grads(x_np, w, g) == fresh()
         assert w._packs[0] is w.data
 
-
     def test_kn2row_taps_are_packed_once_and_never_stale(self):
         rng = RngState(34)
         x_np, w = rng.normal((8, 16, 32, 32)), Tensor(rng.normal((3, 16, 3, 3)) * 0.1)
@@ -450,6 +449,7 @@ class TestKernelPacks:
         assert conv_with_grads(x_np, w, g) == fresh() and w._packs is None
         w.requires_grad = False
         assert conv_with_grads(x_np, w, g) == fresh() and w._packs[1]["taps"] is not taps
+
 
 @pytest.mark.parametrize("shape", [(4, 64, 8, 8), (8, 32, 16, 16), (8, 16, 32, 32), (3, 5, 6, 7)])
 def test_upsample2x_gradient_matches_the_2x2_reduction(shape):
