@@ -3,14 +3,12 @@
 At construction the optimizer copies its parameters into one contiguous
 float32 buffer and rebinds each parameter's `data` to its view of that
 buffer, once. The moments `m` and `v` (zero at construction), a gradient
-buffer, one scratch buffer and one mask are flat arrays of the same length.
-A step gathers the gradients into the gradient buffer with one concatenate
-and runs the update as 17 in-place ufunc calls (19 with weight decay) over
-the whole buffer. The operations and their order per element are those of
-the per-tensor update, so the result is bit-identical to it, except that
-`v` leaves out the squared gradients that would be subnormal (|g| below
-sqrt(tiny / (1 - b2)), about 3.4e-18 at b2 = 0.999); the `out=` buffers keep
-the step from allocating a temporary per operation.
+buffer and one scratch buffer are flat arrays of the same length. A step
+gathers the gradients into the gradient buffer with one concatenate and runs
+the update as 14 in-place ufunc calls (16 with weight decay) over the whole
+buffer. The operations and their order per element are those of the
+per-tensor update, so the result is bit-identical to it; the `out=` buffers
+keep the step from allocating a temporary per operation.
 
 Deterministic given (params, grads, state). A parameter whose `data` is
 rebound after construction (say, by a second optimizer packing the same
@@ -19,13 +17,9 @@ tensors) is no longer updated by this one, so `step` refuses it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .tensor import Tensor
-
-_F32_TINY = float(np.finfo(np.float32).tiny)
 
 
 class AdamW:
@@ -61,9 +55,6 @@ class AdamW:
         self._v = np.zeros_like(self._flat)
         self._g = np.empty_like(self._flat)
         self._scratch = np.empty_like(self._flat)
-        self._tiny = np.empty(self._flat.shape, dtype=bool)
-        b2 = self.betas[1]
-        self._g_floor = np.float32(math.sqrt(_F32_TINY / (1.0 - b2)) if b2 < 1.0 else np.inf)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -90,13 +81,6 @@ class AdamW:
         np.multiply(1.0 - b1, g, out=s)
         np.add(m, s, out=m)
         np.multiply(v, b2, out=v)
-        # below this |g| the term (1 - b2) * g * g is subnormal, and each
-        # subnormal multiply is many times slower; dropping it moves v by
-        # less than float32's smallest normal and sqrt(v_hat) by less than
-        # |g|, far below eps. m keeps the exact gradient.
-        np.abs(g, out=s)
-        np.less(s, self._g_floor, out=self._tiny)
-        np.copyto(g, 0, where=self._tiny)
         np.multiply(g, g, out=g)
         np.multiply(1.0 - b2, g, out=g)
         np.add(v, g, out=v)

@@ -487,7 +487,7 @@ def _axis_slices(length: int, lo: int, size: int, dilate: int):
     first = -(min(lo, 0) // dilate)
     last = max(first - 1, min(length - 1, (size - 1 - lo) // dilate))
     start = lo + dilate * first
-    return slice(first, last + 1), slice(start, start + dilate * (last - first) + 1, dilate)
+    return slice(first, last + 1), slice(start, start + dilate * (last - first + 1), dilate)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pads, dilate: int = 1):

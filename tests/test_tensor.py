@@ -270,6 +270,17 @@ class TestConv2d:
         for have, want in zip((y.data, x.grad, w.grad), conv2d_tap_oracle(x_np, w_np, 2, g)):
             assert np.abs(have - want).max() < 1e-5 * max(1.0, np.abs(want).max())
 
+    @pytest.mark.parametrize("length,lo,size,dilate", [
+        (4, 0, 4, 1), (4, 2, 6, 1), (4, -2, 2, 1), (4, -5, 3, 1), (4, 7, 3, 1),
+        (4, 1, 9, 2), (4, -3, 5, 2), (4, -8, 3, 2), (3, -6, 6, 3), (4, 4, 3, 2),
+    ])
+    def test_axis_slices_place_each_sample_that_lands_in_a_slot(self, length, lo, size, dilate):
+        # sample i goes to slot lo + dilate*i; those outside the slots are cropped
+        kept = [i for i in range(length) if 0 <= lo + dilate * i < size]
+        src, dst = tt._axis_slices(length, lo, size, dilate)
+        assert np.arange(length)[src].tolist() == kept
+        assert np.arange(size)[dst].tolist() == [lo + dilate * i for i in kept]
+
     @pytest.mark.parametrize("n,c,o,hw,stride,kn2row", [
         (8, 16, 3, 32, 1, True),     # the decoder's last conv while pretraining
         (1, 16, 3, 32, 1, True),     # the same over one sample: 1024 positions
@@ -684,10 +695,8 @@ OPS = {
     "mul_self": lambda x, rng: tt.mul(x, x),
     # halved so that the residual's float32 rounding stays out of the quotient
     "self_attention": lambda x, rng: tt.self_attention(tt.scale(x, 0.5)),
-    # kernel and bias halved again so that the output's float32 rounding stays
-    # out of the quotient: at 0.5 one draw in 256 read 1.8e-3
-    "conv2d_bias": lambda x, rng: tt.conv2d(x, Tensor(rng.normal((2, 2, 2, 2)) * 0.25), 1, 1,
-                                            bias=Tensor(rng.normal((2,)) * 0.25)),
+    "conv2d_bias": lambda x, rng: tt.conv2d(x, Tensor(rng.normal((2, 2, 2, 2)) * 0.5), 1, 1,
+                                            bias=Tensor(rng.normal((2,)) * 0.5)),
 }
 
 
@@ -760,25 +769,6 @@ class TestAdamW:
         opt = AdamW([p])
         with pytest.raises(RuntimeError, match="no grad"):
             opt.step()
-
-    def test_tiny_gradient_adds_no_subnormal_to_v(self):
-        # (1 - b2) * g * g is subnormal for |g| below about 3.4e-18
-        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-        p = Tensor(np.array([1e-12, 1.0, -1e-12], dtype=np.float32), requires_grad=True)
-        opt = AdamW([p], lr=lr, betas=(b1, b2), eps=eps)
-        g = np.array([1e-20, 0.25, -1e-20], dtype=np.float32)
-        d, m, v = p.data.copy(), np.zeros(3, np.float32), np.zeros(3, np.float32)
-        for t in range(1, 4):
-            p.grad = g.copy()
-            opt.step()
-            # the per-tensor update, subnormal terms and all
-            m = m * b1 + (1.0 - b1) * g
-            v = v * b2 + (1.0 - b2) * (g * g)
-            d -= (lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)).astype(np.float32)
-            assert p.data.tobytes() == d.tobytes(), f"step {t}"
-        assert 0 < v[0] < np.finfo(np.float32).tiny
-        assert opt._v[0] == 0 and opt._v[2] == 0 and opt._v[1] == v[1]
-        assert opt._m.tobytes() == m.tobytes() and m[0] > 0
 
     def test_determinism_100_steps(self):
         def run():
