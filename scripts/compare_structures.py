@@ -1,6 +1,13 @@
 """Classic vs gradient-free structure comparison: bytes on the wire and the
 simulated time model, at matched tensors and iteration counts.
 
+The classic arm (defense `none`) trains a scratch condition encoder from the
+`grad_control` the server returns, its only downlink field; the
+gradient-free arm (`ours_plus_plus`) runs the frozen pretrained encoder and
+sends nothing down. The arms differ in defense too, so most of the byte
+ratio is prompt hiding (`ours_plus_plus` omits `prompt_feat`), not the
+structure.
+
 Each session records only the bytes it sent; `t_seq`/`t_pipe` apply one
 SimClock model to those bytes when the ledger is reported, in clock units,
 not measurements. `wall` is the measured wall time of each training session.

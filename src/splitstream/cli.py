@@ -72,8 +72,8 @@ def cmd_train(args):
         raise ConfigError(
             f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {args.client_id}")
     from .checkpoint import save_checkpoint
-    from .experiment import build_world, prepare, protocol_config, sim_clock
-    from .protocol import run_client_role, run_server_role, run_split_training
+    from .experiment import build_world, prepare, protocol_config
+    from .protocol import SimClock, run_client_role, run_server_role, run_split_training
 
     # with --listen/--connect, both processes rebuild the same world from the config
     data, ae, alpha = prepare(cfg)
@@ -91,7 +91,7 @@ def cmd_train(args):
     pcfg = protocol_config(cfg, capture_path=str(out / "packets_training.bin"))
     res = run_server_role(world, pcfg, host, port) if args.listen else run_split_training(world, pcfg)
     with open(out / "ledger.json", "w") as f:
-        json.dump(res.ledger.to_dict(sim_clock(cfg)), f, indent=2, sort_keys=True)
+        json.dump(res.ledger.to_dict(SimClock()), f, indent=2, sort_keys=True)
     save_checkpoint(out / "control_branch.tckp", world.branch.named_parameters())
     if args.listen:
         print(f"served {res.ledger.packets} packets from {cfg.protocol.clients} clients -> {out}")

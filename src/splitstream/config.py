@@ -63,6 +63,8 @@ class PrivacyConfig:
 
 @dataclass
 class ProtocolSection:
+    # classic: each client trains a scratch condition encoder from the gradients the
+    # server returns; gradient_free: the frozen pretrained encoder, nothing comes back
     mode: str = "gradient_free"
     clients: int = 1
     iterations: int = 500
@@ -71,24 +73,13 @@ class ProtocolSection:
     server_lr: float = 1e-3
     client_lr: float = 1e-3
     weight_decay: float = 0.0
-    condition_encoder: str = "pretrained"  # pretrained | scratch (classic only)
-    t_client: float = 1.0
-    t_server: float = 1.0
-    rate: float = 1e6
 
     def validate(self) -> None:
         if self.mode not in ("classic", "gradient_free"):
             raise ConfigError(f"unknown protocol mode {self.mode!r}")
-        if self.condition_encoder not in ("pretrained", "scratch"):
-            raise ConfigError(f"unknown condition encoder {self.condition_encoder!r}")
-        if self.condition_encoder == "scratch" and self.mode == "gradient_free":
-            raise ConfigError("[protocol] condition_encoder = scratch needs mode = classic: "
-                              "a gradient-free client has no gradients to train it with")
         if self.transport not in ("in_process", "tcp"):
             raise ConfigError(f"unknown transport {self.transport!r}")
         _at_least("protocol", self, clients=1, batch=1, iterations=0)
-        if not self.rate > 0:  # the clock model divides by it once the run is over
-            raise ConfigError(f"needs [protocol] rate > 0, got {self.rate}")
 
 
 @dataclass
@@ -277,7 +268,7 @@ def load_config(path) -> ExperimentConfig:
         for key, raw in parser.items(section):
             name = _KEY_ALIASES.get(key, key)
             if name not in ftypes:
-                raise ConfigError(f"unknown key [{section}] {key!r}")
+                raise ConfigError(f"unknown key [{section}] {key}")
             setattr(target, name, _coerce(raw, ftypes[name], f"[{section}] {key}"))
     env_seed = os.environ.get("SPLITSTREAM_SEED")
     if env_seed:

@@ -13,7 +13,7 @@ pipeline is a pure function of the config, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +89,7 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
                                     defense.timestep_floor, cfg.privacy.t_max)
     unet = ToyUNet(rng.split("unet"))
     unet.freeze()
-    if cfg.protocol.condition_encoder == "scratch":
+    if cfg.protocol.mode == "classic":
         cond_encoder = CondEncoder(rng.split("cond-encoder"), cfg.pretrain.ae_dropout)
     else:
         cond_encoder = ae.E
@@ -109,13 +109,8 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
 
 
 def protocol_config(cfg: ExperimentConfig, capture_path=None) -> ProtocolConfig:
-    return ProtocolConfig(**vars(cfg.protocol), seed=cfg.seed, capture_path=capture_path)
-
-
-def sim_clock(cfg: ExperimentConfig) -> SimClock:
-    """The time model `[protocol]` declares, for reporting a ledger."""
-    p = cfg.protocol
-    return SimClock(t_client=p.t_client, t_server=p.t_server, rate=p.rate)
+    # declared fields only (asdict): perfbench still sets the removed condition_encoder
+    return ProtocolConfig(**asdict(cfg.protocol), seed=cfg.seed, capture_path=capture_path)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,9 @@ class EvalCapture:
 
 def generate_eval_packets(world: SplitWorld, data: DataBundle, seed: int) -> EvalCapture:
     """One packet per private sample at the worst-case timestep t = t_s, built
-    by the training client step, so the arm's defense hooks run on it too."""
+    by the training client step, so the arm's defense hooks run on it too.
+    The condition goes through the pretrained `autoencoder.E` in either mode:
+    the encoder the attacker's own simulation assumes."""
     images, conds, prompts = data.private
     t = world.privacy.t_s
     drop, noise, defense = (RngState(seed).split(f"eval-{name}")
@@ -143,7 +140,7 @@ def generate_eval_packets(world: SplitWorld, data: DataBundle, seed: int) -> Eva
     packets, zts = [], []
     for i in range(len(images)):
         pkt, f = client_packet(world, images[i : i + 1], conds[i : i + 1], [prompts[i]], t,
-                               drop, noise, defense, world.cond_encoder, iteration=i)
+                               drop, noise, defense, world.autoencoder.E, iteration=i)
         packets.append(pkt)
         zts.append(f.zt[0])
     return EvalCapture(packets=packets, zt=np.stack(zts), t=t,
@@ -360,7 +357,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         result = run_split_training(world, pcfg)
         frozen_after = param_fingerprint({**world.unet.named_parameters("unet."),
                                           **world.autoencoder.named_parameters("ae.")})
-        ledger = result.ledger.to_dict(sim_clock(cfg))
+        ledger = result.ledger.to_dict(SimClock())
         with open(out_dir / "ledger.json", "w") as f:
             json.dump(ledger, f, indent=2, sort_keys=True)
         metrics.append({"kind": "ledger", **ledger})
@@ -460,6 +457,13 @@ def emit_report(out_dir: Path, metrics: list[dict]) -> None:
             cells.append(f"{v:.4f}" if isinstance(v, float) else str(v))
         md.append("| " + " | ".join(cells) + " |")
     training = [m for m in metrics if m.get("kind") == "training"]
+    if ledger and training:
+        clock, t = SimClock(), training[0]
+        md.append(f"\nbytes_up, bytes_down, t_sequential and t_pipelined belong to the one "
+                  f"training run (mode={t['mode']} defense={t['defense']}), repeated on every "
+                  f"attack row; t_* is the SimClock model in clock units (t_client="
+                  f"{clock.t_client:g}, t_server={clock.t_server:g}, rate={clock.rate:g} B "
+                  f"per unit), not a measured time")
     extra = []
     if training:
         t = training[0]

@@ -6,7 +6,8 @@ Topology (images 3x32x32, latents 4x8x8):
     denoiser      enc_block_1 -> enc_block_2 -> mid -> dec_block_2 -> dec_block_1,
                   decoder blocks consume jump connections from their encoder twins
     condition     CondEncoder: condition image -> latent, on the client (the
-                  frozen autoencoder E, or a scratch encoder the client trains)
+                  frozen autoencoder E in gradient-free mode, a scratch encoder
+                  the client trains in classic mode)
     control       copies of (enc_block_1, enc_block_2, mid), each copy's output
                   projected by a zero-initialized 1x1 conv and added to the
                   corresponding jump connection / mid output

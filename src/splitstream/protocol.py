@@ -1,12 +1,12 @@
 """Split training over framed messages: classic and gradient-free modes.
 
-Classic mode is the sequential structure: the client trains its condition
-encoder from gradients the server returns each iteration (the server also
-returns its noise estimate, since generation happens client-side).
-Gradient-free mode freezes every client module (the pretrained encoder
-replaces the condition encoder), so clients stream packets ahead of a busy
-server, as far as the socket buffer lets them, and nothing flows
-downstream; the server keeps no copy of its noise estimates.
+Classic mode is the sequential structure: each client trains its own copy
+of a scratch condition encoder from the gradient the server returns each
+iteration, and waits for it. Gradient-free mode freezes every client module
+(the pretrained encoder replaces the condition encoder), so clients stream
+packets ahead of a busy server, as far as the socket buffer lets them, and
+nothing flows downstream. The mode alone decides which encoder the client
+runs.
 
 Packets cross the boundary only as framed bytes over sockets: one end of a
 socketpair per client in-process, a loopback TCP connection per client
@@ -21,7 +21,7 @@ A session records only measured bytes, one ledger sample per uplink
 frame. Time is a model the caller applies when it reports the ledger: a
 `SimClock`'s per-iteration client/server costs and link rate give the
 sequential total (sum of stages) and the pipelined total (makespan of the
-client/link/server pipeline).
+client/link/server pipeline); reports use `SimClock()`'s defaults.
 """
 
 from __future__ import annotations
@@ -153,9 +153,10 @@ class ClientDataset:
 class SplitWorld:
     """Everything both parties hold before the partition is enforced.
 
-    The client's condition encoder is `cond_encoder`: the frozen pretrained
-    `autoencoder.E`, or a scratch encoder each classic client trains a copy
-    of. The control `branch` is the server's alone.
+    The client's condition encoder is `cond_encoder`: in a classic world a
+    scratch encoder each client trains a copy of, in a gradient-free world
+    the frozen pretrained `autoencoder.E`. The control `branch` is the
+    server's alone.
     """
 
     sched: NoiseSchedule
@@ -239,7 +240,7 @@ class ClientWorker:
         self.rng_noise = rng.split("noise")
         self.rng_drop = rng.split("dropout")
         self.rng_defense = rng.split("defense")
-        self.trainable = cfg.mode == "classic" and not world.cond_encoder.frozen
+        self.trainable = cfg.mode == "classic"
         if self.trainable:
             # classic split learning: each client trains its own copy of the condition encoder
             self.cond_encoder = world.cond_encoder.clone()
@@ -263,8 +264,6 @@ class ClientWorker:
         return pkt
 
     def apply_gradient(self, gpkt: GradientPacket) -> None:
-        if self.opt is None or self._pending is None:
-            return
         self.opt.zero_grad()
         tt.backward(self._pending, seed_grad=gpkt.grad_control)
         self.opt.step()
@@ -307,9 +306,7 @@ class ServerWorker:
         self.opt.step()
         self.loss_history.append(loss_val)
         if classic:
-            return loss_val, GradientPacket(
-                iteration=pkt.iteration, grad_control=s.grad.copy(), n_pred=n.data.copy()
-            )
+            return loss_val, GradientPacket(iteration=pkt.iteration, grad_control=s.grad.copy())
         return loss_val, None
 
 

@@ -112,7 +112,9 @@ class FeaturePacket(_Message):
 
 @dataclass(eq=False)
 class GradientPacket(_Message):
-    """Server -> client response; classic mode only."""
+    """Server -> client response; classic mode only. The server sends
+    `grad_control` alone: `n_pred` is never set, and stays an optional field
+    only because readers of the layout name it."""
 
     iteration: int
     grad_control: np.ndarray

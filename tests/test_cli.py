@@ -241,14 +241,18 @@ def test_malformed_config_value_is_one_line_and_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_scratch_encoder_in_gradient_free_mode_is_one_line_and_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["condition_encoder = scratch", "t_client = 1.0",
+                                  "t_server = 1.0", "rate = 1e6"],
+                         ids=["condition_encoder", "t_client", "t_server", "rate"])
+def test_removed_protocol_key_is_one_line_and_exit_2(tmp_path, capsys, line):
+    # [protocol] mode alone decides the encoder, and reports use SimClock()'s defaults
     bad = tmp_path / "bad.ini"
-    bad.write_text("[protocol]\nmode = gradient_free\ncondition_encoder = scratch\n")
+    bad.write_text(f"[protocol]\nmode = classic\n{line}\n")
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(bad), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert exc.value.code == 2 and len(err.splitlines()) == 1
-    assert "[protocol] condition_encoder = scratch" in err
+    assert f"unknown key [protocol] {line.partition(' =')[0]}" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -20,7 +20,7 @@ from splitstream.experiment import (build_world, generate_eval_packets, prepare,
 from splitstream.privacy import timestep_for_epsilon
 from splitstream.protocol import client_features
 from splitstream.rng import RngState
-from splitstream.wire import iter_frames
+from splitstream.wire import frame_message, iter_frames
 
 
 def mini_cfg(tmp_path, **overrides) -> ExperimentConfig:
@@ -107,7 +107,6 @@ class TestConfig:
                               ("attacks", "unsplit_outer = -1"),
                               ("attacks", "unsplit_inner_x = -1"),
                               ("attacks", "unsplit_inner_theta = -1"),
-                              ("protocol", "rate = 0"),
                               # refused by the schedule's and the calibration's own checks
                               ("schedule", "T = 0"), ("schedule", "k = 0.01"),
                               ("privacy", "delta = 0"), ("privacy", "alpha = -1"),
@@ -184,13 +183,44 @@ class TestEvalPackets:
                 im, co = preprocess_batch(images[i : i + 1], conds[i : i + 1], world.defense,
                                           defense)
                 f = client_features(world, im, co, [prompts[i]], cap.t, drop, noise,
-                                    world.cond_encoder, world.act)
+                                    world.autoencoder.E, world.act)
                 fu, fc = postprocess_features(f.h1, f.s.data, world.defense,
                                               world.privacy.delta, world.privacy.alpha_sens,
                                               defense)
                 assert np.array_equal(pkt.feat_unet, fu), kind
                 assert np.array_equal(pkt.feat_control, fc), kind
                 assert np.array_equal(pkt.label_noise, f.n_hat), kind
+
+
+    def test_frames_are_the_same_under_both_modes(self, tmp_path):
+        # attack packets go through the pretrained encoder the attacker simulates,
+        # whichever encoder the mode gives the training client
+        cfg = mini_cfg(tmp_path)
+        data, ae, alpha = prepare(cfg)
+        frames = {}
+        for mode in ("gradient_free", "classic"):
+            cfg.protocol.mode = mode
+            cap = generate_eval_packets(build_world(cfg, "none", ae, data, alpha), data, 5)
+            frames[mode] = [frame_message(p) for p in cap.packets]
+        assert frames["classic"] == frames["gradient_free"]
+
+
+class TestBuildWorld:
+    def test_mode_decides_the_condition_encoder(self, tmp_path):
+        cfg = mini_cfg(tmp_path)
+        data, ae, alpha = prepare(cfg)
+        assert build_world(cfg, "none", ae, data, alpha).cond_encoder is ae.E
+        cfg.protocol.mode = "classic"
+        world = build_world(cfg, "none", ae, data, alpha)
+        assert world.cond_encoder is not ae.E and not world.cond_encoder.frozen
+        assert world.autoencoder is ae and ae.E.frozen
+
+    def test_protocol_config_copies_declared_fields_only(self, tmp_path):
+        cfg = mini_cfg(tmp_path)
+        cfg.protocol.condition_encoder = "scratch"  # declared by no field
+        pcfg = experiment.protocol_config(cfg)
+        assert not hasattr(pcfg, "condition_encoder")
+        assert pcfg.mode == cfg.protocol.mode and pcfg.seed == cfg.seed
 
 
 class TestRunExperiment:
@@ -240,6 +270,10 @@ class TestRunExperiment:
         header = (out / "summary.csv").read_text().splitlines()[0].split(",")
         for col in ("bytes_up", "bytes_down", "t_sequential", "t_pipelined"):
             assert col in header
+        # summary.md says whose bytes and time these are, and that the time is a model
+        note = (out / "summary.md").read_text().splitlines()[5]
+        assert "one training run (mode=gradient_free defense=ours_plus_plus)" in note
+        assert "SimClock model in clock units (t_client=1, t_server=1, rate=1e+06" in note
 
     def test_design_decision_tunables_reachable(self):
         # every tunable the modules document must exist on the config
@@ -252,8 +286,7 @@ class TestRunExperiment:
         for name in ("kind", "epsilon", "rr_bits", "sigma2", "mix_count", "patch", "t_s"):
             assert hasattr(cfg.defense, name)
         for name in ("mode", "clients", "iterations", "batch", "transport",
-                     "server_lr", "client_lr", "weight_decay",
-                     "condition_encoder", "t_client", "t_server", "rate"):
+                     "server_lr", "client_lr", "weight_decay"):
             assert hasattr(cfg.protocol, name)
         for name in ("ae_epochs", "ae_lr", "ae_dropout", "ae_batch"):
             assert hasattr(cfg.pretrain, name)
@@ -321,7 +354,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("overrides, branch_sha256", [
         ({}, "4e353b72730c0617f30b4de2aaa6ffd8c1dee8fc343b61e8f548264904e644f4"),
-        ({"protocol.mode": "classic", "protocol.condition_encoder": "scratch"},
+        # classic alone gives the client a scratch condition encoder to train
+        ({"protocol.mode": "classic"},
          "97a2ac903ab1f317a24bfb56249d1c755ee6652f40bb6d34eb16666b2b58c073"),
     ], ids=["gradient_free", "classic_scratch"])
     def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256):
