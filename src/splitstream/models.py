@@ -104,14 +104,11 @@ class Dense(Module):
         return tt.dense(x, self.w, self.b)
 
 
-def _dense3(tokens: Tensor, w: Tensor) -> Tensor:
-    """(N, L, C) @ (C, A) -> (N, L, A)."""
-    n, l, c = tokens.shape
-    return tt.reshape(tt.matmul(tt.reshape(tokens, (n * l, c)), w), (n, l, w.shape[1]))
-
-
 class CrossAttention(Module):
-    """Prompt cross-attention over spatial tokens, returned as a residual term."""
+    """The four projections of prompt cross-attention over a block's
+    spatial tokens: queries from the map (wq), keys and values from the
+    prompt (wk, wv), and the output back to the map's channels (wo). The
+    block applies them with `tensor.cross_attention`, residual included."""
 
     def __init__(self, channels, d_context, d_attn, rng: RngState):
         s_q = np.float32(1.0 / math.sqrt(channels))
@@ -121,12 +118,6 @@ class CrossAttention(Module):
         self.wk = Tensor(rng.normal((d_context, d_attn)) * s_kv, requires_grad=True)
         self.wv = Tensor(rng.normal((d_context, d_attn)) * s_kv, requires_grad=True)
         self.wo = Tensor(rng.normal((d_attn, channels)) * s_o, requires_grad=True)
-
-    def __call__(self, tokens: Tensor, context: Tensor) -> Tensor:
-        q = _dense3(tokens, self.wq)
-        k = _dense3(context, self.wk)
-        v = _dense3(context, self.wv)
-        return _dense3(tt.attention(q, k, v), self.wo)
 
 
 class SelfAttention(Module):
@@ -149,17 +140,13 @@ def timestep_embedding(t: int, dim: int = D_TEMB) -> np.ndarray:
     return emb
 
 
-def _plus_on_tokens(h: Tensor, attend) -> Tensor:
-    """h + attend(h), with the map h (n, c, hh, ww) seen as n sequences of
-    hh*ww tokens of c features."""
-    n, c, hh, ww = h.shape
-    tok = tt.reshape(tt.permute(h, (0, 2, 3, 1)), (n, hh * ww, c))
-    tok = tt.add(tok, attend(tok))
-    return tt.permute(tt.reshape(tok, (n, hh, ww, c)), (0, 3, 1, 2))
-
-
 class UNetBlock(Module):
-    """conv -> +timestep embedding -> silu -> attention -> (upsample) -> conv."""
+    """conv -> +timestep embedding -> silu -> attention -> (upsample) -> conv.
+
+    The attention, residual included, is one graph node: cross-attention
+    to the prompt (`tensor.cross_attention` with the CrossAttention
+    weights), self-attention once prompt hiding swaps in SelfAttention, and
+    nothing for a block bound to the zero prompt."""
 
     def __init__(self, in_ch, mid_ch, out_ch, rng: RngState, stride=1, upsample=False):
         self.conv1 = Conv(in_ch, mid_ch, 3, rng, stride=stride, padding=1)
@@ -178,14 +165,14 @@ class UNetBlock(Module):
         h = tt.silu(h)
         if isinstance(self.attn, SelfAttention):
             h = self.attn(h)
-        # a block bound to the zero prompt skips its cross-attention, and with it
-        # the round trip to tokens: K and V have no bias, so attention over a
-        # zero context is exactly zero
+        # a block bound to the zero prompt skips its cross-attention: K and V
+        # have no bias, so attention over a zero context is exactly zero
         elif self.bound_zero_prompt is None:
             if prompt is None:
                 raise ValueError("block needs prompt features (or a bound zero feature)")
             ctx = prompt if isinstance(prompt, Tensor) else Tensor(prompt)
-            h = _plus_on_tokens(h, lambda tok: self.attn(tok, ctx))
+            a = self.attn
+            h = tt.cross_attention(h, ctx, a.wq, a.wk, a.wv, a.wo)
         if self.upsample:
             h = tt.upsample2x(h)
         return self.conv2(h)

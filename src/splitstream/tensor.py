@@ -28,7 +28,10 @@ reused while its `data` is the array they were packed from; a trainable
 kernel is reordered on every call. conv2d takes an optional bias, added
 while the output is written.
 self_attention is a map plus the attention of its tokens over themselves,
-as one node whose hand-written backward is bit-equal to the composed ops'.
+and cross_attention a map plus the attention of its projected tokens over a
+projected context (the prompt), each as one node whose hand-written backward
+is bit-equal to the composed ops'. cross_attention computes a gradient only
+for the operands that need one, and keeps nothing when none does.
 silu's backward zeroes the subnormal gradients its underflowing slope makes.
 Every gradient is checked against its tensor's shape; a node's first
 gradient is stored as a copy, never added onto zeros; later ones add onto it.
@@ -431,7 +434,9 @@ def softmax_last(x: Tensor) -> Tensor:
 def attention(query: Tensor, key: Tensor, value: Tensor) -> Tensor:
     """softmax(Q Kᵀ / sqrt(D)) V over (N, L, D) / (N, M, D) operands.
 
-    Self-attention is the call with key=value=query.
+    The fused self_attention and cross_attention nodes do not call it: it
+    remains, with bmm, softmax_last, transpose_last2 and permute, as the
+    primitives of the composed graphs those nodes are checked against.
     """
     for name, t in (("query", query), ("key", key), ("value", value)):
         if t.ndim != 3:
@@ -474,6 +479,74 @@ def self_attention(x: Tensor) -> Tensor:
             x._accumulate(np.ascontiguousarray(gt.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
 
     return _out(np.ascontiguousarray(y.reshape(n, h, w, c).transpose(0, 3, 1, 2)), (x,), bwd)
+
+
+def cross_attention(x: Tensor, context: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                    wo: Tensor) -> Tensor:
+    """x + attention(T wq, context wk, context wv) wo over the tokens T
+    (n, h*w, c) of an NCHW map x and a context (n, m, d), as one node.
+
+    Bit for bit the composed graph permute, reshape, the four projections
+    (reshape, matmul, reshape), attention, add, reshape, permute: forward and
+    backward make that graph's numpy calls on the same operand layouts, and
+    the token gradient is summed in its order: residual, query. A gradient
+    is computed only for the operands that need one. The context is data:
+    one that requires grad is refused, not silently cut off.
+    """
+    if context.requires_grad:
+        raise GraphError("cross_attention: the context must not require grad")
+    if x.ndim != 4 or context.ndim != 3 or context.shape[0] != x.shape[0]:
+        raise ShapeError(f"cross_attention: map {x.shape} with context {context.shape}")
+    n, c, h, w = x.shape
+    l, (m, d), a = h * w, context.shape[1:], wq.shape[-1]
+    if (wq.shape, wk.shape, wv.shape, wo.shape) != ((c, a), (d, a), (d, a), (a, c)):
+        raise ShapeError(f"cross_attention: weights {wq.shape} {wk.shape} {wv.shape} {wo.shape} "
+                         f"for {c} channels and {d} context features")
+    keep = any(t.requires_grad for t in (x, wq, wk, wv, wo))
+    tok = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n * l, c)
+    ctx = context.data.reshape(n * m, d)
+    q = (tok @ wq.data).reshape(n, l, a)
+    kt = np.ascontiguousarray((ctx @ wk.data).reshape(n, m, a).transpose(0, 2, 1))
+    v = (ctx @ wv.data).reshape(n, m, a)
+    s = np.float32(1.0 / math.sqrt(a))
+    p = _softmax((q @ kt) * s)
+    if not keep:
+        del q, kt
+    o = (p @ v).reshape(n * l, a)
+    if not keep:
+        del p, v
+    y = tok + o @ wo.data
+    if not keep:
+        del tok, o
+    out = np.ascontiguousarray(y.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+    if not keep:
+        return Tensor(out)
+
+    def bwd(g):
+        gy = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * l, c)
+        if wo.requires_grad:
+            wo._accumulate(o.T @ gy)
+        to_scores = x.requires_grad or wq.requires_grad or wk.requires_grad
+        if not (to_scores or wv.requires_grad):
+            return
+        go = (gy @ wo.data.T).reshape(n, l, a)
+        if wv.requires_grad:
+            wv._accumulate(ctx.T @ (p.transpose(0, 2, 1) @ go).reshape(n * m, a))
+        if not to_scores:
+            return
+        gs = _softmax_grad(p, go @ v.transpose(0, 2, 1)) * s
+        if wk.requires_grad:
+            gk = np.ascontiguousarray((q.transpose(0, 2, 1) @ gs).transpose(0, 2, 1))
+            wk._accumulate(ctx.T @ gk.reshape(n * m, a))
+        if x.requires_grad or wq.requires_grad:
+            gq = (gs @ kt.transpose(0, 2, 1)).reshape(n * l, a)
+            if wq.requires_grad:
+                wq._accumulate(tok.T @ gq)
+            if x.requires_grad:
+                gt = gy + gq @ wq.data.T
+                x._accumulate(np.ascontiguousarray(gt.reshape(n, h, w, c).transpose(0, 3, 1, 2)))
+
+    return _out(out, (x, context, wq, wk, wv, wo), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -352,13 +352,20 @@ class TestRunExperiment:
                           "payload_bytes_down": 0, "payload_bytes_up": 24576,
                           "t_total_pipelined": 5.006226, "t_total_sequential": 8.024904}
 
-    @pytest.mark.parametrize("overrides, branch_sha256", [
-        ({}, "4e353b72730c0617f30b4de2aaa6ffd8c1dee8fc343b61e8f548264904e644f4"),
+    @pytest.mark.parametrize("overrides, branch_sha256, manifest_sha256", [
+        ({}, "4e353b72730c0617f30b4de2aaa6ffd8c1dee8fc343b61e8f548264904e644f4",
+         "5f50f14722d6a4eecd6461501973e2f6d5ad759c3861dd9129bd1c19a1710456"),
         # classic alone gives the client a scratch condition encoder to train
         ({"protocol.mode": "classic"},
-         "97a2ac903ab1f317a24bfb56249d1c755ee6652f40bb6d34eb16666b2b58c073"),
-    ], ids=["gradient_free", "classic_scratch"])
-    def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256):
+         "97a2ac903ab1f317a24bfb56249d1c755ee6652f40bb6d34eb16666b2b58c073",
+         "5f50f14722d6a4eecd6461501973e2f6d5ad759c3861dd9129bd1c19a1710456"),
+        # without prompt hiding every server block cross-attends to the prompt
+        ({"protocol.mode": "classic", "defense.kind": "none"},
+         "4c83d6f2c7cca439f3b82391f33426a7889b4bc8abb2001ca5f9840c09780a18",
+         "4f2f615b5f03cc3cc5686d997c4df0040c297b01824085a4d823c4a75d433ef7"),
+    ], ids=["gradient_free", "classic_scratch", "classic_none"])
+    def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256,
+                                            manifest_sha256):
         # the trained control branch and its manifest, byte for byte as this run has
         # always written them; the attacks run after both are written
         cfg = mini_cfg(tmp_path, **overrides)
@@ -369,5 +376,4 @@ class TestRunExperiment:
             return hashlib.sha256((out / name).read_bytes()).hexdigest()
 
         assert sha256("control_branch.tckp") == branch_sha256
-        assert sha256("model_manifest.txt") == (
-            "5f50f14722d6a4eecd6461501973e2f6d5ad759c3861dd9129bd1c19a1710456")
+        assert sha256("model_manifest.txt") == manifest_sha256

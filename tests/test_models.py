@@ -32,6 +32,27 @@ def graph_ops(y: Tensor) -> set[str]:
     return ops
 
 
+def _dense3(tokens: Tensor, w: Tensor) -> Tensor:
+    """(N, L, C) @ (C, A) -> (N, L, A)."""
+    n, l, c = tokens.shape
+    return tt.reshape(tt.matmul(tt.reshape(tokens, (n * l, c)), w), (n, l, w.shape[1]))
+
+
+def _plus_on_tokens(h: Tensor, attend) -> Tensor:
+    """h + attend(h), with the map h (n, c, hh, ww) seen as n sequences of
+    hh*ww tokens of c features."""
+    n, c, hh, ww = h.shape
+    tok = tt.reshape(tt.permute(h, (0, 2, 3, 1)), (n, hh * ww, c))
+    tok = tt.add(tok, attend(tok))
+    return tt.permute(tt.reshape(tok, (n, hh, ww, c)), (0, 3, 1, 2))
+
+
+def composed_cross_attention(h, ctx, wq, wk, wv, wo) -> Tensor:
+    """The graph tt.cross_attention replaces, built from the primitive ops."""
+    return _plus_on_tokens(h, lambda tok: _dense3(
+        tt.attention(_dense3(tok, wq), _dense3(ctx, wk), _dense3(ctx, wv)), wo))
+
+
 @pytest.fixture(scope="module")
 def world():
     rng = RngState(1001)
@@ -222,13 +243,52 @@ class TestPromptHiding:
             h_np, g = rng.normal(shape), rng.normal(shape)
             runs = []
             for attend in (M.SelfAttention(),
-                           lambda h: M._plus_on_tokens(h, lambda t: tt.attention(t, t, t))):
+                           lambda h: _plus_on_tokens(h, lambda t: tt.attention(t, t, t))):
                 h = Tensor(h_np, requires_grad=True)
                 y = attend(h)
                 tt.backward(y, seed_grad=g)
                 runs.append((y.data.tobytes(), h.grad.tobytes()))
             assert runs[0] == runs[1], shape
             assert graph_ops(M.SelfAttention()(Tensor(h_np, requires_grad=True))) == {"self_attention"}
+
+    def test_cross_attention_matches_oracle(self):
+        # the fused op against the graph it replaces: output, input gradient
+        # and all four weight gradients equal bit for bit, at the server's
+        # attention shapes and at batch 1, with trainable and frozen weights,
+        # an input that needs no gradient, and zero-padded prompts
+        rng = RngState(20)
+        pe = PromptEncoder(["one", "red", "circle", "blue", "rect"], rng.split("pe"))
+        cases = [((4, 32, 8, 8), "trainable"), ((4, 64, 4, 4), "trainable"),
+                 ((1, 32, 8, 8), "trainable"), ((4, 64, 4, 4), "frozen"),
+                 ((4, 32, 8, 8), "input_frozen"), ((1, 64, 4, 4), "frozen")]
+        for shape, grads in cases:
+            n, c = shape[:2]
+            attn = M.CrossAttention(c, M.D_PROMPT, 32, rng.split(f"attn{c}"))
+            weights = [attn.wq, attn.wk, attn.wv, attn.wo]
+            x_np, g = rng.normal(shape), rng.normal(shape)
+            prompts = [["red", "circle"], ["blue"], ["one", "rect", "red"], []][:n]
+            ctx = Tensor(pe.encode(prompts))
+            runs = []
+            for op in (tt.cross_attention, composed_cross_attention):
+                x = Tensor(x_np, requires_grad=grads != "input_frozen")
+                ws = [Tensor(w.data, requires_grad=grads != "frozen") for w in weights]
+                y = op(x, ctx, *ws)
+                tt.backward(y, seed_grad=g)
+                runs.append([y.data.tobytes()] + [t.grad if t.grad is None else t.grad.tobytes()
+                                                  for t in [x] + ws])
+            assert runs[0] == runs[1], (shape, grads)
+            want = [grads != "input_frozen"] + [grads != "frozen"] * 4
+            assert [gr is not None for gr in runs[0][1:]] == want
+        y = tt.cross_attention(Tensor(x_np, requires_grad=True), ctx, *weights)
+        assert graph_ops(y) == {"cross_attention"}
+
+    def test_cross_attention_refuses_a_context_that_requires_grad(self):
+        rng = RngState(23)
+        attn = M.CrossAttention(4, M.D_PROMPT, 32, rng)
+        ctx = Tensor(rng.normal((1, 3, M.D_PROMPT)), requires_grad=True)
+        with pytest.raises(tt.GraphError, match="context"):
+            tt.cross_attention(Tensor(rng.normal((1, 4, 2, 2))), ctx,
+                               attn.wq, attn.wk, attn.wv, attn.wo)
 
     def test_bound_blocks_equal_explicit_zero_prompt_attention(self):
         # a bound block skips its cross-attention; unbound, the same block
@@ -247,8 +307,8 @@ class TestPromptHiding:
                 blk.bound_zero_prompt = bound
                 x = Tensor(x_np, requires_grad=True)
                 y = blk(x, 11, p)
-                # bound, the block never goes to tokens and back
-                assert ("permute" in graph_ops(y)) == (bound is None)
+                # bound, the block builds no attention node
+                assert ("cross_attention" in graph_ops(y)) == (bound is None)
                 tt.backward(y, seed_grad=RngState(19).normal(y.shape))
                 runs.append((y.data.tobytes(), x.grad.tobytes()))
             blk.bound_zero_prompt = zero

@@ -561,11 +561,16 @@ def test_connection_closed_before_hello_is_named_as_such(monkeypatch):
     assert "closed before its client sent HELLO" in str(box["error"])
 
 
-def test_server_step_graph_size(monkeypatch):
-    # the gradient-free, prompt-hiding server step: every node with a
-    # backward closure in the graph of one step's loss
-    world = build_world("ours_plus_plus", seed=47)
-    cfg = make_cfg()
+@pytest.mark.parametrize("defense_kind, mode, bound", [
+    # prompt hiding: the control branch self-attends, the frozen blocks are bound
+    ("ours_plus_plus", "gradient_free", 45),
+    # the prompt reaches all 7 server blocks, one cross_attention node each (129 composed)
+    ("none", "classic", 48),
+], ids=["gradient_free_hiding", "classic_none"])
+def test_server_step_graph_size(monkeypatch, defense_kind, mode, bound):
+    # every node with a backward closure in the graph of one step's loss
+    world = build_world(defense_kind, seed=47)
+    cfg = make_cfg(mode=mode)
     pkt = ClientWorker(0, world, cfg, RngState(9)).forward_step(0)
     counted = []
     backward = Tensor.backward
@@ -582,7 +587,7 @@ def test_server_step_graph_size(monkeypatch):
 
     monkeypatch.setattr(Tensor, "backward", counting)
     ServerWorker(world, cfg).train_step(pkt)
-    assert sum(counted) <= 45
+    assert sum(counted) <= bound
 
 
 def free_port() -> int:

@@ -695,6 +695,9 @@ OPS = {
     "mul_self": lambda x, rng: tt.mul(x, x),
     # halved so that the residual's float32 rounding stays out of the quotient
     "self_attention": lambda x, rng: tt.self_attention(tt.scale(x, 0.5)),
+    "cross_attention": lambda x, rng: tt.cross_attention(
+        x, Tensor(rng.normal((1, 4, 3))), *(Tensor(rng.normal(s) * 0.5)
+                                            for s in ((2, 5), (3, 5), (3, 5), (5, 2)))),
     "conv2d_bias": lambda x, rng: tt.conv2d(x, Tensor(rng.normal((2, 2, 2, 2)) * 0.5), 1, 1,
                                             bias=Tensor(rng.normal((2,)) * 0.5)),
 }
