@@ -3,9 +3,12 @@
 Three families: UnSplit-style alternating optimization over a guessed
 client model and its input, white-box gradient descent against known
 client weights, and trained inverse networks (type 1 reconstructs the
-original image, type 2 the condition image). All attacks run offline over
-packet logs and score their reconstructions with PSNR/SSIM on the 0..255
-scale against the private ground truth.
+original image, type 2 the condition image). The attacks here are generic:
+they take explicit settings and return reconstructions. Each attack arm of
+the experiment (`experiment.run_attack`, shared by `splitstream run` and
+`splitstream attack`) reads its settings from `[attacks]`, runs one of
+them over the captured packets and scores the result with PSNR/SSIM on the
+0..255 scale against the private ground truth.
 """
 
 from __future__ import annotations
@@ -57,35 +60,31 @@ class ReconstructionReport:
             "diverged": self.diverged,
             "attack_config": self.attack_config,
             "defense_config": self.defense_config,
+            "psnr": self.psnr,
+            "ssim": self.ssim,
         }
-
-
-def _score_or_empty(report: ReconstructionReport, truth01) -> ReconstructionReport:
-    if truth01 is not None:
-        report.score_against(np.asarray(truth01))
-    return report
 
 
 # ---------------------------------------------------------------------------
 # gradient-descent attacks
 
 
-def whitebox_gd_attack(target_feats: np.ndarray, model_fn, x_shape: tuple,
-                       cfg: dict | None, rng: RngState,
-                       ground_truth: np.ndarray | None = None) -> ReconstructionReport:
-    """Optimize inputs so the known client model reproduces observed features.
+def whitebox_gd_attack(target_feats: np.ndarray, model_fn, x_shape: tuple, rng: RngState, *,
+                       iters: int, lr: float, clip: bool = True,
+                       init_scale: float = 1.0) -> tuple[np.ndarray, bool]:
+    """Optimize inputs so the known client model reproduces observed features;
+    returns the reconstruction and whether the loss went non-finite.
 
     `model_fn(x: Tensor) -> Tensor` is the attacker's copy of the client
     computation (true weights; any secrets it lacks are its problem).
     """
-    cfg = {"iters": 1000, "lr": 1e-3, "clip": True, "init_scale": 1.0, **(cfg or {})}
-    if cfg["clip"]:
-        x = Tensor(rng.uniform(x_shape) * np.float32(cfg["init_scale"]), requires_grad=True)
+    if clip:
+        x = Tensor(rng.uniform(x_shape) * np.float32(init_scale), requires_grad=True)
     else:
-        x = Tensor(rng.normal(x_shape) * np.float32(cfg["init_scale"]), requires_grad=True)
-    opt = AdamW([x], lr=cfg["lr"])
+        x = Tensor(rng.normal(x_shape) * np.float32(init_scale), requires_grad=True)
+    opt = AdamW([x], lr=lr)
     diverged = False
-    for _ in range(int(cfg["iters"])):
+    for _ in range(int(iters)):
         loss = tt.mse(model_fn(x), Tensor(np.asarray(target_feats, dtype=np.float32)))
         if not np.isfinite(loss.data):
             diverged = True
@@ -93,35 +92,34 @@ def whitebox_gd_attack(target_feats: np.ndarray, model_fn, x_shape: tuple,
         opt.zero_grad()
         loss.backward()
         opt.step()
-        if cfg["clip"]:
+        if clip:
             np.clip(x.data, 0.0, 1.0, out=x.data)
-    report = ReconstructionReport(
-        method="whitebox", recons=x.data.copy(), attack_config=dict(cfg), diverged=diverged
-    )
-    return _score_or_empty(report, ground_truth)
+    return x.data.copy(), diverged
 
 
-def unsplit_attack(target_feats: np.ndarray, make_guess_model, x_shape: tuple,
-                   cfg: dict | None, rng: RngState,
-                   ground_truth: np.ndarray | None = None) -> ReconstructionReport:
-    """Alternating optimization of a guessed client model and its input.
+UNSPLIT_L2_WEIGHT = 1e-4  # input penalty of the inner input loop; no config sets it
+
+
+def unsplit_attack(target_feats: np.ndarray, make_guess_model, x_shape: tuple, rng: RngState,
+                   *, outer: int, inner_x: int, inner_theta: int, lr: float,
+                   l2_weight: float = UNSPLIT_L2_WEIGHT) -> tuple[np.ndarray, bool]:
+    """Alternating optimization of a guessed client model and its input;
+    returns the reconstruction and whether the loss went non-finite.
 
     `make_guess_model(rng)` returns (forward_fn, params): a randomly
     initialized stand-in for the unknown client model. Inner loops update
     the input against L_MSE + L2, then the guessed weights against L_MSE.
     """
-    cfg = {"outer": 100, "inner_x": 100, "inner_theta": 100, "lr": 1e-3,
-           "l2_weight": 1e-4, **(cfg or {})}
     forward_fn, params = make_guess_model(rng.split("model"))
     target = Tensor(np.asarray(target_feats, dtype=np.float32))
     x = Tensor(rng.split("input").uniform(x_shape), requires_grad=True)
-    opt_x = AdamW([x], lr=cfg["lr"])
-    opt_theta = AdamW(list(params), lr=cfg["lr"])
+    opt_x = AdamW([x], lr=lr)
+    opt_theta = AdamW(list(params), lr=lr)
     diverged = False
-    for _ in range(int(cfg["outer"])):
-        for _ in range(int(cfg["inner_x"])):
+    for _ in range(int(outer)):
+        for _ in range(int(inner_x)):
             loss = tt.add(tt.mse(forward_fn(x), target),
-                          tt.scale(tt.mean_all(tt.mul(x, x)), cfg["l2_weight"]))
+                          tt.scale(tt.mean_all(tt.mul(x, x)), l2_weight))
             if not np.isfinite(loss.data):
                 diverged = True
                 break
@@ -129,7 +127,7 @@ def unsplit_attack(target_feats: np.ndarray, make_guess_model, x_shape: tuple,
             loss.backward()
             opt_x.step()
             np.clip(x.data, 0.0, 1.0, out=x.data)
-        for _ in range(int(cfg["inner_theta"])):
+        for _ in range(int(inner_theta)):
             loss = tt.mse(forward_fn(x), target)
             if not np.isfinite(loss.data):
                 diverged = True
@@ -139,10 +137,7 @@ def unsplit_attack(target_feats: np.ndarray, make_guess_model, x_shape: tuple,
             opt_theta.step()
         if diverged:
             break
-    report = ReconstructionReport(
-        method="unsplit", recons=x.data.copy(), attack_config=dict(cfg), diverged=diverged
-    )
-    return _score_or_empty(report, ground_truth)
+    return x.data.copy(), diverged
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +199,15 @@ class FeatureScaler:
 
 
 def train_inverse_network(features: np.ndarray, targets: np.ndarray, net: InverseNet,
-                          cfg: dict | None, rng: RngState) -> tuple[InverseNet, list[float]]:
-    """Fit feature -> image by MSE on attacker-generated pairs."""
-    cfg = {"lr": 1e-5, "iters": 2000, "batch": 8, **(cfg or {})}
+                          rng: RngState, *, lr: float, iters: int, batch: int) -> list[float]:
+    """Fit `net` feature -> image by MSE on attacker-generated pairs; returns
+    the loss of every iteration."""
     if len(features) != len(targets):
         raise ValueError("features/targets length mismatch")
-    opt = AdamW(list(net.named_parameters().values()), lr=cfg["lr"])
+    opt = AdamW(list(net.named_parameters().values()), lr=lr)
     losses = []
-    for _ in range(int(cfg["iters"])):
-        idx = np.asarray(rng.integers(0, len(features) - 1, (int(cfg["batch"]),)))
+    for _ in range(int(iters)):
+        idx = np.asarray(rng.integers(0, len(features) - 1, (int(batch),)))
         pred = net(Tensor(features[idx]))
         loss = tt.mse(pred, Tensor(targets[idx]))
         if not np.isfinite(loss.data):
@@ -221,17 +216,4 @@ def train_inverse_network(features: np.ndarray, targets: np.ndarray, net: Invers
         loss.backward()
         opt.step()
         losses.append(loss.item())
-    return net, losses
-
-
-def apply_inverse_net(net: InverseNet, features: np.ndarray,
-                      ground_truth: np.ndarray | None = None,
-                      defense_config: dict | None = None) -> ReconstructionReport:
-    recons = net(Tensor(np.asarray(features, dtype=np.float32))).data
-    report = ReconstructionReport(
-        method=f"inverse_net_{net.net_type}", recons=recons,
-        attack_config={"net_type": net.net_type},
-        defense_config=defense_config or {},
-    )
-    return _score_or_empty(report, ground_truth)
-
+    return losses

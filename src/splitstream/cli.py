@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as dtt
 from .config import ATTACK_METHODS, ConfigError, ExperimentConfig, load_config
 from .diffusion import make_linear_schedule, write_schedule_csv
@@ -103,7 +101,8 @@ def cmd_train(args):
 
 
 def cmd_attack(args):
-    from .experiment import EvalCapture, build_world, generate_eval_packets, prepare, run_attack
+    from .experiment import (EvalCapture, build_world, derived_seed, generate_eval_packets,
+                             prepare, run_attack)
     from .wire import FeaturePacket, WireError, iter_frames
 
     cfg = _load_cfg(args)
@@ -131,7 +130,7 @@ def cmd_attack(args):
                 "eval capture packets_<defense>.bin that `splitstream run` writes")
     data, ae, alpha = prepare(cfg)
     world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
-    cap = generate_eval_packets(world, data, cfg.seed + 7)
+    cap = generate_eval_packets(world, data, derived_seed(cfg, "eval_packets"))
     if args.packets:
         if len(packets) != len(cap.packets):
             print(f"note: scoring uses the {len(packets)} packets from {args.packets}",
@@ -140,19 +139,13 @@ def cmd_attack(args):
                           truth_conds=cap.truth_conds[: len(packets)],
                           truth_images=cap.truth_images[: len(packets)])
     method = args.method.replace("-", "_")
-    report = run_attack(method, world, data, cap, cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    row = run_attack(method, world, data, cap, cfg, out)
     with open(out / f"attack_{method}.jsonl", "w") as f:
-        row = report.summary_row()
-        row.update(psnr=report.psnr, ssim=report.ssim)
         f.write(json.dumps(row, sort_keys=True) + "\n")
-    rdir = out / "recons"
-    rdir.mkdir(exist_ok=True)
-    for i, img in enumerate(report.recons):
-        dtt.write_ppm(rdir / f"{method}_{i:03d}.ppm", np.clip(img, 0.0, 1.0))
-    print(f"{method}: SSIM {report.mean_ssim:.3f} PSNR {report.mean_psnr:.2f} "
-          f"({len(report.psnr)} samples) -> {out}")
+    print(f"{method}: SSIM {row['ssim_mean']:.3f} PSNR {row['psnr_mean']:.2f} "
+          f"({row['n_samples']} samples) -> {out}")
 
 
 def cmd_budget(args):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import CONDITION_KINDS, IMAGE_HW
-from .defenses import (BATCH_MIXING, KINDS as DEFENSE_KINDS, DefenseConfig,
+from .defenses import (BATCH_MIXING, KINDS as DEFENSE_KINDS, TIMESTEP_FLOOR, DefenseConfig,
                        postprocess_features, preprocess_batch)
 from .diffusion import VARIANTS, ScheduleError, make_linear_schedule
 from .privacy import CalibrationError, PrivacyParams, timestep_for_epsilon
@@ -161,7 +161,7 @@ class ExperimentConfig:
         timestep floor from it. An estimated alpha is known only after
         pretraining, so the experiment checks again then."""
         pv, s = self.privacy, self.schedule
-        if pv.epsilon is None or not any(k in ("ours_c", "ours_plus_plus") for k in self.arm_kinds):
+        if pv.epsilon is None or not any(k in TIMESTEP_FLOOR for k in self.arm_kinds):
             return
         sched = make_linear_schedule(s.T, s.k, s.beta0, s.lam)
         try:

@@ -25,6 +25,7 @@ KINDS = (
     "ours_t", "ours_c", "ours_plus_plus",
 )
 BATCH_MIXING = ("mixup", "patch_shuffle")  # need a batch of several samples
+TIMESTEP_FLOOR = ("ours_c", "ours_plus_plus")  # floor t at t_s, with the confound activation
 
 
 @dataclass
@@ -43,7 +44,7 @@ class DefenseConfig:
 
     @property
     def uses_confound(self) -> bool:
-        return self.kind in ("ours_c", "ours_plus_plus")
+        return self.kind in TIMESTEP_FLOOR
 
     @property
     def hides_prompt(self) -> bool:
@@ -51,7 +52,7 @@ class DefenseConfig:
 
     @property
     def timestep_floor(self) -> int:
-        return self.t_s if self.kind in ("ours_c", "ours_plus_plus") else 1
+        return self.t_s if self.kind in TIMESTEP_FLOOR else 1
 
 
 def ldp_gauss_features(feat: np.ndarray, epsilon: float, delta: float,

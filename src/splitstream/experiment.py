@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__
 from . import data as dtt
 from . import tensor as tt
-from .attacks import (FeatureScaler, InverseNet, ReconstructionReport,
-                      apply_inverse_net, train_inverse_network, unsplit_attack,
-                      whitebox_gd_attack)
+from .attacks import (UNSPLIT_L2_WEIGHT, FeatureScaler, InverseNet, ReconstructionReport,
+                      train_inverse_network, unsplit_attack, whitebox_gd_attack)
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, config_to_dict
+from .defenses import TIMESTEP_FLOOR
 from .diffusion import make_linear_schedule, write_schedule_csv
 from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
                      PromptEncoder, ToyAutoencoder, ToyUNet, noise_confound,
@@ -39,6 +39,16 @@ from .tensor import Tensor
 from .wire import frame_message
 
 
+# every seed the pipeline derives, as its offset from [experiment] seed;
+# the manifest records them all
+SEED_OFFSETS = {"train_data": 1, "public_data": 2, "private_data": 3, "eval_packets": 7,
+                "attacker_features": 11}
+
+
+def derived_seed(cfg: ExperimentConfig, name: str) -> int:
+    return cfg.seed + SEED_OFFSETS[name]
+
+
 @dataclass
 class DataBundle:
     train: tuple
@@ -50,9 +60,9 @@ class DataBundle:
 
 def synthesize_data(cfg: ExperimentConfig) -> DataBundle:
     """Three datasets from disjoint seed ranges."""
-    train = dtt.generate_dataset(cfg.dataset.n_train, cfg.seed + 1)
-    public = dtt.generate_dataset(cfg.dataset.n_public, cfg.seed + 2)
-    private = dtt.generate_dataset(cfg.dataset.n_private, cfg.seed + 3)
+    train = dtt.generate_dataset(cfg.dataset.n_train, derived_seed(cfg, "train_data"))
+    public = dtt.generate_dataset(cfg.dataset.n_public, derived_seed(cfg, "public_data"))
+    private = dtt.generate_dataset(cfg.dataset.n_private, derived_seed(cfg, "private_data"))
     kind = cfg.dataset.condition
     return DataBundle(
         train=dtt.dataset_arrays(train, kind),
@@ -82,7 +92,7 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
     sched = make_linear_schedule(cfg.schedule.T, cfg.schedule.k, cfg.schedule.beta0,
                                  cfg.schedule.lam)
     defense = replace(cfg.defense, kind=defense_kind)
-    if defense_kind in ("ours_c", "ours_plus_plus") and cfg.privacy.epsilon is not None:
+    if defense_kind in TIMESTEP_FLOOR and cfg.privacy.epsilon is not None:
         defense = replace(defense, t_s=timestep_for_epsilon(cfg.privacy.epsilon, sched,
                                                             cfg.privacy.delta, alpha_sens))
     privacy = PrivacyParams.from_ts(sched, cfg.privacy.delta, alpha_sens,
@@ -178,27 +188,24 @@ def attacker_view_features(world: SplitWorld, images, conds, prompts, t: int,
 def run_inverse_net_attack(world: SplitWorld, data: DataBundle, cap: EvalCapture,
                            cfg: ExperimentConfig, net_type: str = "type2_condition"
                            ) -> ReconstructionReport:
-    """Train an inverse network on public data, apply it to the captured
-    packets, score against the private ground truth."""
+    """Train an inverse network on public data and apply it to the captured
+    packets."""
     images, conds, prompts = data.public
-    feats = attacker_view_features(world, images, conds, prompts, cap.t, cfg.seed + 11)
+    feats = attacker_view_features(world, images, conds, prompts, cap.t,
+                                   derived_seed(cfg, "attacker_features"))
     targets = conds if net_type == "type2_condition" else images
     scaler = FeatureScaler(feats)
     net = InverseNet(net_type, RngState(cfg.seed).split("inverse-net"), in_ch=feats.shape[1])
-    net, losses = train_inverse_network(
-        scaler(feats), targets, net,
-        {"lr": cfg.attacks.inverse_lr, "iters": cfg.attacks.inverse_iters,
-         "batch": cfg.attacks.inverse_batch},
-        RngState(cfg.seed).split("inverse-train"),
+    a = cfg.attacks
+    losses = train_inverse_network(scaler(feats), targets, net,
+                                   RngState(cfg.seed).split("inverse-train"),
+                                   lr=a.inverse_lr, iters=a.inverse_iters, batch=a.inverse_batch)
+    recons = net(Tensor(scaler(_packet_matrix(cap.packets)))).data
+    return ReconstructionReport(
+        method=f"inverse_net_{net_type}", recons=recons,
+        attack_config={"net_type": net_type, "iters": a.inverse_iters, "lr": a.inverse_lr,
+                       "final_train_loss": losses[-1]},
     )
-    eval_feats = scaler(_packet_matrix(cap.packets))
-    truth = cap.truth_conds if net_type == "type2_condition" else cap.truth_images
-    report = apply_inverse_net(net, eval_feats, ground_truth=truth,
-                               defense_config={"kind": world.defense.kind, "t_s": cap.t})
-    report.attack_config.update(iters=cfg.attacks.inverse_iters,
-                                lr=cfg.attacks.inverse_lr,
-                                final_train_loss=losses[-1])
-    return report
 
 
 def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
@@ -212,6 +219,7 @@ def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
     """
     recons, diverged = [], False
     guess_act = _guess_act(world)
+    a = cfg.attacks
     for i, pkt in enumerate(cap.packets):
         zt = Tensor(cap.zt[i : i + 1])
         target = pkt.feat_control
@@ -222,22 +230,18 @@ def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
                 pred = noise_confound(pred, guess_act)
             return pred
 
-        rep = whitebox_gd_attack(
-            target, model_fn, (1, 4, 8, 8),
-            {"iters": cfg.attacks.whitebox_iters, "lr": cfg.attacks.whitebox_lr,
-             "clip": False, "init_scale": 0.1},
-            RngState(cfg.seed + i).split("whitebox"),
-        )
-        diverged = diverged or rep.diverged
-        recons.append(world.autoencoder.D(Tensor(rep.recons)).data[0])
-    report = ReconstructionReport(
+        u, div = whitebox_gd_attack(target, model_fn, (1, 4, 8, 8),
+                                    RngState(cfg.seed + i).split("whitebox"),
+                                    iters=a.whitebox_iters, lr=a.whitebox_lr, clip=False,
+                                    init_scale=0.1)
+        diverged = diverged or div
+        recons.append(world.autoencoder.D(Tensor(u)).data[0])
+    return ReconstructionReport(
         method="whitebox", recons=np.stack(recons),
-        attack_config={"iters": cfg.attacks.whitebox_iters, "lr": cfg.attacks.whitebox_lr,
+        attack_config={"iters": a.whitebox_iters, "lr": a.whitebox_lr,
                        "granted": "zt, n_hat, t, all public weights"},
-        defense_config={"kind": world.defense.kind, "t_s": cap.t},
         diverged=diverged,
     )
-    return report.score_against(cap.truth_conds)
 
 
 def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
@@ -251,30 +255,42 @@ def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
         eval_rng = rng.split("fwd")
         return (lambda x: enc(x, eval_rng, training=False)), params
 
-    n = len(cap.packets)
-    rep = unsplit_attack(
-        targets, make_model, (n, 3, 32, 32),
-        {"outer": cfg.attacks.unsplit_outer, "inner_x": cfg.attacks.unsplit_inner_x,
-         "inner_theta": cfg.attacks.unsplit_inner_theta, "lr": cfg.attacks.unsplit_lr},
-        RngState(cfg.seed).split("unsplit"),
-        ground_truth=cap.truth_conds,
-    )
-    rep.defense_config = {"kind": world.defense.kind, "t_s": cap.t}
-    return rep
+    settings = {"outer": cfg.attacks.unsplit_outer, "inner_x": cfg.attacks.unsplit_inner_x,
+                "inner_theta": cfg.attacks.unsplit_inner_theta, "lr": cfg.attacks.unsplit_lr}
+    recons, diverged = unsplit_attack(targets, make_model, (len(cap.packets), 3, 32, 32),
+                                      RngState(cfg.seed).split("unsplit"), **settings)
+    return ReconstructionReport(method="unsplit", recons=recons, diverged=diverged,
+                                attack_config={**settings, "l2_weight": UNSPLIT_L2_WEIGHT})
+
+
+# each method of `config.ATTACK_METHODS` and its arm; the lambdas look the arm
+# functions up in this module when called, so a wrapper swapped in by name
+# (perfbench's tracer) is the one that runs
+ARMS = {
+    "inverse_net": lambda world, data, cap, cfg: run_inverse_net_attack(world, data, cap, cfg),
+    "inverse_net_type1": lambda world, data, cap, cfg: run_inverse_net_attack(
+        world, data, cap, cfg, "type1_raw_image"),
+    "whitebox": lambda world, data, cap, cfg: run_whitebox_attack(world, cap, cfg),
+    "unsplit": lambda world, data, cap, cfg: run_unsplit_attack_arm(world, cap, cfg),
+}
 
 
 def run_attack(method: str, world: SplitWorld, data: DataBundle, cap: EvalCapture,
-               cfg: ExperimentConfig) -> ReconstructionReport:
-    """The attack arm named by `method`, one of `config.ATTACK_METHODS`."""
-    if method == "inverse_net":
-        return run_inverse_net_attack(world, data, cap, cfg)
-    if method == "inverse_net_type1":
-        return run_inverse_net_attack(world, data, cap, cfg, "type1_raw_image")
-    if method == "whitebox":
-        return run_whitebox_attack(world, cap, cfg)
-    if method == "unsplit":
-        return run_unsplit_attack_arm(world, cap, cfg)
-    raise ValueError(f"unknown attack method {method!r}")
+               cfg: ExperimentConfig, out_dir: Path | None = None) -> dict:
+    """Run the attack arm `method` on `cap`, score it against the private
+    ground truth (the image for `inverse_net_type1`, the condition otherwise),
+    write its reconstructions to `out_dir/recons/<method>_<defense>_<i>.ppm`
+    when `out_dir` is given, and return its metrics row."""
+    report = ARMS[method](world, data, cap, cfg)
+    defense = world.defense.kind
+    report.defense_config = {"kind": defense, "t_s": cap.t}
+    report.score_against(cap.truth_images if method == "inverse_net_type1" else cap.truth_conds)
+    if out_dir is not None:
+        rdir = out_dir / "recons"
+        rdir.mkdir(exist_ok=True)
+        for i, img in enumerate(report.recons):
+            dtt.write_ppm(rdir / f"{method}_{defense}_{i:03d}.ppm", np.clip(img, 0.0, 1.0))
+    return {**report.summary_row(), "kind": "attack", "defense": defense, "t_s": cap.t}
 
 
 def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
@@ -283,24 +299,13 @@ def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
     rows = []
     for defense_kind in cfg.attacks.defenses:
         world = build_world(cfg, defense_kind, ae, data, alpha)
-        cap = generate_eval_packets(world, data, cfg.seed + 7)
+        cap = generate_eval_packets(world, data, derived_seed(cfg, "eval_packets"))
         if out_dir is not None:
-            pkt_file = out_dir / f"packets_{defense_kind}.bin"
-            with open(pkt_file, "wb") as f:
+            with open(out_dir / f"packets_{defense_kind}.bin", "wb") as f:
                 for p in cap.packets:
                     f.write(frame_message(p))
-        for method in cfg.attacks.methods:
-            report = run_attack(method, world, data, cap, cfg)
-            row = report.summary_row()
-            row.update(kind="attack", defense=defense_kind, t_s=cap.t,
-                       psnr=report.psnr, ssim=report.ssim)
-            rows.append(row)
-            if out_dir is not None:
-                rdir = out_dir / "recons"
-                rdir.mkdir(exist_ok=True)
-                for i, img in enumerate(report.recons):
-                    dtt.write_ppm(rdir / f"{method}_{defense_kind}_{i:03d}.ppm",
-                                  np.clip(img, 0.0, 1.0))
+        rows.extend(run_attack(method, world, data, cap, cfg, out_dir)
+                    for method in cfg.attacks.methods)
     return rows
 
 
@@ -381,9 +386,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "package_version": __version__,
         "numpy_version": np.__version__,
         "config": config_to_dict(cfg),
-        "seeds": {"root": cfg.seed, "train_data": cfg.seed + 1,
-                  "public_data": cfg.seed + 2, "private_data": cfg.seed + 3,
-                  "eval_packets": cfg.seed + 7},
+        "seeds": {"root": cfg.seed,
+                  **{name: derived_seed(cfg, name) for name in SEED_OFFSETS}},
         "calibration_constants": {
             "ssim_attack_floor": cfg.attacks.ssim_attack_floor,
             "ssim_drop_inverse": cfg.attacks.ssim_drop_inverse,

@@ -96,16 +96,16 @@ class PrivacyParams:
     epsilon: float
     delta: float
     alpha_sens: float
-    H: float
     t_s: int
     t_max: int
 
     def __post_init__(self):
-        expected = hyperparameter(self.delta, self.alpha_sens)
-        if self.H != expected:
-            raise CalibrationError(f"inconsistent H: stored {self.H!r}, derived {expected!r}")
         if not 0 <= self.t_s <= self.t_max:
             raise CalibrationError(f"invalid timestep range [{self.t_s}, {self.t_max}]", "t_max")
+
+    @property
+    def H(self) -> float:
+        return hyperparameter(self.delta, self.alpha_sens)
 
     @classmethod
     def from_ts(cls, sched: NoiseSchedule, delta: float, alpha_sens: float,
@@ -113,8 +113,7 @@ class PrivacyParams:
         t_max = sched.T if t_max is None else sched.check_t(t_max, "t_max")
         return cls(
             epsilon=epsilon_for_timestep(sched.check_t(t_s, "t_s"), sched, delta, alpha_sens),
-            delta=delta, alpha_sens=alpha_sens,
-            H=hyperparameter(delta, alpha_sens), t_s=int(t_s), t_max=int(t_max),
+            delta=delta, alpha_sens=alpha_sens, t_s=int(t_s), t_max=int(t_max),
         )
 
 

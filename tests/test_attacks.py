@@ -6,8 +6,7 @@ import pytest
 
 from splitstream import tensor as tt
 from splitstream.attacks import (FeatureScaler, InverseNet, ReconstructionReport,
-                                 apply_inverse_net, train_inverse_network, unsplit_attack,
-                                 whitebox_gd_attack)
+                                 train_inverse_network, unsplit_attack, whitebox_gd_attack)
 from splitstream.metrics import psnr, ssim
 from splitstream.models import NoiseConfoundingActivation, noise_confound
 from splitstream.rng import RngState
@@ -20,6 +19,11 @@ def scale_aligned_psnr(recon, truth):
     b = truth.astype(np.float64).ravel()
     alpha = float(a @ b / max(a @ a, 1e-12))
     return psnr(np.clip(alpha * recon, 0, 1) * 255, truth * 255)
+
+
+def ssim01(recon, truth):
+    """SSIM of one reconstruction on the 0..255 scale."""
+    return ssim(recon[0] * 255.0, truth[0] * 255.0)
 
 
 class TestUnsplit:
@@ -37,25 +41,24 @@ class TestUnsplit:
 
     def test_linear_client_recovered_up_to_scale(self):
         target = self._linear_client()(Tensor(self.x_true)).data
-        rep = unsplit_attack(target, self._make_guess, self.x_true.shape,
-                             {"outer": 25, "inner_x": 40, "inner_theta": 40,
-                              "lr": 2e-2, "l2_weight": 1e-6},
-                             RngState(601))
-        assert not rep.diverged
-        assert scale_aligned_psnr(rep.recons, self.x_true) > 30
+        recons, diverged = unsplit_attack(target, self._make_guess, self.x_true.shape,
+                                          RngState(601), outer=25, inner_x=40, inner_theta=40,
+                                          lr=2e-2, l2_weight=1e-6)
+        assert not diverged
+        assert scale_aligned_psnr(recons, self.x_true) > 30
 
     def test_dropout_target_degrades_recovery(self):
         clean = self._linear_client()(Tensor(self.x_true)).data
         dropped = self._linear_client()(
             tt.dropout(Tensor(self.x_true), 0.3, RngState(602), training=True)).data
-        cfg = {"outer": 25, "inner_x": 40, "inner_theta": 40, "lr": 2e-2,
-               "l2_weight": 1e-6}
-        rep_clean = unsplit_attack(clean, self._make_guess, self.x_true.shape,
-                                   cfg, RngState(603))
-        rep_drop = unsplit_attack(dropped, self._make_guess, self.x_true.shape,
-                                  cfg, RngState(603))
-        a = scale_aligned_psnr(rep_clean.recons, self.x_true)
-        b = scale_aligned_psnr(rep_drop.recons, self.x_true)
+        settings = {"outer": 25, "inner_x": 40, "inner_theta": 40, "lr": 2e-2,
+                    "l2_weight": 1e-6}
+        rec_clean, _ = unsplit_attack(clean, self._make_guess, self.x_true.shape,
+                                      RngState(603), **settings)
+        rec_drop, _ = unsplit_attack(dropped, self._make_guess, self.x_true.shape,
+                                     RngState(603), **settings)
+        a = scale_aligned_psnr(rec_clean, self.x_true)
+        b = scale_aligned_psnr(rec_drop, self.x_true)
         assert b < a
 
     def test_zero_target_converges_to_null_set(self):
@@ -64,16 +67,15 @@ class TestUnsplit:
             return (lambda x: tt.relu(tt.conv2d(x, weight))), [weight]
 
         target = np.zeros((1, 1, 8, 8), dtype=np.float32)
-        rep = unsplit_attack(target, make_nonneg, (1, 1, 8, 8),
-                             {"outer": 10, "inner_x": 50, "inner_theta": 10,
-                              "lr": 5e-2, "l2_weight": 1e-6},
-                             RngState(604))
+        recons, _ = unsplit_attack(target, make_nonneg, (1, 1, 8, 8), RngState(604),
+                                   outer=10, inner_x=50, inner_theta=10, lr=5e-2,
+                                   l2_weight=1e-6)
         fwd, params = make_nonneg(RngState(604).split("model"))
         # the converged input maps (under its own converged model) to ~zero;
         # verify via a fresh forward of the attack's reconstruction through a
         # nonnegative model fitted to zero output: feature mse must be tiny
-        feat = tt.relu(tt.conv2d(Tensor(rep.recons), Tensor(np.ones((1, 1, 1, 1), np.float32))))
-        assert float(np.mean(feat.data**2)) < 1e-4 or rep.recons.max() < 1e-2
+        feat = tt.relu(tt.conv2d(Tensor(recons), Tensor(np.ones((1, 1, 1, 1), np.float32))))
+        assert float(np.mean(feat.data**2)) < 1e-4 or recons.max() < 1e-2
 
 
 class TestWhitebox:
@@ -85,10 +87,9 @@ class TestWhitebox:
             w.data[c, c, 0, 0] = 0.9
         target = tt.conv2d(Tensor(x_true), w).data
 
-        rep = whitebox_gd_attack(target, lambda x: tt.conv2d(x, w), x_true.shape,
-                                 {"iters": 400, "lr": 0.05}, RngState(611),
-                                 ground_truth=x_true)
-        assert rep.ssim[0] > 0.9
+        recons, _ = whitebox_gd_attack(target, lambda x: tt.conv2d(x, w), x_true.shape,
+                                       RngState(611), iters=400, lr=0.05)
+        assert ssim01(recons, x_true) > 0.9
 
     def test_dropout_at_attack_time_degrades(self):
         rng = RngState(612)
@@ -98,12 +99,11 @@ class TestWhitebox:
             w.data[c, c, 0, 0] = 0.9
         clean = tt.conv2d(Tensor(x_true), w).data
         noisy = tt.conv2d(tt.dropout(Tensor(x_true), 0.3, RngState(613), training=True), w).data
-        cfg = {"iters": 300, "lr": 0.05}
-        rep_clean = whitebox_gd_attack(clean, lambda x: tt.conv2d(x, w),
-                                       x_true.shape, cfg, RngState(614), x_true)
-        rep_noisy = whitebox_gd_attack(noisy, lambda x: tt.conv2d(x, w),
-                                       x_true.shape, cfg, RngState(614), x_true)
-        assert rep_noisy.ssim[0] < rep_clean.ssim[0]
+        rec_clean, _ = whitebox_gd_attack(clean, lambda x: tt.conv2d(x, w),
+                                          x_true.shape, RngState(614), iters=300, lr=0.05)
+        rec_noisy, _ = whitebox_gd_attack(noisy, lambda x: tt.conv2d(x, w),
+                                          x_true.shape, RngState(614), iters=300, lr=0.05)
+        assert ssim01(rec_noisy, x_true) < ssim01(rec_clean, x_true)
 
     def test_confound_defense_drops_ssim(self):
         # feature-space mirror of the defended arm: secret offset unknown to
@@ -117,13 +117,12 @@ class TestWhitebox:
         plain = tt.conv2d(Tensor(x_true), w).data
         defended = noise_confound(tt.conv2d(Tensor(x_true), w), act_secret).data
 
-        cfg = {"iters": 400, "lr": 0.05}
-        rep_plain = whitebox_gd_attack(plain, lambda x: tt.conv2d(x, w),
-                                       x_true.shape, cfg, RngState(616), x_true)
-        rep_def = whitebox_gd_attack(
+        rec_plain, _ = whitebox_gd_attack(plain, lambda x: tt.conv2d(x, w),
+                                          x_true.shape, RngState(616), iters=400, lr=0.05)
+        rec_def, _ = whitebox_gd_attack(
             defended, lambda x: noise_confound(tt.conv2d(x, w), act_guess),
-            x_true.shape, cfg, RngState(616), x_true)
-        assert rep_def.ssim[0] <= rep_plain.ssim[0] - 0.1
+            x_true.shape, RngState(616), iters=400, lr=0.05)
+        assert ssim01(rec_def, x_true) <= ssim01(rec_plain, x_true) - 0.1
 
     def test_divergence_flagged(self):
         target = np.ones((1, 1, 4, 4), dtype=np.float32)
@@ -131,9 +130,9 @@ class TestWhitebox:
         def explode(x):
             return tt.scale(x, float("nan"))
 
-        rep = whitebox_gd_attack(target, explode, (1, 1, 4, 4),
-                                 {"iters": 5, "lr": 0.1}, RngState(617))
-        assert rep.diverged
+        _, diverged = whitebox_gd_attack(target, explode, (1, 1, 4, 4), RngState(617),
+                                         iters=5, lr=0.1)
+        assert diverged
 
 
 class TestInverseNet:
@@ -144,9 +143,8 @@ class TestInverseNet:
         feats = rng.uniform((64, 3, 8, 8)) * 0.6 + 0.2
         targets = feats.repeat(4, axis=2).repeat(4, axis=3)
         net = InverseNet("type2_condition", RngState(621), in_ch=3)
-        net, losses = train_inverse_network(feats, targets, net,
-                                            {"lr": 1e-2, "iters": 600, "batch": 8},
-                                            RngState(622))
+        losses = train_inverse_network(feats, targets, net, RngState(622),
+                                       lr=1e-2, iters=600, batch=8)
         assert losses[-1] < 1e-3
 
     def test_output_bounded_and_shaped(self):
@@ -163,7 +161,7 @@ class TestInverseNet:
         net = InverseNet("type2_condition", RngState(626))
         with pytest.raises(ValueError, match="length"):
             train_inverse_network(np.zeros((4, 4, 8, 8)), np.zeros((5, 3, 32, 32)),
-                                  net, None, RngState(627))
+                                  net, RngState(627), lr=1e-2, iters=1, batch=1)
 
     def test_feature_scaler(self):
         rng = RngState(628)
@@ -198,12 +196,4 @@ class TestReport:
         assert row["method"] == "m"
         assert row["ssim_mean"] == 0.5
         assert row["defense_config"] == {"kind": "none"}
-
-    def test_apply_inverse_net_scores(self):
-        rng = RngState(641)
-        net = InverseNet("type2_condition", RngState(642), in_ch=4)
-        feats = rng.normal((2, 4, 8, 8))
-        truth = rng.uniform((2, 3, 32, 32))
-        rep = apply_inverse_net(net, feats, ground_truth=truth)
-        assert len(rep.psnr) == 2 and len(rep.ssim) == 2
-        assert rep.recons.shape == (2, 3, 32, 32)
+        assert row["psnr"] == [10.0] and row["ssim"] == [0.5]

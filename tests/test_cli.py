@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from splitstream.cli import main
+from splitstream.config import ATTACK_METHODS
 from splitstream.data import read_ppm
 from splitstream.wire import FeaturePacket, frame_message
 
@@ -124,6 +125,30 @@ def test_attack_with_packet_file(tmp_path, mini_config, capsys):
     assert list((atk_dir / "recons").glob("*.ppm"))
     row = json.loads((atk_dir / "attack_whitebox.jsonl").read_text())
     assert "ssim" in row and len(row["ssim"]) == 3
+
+
+def test_attack_row_equals_the_run_row(tmp_path, capsys):
+    # `attack` over a run's eval capture is the run's own attack arm, row for row
+    p = tmp_path / "all.ini"
+    p.write_text(MINI_INI.replace("methods = whitebox", "methods = " + ", ".join(ATTACK_METHODS))
+                 .replace("inverse_iters = 60", "inverse_iters = 5\nunsplit_outer = 2\n"
+                          "unsplit_inner_x = 3\nunsplit_inner_theta = 3"))
+    arm = tmp_path / "none.ini"
+    arm.write_text("[defense]\nkind = none\n")
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(p), "--out", str(run_dir)])
+    rows = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
+    for method, defense in [*((m, "ours_plus_plus") for m in ATTACK_METHODS),
+                            ("unsplit", "none")]:
+        atk_dir = tmp_path / f"atk_{method}_{defense}"
+        extra = ["--defense-config", str(arm)] if defense == "none" else []
+        main(["attack", "--method", method, "--config", str(p), *extra,
+              "--packets", str(run_dir / f"packets_{defense}.bin"), "--out", str(atk_dir)])
+        row = json.loads((atk_dir / f"attack_{method}.jsonl").read_text())
+        assert row in rows and (row["defense"], row["kind"]) == (defense, "attack")
+        for i in range(3):
+            name = f"recons/{method}_{defense}_{i:03d}.ppm"
+            assert (atk_dir / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 def test_attack_rejects_a_training_capture(tmp_path, mini_config, capsys):

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from splitstream import experiment
-from splitstream.config import (ConfigError, ExperimentConfig, config_to_dict,
-                                load_config)
+from splitstream.config import (ATTACK_METHODS, ConfigError, ExperimentConfig,
+                                config_to_dict, load_config)
 from splitstream.defenses import postprocess_features, preprocess_batch
 from splitstream.diffusion import make_linear_schedule
-from splitstream.experiment import (build_world, generate_eval_packets, prepare,
-                                    run_experiment, synthesize_data)
+from splitstream.experiment import (build_world, derived_seed, generate_eval_packets,
+                                    prepare, run_experiment, synthesize_data)
 from splitstream.privacy import timestep_for_epsilon
 from splitstream.protocol import client_features
 from splitstream.rng import RngState
@@ -170,7 +170,7 @@ class TestEvalPackets:
                                                          "add_raw"]})
         data, ae, alpha = prepare(cfg)
         images, conds, prompts = data.private
-        seed = cfg.seed + 7
+        seed = derived_seed(cfg, "eval_packets")
         base = generate_eval_packets(build_world(cfg, "none", ae, data, alpha), data, seed)
         for kind in cfg.attacks.defenses[1:]:
             world = build_world(cfg, kind, ae, data, alpha)
@@ -245,6 +245,17 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "run_split_training", no_training)
         with pytest.raises(ConfigError, match=re.escape("[privacy] epsilon = 0.001 at alpha")):
             run_experiment(cfg)
+
+    def test_every_attack_method_has_an_arm(self):
+        assert sorted(experiment.ARMS) == sorted(ATTACK_METHODS)
+
+    def test_manifest_records_every_derived_seed(self, tmp_path):
+        cfg = mini_cfg(tmp_path, **{"protocol.iterations": 0})
+        cfg.attacks.methods = []
+        out = Path(run_experiment(cfg))
+        seeds = json.loads((out / "manifest.json").read_text())["seeds"]
+        assert seeds == {"root": 11, "train_data": 12, "public_data": 13, "private_data": 14,
+                         "eval_packets": 18, "attacker_features": 22}
 
     def test_secret_not_in_server_manifest(self, tmp_path):
         out = Path(run_experiment(mini_cfg(tmp_path)))

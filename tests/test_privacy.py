@@ -129,11 +129,6 @@ class TestCalibrationEquivalence:
 
 
 class TestPrivacyParams:
-    def test_h_consistency_enforced(self):
-        with pytest.raises(CalibrationError, match="inconsistent H"):
-            PrivacyParams(epsilon=8.0, delta=DELTA, alpha_sens=ALPHA, H=0.5,
-                          t_s=536, t_max=1000)
-
     def test_from_ts(self, sched):
         p = PrivacyParams.from_ts(sched, DELTA, ALPHA, 536)
         assert p.t_max == 1000
@@ -142,8 +137,7 @@ class TestPrivacyParams:
 
     def test_bad_range(self):
         with pytest.raises(CalibrationError):
-            PrivacyParams(epsilon=1.0, delta=DELTA, alpha_sens=ALPHA,
-                          H=hyperparameter(DELTA, ALPHA), t_s=10, t_max=5)
+            PrivacyParams(epsilon=1.0, delta=DELTA, alpha_sens=ALPHA, t_s=10, t_max=5)
 
 
 class TestSampler:
