@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: gen-data, pretrain, train, attack, budget, report. Every run
-is reproducible from its config file; SPLITSTREAM_SEED overrides the seed.
+Subcommands: gen-data, pretrain, train, attack, budget, report, run. Every run is
+reproducible from its config file; SPLITSTREAM_SEED overrides the seed.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ from pathlib import Path
 
 from . import data as dtt
 from .config import ATTACK_METHODS, ConfigError, ExperimentConfig, load_config
-from .diffusion import make_linear_schedule, write_schedule_csv
-from .privacy import epsilon_for_timestep, timestep_for_epsilon
+from .privacy import epsilon_for_timestep, timestep_for_epsilon, write_budget_csv
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return ExperimentConfig().validate()
+    return load_config(args.config) if args.config else ExperimentConfig().validate()
 
 
 def cmd_gen_data(args):
@@ -100,6 +97,10 @@ def cmd_train(args):
     print(f"ledger: up={res.ledger.bytes_up}B down={res.ledger.bytes_down}B -> {out}")
 
 
+def _sent(t: int, hidden: bool) -> str:
+    return f"t = {t} {'without' if hidden else 'with'} the prompt"
+
+
 def cmd_attack(args):
     from .experiment import (EvalCapture, build_world, derived_seed, generate_eval_packets,
                              prepare, run_attack)
@@ -132,6 +133,20 @@ def cmd_attack(args):
     world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
     cap = generate_eval_packets(world, data, derived_seed(cfg, "eval_packets"))
     if args.packets:
+        # a capture does not record its arm; its timestep and prompt features tell the
+        # timestep-floor and prompt-hiding arms from the rest
+        sends = {}
+        for kind in cfg.arm_kinds:
+            _, defense, privacy = cfg.calibrate(kind, alpha)
+            sends[kind] = _sent(privacy.t_s, defense.hides_prompt)
+        want = sends[world.defense.kind]
+        got = next((s for s in (_sent(p.timestep, p.prompt_feat is None) for p in packets)
+                    if s != want), None)
+        if got is not None:
+            fits = "/".join(k for k, s in sends.items() if s == got) or "no"
+            raise SystemExit(f"{args.packets}: packets at {got} ({fits} arm of the config), "
+                             f"but its {world.defense.kind} arm sends {want}; pass "
+                             "--defense-config with the packets' arm")
         if len(packets) != len(cap.packets):
             print(f"note: scoring uses the {len(packets)} packets from {args.packets}",
                   file=sys.stderr)
@@ -149,15 +164,16 @@ def cmd_attack(args):
 
 
 def cmd_budget(args):
-    sched = make_linear_schedule(args.T, args.k, args.beta0)
-    if args.epsilon is not None:
-        t_s = timestep_for_epsilon(args.epsilon, sched, args.delta, args.alpha)
-    else:
-        t_s = args.t_s
-    eps_s = epsilon_for_timestep(t_s, sched, args.delta, args.alpha)
-    # the same table `run` writes to budget.csv
-    write_schedule_csv(sched, sys.stdout,
-                       epsilon_fn=lambda t: epsilon_for_timestep(t, sched, args.delta, args.alpha))
+    cfg = _load_cfg(args)
+    delta, alpha = cfg.privacy.delta, cfg.privacy.alpha
+    if alpha is None:
+        raise ConfigError("budget needs [privacy] alpha: an empty one is estimated in a run")
+    sched = cfg.schedule.build()
+    t_s = (args.t_s if args.epsilon is None
+           else timestep_for_epsilon(args.epsilon, sched, delta, alpha))
+    eps_s = epsilon_for_timestep(t_s, sched, delta, alpha)
+    # the table `run --config` writes to budget.csv
+    write_budget_csv(sched, delta, alpha, sys.stdout)
     print(f"t_s = {t_s}, epsilon_s = {eps_s:.4f}", file=sys.stderr)
 
 
@@ -223,12 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--out")
     at.set_defaults(fn=cmd_attack)
 
-    bu = sub.add_parser("budget", help="print the schedule/budget table as CSV, as budget.csv")
-    bu.add_argument("--k", type=float, default=1.115e-5)
-    bu.add_argument("--beta0", type=float, default=8.85e-4)
-    bu.add_argument("--T", type=int, default=1000)
-    bu.add_argument("--delta", type=float, default=1e-4)
-    bu.add_argument("--alpha", type=float, default=0.16)
+    bu = sub.add_parser("budget", help="print the config's budget table as CSV, as budget.csv")
+    bu.add_argument("--config")
     group = bu.add_mutually_exclusive_group(required=True)
     group.add_argument("--t-s", dest="t_s", type=int)
     group.add_argument("--epsilon", type=float)

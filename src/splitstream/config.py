@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 import os
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .data import CONDITION_KINDS, IMAGE_HW
 from .defenses import (BATCH_MIXING, KINDS as DEFENSE_KINDS, TIMESTEP_FLOOR, DefenseConfig,
                        postprocess_features, preprocess_batch)
-from .diffusion import VARIANTS, ScheduleError, make_linear_schedule
+from .diffusion import VARIANTS, NoiseSchedule, ScheduleError, make_linear_schedule
 from .privacy import CalibrationError, PrivacyParams, timestep_for_epsilon
 from .rng import RngState
 
@@ -50,6 +49,9 @@ class ScheduleConfig:
     beta0: float = 8.85e-4
     lam: float = 0.0
     variant: str = "cumulative"  # training variant; DP accounting is per-step
+
+    def build(self) -> NoiseSchedule:
+        return make_linear_schedule(self.T, self.k, self.beta0, self.lam)
 
 
 @dataclass
@@ -155,23 +157,29 @@ class ExperimentConfig:
         """The defense kind of the training run and of every attack arm."""
         return [self.defense.kind, *(self.attacks.defenses if self.attacks.methods else ())]
 
+    def calibrate(self, kind: str, alpha: float) -> tuple[NoiseSchedule, DefenseConfig,
+                                                          PrivacyParams]:
+        """The schedule, defense and privacy parameters of the arm `kind` at
+        sensitivity `alpha`. A timestep-floor arm takes its t_s from [privacy]
+        epsilon when one is given, else from [defense] t_s."""
+        pv, sched = self.privacy, self.schedule.build()
+        defense = replace(self.defense, kind=kind)
+        if kind in TIMESTEP_FLOOR and pv.epsilon is not None:
+            try:
+                defense.t_s = timestep_for_epsilon(pv.epsilon, sched, pv.delta, alpha)
+                return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha,
+                                                             defense.t_s, pv.t_max)
+            except CalibrationError as exc:
+                raise ConfigError(f"[privacy] epsilon = {pv.epsilon} at alpha = {alpha:.6g}: "
+                                  f"{exc}") from None
+        return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha,
+                                                     defense.timestep_floor, pv.t_max)
+
     def check_epsilon(self, alpha: float) -> None:
-        """[privacy] epsilon against the budgets the schedule can give at
-        sensitivity `alpha` below [privacy] t_max, when an arm calibrates its
-        timestep floor from it. An estimated alpha is known only after
-        pretraining, so the experiment checks again then."""
-        pv, s = self.privacy, self.schedule
-        if pv.epsilon is None or not any(k in TIMESTEP_FLOOR for k in self.arm_kinds):
-            return
-        sched = make_linear_schedule(s.T, s.k, s.beta0, s.lam)
-        try:
-            with warnings.catch_warnings():
-                # a budget above epsilon(0) is legal; build_world says so when it calibrates
-                warnings.simplefilter("ignore")
-                t_s = timestep_for_epsilon(pv.epsilon, sched, pv.delta, alpha)
-            PrivacyParams.from_ts(sched, pv.delta, alpha, t_s, pv.t_max)
-        except CalibrationError as exc:
-            raise ConfigError(f"[privacy] epsilon = {pv.epsilon} at alpha = {alpha:.6g}: {exc}") from None
+        """Calibrate every arm at sensitivity `alpha`, [privacy] epsilon included.
+        An estimated alpha is known only after pretraining: the run checks then."""
+        for kind in self.arm_kinds:
+            self.calibrate(kind, alpha)
 
     def _check_with_owners(self) -> None:
         """Values that would fail only once the world is built or the clients
@@ -184,8 +192,7 @@ class ExperimentConfig:
         # an empty alpha is estimated after pretraining; a positive stand-in checks the rest
         alpha = 1.0 if pv.alpha is None else pv.alpha
         try:
-            sched = make_linear_schedule(s.T, s.k, s.beta0, s.lam)
-            PrivacyParams.from_ts(sched, pv.delta, alpha, floor, pv.t_max)
+            PrivacyParams.from_ts(s.build(), pv.delta, alpha, floor, pv.t_max)
         except (ScheduleError, CalibrationError) as exc:
             raise ConfigError(f"{_OWNER_KEYS[exc.param]}: {exc}") from None
         if pv.alpha is not None:

@@ -14,7 +14,6 @@ step is well-posed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,13 +144,3 @@ def training_loss(n_hat, n_pred) -> Tensor:
     a = n_hat if isinstance(n_hat, Tensor) else Tensor(n_hat)
     b = n_pred if isinstance(n_pred, Tensor) else Tensor(n_pred)
     return mse(a, b)
-
-
-def write_schedule_csv(sched: NoiseSchedule, file, epsilon_fn=None) -> None:
-    """Dump t, beta, alpha, alpha_bar (and epsilon(t) if a mapping is given)."""
-    w = csv.writer(file)
-    w.writerow(["t", "beta", "alpha", "alpha_bar", "epsilon"])
-    for t in range(sched.T + 1):
-        eps = f"{epsilon_fn(t):.6g}" if epsilon_fn is not None else ""
-        w.writerow([t, f"{sched.beta[t]:.10g}", f"{sched.alpha[t]:.10g}",
-                    f"{sched.alpha_bar[t]:.10g}", eps])

@@ -13,7 +13,7 @@ pipeline is a pure function of the config, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +25,10 @@ from .attacks import (UNSPLIT_L2_WEIGHT, FeatureScaler, InverseNet, Reconstructi
                       train_inverse_network, unsplit_attack, whitebox_gd_attack)
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, config_to_dict
-from .defenses import TIMESTEP_FLOOR
-from .diffusion import make_linear_schedule, write_schedule_csv
 from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
                      PromptEncoder, ToyAutoencoder, ToyUNet, noise_confound,
                      param_fingerprint, pretrain_autoencoder, prompt_hide_transform)
-from .privacy import (PrivacyParams, epsilon_for_timestep, estimate_sensitivity,
-                      timestep_for_epsilon)
+from .privacy import estimate_sensitivity, write_budget_csv
 from .protocol import (ClientDataset, ProtocolConfig, SimClock, SplitWorld,
                        client_features, client_packet, run_split_training)
 from .rng import RngState
@@ -54,23 +51,15 @@ class DataBundle:
     train: tuple
     public: tuple
     private: tuple
-    train_samples: list
-    private_samples: list
 
 
 def synthesize_data(cfg: ExperimentConfig) -> DataBundle:
     """Three datasets from disjoint seed ranges."""
-    train = dtt.generate_dataset(cfg.dataset.n_train, derived_seed(cfg, "train_data"))
-    public = dtt.generate_dataset(cfg.dataset.n_public, derived_seed(cfg, "public_data"))
-    private = dtt.generate_dataset(cfg.dataset.n_private, derived_seed(cfg, "private_data"))
-    kind = cfg.dataset.condition
-    return DataBundle(
-        train=dtt.dataset_arrays(train, kind),
-        public=dtt.dataset_arrays(public, kind),
-        private=dtt.dataset_arrays(private, kind),
-        train_samples=train,
-        private_samples=private,
-    )
+    d = cfg.dataset
+    return DataBundle(*(
+        dtt.dataset_arrays(dtt.generate_dataset(n, derived_seed(cfg, f"{split}_data")),
+                           d.condition)
+        for split, n in (("train", d.n_train), ("public", d.n_public), ("private", d.n_private))))
 
 
 def prepare(cfg: ExperimentConfig) -> tuple[DataBundle, ToyAutoencoder, float]:
@@ -89,14 +78,7 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
     """Deterministic world for one defense arm; frozen parts are identical
     across arms because they derive from the same seed labels."""
     rng = RngState(cfg.seed)
-    sched = make_linear_schedule(cfg.schedule.T, cfg.schedule.k, cfg.schedule.beta0,
-                                 cfg.schedule.lam)
-    defense = replace(cfg.defense, kind=defense_kind)
-    if defense_kind in TIMESTEP_FLOOR and cfg.privacy.epsilon is not None:
-        defense = replace(defense, t_s=timestep_for_epsilon(cfg.privacy.epsilon, sched,
-                                                            cfg.privacy.delta, alpha_sens))
-    privacy = PrivacyParams.from_ts(sched, cfg.privacy.delta, alpha_sens,
-                                    defense.timestep_floor, cfg.privacy.t_max)
+    sched, defense, privacy = cfg.calibrate(defense_kind, alpha_sens)
     unet = ToyUNet(rng.split("unet"))
     unet.freeze()
     if cfg.protocol.mode == "classic":
@@ -345,9 +327,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     # parameters are the calibration the run reports
     world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
     with open(out_dir / "budget.csv", "w") as f:
-        write_schedule_csv(world.sched, f,
-                           epsilon_fn=lambda t: epsilon_for_timestep(
-                               t, world.sched, cfg.privacy.delta, alpha))
+        write_budget_csv(world.sched, cfg.privacy.delta, alpha, f)
     metrics.append({"kind": "calibration", "alpha_used": alpha,
                     "alpha_estimated": (alpha if cfg.privacy.alpha is None
                                         else _estimated_alpha(cfg, ae, data)),

@@ -7,12 +7,15 @@ the schedule:
     epsilon(t) = sqrt(H * (1/(k*t + beta0) - 1)),   H = 2*ln(1.25/delta)*alpha^2
 
 so a minimum sampled timestep t_s is equivalent to a worst-case budget
-epsilon_s = epsilon(t_s). The randomized-response mechanism here is the
-baseline defense, not part of that calibration.
+epsilon_s = epsilon(t_s). `write_budget_csv` writes that map for every t of
+a schedule: the table of a run's budget.csv and of `splitstream budget`.
+The randomized-response mechanism here is the baseline defense, not part of
+that calibration.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -89,6 +92,16 @@ def timestep_for_epsilon(epsilon: float, sched: NoiseSchedule, delta: float, alp
     return t
 
 
+def write_budget_csv(sched: NoiseSchedule, delta: float, alpha_sens: float, file) -> None:
+    """The budget table: t, beta, alpha, alpha_bar and epsilon(t) for every t."""
+    w = csv.writer(file)
+    w.writerow(["t", "beta", "alpha", "alpha_bar", "epsilon"])
+    for t in range(sched.T + 1):
+        w.writerow([t, f"{sched.beta[t]:.10g}", f"{sched.alpha[t]:.10g}",
+                    f"{sched.alpha_bar[t]:.10g}",
+                    f"{epsilon_for_timestep(t, sched, delta, alpha_sens):.6g}"])
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Calibration state binding a budget to a timestep sampling range."""
@@ -119,8 +132,6 @@ class PrivacyParams:
 
 def sample_private_timestep(params: PrivacyParams, rng: RngState) -> int:
     """Uniform draw from [t_s, t_max]; every draw spends at most epsilon(t_s)."""
-    if params.t_s > params.t_max:
-        raise CalibrationError(f"empty timestep range [{params.t_s}, {params.t_max}]")
     return int(rng.integers(params.t_s, params.t_max))
 
 

@@ -83,6 +83,31 @@ def test_budget_epsilon_selector(capsys):
     assert "t_s =" in err
 
 
+def test_budget_prints_the_runs_budget_csv(tmp_path, capsys):
+    # the table is the config's, so it follows a [schedule] other than the default
+    p = tmp_path / "k.ini"
+    p.write_text(MINI_INI + "[schedule]\nk = 2e-5\n")
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(p), "--out", str(run_dir)])
+    capsys.readouterr()
+    main(["budget", "--config", str(p), "--t-s", "536"])
+    out = capsys.readouterr().out
+    assert out == (run_dir / "budget.csv").read_bytes().decode()
+    main(["budget", "--t-s", "536"])
+    assert capsys.readouterr().out != out
+
+
+def test_budget_refuses_an_estimated_alpha(tmp_path, capsys):
+    p = tmp_path / "estimate.ini"
+    p.write_text("[privacy]\nalpha =\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["budget", "--config", str(p), "--t-s", "536"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "error: budget needs [privacy] alpha" in captured.err
+
+
 def test_pretrain(tmp_path, mini_config, capsys):
     out = tmp_path / "pre"
     main(["pretrain", "--config", str(mini_config), "--out", str(out)])
@@ -149,6 +174,26 @@ def test_attack_row_equals_the_run_row(tmp_path, capsys):
         for i in range(3):
             name = f"recons/{method}_{defense}_{i:03d}.ppm"
             assert (atk_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_attack_refuses_a_capture_of_another_arm(tmp_path, mini_config, capsys):
+    # a packet file does not record its arm; its timestep and prompt features show it
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(mini_config), "--out", str(run_dir)])
+    arm = tmp_path / "none.ini"
+    arm.write_text("[defense]\nkind = none\n")
+    for packets, extra, line in (
+            ("none", [], "packets at t = 1 with the prompt (none arm of the config), but its "
+                         "ours_plus_plus arm sends t = 536 without the prompt"),
+            ("ours_plus_plus", ["--defense-config", str(arm)],
+             "packets at t = 536 without the prompt (ours_plus_plus arm of the config), but "
+             "its none arm sends t = 1 with the prompt")):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--method", "whitebox", "--config", str(mini_config), *extra,
+                  "--packets", str(run_dir / f"packets_{packets}.bin"),
+                  "--out", str(tmp_path / "atk")])
+        assert line in str(exc.value) and str(exc.value).count("\n") == 0
+    assert not (tmp_path / "atk").exists()
 
 
 def test_attack_rejects_a_training_capture(tmp_path, mini_config, capsys):

@@ -1,7 +1,5 @@
 """Noise schedule construction, forward/inverse consistency, sampling."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 from splitstream.diffusion import (LatentState, ScheduleError, forward_diffuse,
                                    make_linear_schedule, predict_x0, sample_step,
-                                   training_loss, write_schedule_csv)
+                                   training_loss)
 from splitstream.rng import RngState
 
 REFERENCE = dict(T=1000, k=1.115e-5, beta0=8.85e-4)
@@ -201,13 +199,3 @@ def test_forward_inverse_consistency_property(t):
     for variant in ("per_step", "cumulative"):
         st_ = forward_diffuse(z0, t, sched, rng, variant)
         assert np.abs(predict_x0(st_.zt, st_.n_hat, t, sched, variant) - z0).max() < 1e-5
-
-
-def test_schedule_csv_dump(sched):
-    buf = io.StringIO()
-    write_schedule_csv(sched, buf, epsilon_fn=lambda t: 1.0 / (t + 1))
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,beta,alpha,alpha_bar,epsilon"
-    assert len(lines) == sched.T + 2
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[3]) == 1.0

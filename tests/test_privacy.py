@@ -1,6 +1,7 @@
 """Privacy calibration: Gaussian mechanism, budget/timestep maps, sampler,
 sensitivity estimation, randomized response."""
 
+import io
 import math
 import warnings
 
@@ -15,7 +16,7 @@ from splitstream.privacy import (CalibrationError, PrivacyParams,
                                  flip_probability, gaussian_sigma, hyperparameter,
                                  randomized_response, sample_private_timestep,
                                  solve_intercept_for_budget, solve_slope_for_budget,
-                                 timestep_for_epsilon)
+                                 timestep_for_epsilon, write_budget_csv)
 from splitstream.rng import RngState
 
 DELTA = 1e-4
@@ -251,3 +252,15 @@ def test_budget_roundtrip_property(epsilon):
 def test_h_recompute_bit_exact(sched):
     p = PrivacyParams.from_ts(sched, DELTA, ALPHA, 536)
     assert p.H == hyperparameter(p.delta, p.alpha_sens)
+
+
+def test_budget_csv_dump(sched):
+    buf = io.StringIO()
+    write_budget_csv(sched, DELTA, ALPHA, buf)
+    lines = buf.getvalue().strip().splitlines()
+    assert lines[0] == "t,beta,alpha,alpha_bar,epsilon"
+    assert len(lines) == sched.T + 2
+    first = lines[1].split(",")
+    assert first[0] == "0" and float(first[3]) == 1.0
+    for t, line in enumerate(lines[1:]):
+        assert line.split(",")[4] == f"{epsilon_for_timestep(t, sched, DELTA, ALPHA):.6g}"

@@ -1,7 +1,8 @@
 """Every top-level def and class in the package has a caller in the program
-(`src/`, `scripts/` or `perfbench/`), or is listed below with the reason it
-stays. A new unreferenced name fails, and so does a listed one that has
-gained a caller: it then leaves the list."""
+(`src/`, `scripts/` or `perfbench/`), and every dataclass field is read as
+an attribute there, or is listed below with the reason it stays. A new
+unreferenced name or unread field fails, and so does a listed one that has
+gained a reader: it then leaves its list."""
 
 import ast
 from pathlib import Path
@@ -29,18 +30,30 @@ UNREFERENCED = {
     "tensor.sum_squares": "reduction the gradient checks backpropagate from",
 }
 
+# module.Class.field -> why it stays although the program never reads it
+UNREAD_FIELDS = {
+    "data.ShapeSample.shapes": "the data tests re-derive the segmentation from it",
+    "wire.GradientPacket.n_pred": "perfbench reads it by name; it goes in the next "
+                                  "benchmark change",
+}
+
+
+def _program_trees():
+    for top in ("src", "scripts", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            yield ast.parse(path.read_text())
+
 
 def _referenced_names() -> set[str]:
     names = set()
-    for top in ("src", "scripts", "perfbench"):
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.update((node.name, node.asname))
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
     return names
 
 
@@ -55,3 +68,25 @@ def test_unreferenced_definitions_are_listed():
     }
     assert not found - UNREFERENCED.keys(), "unreferenced and not listed"
     assert not UNREFERENCED.keys() - found, "listed but referenced (or gone): drop from the list"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated `@dataclass` or `@dataclass(...)`."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def test_unread_dataclass_fields_are_listed():
+    read = {node.attr for tree in _program_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = {
+        f"{path.stem}.{cls.name}.{stmt.target.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    }
+    assert not found - UNREAD_FIELDS.keys(), "unread and not listed"
+    assert not UNREAD_FIELDS.keys() - found, "listed but read (or gone): drop from the list"
