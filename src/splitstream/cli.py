@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, pretrain, train, attack, budget, report, run. Every run is
-reproducible from its config file; SPLITSTREAM_SEED overrides the seed.
+reproducible from its config file; SPLITSTREAM_SEED overrides the seed. `train`
+and `attack` run a stage of `run` and take every setting from the config.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from pathlib import Path
 
 from . import data as dtt
 from .config import ATTACK_METHODS, ConfigError, ExperimentConfig, load_config
-from .privacy import epsilon_for_timestep, timestep_for_epsilon, write_budget_csv
+from .defenses import BATCH_MIXING
+from .diffusion import ScheduleError
+from .privacy import (CalibrationError, epsilon_for_timestep, timestep_for_epsilon,
+                      write_budget_csv)
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -54,21 +58,12 @@ def cmd_pretrain(args):
 
 def cmd_train(args):
     cfg = _load_cfg(args)
-    if args.mode:
-        cfg.protocol.mode = args.mode.replace("-", "_")
-    if args.clients is not None:
-        cfg.protocol.clients = args.clients
-    if args.iterations is not None:
-        cfg.protocol.iterations = args.iterations
-    if args.transport:
-        cfg.protocol.transport = args.transport.replace("-", "_")
-    cfg.validate()
     if args.connect and not 0 <= args.client_id < cfg.protocol.clients:
         raise ConfigError(
             f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {args.client_id}")
-    from .checkpoint import save_checkpoint
-    from .experiment import build_world, prepare, protocol_config
-    from .protocol import SimClock, run_client_role, run_server_role, run_split_training
+    from .experiment import (build_world, frozen_fingerprint, prepare, protocol_config,
+                             record_training)
+    from .protocol import run_client_role, run_server_role, run_split_training
 
     # with --listen/--connect, both processes rebuild the same world from the config
     data, ae, alpha = prepare(cfg)
@@ -84,10 +79,9 @@ def cmd_train(args):
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pcfg = protocol_config(cfg, capture_path=str(out / "packets_training.bin"))
+    frozen_before = frozen_fingerprint(world)
     res = run_server_role(world, pcfg, host, port) if args.listen else run_split_training(world, pcfg)
-    with open(out / "ledger.json", "w") as f:
-        json.dump(res.ledger.to_dict(SimClock()), f, indent=2, sort_keys=True)
-    save_checkpoint(out / "control_branch.tckp", world.branch.named_parameters())
+    record_training(cfg, world, res, frozen_before, out)
     if args.listen:
         print(f"served {res.ledger.packets} packets from {cfg.protocol.clients} clients -> {out}")
         return
@@ -107,12 +101,13 @@ def cmd_attack(args):
     from .wire import FeaturePacket, WireError, iter_frames
 
     cfg = _load_cfg(args)
-    if args.defense_config:
-        dcfg = load_config(args.defense_config)
-        cfg.defense = dcfg.defense
-        if cfg.defense.kind not in cfg.attacks.defenses:
-            cfg.attacks.defenses = [cfg.defense.kind]
-        cfg.validate()
+    kind = args.defense or cfg.defense.kind
+    named = f"--defense {kind}" if args.defense else f"[defense] kind = {kind}"
+    if kind not in cfg.arm_kinds:
+        raise ConfigError(f"{named} is not an arm of the config: "
+                          f"{', '.join(dict.fromkeys(cfg.arm_kinds))}")
+    if kind in BATCH_MIXING:
+        raise ConfigError(f"{named} mixes a batch, but eval packets hold one sample each")
     if args.packets:
         try:
             with open(args.packets, "rb") as f:
@@ -130,23 +125,23 @@ def cmd_attack(args):
                 f"{cfg.dataset.n_private} packets of batch 1, one per private sample; pass the "
                 "eval capture packets_<defense>.bin that `splitstream run` writes")
     data, ae, alpha = prepare(cfg)
-    world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
+    world = build_world(cfg, kind, ae, data, alpha)
     cap = generate_eval_packets(world, data, derived_seed(cfg, "eval_packets"))
     if args.packets:
         # a capture does not record its arm; its timestep and prompt features tell the
         # timestep-floor and prompt-hiding arms from the rest
         sends = {}
-        for kind in cfg.arm_kinds:
-            _, defense, privacy = cfg.calibrate(kind, alpha)
-            sends[kind] = _sent(privacy.t_s, defense.hides_prompt)
-        want = sends[world.defense.kind]
+        for arm in cfg.arm_kinds:
+            _, defense, privacy = cfg.calibrate(arm, alpha)
+            sends[arm] = _sent(privacy.t_s, defense.hides_prompt)
+        want = sends[kind]
         got = next((s for s in (_sent(p.timestep, p.prompt_feat is None) for p in packets)
                     if s != want), None)
         if got is not None:
             fits = "/".join(k for k, s in sends.items() if s == got) or "no"
             raise SystemExit(f"{args.packets}: packets at {got} ({fits} arm of the config), "
-                             f"but its {world.defense.kind} arm sends {want}; pass "
-                             "--defense-config with the packets' arm")
+                             f"but its {kind} arm sends {want}; pass --defense with the "
+                             "packets' arm")
         if len(packets) != len(cap.packets):
             print(f"note: scoring uses the {len(packets)} packets from {args.packets}",
                   file=sys.stderr)
@@ -169,9 +164,13 @@ def cmd_budget(args):
     if alpha is None:
         raise ConfigError("budget needs [privacy] alpha: an empty one is estimated in a run")
     sched = cfg.schedule.build()
-    t_s = (args.t_s if args.epsilon is None
-           else timestep_for_epsilon(args.epsilon, sched, delta, alpha))
-    eps_s = epsilon_for_timestep(t_s, sched, delta, alpha)
+    try:
+        t_s = (args.t_s if args.epsilon is None
+               else timestep_for_epsilon(args.epsilon, sched, delta, alpha))
+        eps_s = epsilon_for_timestep(t_s, sched, delta, alpha)
+    except (CalibrationError, ScheduleError) as exc:
+        flag = f"--t-s {args.t_s}" if args.epsilon is None else f"--epsilon {args.epsilon:g}"
+        raise ConfigError(f"{flag}: {exc}") from None
     # the table `run --config` writes to budget.csv
     write_budget_csv(sched, delta, alpha, sys.stdout)
     print(f"t_s = {t_s}, epsilon_s = {eps_s:.4f}", file=sys.stderr)
@@ -217,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="run split training")
     tr.add_argument("--config")
-    tr.add_argument("--mode", choices=["classic", "gradient-free", "gradient_free"])
-    tr.add_argument("--clients", type=int)
-    tr.add_argument("--iterations", type=int)
-    tr.add_argument("--transport", choices=["in-process", "in_process", "tcp"])
     role = tr.add_mutually_exclusive_group()
     role.add_argument("--listen", metavar="HOST:PORT",
                       help="run the server role only, for cross-process deployments")
@@ -234,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     dashed = (m.replace("_", "-") for m in ATTACK_METHODS)
     at.add_argument("--method", required=True, choices=sorted({*ATTACK_METHODS, *dashed}))
     at.add_argument("--packets", help="captured packet frames (defaults to fresh eval packets)")
-    at.add_argument("--defense-config", help="config whose [defense] section describes the arm")
+    at.add_argument("--defense", metavar="KIND",
+                    help="the config's arm to attack (default: its [defense] kind)")
     at.add_argument("--config")
     at.add_argument("--out")
     at.set_defaults(fn=cmd_attack)

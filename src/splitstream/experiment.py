@@ -2,12 +2,13 @@
 
 Stages: synthesize data (train / public / private from disjoint seed
 ranges), pretrain and freeze the autoencoder, calibrate the privacy
-budget, run split training with the configured mode and defense, capture
+budget, run split training with the configured mode and defense (whose
+files `record_training` writes, for `splitstream train` too), capture
 worst-case evaluation packets (timestep pinned to t_s, defense hooks run),
 attack every defended and undefended arm on the same seeds, and emit a
-report directory: metrics JSONL, budget CSV, ledger JSON, reconstruction
-PPMs, and a manifest with every seed and calibration constant. The whole
-pipeline is a pure function of the config, so reruns are byte-identical.
+report directory: metrics JSONL, budget CSV, reconstruction PPMs, and a
+manifest with every seed and calibration constant. The whole pipeline is
+a pure function of the config, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
                      PromptEncoder, ToyAutoencoder, ToyUNet, noise_confound,
                      param_fingerprint, pretrain_autoencoder, prompt_hide_transform)
 from .privacy import estimate_sensitivity, write_budget_csv
-from .protocol import (ClientDataset, ProtocolConfig, SimClock, SplitWorld,
+from .protocol import (ClientDataset, ProtocolConfig, SimClock, SplitResult, SplitWorld,
                        client_features, client_packet, run_split_training)
 from .rng import RngState
 from .tensor import Tensor
@@ -334,29 +335,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                     "delta": cfg.privacy.delta, "t_s": world.privacy.t_s,
                     "epsilon_at_t_s": world.privacy.epsilon})
 
-    frozen_before = param_fingerprint({**world.unet.named_parameters("unet."),
-                                       **world.autoencoder.named_parameters("ae.")})
-    result = None
     if cfg.protocol.iterations > 0:
+        frozen_before = frozen_fingerprint(world)
         pcfg = protocol_config(cfg, capture_path=str(out_dir / "packets_training.bin"))
         result = run_split_training(world, pcfg)
-        frozen_after = param_fingerprint({**world.unet.named_parameters("unet."),
-                                          **world.autoencoder.named_parameters("ae.")})
-        ledger = result.ledger.to_dict(SimClock())
-        with open(out_dir / "ledger.json", "w") as f:
-            json.dump(ledger, f, indent=2, sort_keys=True)
-        metrics.append({"kind": "ledger", **ledger})
-        metrics.append({"kind": "training", "mode": cfg.protocol.mode,
-                        "defense": cfg.defense.kind,
-                        "iterations": cfg.protocol.iterations,
-                        "losses": result.loss_history,
-                        "frozen_unchanged": frozen_before == frozen_after})
-        save_checkpoint(out_dir / "control_branch.tckp", world.branch.named_parameters())
-        _write_model_manifest(out_dir / "model_manifest.txt", world)
-        if world.act is not None:
-            secret_dir = out_dir / "client_secret"
-            secret_dir.mkdir(exist_ok=True)
-            save_checkpoint(secret_dir / "confound_delta.tckp", {"delta": world.act.delta})
+        metrics.extend(record_training(cfg, world, result, frozen_before, out_dir))
 
     # attacks over defended/undefended arms
     if cfg.attacks.methods and cfg.attacks.defenses:
@@ -396,19 +379,37 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
-def _write_model_manifest(path: Path, world: SplitWorld) -> None:
-    """Module names, shapes, frozen flags, partition point. The confound
-    secret never appears here."""
+def frozen_fingerprint(world: SplitWorld) -> str:
+    """Digest of the weights split training must leave alone."""
+    return param_fingerprint({**world.unet.named_parameters("unet."),
+                              **world.autoencoder.named_parameters("ae.")})
+
+
+def record_training(cfg: ExperimentConfig, world: SplitWorld, result: SplitResult,
+                    frozen_before: str, out_dir: Path) -> list[dict]:
+    """Write what a training session leaves besides its packet capture, and
+    return its `ledger` and `training` metrics rows. The model manifest names
+    modules, shapes and frozen flags; the clients' confound secret goes to
+    `client_secret/` only when they ran in this process."""
+    ledger = result.ledger.to_dict(SimClock())
+    with open(out_dir / "ledger.json", "w") as f:
+        json.dump(ledger, f, indent=2, sort_keys=True)
+    save_checkpoint(out_dir / "control_branch.tckp", world.branch.named_parameters())
     lines = ["# model manifest", "partition_point = after enc_block_1 / condition encoder", ""]
-    groups = [
-        ("autoencoder", world.autoencoder.named_parameters(), True),
-        ("unet", world.unet.named_parameters(), True),
-        ("control_branch", world.branch.named_parameters(), False),
-    ]
-    for name, params, frozen in groups:
-        for pname, p in sorted(params.items()):
-            lines.append(f"{name}.{pname} shape={tuple(p.shape)} frozen={frozen}")
-    path.write_text("\n".join(lines) + "\n")
+    for name, params, frozen in (("autoencoder", world.autoencoder.named_parameters(), True),
+                                 ("unet", world.unet.named_parameters(), True),
+                                 ("control_branch", world.branch.named_parameters(), False)):
+        lines.extend(f"{name}.{pname} shape={tuple(p.shape)} frozen={frozen}"
+                     for pname, p in sorted(params.items()))
+    (out_dir / "model_manifest.txt").write_text("\n".join(lines) + "\n")
+    if result.clients and world.act is not None:
+        (out_dir / "client_secret").mkdir(exist_ok=True)
+        save_checkpoint(out_dir / "client_secret" / "confound_delta.tckp",
+                        {"delta": world.act.delta})
+    return [{"kind": "ledger", **ledger},
+            {"kind": "training", "mode": cfg.protocol.mode, "defense": world.defense.kind,
+             "iterations": cfg.protocol.iterations, "losses": result.loss_history,
+             "frozen_unchanged": frozen_before == frozen_fingerprint(world)}]
 
 
 def emit_report(out_dir: Path, metrics: list[dict]) -> None:

@@ -1,13 +1,17 @@
 """CLI surface: every subcommand drives the pipeline it names."""
 
+import argparse
 import json
+import socket
+import threading
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splitstream.cli import main
-from splitstream.config import ATTACK_METHODS
+from splitstream.cli import build_parser, main
+from splitstream.config import ATTACK_METHODS, ExperimentConfig
 from splitstream.data import read_ppm
 from splitstream.wire import FeaturePacket, frame_message
 
@@ -108,6 +112,26 @@ def test_budget_refuses_an_estimated_alpha(tmp_path, capsys):
     assert "error: budget needs [privacy] alpha" in captured.err
 
 
+@pytest.mark.parametrize("selector, line", [
+    (["--epsilon", "1"], "--epsilon 1: epsilon 1 unachievable: schedule floor is 6.297 at t=1000"),
+    (["--epsilon", "0"], "--epsilon 0: epsilon must be > 0"),
+    (["--t-s", "2000"], "--t-s 2000: timestep 2000 outside [0, 1000]"),
+    (["--t-s", "-3"], "--t-s -3: timestep -3 outside [0, 1000]"),
+], ids=["epsilon-below-floor", "epsilon-zero", "t_s-above-T", "t_s-negative"])
+def test_budget_refuses_a_selector_out_of_range(capsys, selector, line):
+    with pytest.raises(SystemExit) as exc:
+        main(["budget", *selector])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and line in captured.err
+
+
+def test_budget_epsilon_above_the_top_needs_no_floor(capsys):
+    with pytest.warns(UserWarning, match="exceeds epsilon"):
+        main(["budget", "--epsilon", "100"])
+    assert "t_s = 0," in capsys.readouterr().err
+
+
 def test_pretrain(tmp_path, mini_config, capsys):
     out = tmp_path / "pre"
     main(["pretrain", "--config", str(mini_config), "--out", str(out)])
@@ -116,19 +140,57 @@ def test_pretrain(tmp_path, mini_config, capsys):
 
 def test_train_and_report(tmp_path, mini_config, capsys):
     out = tmp_path / "train"
-    main(["train", "--config", str(mini_config), "--iterations", "3", "--out", str(out)])
+    main(["train", "--config", str(mini_config), "--out", str(out)])
     assert (out / "ledger.json").exists()
     assert (out / "control_branch.tckp").exists()
     ledger = json.loads((out / "ledger.json").read_text())
     assert ledger["packets"] == 3
 
 
-def test_train_mode_override(tmp_path, mini_config):
+def test_train_mode_override(tmp_path, capsys):
+    # train takes its mode and iterations from [protocol], as every process of a session does
+    p = tmp_path / "classic.ini"
+    p.write_text(MINI_INI.replace("iterations = 3", "iterations = 2\nmode = classic"))
     out = tmp_path / "classic"
-    main(["train", "--config", str(mini_config), "--mode", "classic",
-          "--iterations", "2", "--out", str(out)])
+    main(["train", "--config", str(p), "--out", str(out)])
     ledger = json.loads((out / "ledger.json").read_text())
-    assert ledger["bytes_down"] > 0
+    assert ledger["bytes_down"] > 0 and ledger["packets"] == 2 * 2  # a reply to each packet
+
+
+def _free_port() -> int:
+    with socket.create_server(("127.0.0.1", 0)) as s:
+        return s.getsockname()[1]
+
+
+def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys):
+    # the --listen server writes what an in-process session writes but the clients'
+    # secret; an in-process session writes what `run` writes
+    run_dir, local, served = tmp_path / "run", tmp_path / "local", tmp_path / "served"
+    main(["run", "--config", str(mini_config), "--out", str(run_dir)])
+    main(["train", "--config", str(mini_config), "--out", str(local)])
+    endpoint = f"127.0.0.1:{_free_port()}"
+    errors = []
+
+    def serve():
+        try:
+            main(["train", "--config", str(mini_config), "--listen", endpoint,
+                  "--out", str(served)])
+        except BaseException as exc:  # re-raised in the test thread
+            errors.append(exc)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    main(["train", "--config", str(mini_config), "--connect", endpoint, "--client-id", "0"])
+    server.join(60)
+    if errors:
+        raise errors[0]
+    assert not server.is_alive()
+    shared = ["ledger.json", "control_branch.tckp", "model_manifest.txt", "packets_training.bin"]
+    for name in [*shared, "client_secret/confound_delta.tckp"]:
+        assert (local / name).read_bytes() == (run_dir / name).read_bytes(), name
+    for name in shared:
+        assert (served / name).read_bytes() == (local / name).read_bytes(), name
+    assert not (served / "client_secret").exists()
 
 
 def test_full_run_and_report(tmp_path, mini_config, capsys):
@@ -158,15 +220,13 @@ def test_attack_row_equals_the_run_row(tmp_path, capsys):
     p.write_text(MINI_INI.replace("methods = whitebox", "methods = " + ", ".join(ATTACK_METHODS))
                  .replace("inverse_iters = 60", "inverse_iters = 5\nunsplit_outer = 2\n"
                           "unsplit_inner_x = 3\nunsplit_inner_theta = 3"))
-    arm = tmp_path / "none.ini"
-    arm.write_text("[defense]\nkind = none\n")
     run_dir = tmp_path / "run"
     main(["run", "--config", str(p), "--out", str(run_dir)])
     rows = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
     for method, defense in [*((m, "ours_plus_plus") for m in ATTACK_METHODS),
                             ("unsplit", "none")]:
         atk_dir = tmp_path / f"atk_{method}_{defense}"
-        extra = ["--defense-config", str(arm)] if defense == "none" else []
+        extra = ["--defense", "none"] if defense == "none" else []
         main(["attack", "--method", method, "--config", str(p), *extra,
               "--packets", str(run_dir / f"packets_{defense}.bin"), "--out", str(atk_dir)])
         row = json.loads((atk_dir / f"attack_{method}.jsonl").read_text())
@@ -176,16 +236,31 @@ def test_attack_row_equals_the_run_row(tmp_path, capsys):
             assert (atk_dir / name).read_bytes() == (run_dir / name).read_bytes()
 
 
+def test_attack_builds_the_arm_from_the_runs_defense_section(tmp_path, capsys):
+    # --defense swaps the kind only: the ours_c arm keeps the config's t_s = 700
+    p = tmp_path / "t700.ini"
+    p.write_text(MINI_INI.replace("defenses = none, ours_plus_plus", "defenses = none, ours_c")
+                 + "[defense]\nkind = ours_plus_plus\nt_s = 700\n")
+    run_dir, atk_dir = tmp_path / "run", tmp_path / "atk"
+    main(["run", "--config", str(p), "--out", str(run_dir)])
+    rows = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
+    main(["attack", "--method", "whitebox", "--config", str(p), "--defense", "ours_c",
+          "--packets", str(run_dir / "packets_ours_c.bin"), "--out", str(atk_dir)])
+    row = json.loads((atk_dir / "attack_whitebox.jsonl").read_text())
+    assert row in rows and (row["defense"], row["t_s"]) == ("ours_c", 700)
+    for i in range(3):
+        name = f"recons/whitebox_ours_c_{i:03d}.ppm"
+        assert (atk_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
+
 def test_attack_refuses_a_capture_of_another_arm(tmp_path, mini_config, capsys):
     # a packet file does not record its arm; its timestep and prompt features show it
     run_dir = tmp_path / "run"
     main(["run", "--config", str(mini_config), "--out", str(run_dir)])
-    arm = tmp_path / "none.ini"
-    arm.write_text("[defense]\nkind = none\n")
     for packets, extra, line in (
             ("none", [], "packets at t = 1 with the prompt (none arm of the config), but its "
                          "ours_plus_plus arm sends t = 536 without the prompt"),
-            ("ours_plus_plus", ["--defense-config", str(arm)],
+            ("ours_plus_plus", ["--defense", "none"],
              "packets at t = 536 without the prompt (ours_plus_plus arm of the config), but "
              "its none arm sends t = 1 with the prompt")):
         with pytest.raises(SystemExit) as exc:
@@ -254,10 +329,11 @@ def test_train_refuses_listen_with_connect(tmp_path, mini_config, capsys):
     assert not (tmp_path / "tr").exists()
 
 
-def test_train_rejects_zero_clients(tmp_path, mini_config, capsys):
+def test_train_rejects_zero_clients(tmp_path, capsys):
+    p = tmp_path / "zero.ini"
+    p.write_text(MINI_INI.replace("iterations = 3", "iterations = 3\nclients = 0"))
     with pytest.raises(SystemExit) as exc:
-        main(["train", "--config", str(mini_config), "--clients", "0",
-              "--out", str(tmp_path / "tr")])
+        main(["train", "--config", str(p), "--out", str(tmp_path / "tr")])
     assert exc.value.code == 2 and "clients >= 1" in capsys.readouterr().err
     assert not (tmp_path / "tr").exists()
 
@@ -278,26 +354,74 @@ def test_train_connect_rejects_an_unknown_client_id(client_id, monkeypatch, caps
     assert f"--client-id must be in 0..0, got {client_id}" in err
 
 
-def test_attack_revalidates_the_defense_config(tmp_path, mini_config, capsys):
+def _no_pretraining(monkeypatch):
+    import splitstream.experiment
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretrained before checking the arm")
+
+    monkeypatch.setattr(splitstream.experiment, "prepare", no_pretraining)
+
+
+def test_attack_revalidates_the_defense_config(tmp_path, monkeypatch, capsys):
     # a batch-mixing arm cannot be scored on one-sample eval packets
-    arm = tmp_path / "arm.ini"
-    arm.write_text("[defense]\nkind = patch_shuffle\n")
+    _no_pretraining(monkeypatch)
+    p = tmp_path / "shuffle.ini"
+    p.write_text(MINI_INI + "[defense]\nkind = patch_shuffle\n")
     with pytest.raises(SystemExit) as exc:
-        main(["attack", "--method", "whitebox", "--config", str(mini_config),
-              "--defense-config", str(arm), "--out", str(tmp_path / "atk")])
-    assert exc.value.code == 2 and "patch_shuffle" in capsys.readouterr().err
+        main(["attack", "--method", "whitebox", "--config", str(p),
+              "--defense", "patch_shuffle", "--out", str(tmp_path / "atk")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "--defense patch_shuffle mixes a batch" in err
     assert not (tmp_path / "atk").exists()
 
 
-def test_config_error_is_one_line_and_exit_2(tmp_path, mini_config, capsys):
-    arm = tmp_path / "arm.ini"
-    arm.write_text("[defense]\nkind = mixup\n")
+def test_attack_refuses_a_batch_mixing_training_arm(tmp_path, monkeypatch, capsys):
+    # without --defense the arm is [defense] kind, which may mix the training batch
+    _no_pretraining(monkeypatch)
+    p = tmp_path / "mixup.ini"
+    p.write_text(MINI_INI + "[defense]\nkind = mixup\nmix_count = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--method", "whitebox", "--config", str(p),
+              "--out", str(tmp_path / "atk")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "[defense] kind = mixup mixes a batch" in captured.err
+    assert not (tmp_path / "atk").exists()
+
+
+def test_config_error_is_one_line_and_exit_2(tmp_path, mini_config, monkeypatch, capsys):
+    _no_pretraining(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["attack", "--method", "whitebox", "--config", str(mini_config),
-              "--defense-config", str(arm), "--out", str(tmp_path / "atk")])
+              "--defense", "mixup", "--out", str(tmp_path / "atk")])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.count("\n") == 1 and err.startswith("splitstream: error: ") and "mixup" in err
+    assert "not an arm of the config: ours_plus_plus, none" in err
+
+
+# (subcommand, option dest) -> why the option may share its name with a config value
+RESTATED = {
+    ("gen-data", "seed"): "gen-data reads no config",
+    ("budget", "t_s"): "selects the floor budget's stderr line reports; the table is the "
+                       "config's",
+    ("budget", "epsilon"): "selects the floor budget's stderr line reports; the table is the "
+                           "config's",
+}
+
+
+def test_no_option_restates_a_config_key():
+    # an option overriding a config value lets two processes of one session disagree
+    cfg = ExperimentConfig()
+    settable = {"seed", "out_dir"} | {
+        g.name for f in fields(cfg) if is_dataclass(section := getattr(cfg, f.name))
+        for g in fields(section)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    restated = {(name, action.dest) for name, parser in sub.choices.items()
+                for action in parser._actions if action.dest in settable}
+    assert restated == set(RESTATED)
 
 
 def test_malformed_config_value_is_one_line_and_exit_2(tmp_path, capsys):
