@@ -56,11 +56,24 @@ def cmd_pretrain(args):
     print(f"pretrained autoencoder: final recon loss {last:.5f} -> {out / 'autoencoder.tckp'}")
 
 
+def _endpoint(args) -> tuple[str, int] | None:
+    """The HOST:PORT of --listen or --connect, if either is given; an empty
+    HOST is 127.0.0.1."""
+    flag, text = ("--listen", args.listen) if args.listen else ("--connect", args.connect)
+    if not text:
+        return None
+    host, _, port = text.rpartition(":")
+    if not port.isdecimal() or int(port) > 65535:
+        raise ConfigError(f"{flag} {text}: needs HOST:PORT with a port in 0..65535")
+    return host or "127.0.0.1", int(port)
+
+
 def cmd_train(args):
     cfg = _load_cfg(args)
     if args.connect and not 0 <= args.client_id < cfg.protocol.clients:
         raise ConfigError(
             f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {args.client_id}")
+    endpoint = _endpoint(args)
     from .experiment import (build_world, frozen_fingerprint, prepare, protocol_config,
                              record_training)
     from .protocol import run_client_role, run_server_role, run_split_training
@@ -68,19 +81,15 @@ def cmd_train(args):
     # with --listen/--connect, both processes rebuild the same world from the config
     data, ae, alpha = prepare(cfg)
     world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
-    endpoint = args.listen or args.connect
-    if endpoint:
-        host, _, port = endpoint.rpartition(":")
-        host, port = host or "127.0.0.1", int(port)
     if args.connect:
-        run_client_role(world, protocol_config(cfg), args.client_id, host, port)
+        run_client_role(world, protocol_config(cfg), args.client_id, *endpoint)
         print(f"client {args.client_id} finished {cfg.protocol.iterations} iterations")
         return
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pcfg = protocol_config(cfg, capture_path=str(out / "packets_training.bin"))
     frozen_before = frozen_fingerprint(world)
-    res = run_server_role(world, pcfg, host, port) if args.listen else run_split_training(world, pcfg)
+    res = run_server_role(world, pcfg, *endpoint) if args.listen else run_split_training(world, pcfg)
     record_training(cfg, world, res, frozen_before, out)
     if args.listen:
         print(f"served {res.ledger.packets} packets from {cfg.protocol.clients} clients -> {out}")

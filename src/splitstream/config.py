@@ -47,20 +47,17 @@ class ScheduleConfig:
     T: int = 1000
     k: float = 1.115e-5
     beta0: float = 8.85e-4
-    lam: float = 0.0
     variant: str = "cumulative"  # training variant; DP accounting is per-step
 
     def build(self) -> NoiseSchedule:
-        return make_linear_schedule(self.T, self.k, self.beta0, self.lam)
+        return make_linear_schedule(self.T, self.k, self.beta0)
 
 
 @dataclass
 class PrivacyConfig:
     delta: float = 1e-4
     alpha: float | None = 0.16  # None -> estimate from training latents
-    clip_norm: float | None = None
     epsilon: float | None = None  # alternative way to pick the floor
-    t_max: int = 1000
 
 
 @dataclass
@@ -74,7 +71,6 @@ class ProtocolSection:
     transport: str = "in_process"
     server_lr: float = 1e-3
     client_lr: float = 1e-3
-    weight_decay: float = 0.0
 
     def validate(self) -> None:
         if self.mode not in ("classic", "gradient_free"):
@@ -167,13 +163,11 @@ class ExperimentConfig:
         if kind in TIMESTEP_FLOOR and pv.epsilon is not None:
             try:
                 defense.t_s = timestep_for_epsilon(pv.epsilon, sched, pv.delta, alpha)
-                return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha,
-                                                             defense.t_s, pv.t_max)
+                return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha, defense.t_s)
             except CalibrationError as exc:
                 raise ConfigError(f"[privacy] epsilon = {pv.epsilon} at alpha = {alpha:.6g}: "
                                   f"{exc}") from None
-        return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha,
-                                                     defense.timestep_floor, pv.t_max)
+        return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha, defense.timestep_floor)
 
     def check_epsilon(self, alpha: float) -> None:
         """Calibrate every arm at sensitivity `alpha`, [privacy] epsilon included.
@@ -192,7 +186,7 @@ class ExperimentConfig:
         # an empty alpha is estimated after pretraining; a positive stand-in checks the rest
         alpha = 1.0 if pv.alpha is None else pv.alpha
         try:
-            PrivacyParams.from_ts(s.build(), pv.delta, alpha, floor, pv.t_max)
+            PrivacyParams.from_ts(s.build(), pv.delta, alpha, floor)
         except (ScheduleError, CalibrationError) as exc:
             raise ConfigError(f"{_OWNER_KEYS[exc.param]}: {exc}") from None
         if pv.alpha is not None:
@@ -219,13 +213,9 @@ class ExperimentConfig:
 _EXPERIMENT_KEYS = {"seed": "int", "out_dir": "str"}
 _SECTIONS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _EXPERIMENT_KEYS)
 
-# INI keys that differ from the dataclass field name
-_KEY_ALIASES = {"lambda": "lam"}
-
 # the key behind each argument the schedule and calibration checks name
 _OWNER_KEYS = {"T": "[schedule] T", "k": "[schedule] k", "beta0": "[schedule] beta0",
-               "lam": "[schedule] lambda", "delta": "[privacy] delta",
-               "alpha_sens": "[privacy] alpha", "t_max": "[privacy] t_max",
+               "delta": "[privacy] delta", "alpha_sens": "[privacy] alpha",
                "t_s": "[defense] t_s"}
 # the key each raw-data defense kind reads
 _DEFENSE_KEYS = {"add_raw": "sigma2", "mixup": "mix_count", "patch_shuffle": "patch"}
@@ -273,10 +263,9 @@ def load_config(path) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            name = _KEY_ALIASES.get(key, key)
-            if name not in ftypes:
+            if key not in ftypes:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            setattr(target, name, _coerce(raw, ftypes[name], f"[{section}] {key}"))
+            setattr(target, key, _coerce(raw, ftypes[key], f"[{section}] {key}"))
     env_seed = os.environ.get("SPLITSTREAM_SEED")
     if env_seed:
         cfg.seed = _coerce(env_seed, "int", "SPLITSTREAM_SEED")

@@ -9,7 +9,9 @@ coefficient at timestep t:
 The per-step form is what the privacy calibration is derived from; the
 cumulative form is the standard trainable process. Both are implemented
 behind the `variant` flag. abar_0 is defined as 1 so the final sampling
-step is well-posed.
+step is well-posed. The sampler's noise coefficient lambda (DDIM's eta) is
+an argument of `sample_step`, not part of the schedule: training never
+reads it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class NoiseSchedule:
     beta: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
     alpha_bar: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)
 
     def coeff(self, t: int, variant: str) -> float:
         """Signal coefficient A_t for the chosen variant (abar_t or 1-beta_t)."""
@@ -59,15 +60,13 @@ class NoiseSchedule:
         return t
 
 
-def make_linear_schedule(T: int, k: float, beta0: float, lam: float = 0.0) -> NoiseSchedule:
+def make_linear_schedule(T: int, k: float, beta0: float) -> NoiseSchedule:
     if T < 1:
         raise ScheduleError(f"T must be >= 1, got {T}", "T")
     if beta0 <= 0:
         raise ScheduleError(f"beta0 must be > 0, got {beta0}", "beta0")
     if k < 0:
         raise ScheduleError(f"slope k must be >= 0, got {k}", "k")
-    if lam < 0:
-        raise ScheduleError(f"noise coefficient must be >= 0, got {lam}", "lam")
     t = np.arange(T + 1, dtype=np.float64)
     beta = k * t + beta0
     if beta[-1] >= 1.0:
@@ -78,9 +77,7 @@ def make_linear_schedule(T: int, k: float, beta0: float, lam: float = 0.0) -> No
     alpha_bar[0] = 1.0
     alpha_bar[1:] = np.cumprod(alpha[1:])
     return NoiseSchedule(
-        T=T, k=float(k), beta0=float(beta0),
-        beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-        lam=np.full(T + 1, float(lam)),
+        T=T, k=float(k), beta0=float(beta0), beta=beta, alpha=alpha, alpha_bar=alpha_bar,
     )
 
 
@@ -119,15 +116,21 @@ def predict_x0(zt, n, t: int, sched: NoiseSchedule, variant: str = "cumulative")
 
 
 def sample_step(
-    zt, n, t: int, sched: NoiseSchedule, rng: RngState, variant: str = "cumulative"
+    zt, n, t: int, sched: NoiseSchedule, rng: RngState, variant: str = "cumulative",
+    lam: float = 0.0,
 ) -> np.ndarray:
-    """One reverse step z_t -> z_{t-1} given the noise estimate n."""
+    """One reverse step z_t -> z_{t-1} given the noise estimate n.
+
+    `lam` is the sampler's noise coefficient lambda (DDIM's eta): 0 gives
+    the deterministic step, lam > 0 adds lam * N(0, 1) drawn from `rng`.
+    """
     t = sched.check_t(t)
     if t < 1:
         raise ScheduleError("sample_step needs t >= 1")
+    if lam < 0:
+        raise ScheduleError(f"sample_step: lambda must be >= 0, got {lam}")
     x0 = predict_x0(zt, n, t, sched, variant)
     a_prev = sched.coeff(t - 1, variant)
-    lam = float(sched.lam[t])
     resid = 1.0 - a_prev - lam * lam
     if resid < 0:
         raise ScheduleError(

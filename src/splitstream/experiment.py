@@ -298,7 +298,7 @@ def _estimated_alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:
     images = data.train[0][:128]
     latents = ae.E(Tensor(images), RngState(cfg.seed).split("sensitivity"),
                    training=False).data
-    return estimate_sensitivity(list(latents), clip_norm=cfg.privacy.clip_norm)
+    return estimate_sensitivity(list(latents))
 
 
 def _alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:

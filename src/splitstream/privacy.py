@@ -104,7 +104,8 @@ def write_budget_csv(sched: NoiseSchedule, delta: float, alpha_sens: float, file
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Calibration state binding a budget to a timestep sampling range."""
+    """Calibration state binding a budget to a timestep sampling range;
+    `from_ts` gives the range [t_s, T] of the forward process."""
 
     epsilon: float
     delta: float
@@ -114,7 +115,7 @@ class PrivacyParams:
 
     def __post_init__(self):
         if not 0 <= self.t_s <= self.t_max:
-            raise CalibrationError(f"invalid timestep range [{self.t_s}, {self.t_max}]", "t_max")
+            raise CalibrationError(f"invalid timestep range [{self.t_s}, {self.t_max}]", "t_s")
 
     @property
     def H(self) -> float:
@@ -122,11 +123,10 @@ class PrivacyParams:
 
     @classmethod
     def from_ts(cls, sched: NoiseSchedule, delta: float, alpha_sens: float,
-                t_s: int, t_max: int | None = None) -> "PrivacyParams":
-        t_max = sched.T if t_max is None else sched.check_t(t_max, "t_max")
+                t_s: int) -> "PrivacyParams":
         return cls(
             epsilon=epsilon_for_timestep(sched.check_t(t_s, "t_s"), sched, delta, alpha_sens),
-            delta=delta, alpha_sens=alpha_sens, t_s=int(t_s), t_max=int(t_max),
+            delta=delta, alpha_sens=alpha_sens, t_s=int(t_s), t_max=sched.T,
         )
 
 
@@ -135,8 +135,9 @@ def sample_private_timestep(params: PrivacyParams, rng: RngState) -> int:
     return int(rng.integers(params.t_s, params.t_max))
 
 
-def estimate_sensitivity(latents, clip_norm: float | None = None) -> float:
-    """Max pairwise L2 distance over a set of latents, optionally norm-clipped."""
+def estimate_sensitivity(latents) -> float:
+    """Max pairwise L2 distance over a set of latents, as they are: the
+    client clips nothing, so neither does the estimate."""
     arrs = [np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).ravel()
             for x in latents]
     if not arrs:
@@ -145,10 +146,6 @@ def estimate_sensitivity(latents, clip_norm: float | None = None) -> float:
     if any(a.size != dim for a in arrs):
         raise ValueError("estimate_sensitivity: inconsistent latent shapes")
     stack = np.stack(arrs)
-    if clip_norm is not None:
-        norms = np.sqrt(np.sum(stack * stack, axis=1))
-        factor = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-12))
-        stack = stack * factor[:, None]
     best = 0.0
     for i in range(len(stack) - 1):
         d = np.sqrt(np.sum((stack[i + 1 :] - stack[i]) ** 2, axis=1))

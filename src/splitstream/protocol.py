@@ -244,10 +244,7 @@ class ClientWorker:
         if self.trainable:
             # classic split learning: each client trains its own copy of the condition encoder
             self.cond_encoder = world.cond_encoder.clone()
-            self.opt = AdamW(
-                list(self.cond_encoder.named_parameters().values()),
-                lr=cfg.client_lr, weight_decay=cfg.weight_decay,
-            )
+            self.opt = AdamW(list(self.cond_encoder.named_parameters().values()), lr=cfg.client_lr)
         else:
             self.cond_encoder = world.cond_encoder  # frozen, shared by every client
             self.opt = None
@@ -276,10 +273,7 @@ class ServerWorker:
     def __init__(self, world: SplitWorld, cfg: ProtocolConfig):
         self.world = world
         self.cfg = cfg
-        self.opt = AdamW(
-            list(world.branch.named_parameters().values()),
-            lr=cfg.server_lr, weight_decay=cfg.weight_decay,
-        )
+        self.opt = AdamW(list(world.branch.named_parameters().values()), lr=cfg.server_lr)
         self.loss_history: list[float] = []
 
     def train_step(self, pkt: FeaturePacket) -> tuple[float, GradientPacket | None]:

@@ -13,7 +13,7 @@ import pytest
 from splitstream.cli import build_parser, main
 from splitstream.config import ATTACK_METHODS, ExperimentConfig
 from splitstream.data import read_ppm
-from splitstream.wire import FeaturePacket, frame_message
+from splitstream.wire import FeaturePacket, frame_message, iter_frames
 
 SMOKE_INI = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
 
@@ -155,6 +155,18 @@ def test_train_mode_override(tmp_path, capsys):
     main(["train", "--config", str(p), "--out", str(out)])
     ledger = json.loads((out / "ledger.json").read_text())
     assert ledger["bytes_down"] > 0 and ledger["packets"] == 2 * 2  # a reply to each packet
+
+
+def test_train_on_a_shorter_schedule(tmp_path, capsys):
+    # the timestep range ends at [schedule] T, so shrinking T alone is a valid config
+    p = tmp_path / "short.ini"
+    p.write_text(MINI_INI.replace("iterations = 3", "iterations = 6")
+                 + "[schedule]\nT = 600\n[defense]\nt_s = 300\n")
+    out = tmp_path / "short"
+    main(["train", "--config", str(p), "--out", str(out)])
+    with open(out / "packets_training.bin", "rb") as f:
+        timesteps = [pkt.timestep for pkt in iter_frames(f)]
+    assert len(timesteps) == 6 and all(300 <= t <= 600 for t in timesteps)
 
 
 def _free_port() -> int:
@@ -354,6 +366,24 @@ def test_train_connect_rejects_an_unknown_client_id(client_id, monkeypatch, caps
     assert f"--client-id must be in 0..0, got {client_id}" in err
 
 
+@pytest.mark.parametrize("role", ["--listen", "--connect"])
+@pytest.mark.parametrize("endpoint", ["localhost", "h:abc", ":70000"])
+def test_train_refuses_a_bad_endpoint(tmp_path, monkeypatch, capsys, role, endpoint):
+    import splitstream.experiment
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretrained before parsing the endpoint")
+
+    monkeypatch.setattr(splitstream.experiment, "prepare", no_pretraining)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(SMOKE_INI), role, endpoint,
+              "--out", str(tmp_path / "tr")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert f"{role} {endpoint}: needs HOST:PORT" in err
+    assert not (tmp_path / "tr").exists()
+
+
 def _no_pretraining(monkeypatch):
     import splitstream.experiment
 
@@ -435,18 +465,24 @@ def test_malformed_config_value_is_one_line_and_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("line", ["condition_encoder = scratch", "t_client = 1.0",
-                                  "t_server = 1.0", "rate = 1e6"],
-                         ids=["condition_encoder", "t_client", "t_server", "rate"])
-def test_removed_protocol_key_is_one_line_and_exit_2(tmp_path, capsys, line):
+@pytest.mark.parametrize("section, line", [
     # [protocol] mode alone decides the encoder, and reports use SimClock()'s defaults
+    ("protocol", "condition_encoder = scratch"), ("protocol", "t_client = 1.0"),
+    ("protocol", "t_server = 1.0"), ("protocol", "rate = 1e6"),
+    # lambda is the sampler's argument, the timestep range ends at [schedule] T, the
+    # client clips nothing, and no optimizer decays its weights
+    ("schedule", "lambda = 0.0"), ("privacy", "t_max = 1000"), ("privacy", "clip_norm = 1.0"),
+    ("protocol", "weight_decay = 0.0"),
+], ids=["condition_encoder", "t_client", "t_server", "rate", "lambda", "t_max", "clip_norm",
+        "weight_decay"])
+def test_removed_protocol_key_is_one_line_and_exit_2(tmp_path, capsys, section, line):
     bad = tmp_path / "bad.ini"
-    bad.write_text(f"[protocol]\nmode = classic\n{line}\n")
+    bad.write_text(f"[{section}]\n{line}\n")
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(bad), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert exc.value.code == 2 and len(err.splitlines()) == 1
-    assert f"unknown key [protocol] {line.partition(' =')[0]}" in err
+    assert f"unknown key [{section}] {line.partition(' =')[0]}" in err
     assert not (tmp_path / "run").exists()
 
 

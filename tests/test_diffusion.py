@@ -137,20 +137,24 @@ class TestSampleStep:
         assert float(np.mean((z - z0) ** 2)) < 1e-6
 
     def test_lambda_noise_changes_output(self):
-        s = make_linear_schedule(100, 1e-4, 1e-3, lam=0.05)
+        s = make_linear_schedule(100, 1e-4, 1e-3)
         rng = RngState(14)
         zt, n = rng.normal((8, 8)), rng.normal((8, 8))
-        a = sample_step(zt, n, 50, s, RngState(1))
-        b = sample_step(zt, n, 50, s, RngState(2))
+        a = sample_step(zt, n, 50, s, RngState(1), lam=0.05)
+        b = sample_step(zt, n, 50, s, RngState(2), lam=0.05)
         assert not np.array_equal(a, b)
         diff_var = np.var(a.astype(np.float64) - b.astype(np.float64))
         # difference of two independent lambda*o draws has variance 2*lambda^2
         assert abs(diff_var - 2 * 0.05**2) / (2 * 0.05**2) < 0.9
 
     def test_lambda_too_large_errors(self):
-        s = make_linear_schedule(10, 0.0, 0.5, lam=2.0)
+        s = make_linear_schedule(10, 0.0, 0.5)
         with pytest.raises(ScheduleError, match="lambda"):
-            sample_step(np.zeros(4), np.zeros(4), 5, s, RngState(1))
+            sample_step(np.zeros(4), np.zeros(4), 5, s, RngState(1), lam=2.0)
+
+    def test_negative_lambda_errors(self, sched):
+        with pytest.raises(ScheduleError, match="lambda"):
+            sample_step(np.zeros(4), np.zeros(4), 5, sched, RngState(1), lam=-0.1)
 
     def test_needs_t_at_least_one(self, sched):
         with pytest.raises(ScheduleError):

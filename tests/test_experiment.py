@@ -14,7 +14,6 @@ from splitstream import experiment
 from splitstream.config import (ATTACK_METHODS, ConfigError, ExperimentConfig,
                                 config_to_dict, load_config)
 from splitstream.defenses import postprocess_features, preprocess_batch
-from splitstream.diffusion import make_linear_schedule
 from splitstream.experiment import (build_world, derived_seed, generate_eval_packets,
                                     prepare, run_experiment, synthesize_data)
 from splitstream.privacy import timestep_for_epsilon
@@ -110,14 +109,11 @@ class TestConfig:
                               # refused by the schedule's and the calibration's own checks
                               ("schedule", "T = 0"), ("schedule", "k = 0.01"),
                               ("privacy", "delta = 0"), ("privacy", "alpha = -1"),
-                              ("privacy", "t_max = 2000"),
-                              # below ours_plus_plus's floor t_s = 536
-                              ("privacy", "t_max = 500"),
+                              # a floor above [schedule] T = 1000
+                              ("defense", "t_s = 1001"),
                               # no budget, and one below the schedule's floor of 6.297
                               # at alpha = 0.16
-                              ("privacy", "epsilon = -1"), ("privacy", "epsilon = 5"),
-                              # a floor of t = 797, above t_max
-                              ("privacy", "epsilon = 7\nt_max = 600")):
+                              ("privacy", "epsilon = -1"), ("privacy", "epsilon = 5")):
             p.write_text(f"[{section}]\n{line}\n")
             key = line.partition("=")[0].strip()
             with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
@@ -144,7 +140,7 @@ class TestConfig:
         p.write_text("[dataset]\nn_train = 32\n[protocol]\nclients = 32\niterations = 0\n")
         assert load_config(p).protocol.clients == 32
         # an empty value means "estimate" for the optional floats only
-        p.write_text("[privacy]\nalpha =\nclip_norm =\nepsilon =\n")
+        p.write_text("[privacy]\nalpha =\nepsilon =\n")
         assert load_config(p).privacy.alpha is None
 
     def test_config_to_dict_roundtrips_fields(self):
@@ -290,14 +286,13 @@ class TestRunExperiment:
         # every tunable the modules document must exist on the config
         cfg = ExperimentConfig()
         assert hasattr(cfg.schedule, "T") and hasattr(cfg.schedule, "k")
-        assert hasattr(cfg.schedule, "beta0") and hasattr(cfg.schedule, "lam")
-        assert hasattr(cfg.schedule, "variant")
-        for name in ("delta", "alpha", "clip_norm", "epsilon", "t_max"):
+        assert hasattr(cfg.schedule, "beta0") and hasattr(cfg.schedule, "variant")
+        for name in ("delta", "alpha", "epsilon"):
             assert hasattr(cfg.privacy, name)
         for name in ("kind", "epsilon", "rr_bits", "sigma2", "mix_count", "patch", "t_s"):
             assert hasattr(cfg.defense, name)
         for name in ("mode", "clients", "iterations", "batch", "transport",
-                     "server_lr", "client_lr", "weight_decay"):
+                     "server_lr", "client_lr"):
             assert hasattr(cfg.protocol, name)
         for name in ("ae_epochs", "ae_lr", "ae_dropout", "ae_batch"):
             assert hasattr(cfg.pretrain, name)
@@ -318,8 +313,7 @@ class TestRunExperiment:
         out = Path(run_experiment(cfg))
         rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         cal = next(r for r in rows if r["kind"] == "calibration")
-        sched = make_linear_schedule(cfg.schedule.T, cfg.schedule.k, cfg.schedule.beta0,
-                                     cfg.schedule.lam)
+        sched = cfg.schedule.build()
         assert cal["t_s"] == timestep_for_epsilon(8.0, sched, cfg.privacy.delta, cfg.privacy.alpha)
         assert cal["t_s"] != cfg.defense.t_s
         assert cal["epsilon_at_t_s"] <= 8.0

@@ -142,13 +142,16 @@ class TestPrivacyParams:
 
 
 class TestSampler:
-    def test_degenerate_range(self, sched):
-        p = PrivacyParams.from_ts(sched, DELTA, ALPHA, 536, t_max=536)
+    def test_degenerate_range(self):
+        # a floor at T leaves one timestep to draw
+        short = make_linear_schedule(536, REFERENCE["k"], REFERENCE["beta0"])
+        p = PrivacyParams.from_ts(short, DELTA, ALPHA, 536)
+        assert p.t_max == 536
         rng = RngState(1)
         assert all(sample_private_timestep(p, rng) == 536 for _ in range(50))
 
     def test_uniformity(self, sched):
-        p = PrivacyParams.from_ts(sched, DELTA, ALPHA, 536, t_max=1000)
+        p = PrivacyParams.from_ts(sched, DELTA, ALPHA, 536)
         rng = RngState(2)
         n = 100_000
         draws = np.array([sample_private_timestep(p, rng) for _ in range(n)])
@@ -185,12 +188,6 @@ class TestSensitivity:
             for j in range(i + 1, 100):
                 best = max(best, float(np.sqrt(np.sum((flat[j] - flat[i]) ** 2))))
         assert estimate_sensitivity(latents) == best
-
-    def test_clipping_bounds_result(self):
-        rng = RngState(5)
-        latents = [rng.normal((16,)) * 10 for _ in range(20)]
-        c = 0.5
-        assert estimate_sensitivity(latents, clip_norm=c) <= 2 * c + 1e-9
 
     def test_empty_set(self):
         with pytest.raises(ValueError, match="empty"):

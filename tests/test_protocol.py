@@ -35,7 +35,7 @@ def build_world(defense_kind="none", seed=777, n_data=12, clients=1,
     rng = RngState(seed)
     sched = make_linear_schedule(1000, 1.115e-5, 8.85e-4)
     defense = DefenseConfig(defense_kind)
-    privacy = PrivacyParams.from_ts(sched, DELTA, ALPHA, defense.timestep_floor, 1000)
+    privacy = PrivacyParams.from_ts(sched, DELTA, ALPHA, defense.timestep_floor)
     ae = ToyAutoencoder(rng.split("ae"))
     ae.freeze()
     unet = ToyUNet(rng.split("unet"))
