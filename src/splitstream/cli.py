@@ -75,17 +75,19 @@ def cmd_train(args):
             f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {args.client_id}")
     endpoint = _endpoint(args)
     from .experiment import (build_world, frozen_fingerprint, prepare, protocol_config,
-                             record_training)
+                             record_training, save_client_secret)
     from .protocol import run_client_role, run_server_role, run_split_training
 
     # with --listen/--connect, both processes rebuild the same world from the config
     data, ae, alpha = prepare(cfg)
     world = build_world(cfg, cfg.defense.kind, ae, data, alpha)
+    out = Path(args.out or cfg.out_dir)
     if args.connect:
+        # a client writes its own confound secret, and nothing else
         run_client_role(world, protocol_config(cfg), args.client_id, *endpoint)
+        save_client_secret(world, out)
         print(f"client {args.client_id} finished {cfg.protocol.iterations} iterations")
         return
-    out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pcfg = protocol_config(cfg, capture_path=str(out / "packets_training.bin"))
     frozen_before = frozen_fingerprint(world)

@@ -7,11 +7,13 @@ coarse: a Sobel edge map (canny_like), a blocky downsampled edge sketch
 (scribble), and a flat-color segmentation map rendered from the
 generator's own ground truth.
 
-Each sample's masks and edge map are computed once and shared by its
-conditions: one mask per shape paints both the image and the segmentation,
-and one gray -> Sobel -> threshold pass feeds both canny_like and scribble.
-`derive_condition` rebuilds any one condition from the same helpers, so the
-two paths give the same bytes.
+Each scene's shapes are drawn one sample at a time, with the same scalar
+RNG calls in the same order whatever is rendered. Scenes are then rendered
+in chunks of `CHUNK` as numpy batches: one mask per shape paints both the
+image and the segmentation, one gray -> Sobel -> threshold pass feeds both
+canny_like and scribble, and only the condition kinds asked for are
+rendered. `derive_condition` renders a batch of one through the same
+helpers, so the two give the same bytes.
 """
 
 from __future__ import annotations
@@ -65,11 +67,12 @@ class ShapeSample:
     image: np.ndarray  # (3, 32, 32) in [0, 1]
     prompt: list[str]
     shapes: list[ShapeSpec]
-    conditions: dict[str, np.ndarray]
+    conditions: dict[str, np.ndarray]  # the kinds asked of generate_dataset
 
 
 # The pixel grid, built once as an open grid: xs is one row (1, W) and ys one
-# column (H, 1), and numpy broadcasts them to (H, W) per pixel.
+# column (H, 1), and numpy broadcasts them against (m, 1, 1) shape parameters
+# to (m, H, W), one map per shape.
 _XS = np.arange(IMAGE_HW, dtype=np.float32)[None, :]
 _YS = np.arange(IMAGE_HW, dtype=np.float32)[:, None]
 _XS.flags.writeable = False
@@ -81,66 +84,100 @@ _BACKDROP = np.broadcast_to(0.05 + 0.10 * _YS / (IMAGE_HW - 1), (3, IMAGE_HW, IM
 # sobel_magnitude's edge padding: padded row/column i reads clamp(i - 1)
 _CLAMPED = np.clip(np.arange(-1, IMAGE_HW + 1), 0, IMAGE_HW - 1)
 _CLAMPED.flags.writeable = False
-_EDGE_INDEX = np.ix_(_CLAMPED, _CLAMPED)
+
+# scenes rendered per numpy batch: bounds the temporaries of a large dataset
+CHUNK = 64
 
 
-def _shape_mask(spec: ShapeSpec) -> np.ndarray:
-    xs, ys = _XS, _YS
-    if spec.kind == "circle":
-        cx, cy, r = spec.params
-        return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
-    if spec.kind == "rect":
-        x0, y0, x1, y1 = spec.params
-        return (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
-    if spec.kind == "triangle":
-        cx, y0, y1, half = spec.params
-        frac = np.clip((ys - y0) / max(y1 - y0, 1e-6), 0.0, 1.0)
-        inside_rows = (ys >= y0) & (ys <= y1)
-        return inside_rows & (np.abs(xs - cx) <= frac * half)
-    raise ValueError(f"unknown shape kind {spec.kind!r}")
+def _circle(cx, cy, r):
+    d2 = (_XS - cx) ** 2 + (_YS - cy) ** 2
+    return d2 <= r * r, np.sqrt(d2) / np.maximum(r, 1.0)
 
 
-def _shading(spec: ShapeSpec) -> np.ndarray:
-    """Radial falloff so images are shaded while segmentation stays flat."""
-    xs, ys = _XS, _YS
-    if spec.kind == "circle":
-        cx, cy, r = spec.params
-        d = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2) / max(r, 1.0)
-    elif spec.kind == "rect":
-        x0, y0, x1, y1 = spec.params
-        cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-        d = np.maximum(np.abs(xs - cx) / max((x1 - x0) / 2.0, 1.0),
-                       np.abs(ys - cy) / max((y1 - y0) / 2.0, 1.0))
-    else:
-        cx, y0, y1, half = spec.params
-        d = np.abs(ys - (y0 + y1) / 2.0) / max((y1 - y0) / 2.0, 1.0)
-    return 1.0 - 0.35 * np.minimum(d, 1.0)  # d >= 0
+def _rect(x0, y0, x1, y1):
+    inside = (_XS >= x0) & (_XS <= x1) & (_YS >= y0) & (_YS <= y1)
+    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    return inside, np.maximum(np.abs(_XS - cx) / np.maximum((x1 - x0) / 2.0, 1.0),
+                              np.abs(_YS - cy) / np.maximum((y1 - y0) / 2.0, 1.0))
 
 
-def _segmentation(shapes: list[ShapeSpec], masks: list[np.ndarray]) -> np.ndarray:
-    seg = np.empty((3, IMAGE_HW, IMAGE_HW), dtype=np.float32)
-    seg[:] = BACKGROUND[:, None, None]
-    for spec, mask in zip(shapes, masks):
-        np.copyto(seg, PALETTE[spec.color][:, None, None], where=mask)
-    return seg
+def _triangle(cx, y0, y1, half):
+    frac = np.clip((_YS - y0) / np.maximum(y1 - y0, 1e-6), 0.0, 1.0)
+    inside = (_YS >= y0) & (_YS <= y1) & (np.abs(_XS - cx) <= frac * half)
+    return inside, np.abs(_YS - (y0 + y1) / 2.0) / np.maximum((y1 - y0) / 2.0, 1.0)
 
 
-def _edges(image: np.ndarray) -> np.ndarray:
-    """Thresholded Sobel edges of the gray image, (H, W) in {0, 1}."""
-    gray = np.asarray(image, dtype=np.float32).mean(axis=0)
+# kind -> (mask, distance) of m shapes of that kind, from their float32
+# parameters as (m, 1, 1) columns; the distance is 0 at a shape's centre and
+# 1 at its rim
+_GEOMETRY = {"circle": _circle, "rect": _rect, "triangle": _triangle}
+
+
+def _render(scenes: list[list[ShapeSpec]], kinds) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Images (B, 3, H, W) of B scenes and their conditions of the given kinds.
+
+    Masks and shading are computed for all shapes of a kind at once. Each
+    pixel then shows the last shape of its scene that covers it, in drawing
+    order, or else the backdrop (the background in the segmentation).
+    """
+    unknown = set(kinds) - set(CONDITION_KINDS)
+    if unknown:
+        raise ValueError(f"unknown condition kind {sorted(unknown)[0]!r}, have {CONDITION_KINDS}")
+    specs = [spec for scene in scenes for spec in scene]
+    strange = {spec.kind for spec in specs} - _GEOMETRY.keys()
+    if strange:
+        raise ValueError(f"unknown shape kind {sorted(strange)[0]!r}")
+    masks = np.empty((len(specs), IMAGE_HW, IMAGE_HW), dtype=bool)
+    dist = np.empty((len(specs), IMAGE_HW, IMAGE_HW), dtype=np.float32)
+    for kind, geometry in _GEOMETRY.items():
+        idx = [i for i, spec in enumerate(specs) if spec.kind == kind]
+        if idx:
+            params = np.array([specs[i].params for i in idx], dtype=np.float32)
+            masks[idx], dist[idx] = geometry(*params.T[:, :, None, None])
+    colors = PALETTE[[spec.color for spec in specs]]
+
+    # the shape each pixel shows, as an index into specs, or -1
+    top = np.full((len(scenes), IMAGE_HW, IMAGE_HW), -1)
+    owners = [b for b, scene in enumerate(scenes) for _ in scene]
+    for i, (owner, mask) in enumerate(zip(owners, masks)):
+        np.copyto(top[owner], i, where=mask)
+    b, y, x = np.nonzero(top >= 0)
+    shown = top[b, y, x]
+
+    images = np.empty((len(scenes), 3, IMAGE_HW, IMAGE_HW), dtype=np.float32)
+    images[:] = _BACKDROP
+    # radial falloff, so images are shaded while segmentation stays flat
+    shading = 1.0 - 0.35 * np.minimum(dist[shown, y, x], 1.0)
+    images[b, :, y, x] = colors[shown] * shading[:, None]
+    np.clip(images, 0.0, 1.0, out=images)
+
+    conds = {}
+    if "segmentation" in kinds:
+        seg = conds["segmentation"] = np.empty_like(images)
+        seg[:] = BACKGROUND[:, None, None]
+        seg[b, :, y, x] = colors[shown]
+    if {"canny_like", "scribble"} & set(kinds):
+        edges = _edges(images)
+        conds["canny_like"], conds["scribble"] = edges[:, None], _scribble(edges)
+    return images, {kind: conds[kind] for kind in kinds}
+
+
+def _edges(images: np.ndarray) -> np.ndarray:
+    """Thresholded Sobel edges of gray (..., 3, H, W) images, (..., H, W) in {0, 1}."""
+    gray = np.asarray(images, dtype=np.float32).mean(axis=-3)
     return (sobel_magnitude(gray) > EDGE_THRESHOLD).astype(np.float32)
 
 
 def _scribble(edges: np.ndarray) -> np.ndarray:
-    # average-pool 4x, re-threshold (more than 4 of 16 edge pixels), upsample back
-    blocky = (edges.reshape(8, 4, 8, 4).sum(axis=(1, 3)) > 4).astype(np.float32)
-    return blocky.repeat(4, axis=0).repeat(4, axis=1)[None]
+    """(B, 1, H, W) sketch of (B, H, W) edges: average-pool 4x, re-threshold
+    (more than 4 of 16 edge pixels), upsample back."""
+    blocky = (edges.reshape(-1, 8, 4, 8, 4).sum(axis=(2, 4)) > 4).astype(np.float32)
+    return blocky.repeat(4, axis=1).repeat(4, axis=2)[:, None]
 
 
-def _draw_sample(rng: RngState) -> ShapeSample:
-    n_shapes = int(rng.integers(1, 3))
+def _draw_scene(rng: RngState) -> list[ShapeSpec]:
     shapes: list[ShapeSpec] = []
-    for _ in range(n_shapes):
+    for _ in range(int(rng.integers(1, 3))):
         kind = SHAPE_WORDS[int(rng.integers(0, 2))]
         color = int(rng.integers(0, len(PALETTE) - 1))
         if kind == "circle":
@@ -158,51 +195,53 @@ def _draw_sample(rng: RngState) -> ShapeSample:
                       float(y0 + int(rng.integers(8, 14))),
                       float(rng.integers(5, 9)))
         shapes.append(ShapeSpec(kind, color, params))
+    return shapes
 
-    # shaded shapes over the backdrop; each mask also paints the segmentation
-    masks = [_shape_mask(spec) for spec in shapes]
-    img = _BACKDROP.copy()
-    for spec, mask in zip(shapes, masks):
-        np.copyto(img, PALETTE[spec.color][:, None, None] * _shading(spec), where=mask)
 
-    prompt: list[str] = []
+def _prompt(shapes: list[ShapeSpec]) -> list[str]:
     groups: dict[tuple[int, str], int] = {}
     for spec in shapes:
         groups[(spec.color, spec.kind)] = groups.get((spec.color, spec.kind), 0) + 1
+    prompt: list[str] = []
     for (color, kind), count in groups.items():
         prompt += [COUNT_WORDS[count - 1], COLOR_WORDS[color], kind]
-
-    image = np.clip(img, 0.0, 1.0)
-    edges = _edges(image)
-    conditions = {"canny_like": edges[None], "scribble": _scribble(edges),
-                  "segmentation": _segmentation(shapes, masks)}
-    return ShapeSample(image=image, prompt=prompt, shapes=shapes, conditions=conditions)
+    return prompt
 
 
-def generate_dataset(n: int, seed: int) -> list[ShapeSample]:
-    """n deterministic samples; identical seeds give byte-identical data."""
+def generate_dataset(n: int, seed: int, kinds=CONDITION_KINDS) -> list[ShapeSample]:
+    """n deterministic samples with conditions of the given kinds; identical
+    seeds give byte-identical data, whatever kinds are asked for."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     rng = RngState(seed).split("shape-dataset")
-    return [_draw_sample(rng) for _ in range(n)]
+    samples: list[ShapeSample] = []
+    for start in range(0, n, CHUNK):
+        scenes = [_draw_scene(rng) for _ in range(min(CHUNK, n - start))]
+        images, conds = _render(scenes, kinds)
+        samples += [ShapeSample(image=images[i], prompt=_prompt(shapes), shapes=shapes,
+                                conditions={kind: c[i] for kind, c in conds.items()})
+                    for i, shapes in enumerate(scenes)]
+    return samples
 
 
 def _conv3(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """3x3 correlation of an edge-padded map, trimmed back to the unpadded size."""
-    h, w = xp.shape[0] - 2, xp.shape[1] - 2
-    out = np.zeros((h, w), dtype=xp.dtype)
+    """3x3 correlation of edge-padded (..., H + 2, W + 2) maps, trimmed back to
+    the unpadded size."""
+    h, w = xp.shape[-2] - 2, xp.shape[-1] - 2
+    out = np.zeros(xp.shape[:-2] + (h, w), dtype=xp.dtype)
     for i in range(3):
         for j in range(3):
             if k[i, j]:  # adding a zero tap changes no bit of the sum
-                out += k[i, j] * xp[i : i + h, j : j + w]
+                out += k[i, j] * xp[..., i : i + h, j : j + w]
     return out
 
 
 def sobel_magnitude(gray: np.ndarray) -> np.ndarray:
-    """Sobel gradient magnitude of an (IMAGE_HW, IMAGE_HW) map, edges clamped."""
-    if gray.shape != (IMAGE_HW, IMAGE_HW):
-        raise ValueError(f"sobel_magnitude expects ({IMAGE_HW}, {IMAGE_HW}), got {gray.shape}")
-    xp = gray[_EDGE_INDEX]
+    """Sobel gradient magnitude of (..., IMAGE_HW, IMAGE_HW) maps, edges clamped."""
+    if gray.shape[-2:] != (IMAGE_HW, IMAGE_HW):
+        raise ValueError(f"sobel_magnitude expects (..., {IMAGE_HW}, {IMAGE_HW}), "
+                         f"got {gray.shape}")
+    xp = gray[..., _CLAMPED[:, None], _CLAMPED]
     gx = _conv3(xp, SOBEL_X)
     gy = _conv3(xp, SOBEL_Y)
     return np.sqrt(gx * gx + gy * gy)
@@ -215,9 +254,9 @@ def derive_condition(image: np.ndarray, kind: str, shapes: list[ShapeSpec] | Non
     if kind == "segmentation":
         if shapes is None:
             raise ValueError("segmentation condition needs the ground-truth shape list")
-        return _segmentation(shapes, [_shape_mask(spec) for spec in shapes])
-    edges = _edges(image)
-    return edges[None] if kind == "canny_like" else _scribble(edges)
+        return _render([shapes], (kind,))[1][kind][0]
+    edges = _edges(np.asarray(image)[None])
+    return edges[0][None] if kind == "canny_like" else _scribble(edges)[0]
 
 
 def condition_to_input(cond: np.ndarray) -> np.ndarray:

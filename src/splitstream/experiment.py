@@ -1,7 +1,8 @@
 """End-to-end experiment orchestration.
 
 Stages: synthesize data (train / public / private from disjoint seed
-ranges), pretrain and freeze the autoencoder, calibrate the privacy
+ranges, each drawn on first read, in the configured condition kind only),
+pretrain and freeze the autoencoder, calibrate the privacy
 budget, run split training with the configured mode and defense (whose
 files `record_training` writes, for `splitstream train` too), capture
 worst-case evaluation packets (timestep pinned to t_s, defense hooks run),
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,20 +49,38 @@ def derived_seed(cfg: ExperimentConfig, name: str) -> int:
     return cfg.seed + SEED_OFFSETS[name]
 
 
-@dataclass
 class DataBundle:
-    train: tuple
-    public: tuple
-    private: tuple
+    """The train, public and private splits of a config as (images, conds,
+    prompts), each drawn from its own seed on first read: a stage that reads
+    only the training split never synthesizes or holds the other two."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        d = cfg.dataset
+        self._draws = {split: (n, derived_seed(cfg, f"{split}_data"), d.condition)
+                       for split, n in (("train", d.n_train), ("public", d.n_public),
+                                        ("private", d.n_private))}
+
+    def _draw(self, split: str) -> tuple:
+        n, seed, condition = self._draws[split]
+        return dtt.dataset_arrays(dtt.generate_dataset(n, seed, kinds=(condition,)), condition)
+
+    @cached_property
+    def train(self) -> tuple:
+        return self._draw("train")
+
+    @cached_property
+    def public(self) -> tuple:
+        return self._draw("public")
+
+    @cached_property
+    def private(self) -> tuple:
+        return self._draw("private")
 
 
 def synthesize_data(cfg: ExperimentConfig) -> DataBundle:
-    """Three datasets from disjoint seed ranges."""
-    d = cfg.dataset
-    return DataBundle(*(
-        dtt.dataset_arrays(dtt.generate_dataset(n, derived_seed(cfg, f"{split}_data")),
-                           d.condition)
-        for split, n in (("train", d.n_train), ("public", d.n_public), ("private", d.n_private))))
+    """Three datasets from disjoint seed ranges, in the configured condition
+    kind only; each is drawn when first read."""
+    return DataBundle(cfg)
 
 
 def prepare(cfg: ExperimentConfig) -> tuple[DataBundle, ToyAutoencoder, float]:
@@ -389,8 +409,8 @@ def record_training(cfg: ExperimentConfig, world: SplitWorld, result: SplitResul
                     frozen_before: str, out_dir: Path) -> list[dict]:
     """Write what a training session leaves besides its packet capture, and
     return its `ledger` and `training` metrics rows. The model manifest names
-    modules, shapes and frozen flags; the clients' confound secret goes to
-    `client_secret/` only when they ran in this process."""
+    modules, shapes and frozen flags; the clients' confound secret is written
+    only when they ran in this process (a remote client writes its own)."""
     ledger = result.ledger.to_dict(SimClock())
     with open(out_dir / "ledger.json", "w") as f:
         json.dump(ledger, f, indent=2, sort_keys=True)
@@ -402,14 +422,21 @@ def record_training(cfg: ExperimentConfig, world: SplitWorld, result: SplitResul
         lines.extend(f"{name}.{pname} shape={tuple(p.shape)} frozen={frozen}"
                      for pname, p in sorted(params.items()))
     (out_dir / "model_manifest.txt").write_text("\n".join(lines) + "\n")
-    if result.clients and world.act is not None:
-        (out_dir / "client_secret").mkdir(exist_ok=True)
-        save_checkpoint(out_dir / "client_secret" / "confound_delta.tckp",
-                        {"delta": world.act.delta})
+    if result.clients:
+        save_client_secret(world, out_dir)
     return [{"kind": "ledger", **ledger},
             {"kind": "training", "mode": cfg.protocol.mode, "defense": world.defense.kind,
              "iterations": cfg.protocol.iterations, "losses": result.loss_history,
              "frozen_unchanged": frozen_before == frozen_fingerprint(world)}]
+
+
+def save_client_secret(world: SplitWorld, out_dir: Path) -> None:
+    """Write the clients' confound offset to `client_secret/confound_delta.tckp`
+    under `out_dir` when the arm has one; write nothing otherwise."""
+    if world.act is not None:
+        (out_dir / "client_secret").mkdir(parents=True, exist_ok=True)
+        save_checkpoint(out_dir / "client_secret" / "confound_delta.tckp",
+                        {"delta": world.act.delta})
 
 
 def emit_report(out_dir: Path, metrics: list[dict]) -> None:

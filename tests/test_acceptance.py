@@ -217,7 +217,18 @@ def _gradcheck_case(idx: int) -> float:
         ("bias_add", lambda x: tt.bias_add(x, Tensor(RngState(idx).normal((c,))))),
         ("concat", lambda x: tt.concat_channels(x, tt.scale(x, 2.0))),
     ]
-    name, op = ops[idx % len(ops)]
+    # the fused attention nodes the model runs, input gradient only, scaled
+    # down as above (self_attention further: its tokens also feed the
+    # residual); they take cases 200 on, over a list of their own, so cases
+    # 0-199 keep their ops and their draws
+    fused = [
+        ("self_attention", lambda x: tt.self_attention(tt.scale(x, 0.25))),
+        ("cross_attention", lambda x: tt.cross_attention(
+            tt.scale(x, 0.5), Tensor(RngState(idx).normal((n, 3, 4)) * 0.5),
+            *(Tensor(RngState(idx + k).normal(shape) * 0.5)
+              for k, shape in enumerate([(c, 2), (4, 2), (4, 2), (2, c)], 1)))),
+    ]
+    name, op = ops[idx % len(ops)] if idx < 200 else fused[idx % len(fused)]
 
     x = Tensor(x_np, requires_grad=True)
     tt.sum_squares(op(x)).backward()
@@ -242,13 +253,13 @@ def _gradcheck_case(idx: int) -> float:
 def test_criterion_07_gradient_correctness():
     t0 = time.perf_counter()
     worst = 0.0
-    for idx in range(200):
+    for idx in range(240):
         err = _gradcheck_case(idx)
         worst = max(worst, err)
         assert err < 1e-3, f"case {idx} rel err {err:.2e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    ok(7, f"200 finite-difference cases pass, worst rel err {worst:.2e} ({elapsed:.1f} s)")
+    ok(7, f"240 finite-difference cases pass, worst rel err {worst:.2e} ({elapsed:.1f} s)")
 
 
 def test_criterion_08_one_step_inversion(sched):

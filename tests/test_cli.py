@@ -176,8 +176,10 @@ def _free_port() -> int:
 
 def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys):
     # the --listen server writes what an in-process session writes but the clients'
-    # secret; an in-process session writes what `run` writes
+    # secret, and the --connect client writes that secret alone; an in-process
+    # session writes what `run` writes
     run_dir, local, served = tmp_path / "run", tmp_path / "local", tmp_path / "served"
+    client = tmp_path / "client"
     main(["run", "--config", str(mini_config), "--out", str(run_dir)])
     main(["train", "--config", str(mini_config), "--out", str(local)])
     endpoint = f"127.0.0.1:{_free_port()}"
@@ -192,7 +194,8 @@ def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys
 
     server = threading.Thread(target=serve, daemon=True)
     server.start()
-    main(["train", "--config", str(mini_config), "--connect", endpoint, "--client-id", "0"])
+    main(["train", "--config", str(mini_config), "--connect", endpoint, "--client-id", "0",
+          "--out", str(client)])
     server.join(60)
     if errors:
         raise errors[0]
@@ -203,6 +206,9 @@ def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys
     for name in shared:
         assert (served / name).read_bytes() == (local / name).read_bytes(), name
     assert not (served / "client_secret").exists()
+    secret = "client_secret/confound_delta.tckp"
+    assert [p.relative_to(client).as_posix() for p in client.rglob("*") if p.is_file()] == [secret]
+    assert (client / secret).read_bytes() == (local / secret).read_bytes()
 
 
 def test_full_run_and_report(tmp_path, mini_config, capsys):

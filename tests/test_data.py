@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from splitstream import data as dt
+from splitstream.config import ExperimentConfig
 from splitstream.data import (CONDITION_KINDS, VOCAB, condition_to_input, dataset_arrays,
                               derive_condition, generate_dataset, read_ppm,
                               sobel_magnitude, write_ppm)
+from splitstream.experiment import synthesize_data
 
 
 class TestGeneration:
@@ -33,6 +35,26 @@ class TestGeneration:
             for kind in CONDITION_KINDS:
                 h.update(s.conditions[kind].tobytes())
         assert h.hexdigest() == "dcd2d3b8b39d78cadd74a7da3c2eb3969d3dec43e3ac88166e3749935adf6cee"
+
+    @pytest.mark.parametrize("condition, digest", [
+        ("canny_like", "df49f13ff5a0bc244a41a469664d37d1c541e3db41f0ba170a5373da513635be"),
+        ("scribble", "8ab2c3f445dad685387a51fcc56006dbd6af38dacfae5827695d2bb53a63eae3"),
+        ("segmentation", "8d6a509d467c42d161a9ebe01c6af39ccf4e577a69300ef81dbf4cce3706c717"),
+    ])
+    def test_synthesized_splits_pinned_across_commits(self, condition, digest):
+        # the arrays and prompts of all three splits at smoke.ini's seed and sizes, as
+        # the per-sample renderer drew them with every condition kind rendered
+        cfg = ExperimentConfig()
+        cfg.seed = 7
+        cfg.dataset.n_train, cfg.dataset.n_public, cfg.dataset.n_private = 32, 24, 4
+        cfg.dataset.condition = condition
+        data = synthesize_data(cfg.validate())
+        h = hashlib.sha256()
+        for images, conds, prompts in (data.train, data.public, data.private):
+            h.update(images.tobytes())
+            h.update(conds.tobytes())
+            h.update("\n".join(" ".join(p) for p in prompts).encode())
+        assert h.hexdigest() == digest
 
     def test_different_seed_differs(self):
         a = generate_dataset(4, 1)

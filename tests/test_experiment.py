@@ -2,6 +2,7 @@
 hooks, edge cases."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splitstream import data as dtt
 from splitstream import experiment
 from splitstream.config import (ATTACK_METHODS, ConfigError, ExperimentConfig,
                                 config_to_dict, load_config)
@@ -158,6 +160,33 @@ class TestSynthesizeData:
         pub = data.public[0].tobytes()
         priv = data.private[0].tobytes()
         assert tr != pub and pub != priv and tr != priv
+
+    def test_each_split_is_drawn_through_the_module_on_first_read(self, tmp_path, monkeypatch):
+        # perfbench's data.generate span wraps dtt.generate_dataset, so synthesis goes
+        # through that attribute; a split is drawn once, in the configured kind only,
+        # and `prepare` leaves the public and private splits undrawn
+        calls = []
+        generate = dtt.generate_dataset
+
+        def counted(*args, **kwargs):
+            calls.append(inspect.signature(generate).bind(*args, **kwargs).arguments)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(dtt, "generate_dataset", counted)
+        cfg = mini_cfg(tmp_path, **{"dataset.condition": "scribble"})
+        drawn = {split: {"n": n, "seed": derived_seed(cfg, f"{split}_data"),
+                         "kinds": ("scribble",)}
+                 for split, n in (("train", 24), ("public", 16), ("private", 3))}
+        data = synthesize_data(cfg)
+        assert calls == []
+        assert data.train is data.train
+        assert calls == [drawn["train"]]
+        calls.clear()
+        prepare(cfg)
+        assert calls == [drawn["train"]]
+        calls.clear()
+        data.public, data.private
+        assert calls == [drawn["public"], drawn["private"]]
 
 
 class TestEvalPackets:
