@@ -64,17 +64,9 @@ class DataBundle:
         n, seed, condition = self._draws[split]
         return dtt.dataset_arrays(dtt.generate_dataset(n, seed, kinds=(condition,)), condition)
 
-    @cached_property
-    def train(self) -> tuple:
-        return self._draw("train")
-
-    @cached_property
-    def public(self) -> tuple:
-        return self._draw("public")
-
-    @cached_property
-    def private(self) -> tuple:
-        return self._draw("private")
+    train = cached_property(lambda self: self._draw("train"))
+    public = cached_property(lambda self: self._draw("public"))
+    private = cached_property(lambda self: self._draw("private"))
 
 
 def synthesize_data(cfg: ExperimentConfig) -> DataBundle:
