@@ -43,7 +43,7 @@ class TestGeneration:
     ])
     def test_synthesized_splits_pinned_across_commits(self, condition, digest):
         # the arrays and prompts of all three splits at smoke.ini's seed and sizes, as
-        # the per-sample renderer drew them with every condition kind rendered
+        # first generated; rendering the one condition kind asked for moves no byte
         cfg = ExperimentConfig()
         cfg.seed = 7
         cfg.dataset.n_train, cfg.dataset.n_public, cfg.dataset.n_private = 32, 24, 4
