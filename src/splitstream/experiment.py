@@ -33,7 +33,7 @@ from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
                      param_fingerprint, pretrain_autoencoder, prompt_hide_transform)
 from .privacy import estimate_sensitivity, write_budget_csv
 from .protocol import (ClientDataset, ProtocolConfig, SimClock, SplitResult, SplitWorld,
-                       client_features, client_packet, run_split_training)
+                       client_features, client_packet, encode_rows, run_split_training)
 from .rng import RngState
 from .tensor import Tensor
 from .wire import frame_message
@@ -307,9 +307,8 @@ def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
 def _estimated_alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:
     """Max pairwise distance over the first 128 training latents (eval
     mode: no dropout, so the RNG is never drawn from)."""
-    images = data.train[0][:128]
-    latents = ae.E(Tensor(images), RngState(cfg.seed).split("sensitivity"),
-                   training=False).data
+    latents = encode_rows(ae.E, data.train[0][:128], RngState(cfg.seed).split("sensitivity"),
+                          training=False)
     return estimate_sensitivity(list(latents))
 
 

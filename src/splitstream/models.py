@@ -277,8 +277,8 @@ class ToyUNet(Module):
             skip1 = tt.add(skip1, tap1)
             skip2 = tt.add(skip2, tap2)
             m = tt.add(m, tap_mid)
-        d2 = self.dec_block_2(tt.concat_channels(m, skip2), t, prompt)
-        return self.dec_block_1(tt.concat_channels(d2, skip1), t, prompt)
+        d2 = self.dec_block_2(tt.concat([m, skip2], 1), t, prompt)
+        return self.dec_block_1(tt.concat([d2, skip1], 1), t, prompt)
 
 
 def unet_denoise(zt, t: int, prompt_feat, control_taps, model: ToyUNet) -> Tensor:

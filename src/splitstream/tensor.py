@@ -395,18 +395,24 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _out(x.data.reshape(shape), (x,), bwd)
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 4 or b.ndim != 4 or a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"concat_channels: {a.shape} vs {b.shape}")
-    ca = a.shape[1]
+def concat(parts, axis: int) -> Tensor:
+    """`parts` joined along `axis`, every other axis equal: 1 joins channels
+    (the denoiser's skip connections), 0 joins rows (the chunks of a
+    whole-split client pass). Each part's gradient is its slice of the
+    output's."""
+    parts = tuple(parts)
+    rest = {p.shape[:axis] + p.shape[axis + 1:] for p in parts}
+    if not parts or len(rest) != 1 or any(p.ndim <= axis for p in parts):
+        raise ShapeError(f"concat on axis {axis}: {[p.shape for p in parts]}")
+    edges = np.cumsum([0] + [p.shape[axis] for p in parts])
+    lead = (slice(None),) * axis
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g[:, :ca])
-        if b.requires_grad:
-            b._accumulate(g[:, ca:])
+        for p, lo, hi in zip(parts, edges, edges[1:]):
+            if p.requires_grad:
+                p._accumulate(g[lead + (slice(lo, hi),)])
 
-    return _out(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
+    return _out(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:

@@ -215,7 +215,7 @@ def _gradcheck_case(idx: int) -> float:
                                      Tensor(RngState(idx).normal((h * w, 3)) * 0.3),
                                      Tensor(RngState(idx + 1).normal((3,)) * 0.3))),
         ("bias_add", lambda x: tt.bias_add(x, Tensor(RngState(idx).normal((c,))))),
-        ("concat", lambda x: tt.concat_channels(x, tt.scale(x, 2.0))),
+        ("concat", lambda x: tt.concat([x, tt.scale(x, 2.0)], 1)),
     ]
     # the fused attention nodes the model runs, input gradient only, scaled
     # down as above (self_attention further: its tokens also feed the

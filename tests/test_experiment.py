@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from splitstream.defenses import postprocess_features, preprocess_batch
 from splitstream.experiment import (build_world, derived_seed, generate_eval_packets,
                                     prepare, run_experiment, synthesize_data)
 from splitstream.privacy import timestep_for_epsilon
-from splitstream.protocol import client_features
+from splitstream.protocol import CHUNK_ROWS, client_features
 from splitstream.rng import RngState
 from splitstream.wire import frame_message, iter_frames
 
@@ -228,6 +229,30 @@ class TestEvalPackets:
             cap = generate_eval_packets(build_world(cfg, "none", ae, data, alpha), data, 5)
             frames[mode] = [frame_message(p) for p in cap.packets]
         assert frames["classic"] == frames["gradient_free"]
+
+
+class TestAttackerView:
+    def test_memory_does_not_grow_with_the_public_split(self, tmp_path):
+        # traced peak of one attacker pass: 9.9 MB at CHUNK_ROWS rows, 12.7 MB
+        # at 4 x CHUNK_ROWS (row chunks), against 39.5 MB in one pass
+        cfg = mini_cfg(tmp_path)
+        data, ae, alpha = prepare(cfg)
+        world = build_world(cfg, "ours_plus_plus", ae, data, alpha)
+        rng = RngState(4)
+
+        def peak_mb(n):
+            images, conds = rng.uniform((n, 3, 32, 32)), rng.uniform((n, 3, 32, 32))
+            prompts = [["two", "red", "circle"]] * n
+            tracemalloc.start()
+            try:
+                experiment.attacker_view_features(world, images, conds, prompts, 300, 5)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        peak_mb(1)  # packs the frozen kernels once, outside the measured passes
+        small, large = peak_mb(CHUNK_ROWS), peak_mb(4 * CHUNK_ROWS)
+        assert large - small < 4.0, (small, large)
 
 
 class TestBuildWorld:

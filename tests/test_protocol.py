@@ -116,6 +116,73 @@ class TestClientForwardStep:
         assert pb.feat_control.min() >= defended.act.delta.min() - 1e-5
 
 
+class TestRowChunks:
+    CHUNK = 32  # a chunk of 16 rows or more keeps every conv's whole-batch layout
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 69, 97])
+    def test_chunks_are_even_and_cover_the_batch(self, n, monkeypatch):
+        monkeypatch.setattr(pr, "CHUNK_ROWS", self.CHUNK)
+        chunks = pr.row_chunks(n)
+        sizes = [c.stop - c.start for c in chunks]
+        assert len(chunks) == -(-n // self.CHUNK)
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        assert max(sizes) <= self.CHUNK and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("defense_kind", ["none", "ours_plus_plus"])
+    def test_chunked_pass_is_bit_equal_to_one_chunk(self, defense_kind, monkeypatch):
+        # a ragged batch: three chunks, so the image encoder, enc_block_1 and the
+        # condition path each run three times; both encoders draw dropout from
+        # the same stream, so a stage that reorders those draws moves the bits
+        n = 2 * self.CHUNK + 5
+        world = build_world(defense_kind, n_data=n)
+        d = world.datasets[0]
+        out = {}
+        for rows in (n, self.CHUNK):
+            monkeypatch.setattr(pr, "CHUNK_ROWS", rows)
+            out[rows] = pr.client_features(world, d.images, d.conds, d.prompts, 300,
+                                           RngState(3), RngState(4), world.cond_encoder,
+                                           world.act)
+        assert len(pr.row_chunks(n)) == 3
+        whole, chunked = out[n], out[self.CHUNK]
+        for name in ("h1", "zt", "n_hat", "prompt_feat"):
+            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert chunked.s.data.tobytes() == whole.s.data.tobytes()
+
+    def test_one_chunk_is_passed_through(self, monkeypatch):
+        def refuse(parts, axis):
+            raise AssertionError("a single chunk was joined")
+
+        monkeypatch.setattr(pr.tt, "concat", refuse)
+        world = build_world("ours_plus_plus", n_data=4, cond_encoder="scratch")
+        d = world.datasets[0]
+        f = pr.client_features(world, d.images, d.conds, d.prompts, 300, RngState(3),
+                               RngState(4), world.cond_encoder, world.act)
+        assert f.s.requires_grad and f.s.shape == (4, 4, 8, 8)
+
+    def test_classic_client_trains_through_the_chunks(self, monkeypatch):
+        # a classic batch of three chunks: s stays in the scratch encoder's graph,
+        # and its gradients are those of one chunk up to float32 summation order
+        n = 2 * self.CHUNK + 5
+        world = build_world(n_data=n, cond_encoder="scratch")
+        grad_control = RngState(2).normal((n, 4, 8, 8))
+        grads, packets = {}, {}
+        for rows in (n, self.CHUNK):
+            monkeypatch.setattr(pr, "CHUNK_ROWS", rows)
+            client = ClientWorker(0, world, make_cfg(mode="classic", batch=n), RngState(9))
+            params = client.cond_encoder.named_parameters()
+            before = {k: p.data.copy() for k, p in params.items()}
+            packets[rows] = frame_message(client.forward_step(0))
+            client.apply_gradient(GradientPacket(iteration=0, grad_control=grad_control))
+            assert all(not np.array_equal(p.data, before[k]) for k, p in params.items())
+            grads[rows] = {k: p.grad for k, p in params.items()}
+        assert packets[self.CHUNK] == packets[n]
+        for k, g in grads[n].items():
+            assert np.abs(g).max() > 0, k
+            np.testing.assert_allclose(grads[self.CHUNK][k], g, rtol=1e-4,
+                                       atol=1e-5 * np.abs(g).max(), err_msg=k)
+
+
 class TestServerTrainStep:
     def test_first_step_loss_matches_unconditional(self):
         world = build_world("none")

@@ -297,14 +297,14 @@ class TestConv2d:
 
 def test_first_gradients_are_copies_not_views():
     # add hands the same array to both operands; reshape and the two
-    # concat_channels slices hand on views of their output gradient
+    # concat slices hand on views of their output gradient
     rng = RngState(23)
     x = Tensor(rng.normal((2, 8, 3, 3)), requires_grad=True)
     r = Tensor(rng.normal((2, 72)), requires_grad=True)
     a = Tensor(rng.normal((2, 3, 3, 3)), requires_grad=True)
     b = Tensor(rng.normal((2, 5, 3, 3)), requires_grad=True)
     s = tt.add(tt.add(x, x), tt.reshape(r, (2, 8, 3, 3)))
-    y = tt.add(s, tt.concat_channels(a, b))
+    y = tt.add(s, tt.concat([a, b], 1))
     g = rng.normal(y.shape)
     g_before = g.copy()
     tt.backward(y, seed_grad=g)
@@ -319,6 +319,32 @@ def test_first_gradients_are_copies_not_views():
         assert not np.shares_memory(gi, g)
         for gj in grads[i + 1:]:
             assert not np.shares_memory(gi, gj)
+
+
+class TestConcat:
+    def test_row_gradient_is_each_parts_slice(self):
+        # the batch axis joins the row chunks of a whole-split client pass
+        rng = RngState(29)
+        parts = [Tensor(rng.normal((rows, 3, 2, 2)), requires_grad=grad)
+                 for rows, grad in ((2, True), (3, False), (1, True))]
+        y = tt.concat(parts, 0)
+        assert y.data.tobytes() == np.concatenate([p.data for p in parts]).tobytes()
+        g = rng.normal(y.shape)
+        tt.backward(y, seed_grad=g)
+        assert parts[0].grad.tobytes() == g[:2].tobytes()
+        assert parts[1].grad is None
+        assert parts[2].grad.tobytes() == g[5:].tobytes()
+
+    @pytest.mark.parametrize("shapes, axis", [
+        ([(2, 3, 2, 2), (2, 4, 2, 2)], 0),   # rows joined, channels differ
+        ([(2, 3, 2, 2), (1, 3, 2, 2)], 1),   # channels joined, rows differ
+        ([(2, 3, 2, 2), (2, 3, 2)], 0),
+        ([(2, 3)], 2),
+        ([], 0),
+    ])
+    def test_parts_that_do_not_fit_are_refused(self, shapes, axis):
+        with pytest.raises(ShapeError, match="concat"):
+            tt.concat([Tensor(np.zeros(s)) for s in shapes], axis)
 
 
 def test_first_gradient_of_another_shape_is_refused():
@@ -698,6 +724,7 @@ OPS = {
     "cross_attention": lambda x, rng: tt.cross_attention(
         x, Tensor(rng.normal((1, 4, 3))), *(Tensor(rng.normal(s) * 0.5)
                                             for s in ((2, 5), (3, 5), (3, 5), (5, 2)))),
+    "concat_rows": lambda x, rng: tt.concat([tt.scale(x, 2.0), tt.silu(x), x], 0),
     "conv2d_bias": lambda x, rng: tt.conv2d(x, Tensor(rng.normal((2, 2, 2, 2)) * 0.5), 1, 1,
                                             bias=Tensor(rng.normal((2,)) * 0.5)),
 }
