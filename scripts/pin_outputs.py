@@ -1,0 +1,51 @@
+"""The output-digest table: sha256 of every file `splitstream run` writes
+for each pinned config, stored in tests/output_digests.json.
+
+`tests/test_output_digests.py` reruns each config and names every file
+whose digest differs from the table. A change that moves output bits on
+purpose rewrites the table with this script and lists the moved files.
+`manifest.json` is hashed with its `config.out_dir` value blanked, so the
+table does not depend on where the run wrote.
+
+Usage: python scripts/pin_outputs.py
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from splitstream.cli import main as splitstream
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = ROOT / "tests" / "output_digests.json"
+CONFIGS = ("smoke.ini", "classic_tiny.ini")  # under configs/
+
+
+def output_digests(config: str, out_dir: Path) -> dict[str, str]:
+    """Run `splitstream run` on configs/`config` into `out_dir` and return
+    {relative path: sha256} for every file it wrote."""
+    splitstream(["run", "--config", str(ROOT / "configs" / config), "--out", str(out_dir)])
+    digests = {}
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = data.replace(json.dumps(str(out_dir)).encode(), b'""')
+        digests[path.relative_to(out_dir).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def main():
+    os.environ.pop("SPLITSTREAM_SEED", None)  # the table pins each config's own seed
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {config: output_digests(config, Path(tmp) / Path(config).stem)
+                 for config in CONFIGS}
+    TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"pinned {sum(map(len, table.values()))} files of {len(table)} configs -> {TABLE}",
+          file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

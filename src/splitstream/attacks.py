@@ -83,9 +83,10 @@ def whitebox_gd_attack(target_feats: np.ndarray, model_fn, x_shape: tuple, rng: 
     else:
         x = Tensor(rng.normal(x_shape) * np.float32(init_scale), requires_grad=True)
     opt = AdamW([x], lr=lr)
+    target = Tensor(np.asarray(target_feats, dtype=np.float32))
     diverged = False
     for _ in range(int(iters)):
-        loss = tt.mse(model_fn(x), Tensor(np.asarray(target_feats, dtype=np.float32)))
+        loss = tt.mse(model_fn(x), target)
         if not np.isfinite(loss.data):
             diverged = True
             break
@@ -153,7 +154,7 @@ class InverseNet(Module):
     def __init__(self, net_type: str, rng: RngState, in_ch: int = 4):
         if net_type not in ("type1_raw_image", "type2_condition"):
             raise ValueError(f"unknown inverse net type {net_type!r}")
-        self.net_type = net_type
+        self.up_after = {1, 2}
         if net_type == "type1_raw_image":
             self.convs = [
                 Conv(in_ch, 24, 3, rng.split("c0"), padding=1),
@@ -162,7 +163,6 @@ class InverseNet(Module):
                 Conv(16, 8, 3, rng.split("c3"), padding=1),
                 Conv(8, 3, 3, rng.split("c4"), padding=1),
             ]
-            self.up_after = {1, 2}
         else:
             self.convs = [
                 Conv(in_ch, 32, 3, rng.split("c0"), padding=1),
@@ -170,7 +170,6 @@ class InverseNet(Module):
                 Conv(32, 16, 3, rng.split("c2"), padding=1),
                 Conv(16, 3, 3, rng.split("c3"), padding=1),
             ]
-            self.up_after = {1, 2}
 
     def __call__(self, feat: Tensor) -> Tensor:
         h = feat

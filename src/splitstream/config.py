@@ -145,6 +145,10 @@ class ExperimentConfig:
         if p.clients > self.dataset.n_train:
             raise ConfigError(f"[protocol] clients = {p.clients} is more than [dataset] "
                               f"n_train = {self.dataset.n_train}: a client would hold no data")
+        if self.privacy.alpha is None and self.dataset.n_train < 2:
+            raise ConfigError(f"an empty [privacy] alpha is estimated as the largest distance "
+                              f"between two training latents, but [dataset] n_train = "
+                              f"{self.dataset.n_train}")
         self._check_with_owners()
         return self
 

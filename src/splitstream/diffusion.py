@@ -89,35 +89,30 @@ class LatentState:
     n_hat: np.ndarray
 
 
-def _data(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-
-
 def forward_diffuse(
-    z0, t: int, sched: NoiseSchedule, rng: RngState, variant: str = "cumulative"
+    z0: np.ndarray, t: int, sched: NoiseSchedule, rng: RngState, variant: str = "cumulative"
 ) -> LatentState:
     """Draw n_hat ~ N(0,1) and produce the noisy latent for timestep t."""
     t = sched.check_t(t)
-    z0 = _data(z0)
     n_hat = rng.normal(z0.shape)
     a = sched.coeff(t, variant)
     zt = np.float32(np.sqrt(a)) * z0 + np.float32(np.sqrt(1.0 - a)) * n_hat
     return LatentState(zt=zt, n_hat=n_hat)
 
 
-def predict_x0(zt, n, t: int, sched: NoiseSchedule, variant: str = "cumulative"):
+def predict_x0(zt: np.ndarray, n: np.ndarray, t: int, sched: NoiseSchedule,
+               variant: str = "cumulative") -> np.ndarray:
     """Invert the forward map: estimate z0 from (z_t, noise estimate)."""
     t = sched.check_t(t)
     a = sched.coeff(t, variant)
-    zt_d, n_d = _data(zt), _data(n)
-    if zt_d.shape != n_d.shape:
-        raise ValueError(f"predict_x0: shape mismatch {zt_d.shape} vs {n_d.shape}")
-    return (zt_d - np.float32(np.sqrt(1.0 - a)) * n_d) / np.float32(np.sqrt(a))
+    if zt.shape != n.shape:
+        raise ValueError(f"predict_x0: shape mismatch {zt.shape} vs {n.shape}")
+    return (zt - np.float32(np.sqrt(1.0 - a)) * n) / np.float32(np.sqrt(a))
 
 
 def sample_step(
-    zt, n, t: int, sched: NoiseSchedule, rng: RngState, variant: str = "cumulative",
-    lam: float = 0.0,
+    zt: np.ndarray, n: np.ndarray, t: int, sched: NoiseSchedule, rng: RngState,
+    variant: str = "cumulative", lam: float = 0.0,
 ) -> np.ndarray:
     """One reverse step z_t -> z_{t-1} given the noise estimate n.
 
@@ -136,14 +131,12 @@ def sample_step(
         raise ScheduleError(
             f"sample_step: 1 - A_{t-1} - lambda^2 = {resid:.3g} < 0 (lambda too large)"
         )
-    z_prev = np.float32(np.sqrt(a_prev)) * x0 + np.float32(np.sqrt(resid)) * _data(n)
+    z_prev = np.float32(np.sqrt(a_prev)) * x0 + np.float32(np.sqrt(resid)) * n
     if lam > 0:
         z_prev = z_prev + np.float32(lam) * rng.normal(z_prev.shape)
     return z_prev
 
 
-def training_loss(n_hat, n_pred) -> Tensor:
+def training_loss(n_hat: np.ndarray, n_pred: Tensor) -> Tensor:
     """Mean squared error between the injected and the estimated noise."""
-    a = n_hat if isinstance(n_hat, Tensor) else Tensor(n_hat)
-    b = n_pred if isinstance(n_pred, Tensor) else Tensor(n_pred)
-    return mse(a, b)
+    return mse(Tensor(n_hat), n_pred)

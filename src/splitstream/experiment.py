@@ -102,7 +102,7 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
     pe = PromptEncoder(dtt.VOCAB, rng.split("prompt-encoder"))
     act = NoiseConfoundingActivation.create(rng.split("confound")) if defense.uses_confound else None
     if defense.hides_prompt:
-        branch, unet = prompt_hide_transform(branch, unet)
+        prompt_hide_transform(branch, unet)
     images, conds, prompts = data.train
     per = max(1, len(images) // cfg.protocol.clients)
     datasets = []
@@ -309,7 +309,7 @@ def _estimated_alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:
     mode: no dropout, so the RNG is never drawn from)."""
     latents = encode_rows(ae.E, data.train[0][:128], RngState(cfg.seed).split("sensitivity"),
                           training=False)
-    return estimate_sensitivity(list(latents))
+    return estimate_sensitivity(latents)
 
 
 def _alpha(cfg: ExperimentConfig, ae, data: DataBundle) -> float:

@@ -129,10 +129,10 @@ class SelfAttention(Module):
 
 
 @functools.lru_cache(maxsize=None)
-def timestep_embedding(t: int, dim: int = D_TEMB) -> np.ndarray:
-    """Sinusoidal embedding of timestep t, computed once per (t, dim) and
-    shared: the array is read-only."""
-    half = dim // 2
+def timestep_embedding(t: int) -> np.ndarray:
+    """Sinusoidal D_TEMB-wide embedding of timestep t, computed once per t
+    and shared: the array is read-only."""
+    half = D_TEMB // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
     ang = float(t) * freqs
     emb = np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
@@ -155,7 +155,7 @@ class UNetBlock(Module):
         self.conv2 = Conv(mid_ch, out_ch, 3, rng, padding=1)
         self.upsample = upsample
         # once set, the block ignores its prompt argument (prompt hiding)
-        self.bound_zero_prompt: np.ndarray | None = None
+        self.bound_zero_prompt = False
 
     def __call__(self, x: Tensor, t: int, prompt: Tensor | None) -> Tensor:
         h = self.conv1(x)
@@ -167,12 +167,11 @@ class UNetBlock(Module):
             h = self.attn(h)
         # a block bound to the zero prompt skips its cross-attention: K and V
         # have no bias, so attention over a zero context is exactly zero
-        elif self.bound_zero_prompt is None:
+        elif not self.bound_zero_prompt:
             if prompt is None:
                 raise ValueError("block needs prompt features (or a bound zero feature)")
-            ctx = prompt if isinstance(prompt, Tensor) else Tensor(prompt)
             a = self.attn
-            h = tt.cross_attention(h, ctx, a.wq, a.wk, a.wv, a.wo)
+            h = tt.cross_attention(h, prompt, a.wq, a.wk, a.wv, a.wo)
         if self.upsample:
             h = tt.upsample2x(h)
         return self.conv2(h)
@@ -254,16 +253,8 @@ class ToyUNet(Module):
         self.dec_block_2 = UNetBlock(128, 64, 32, rng.split("dec2"), upsample=True)
         self.dec_block_1 = UNetBlock(36, 32, 4, rng.split("dec1"))
 
-    def blocks(self):
-        return (self.enc_block_1, self.enc_block_2, self.mid,
-                self.dec_block_2, self.dec_block_1)
-
     def server_blocks(self):
         return (self.enc_block_2, self.mid, self.dec_block_2, self.dec_block_1)
-
-    def encode_block1(self, zt: Tensor, t: int, prompt) -> Tensor:
-        """Client-side part: the first encoder block."""
-        return self.enc_block_1(zt, t, prompt)
 
     def server_forward(self, h1: Tensor, t: int, prompt, control_taps) -> Tensor:
         """Everything after the cut. Empty taps = unconditional denoiser."""
@@ -281,12 +272,11 @@ class ToyUNet(Module):
         return self.dec_block_1(tt.concat([d2, skip1], 1), t, prompt)
 
 
-def unet_denoise(zt, t: int, prompt_feat, control_taps, model: ToyUNet) -> Tensor:
+def unet_denoise(zt: Tensor, t: int, prompt_feat: Tensor | None, control_taps,
+                 model: ToyUNet) -> Tensor:
     """Full denoiser pass; with all-zero taps this equals the unconditional output."""
-    x = zt if isinstance(zt, Tensor) else Tensor(zt)
-    p = None if prompt_feat is None else (prompt_feat if isinstance(prompt_feat, Tensor) else Tensor(prompt_feat))
-    h1 = model.encode_block1(x, t, p)
-    return model.server_forward(h1, t, p, control_taps)
+    h1 = model.enc_block_1(zt, t, prompt_feat)
+    return model.server_forward(h1, t, prompt_feat, control_taps)
 
 
 class ControlBranch(Module):
@@ -320,57 +310,50 @@ class NoiseConfoundingActivation:
     delta: np.ndarray
 
     @classmethod
-    def create(cls, rng: RngState, shape=LATENT_SHAPE) -> "NoiseConfoundingActivation":
-        return cls(delta=rng.normal(shape))
+    def create(cls, rng: RngState) -> "NoiseConfoundingActivation":
+        return cls(delta=rng.normal(LATENT_SHAPE))
 
 
-def noise_confound(x, act: NoiseConfoundingActivation):
+def noise_confound(x: Tensor, act: NoiseConfoundingActivation) -> Tensor:
     """y = |x| * 2*sigmoid(x) + delta, elementwise."""
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    if act.delta.shape != t.shape[1:]:
-        raise tt.ShapeError(f"noise_confound: delta {act.delta.shape} vs input {t.shape}")
-    y = tt.bias_add(tt.scale(tt.mul(tt.abs_(t), tt.sigmoid(t)), 2.0), Tensor(act.delta))
-    return y if isinstance(x, Tensor) else y.data
+    if act.delta.shape != x.shape[1:]:
+        raise tt.ShapeError(f"noise_confound: delta {act.delta.shape} vs input {x.shape}")
+    return tt.bias_add(tt.scale(tt.mul(tt.abs_(x), tt.sigmoid(x)), 2.0), Tensor(act.delta))
 
 
-def control_forward(zt, cond_feat, t: int, prompt_feat, branch: ControlBranch,
+def control_forward(zt: Tensor, cond_feat: Tensor, t: int, prompt_feat: Tensor | None,
+                    branch: ControlBranch,
                     act: NoiseConfoundingActivation | None = None) -> list[Tensor]:
     """Whole control path in one call: mix, (confound), copied encoders, taps."""
-    z = zt if isinstance(zt, Tensor) else Tensor(zt)
-    c = cond_feat if isinstance(cond_feat, Tensor) else Tensor(cond_feat)
-    s = tt.add(z, c)
+    s = tt.add(zt, cond_feat)
     if act is not None:
         s = noise_confound(s, act)
-    p = None if prompt_feat is None else (prompt_feat if isinstance(prompt_feat, Tensor) else Tensor(prompt_feat))
-    return branch.server_forward(s, t, p)
+    return branch.server_forward(s, t, prompt_feat)
 
 
 class PromptEncoder:
     """Fixed token embedding table; prompts are padded to MAX_PROMPT_LEN."""
 
-    def __init__(self, vocab: list[str], rng: RngState, dim: int = D_PROMPT,
-                 max_len: int = MAX_PROMPT_LEN):
+    def __init__(self, vocab: list[str], rng: RngState):
         if len(vocab) > 64:
             raise ValueError(f"vocab too large ({len(vocab)} > 64)")
-        self.vocab = list(vocab)
-        self.index = {tok: i for i, tok in enumerate(self.vocab)}
-        self.dim = dim
-        self.max_len = max_len
-        self.table = rng.normal((len(vocab), dim)) / np.float32(math.sqrt(dim))
+        self.index = {tok: i for i, tok in enumerate(vocab)}
+        self.table = rng.normal((len(vocab), D_PROMPT)) / np.float32(math.sqrt(D_PROMPT))
 
     def encode(self, prompts: list[list[str]]) -> np.ndarray:
-        """(N, max_len, dim) features; unknown tokens are an error, padding is zero."""
-        out = np.zeros((len(prompts), self.max_len, self.dim), dtype=np.float32)
+        """(N, MAX_PROMPT_LEN, D_PROMPT) features; unknown tokens are an error,
+        padding is zero."""
+        out = np.zeros((len(prompts), MAX_PROMPT_LEN, D_PROMPT), dtype=np.float32)
         for i, toks in enumerate(prompts):
-            if len(toks) > self.max_len:
-                raise ValueError(f"prompt longer than {self.max_len} tokens")
+            if len(toks) > MAX_PROMPT_LEN:
+                raise ValueError(f"prompt longer than {MAX_PROMPT_LEN} tokens")
             for j, tok in enumerate(toks):
                 out[i, j] = self.table[self.index[tok]]
         return out
 
 
-def prompt_hide_transform(branch: ControlBranch, unet: ToyUNet) -> tuple[ControlBranch, ToyUNet]:
-    """Rewire the pipeline so no prompt ever reaches the server.
+def prompt_hide_transform(branch: ControlBranch, unet: ToyUNet) -> None:
+    """Rewire the pipeline, in place, so no prompt ever reaches the server.
 
     Control-branch attention becomes self-attention over condition features;
     the frozen denoiser blocks behind the cut are permanently bound to the
@@ -380,10 +363,8 @@ def prompt_hide_transform(branch: ControlBranch, unet: ToyUNet) -> tuple[Control
     """
     for blk in (branch.enc_block_1, branch.enc_block_2, branch.mid):
         blk.attn = SelfAttention()
-    zero = np.zeros((1, D_PROMPT), dtype=np.float32)
     for blk in unet.server_blocks():
-        blk.bound_zero_prompt = zero
-    return branch, unet
+        blk.bound_zero_prompt = True
 
 
 def param_fingerprint(named: dict[str, Tensor]) -> str:

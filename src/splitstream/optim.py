@@ -1,14 +1,14 @@
-"""AdamW with decoupled weight decay, over one flat parameter buffer.
+"""Adam over one flat parameter buffer, at the fixed betas and eps below.
 
 At construction the optimizer copies its parameters into one contiguous
 float32 buffer and rebinds each parameter's `data` to its view of that
 buffer, once. The moments `m` and `v` (zero at construction), a gradient
 buffer and one scratch buffer are flat arrays of the same length. A step
 gathers the gradients into the gradient buffer with one concatenate and runs
-the update as 14 in-place ufunc calls (16 with weight decay) over the whole
-buffer. The operations and their order per element are those of the
-per-tensor update, so the result is bit-identical to it; the `out=` buffers
-keep the step from allocating a temporary per operation.
+the update as 14 in-place ufunc calls over the whole buffer. The operations
+and their order per element are those of the per-tensor update, so the
+result is bit-identical to it; the `out=` buffers keep the step from
+allocating a temporary per operation.
 
 Deterministic given (params, grads, state). A parameter whose `data` is
 rebound after construction (say, by a second optimizer packing the same
@@ -21,16 +21,14 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2 = 0.9, 0.999  # moment decay rates
+EPS = 1e-8  # added to the denominator
+
 
 class AdamW:
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    """Adam at BETA1, BETA2 and EPS: AdamW with a weight decay of zero."""
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         if not self.params:
             raise ValueError("AdamW: empty parameter list")
@@ -40,9 +38,6 @@ class AdamW:
             if j != i:
                 raise ValueError(f"AdamW: parameter {i} repeats parameter {j}")
         self.lr = float(lr)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self.step_count = 0
         self._flat = np.concatenate([p.data for p in self.params], axis=None, dtype=np.float32)
         offset = 0
@@ -69,14 +64,11 @@ class AdamW:
                 raise RuntimeError(f"AdamW.step: parameter {i}'s data is no longer a view of "
                                    "this optimizer's buffer")
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         w, m, v, g, s = self._flat, self._m, self._v, self._g, self._scratch
         np.concatenate([p.grad for p in self.params], axis=None, out=g)
-        if self.weight_decay:
-            np.multiply(np.float32(self.lr * self.weight_decay), w, out=s)
-            np.subtract(w, s, out=w)
         np.multiply(m, b1, out=m)
         np.multiply(1.0 - b1, g, out=s)
         np.add(m, s, out=m)
@@ -87,7 +79,7 @@ class AdamW:
         # the gradient is spent: g holds the denominator, s the numerator
         np.divide(v, bc2, out=g)
         np.sqrt(g, out=g)
-        np.add(g, self.eps, out=g)
+        np.add(g, EPS, out=g)
         np.divide(m, bc1, out=s)
         np.multiply(self.lr, s, out=s)
         np.divide(s, g, out=s)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .diffusion import NoiseSchedule
 from .rng import RngState
-from .tensor import Tensor
 
 
 class CalibrationError(ValueError):
@@ -117,10 +116,6 @@ class PrivacyParams:
         if not 0 <= self.t_s <= self.t_max:
             raise CalibrationError(f"invalid timestep range [{self.t_s}, {self.t_max}]", "t_s")
 
-    @property
-    def H(self) -> float:
-        return hyperparameter(self.delta, self.alpha_sens)
-
     @classmethod
     def from_ts(cls, sched: NoiseSchedule, delta: float, alpha_sens: float,
                 t_s: int) -> "PrivacyParams":
@@ -135,17 +130,13 @@ def sample_private_timestep(params: PrivacyParams, rng: RngState) -> int:
     return int(rng.integers(params.t_s, params.t_max))
 
 
-def estimate_sensitivity(latents) -> float:
-    """Max pairwise L2 distance over a set of latents, as they are: the
-    client clips nothing, so neither does the estimate."""
-    arrs = [np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).ravel()
-            for x in latents]
-    if not arrs:
+def estimate_sensitivity(latents: np.ndarray) -> float:
+    """Max pairwise L2 distance over a set of latents, one per row of the
+    (N, ...) array, as they are: the client clips nothing, so neither does
+    the estimate."""
+    if len(latents) == 0:
         raise ValueError("estimate_sensitivity: empty latent set")
-    dim = arrs[0].size
-    if any(a.size != dim for a in arrs):
-        raise ValueError("estimate_sensitivity: inconsistent latent shapes")
-    stack = np.stack(arrs)
+    stack = np.asarray(latents, dtype=np.float64).reshape(len(latents), -1)
     best = 0.0
     for i in range(len(stack) - 1):
         d = np.sqrt(np.sum((stack[i + 1 :] - stack[i]) ** 2, axis=1))
@@ -155,7 +146,7 @@ def estimate_sensitivity(latents) -> float:
     return best
 
 
-def randomized_response(features, epsilon: float, bits: int, rng: RngState):
+def randomized_response(x: np.ndarray, epsilon: float, bits: int, rng: RngState) -> np.ndarray:
     """Bit-flipping LDP baseline: quantize, flip each bit, dequantize.
 
     Each bit is kept with prob e^eps/(1+e^eps), i.e. flipped with prob
@@ -165,21 +156,17 @@ def randomized_response(features, epsilon: float, bits: int, rng: RngState):
         raise CalibrationError(f"bits must be in [1,16], got {bits}", "bits")
     if epsilon <= 0:
         raise CalibrationError(f"epsilon must be > 0, got {epsilon}", "epsilon")
-    was_tensor = isinstance(features, Tensor)
-    x = features.data if was_tensor else np.asarray(features, dtype=np.float32)
     lo, hi = float(x.min()), float(x.max())
     if hi == lo:
         warnings.warn("randomized_response: degenerate (constant) range, returning input", stacklevel=2)
-        out = x.copy()
-        return Tensor(out) if was_tensor else out
+        return x.copy()
     levels = (1 << bits) - 1
     q = np.rint((x - lo) / (hi - lo) * levels).astype(np.uint32)
     p_flip = flip_probability(epsilon)
     flips = rng.uniform(x.shape + (bits,)) < p_flip
     for b in range(bits):
         q ^= flips[..., b].astype(np.uint32) << b
-    out = (lo + q.astype(np.float32) / levels * (hi - lo)).astype(np.float32)
-    return Tensor(out) if was_tensor else out
+    return (lo + q.astype(np.float32) / levels * (hi - lo)).astype(np.float32)
 
 
 def flip_probability(epsilon: float) -> float:

@@ -189,7 +189,6 @@ class ClientFeatures:
     s: Tensor  # condition-path feature, still in the graph of the condition encoder
     zt: np.ndarray
     n_hat: np.ndarray
-    prompt_feat: np.ndarray
 
 
 # Rows a whole-split pass runs at once. Chunks are even (`row_chunks`), so a
@@ -225,7 +224,8 @@ def encode_rows(encoder, x: np.ndarray, rng: RngState, training: bool) -> np.nda
 def client_features(world: SplitWorld, images, conds, prompts, t: int, drop: RngState,
                     noise: RngState, cond_encoder, act) -> ClientFeatures:
     """The client pipeline: encode the image, diffuse it to timestep `t`, run
-    enc_block_1, encode the condition, add it to z_t, confound with `act`.
+    enc_block_1 on z_t and the encoded prompts, encode the condition, add it
+    to z_t, confound with `act`.
 
     `cond_encoder(x, rng, training)` is the condition encoder the caller
     runs; `drop` feeds dropout in both encoders and `noise` the diffusion.
@@ -238,15 +238,15 @@ def client_features(world: SplitWorld, images, conds, prompts, t: int, drop: Rng
     chunks = row_chunks(len(images))
     z0 = encode_rows(world.autoencoder.E, images, drop, training=True)
     state = forward_diffuse(z0, t, world.sched, noise, world.variant)
-    prompt_feat = world.prompt_encoder.encode(prompts)
-    h1 = _rows([world.unet.encode_block1(Tensor(state.zt[c]), t, Tensor(prompt_feat[c])).data
+    h1 = _rows([world.unet.enc_block_1(Tensor(state.zt[c]), t,
+                                       Tensor(world.prompt_encoder.encode(prompts[c]))).data
                 for c in chunks])
     parts = []
     for c in chunks:
         s = tt.add(Tensor(state.zt[c]), cond_encoder(Tensor(conds[c]), drop, training=True))
         parts.append(s if act is None else noise_confound(s, act))
     s = parts[0] if len(parts) == 1 else tt.concat(parts, 0)
-    return ClientFeatures(h1, s, state.zt, state.n_hat, prompt_feat)
+    return ClientFeatures(h1, s, state.zt, state.n_hat)
 
 
 def client_packet(world: SplitWorld, images, conds, prompts, t: int, drop: RngState,
@@ -261,7 +261,7 @@ def client_packet(world: SplitWorld, images, conds, prompts, t: int, drop: RngSt
     f = client_features(world, images, conds, prompts, t, drop, noise, cond_encoder, world.act)
     feat_unet, feat_control = postprocess_features(f.h1, f.s.data, arm, privacy.delta,
                                                    privacy.alpha_sens, defense)
-    prompt_feat = None if arm.hides_prompt else f.prompt_feat
+    prompt_feat = None if arm.hides_prompt else world.prompt_encoder.encode(prompts)
     return FeaturePacket(client_id, iteration, t, feat_unet, feat_control, f.n_hat,
                          prompt_feat), f
 

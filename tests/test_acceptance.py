@@ -133,7 +133,7 @@ def test_criterion_05_activation_identities():
     rng = RngState(5)
     act = NoiseConfoundingActivation.create(rng)
     # y(0) = delta exactly
-    y0 = noise_confound(np.zeros((1, 4, 8, 8), np.float32), act)
+    y0 = noise_confound(Tensor(np.zeros((1, 4, 8, 8), np.float32)), act).data
     assert np.array_equal(y0[0], act.delta)
     # symmetry identity over 1e4 random inputs
     x = rng.normal((10_000,)) * 3.0
@@ -177,9 +177,9 @@ def test_criterion_06_zero_conv_neutrality():
         prompt = pe.encode([["one", "red"]])
         cond = rng.uniform((1, 3, 32, 32))
         cf = ae.E(Tensor(cond), rng, training=False)
-        taps = control_forward(zt, cf, int(rng.integers(1, 1000)), prompt, branch)
-        uncond = unet_denoise(zt, 500, prompt, [], unet)
-        cond_out = unet_denoise(zt, 500, prompt, taps, unet)
+        taps = control_forward(Tensor(zt), cf, int(rng.integers(1, 1000)), Tensor(prompt), branch)
+        uncond = unet_denoise(Tensor(zt), 500, Tensor(prompt), [], unet)
+        cond_out = unet_denoise(Tensor(zt), 500, Tensor(prompt), taps, unet)
         assert uncond.data.tobytes() == cond_out.data.tobytes()
     ok(6, "conditional == unconditional bit-exact on 100 random inputs at zero-conv init")
 

@@ -471,6 +471,21 @@ def test_malformed_config_value_is_one_line_and_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["train"], ["attack", "--method", "whitebox"],
+                                     ["pretrain"]], ids=["run", "train", "attack", "pretrain"])
+def test_estimated_alpha_from_one_training_sample_is_one_line_and_exit_2(tmp_path, capsys,
+                                                                        command):
+    # one training latent has no pair to measure a distance between
+    bad = tmp_path / "one.ini"
+    bad.write_text("[dataset]\nn_train = 1\n[privacy]\nalpha =\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", str(bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "[privacy] alpha" in err and "[dataset] n_train = 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, line", [
     # [protocol] mode alone decides the encoder, and reports use SimClock()'s defaults
     ("protocol", "condition_encoder = scratch"), ("protocol", "t_client = 1.0"),

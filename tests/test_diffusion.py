@@ -9,6 +9,7 @@ from splitstream.diffusion import (LatentState, ScheduleError, forward_diffuse,
                                    make_linear_schedule, predict_x0, sample_step,
                                    training_loss)
 from splitstream.rng import RngState
+from splitstream.tensor import Tensor
 
 REFERENCE = dict(T=1000, k=1.115e-5, beta0=8.85e-4)
 
@@ -164,10 +165,10 @@ class TestSampleStep:
 class TestTrainingLoss:
     def test_zero_when_equal(self):
         x = RngState(15).normal((4, 4))
-        assert training_loss(x, x).item() == 0.0
+        assert training_loss(x, Tensor(x)).item() == 0.0
 
     def test_hand_computed(self):
-        val = training_loss(np.ones(2, np.float32), np.zeros(2, np.float32)).item()
+        val = training_loss(np.ones(2, np.float32), Tensor(np.zeros(2, np.float32))).item()
         assert val == 1.0
 
     def test_matches_loop_oracle(self):
@@ -178,17 +179,15 @@ class TestTrainingLoss:
             for j in range(7):
                 want += (float(a[i, j]) - float(b[i, j])) ** 2
         want /= 35.0
-        assert abs(training_loss(a, b).item() - want) < 1e-7
+        assert abs(training_loss(a, Tensor(b)).item() - want) < 1e-7
 
     def test_shape_mismatch(self):
         from splitstream.tensor import ShapeError
 
         with pytest.raises(ShapeError):
-            training_loss(np.zeros(3), np.zeros(4))
+            training_loss(np.zeros(3), Tensor(np.zeros(4)))
 
     def test_gradient_reaches_prediction(self):
-        from splitstream.tensor import Tensor
-
         pred = Tensor(np.zeros(4, np.float32), requires_grad=True)
         training_loss(np.ones(4, np.float32), pred).backward()
         assert np.allclose(pred.grad, -0.5)  # 2(n_pred - n_hat)/K

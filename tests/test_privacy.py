@@ -133,7 +133,6 @@ class TestPrivacyParams:
     def test_from_ts(self, sched):
         p = PrivacyParams.from_ts(sched, DELTA, ALPHA, 536)
         assert p.t_max == 1000
-        assert p.H == hyperparameter(DELTA, ALPHA)
         assert abs(p.epsilon - 8.3612) < 1e-3
 
     def test_bad_range(self):
@@ -172,12 +171,12 @@ class TestSampler:
 
 class TestSensitivity:
     def test_single_element(self):
-        assert estimate_sensitivity([np.ones((4, 4))]) == 0.0
+        assert estimate_sensitivity(np.ones((1, 4, 4))) == 0.0
 
     def test_two_elements_exact_distance(self):
         a = np.zeros(3)
         b = np.array([3.0, 4.0, 0.0])
-        assert abs(estimate_sensitivity([a, b]) - 5.0) < 1e-12
+        assert abs(estimate_sensitivity(np.stack([a, b])) - 5.0) < 1e-12
 
     def test_matches_pairwise_scan_oracle(self):
         rng = RngState(4)
@@ -187,11 +186,11 @@ class TestSensitivity:
         for i in range(100):
             for j in range(i + 1, 100):
                 best = max(best, float(np.sqrt(np.sum((flat[j] - flat[i]) ** 2))))
-        assert estimate_sensitivity(latents) == best
+        assert estimate_sensitivity(np.stack(latents)) == best
 
     def test_empty_set(self):
         with pytest.raises(ValueError, match="empty"):
-            estimate_sensitivity([])
+            estimate_sensitivity(np.zeros((0, 4, 8, 8), np.float32))
 
 
 class TestRandomizedResponse:
@@ -244,11 +243,6 @@ def test_budget_roundtrip_property(epsilon):
     assert epsilon_for_timestep(t, sched, DELTA, ALPHA) <= epsilon
     if t > 0:
         assert epsilon_for_timestep(t - 1, sched, DELTA, ALPHA) > epsilon
-
-
-def test_h_recompute_bit_exact(sched):
-    p = PrivacyParams.from_ts(sched, DELTA, ALPHA, 536)
-    assert p.H == hyperparameter(p.delta, p.alpha_sens)
 
 
 def test_budget_csv_dump(sched):

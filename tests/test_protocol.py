@@ -52,7 +52,7 @@ def build_world(defense_kind="none", seed=777, n_data=12, clients=1,
     if defense.hides_prompt:
         from splitstream.models import prompt_hide_transform
 
-        branch, unet = prompt_hide_transform(branch, unet)
+        prompt_hide_transform(branch, unet)
     data_rng = rng.split("data")
     datasets = []
     for _ in range(clients):
@@ -145,7 +145,7 @@ class TestRowChunks:
                                            world.act)
         assert len(pr.row_chunks(n)) == 3
         whole, chunked = out[n], out[self.CHUNK]
-        for name in ("h1", "zt", "n_hat", "prompt_feat"):
+        for name in ("h1", "zt", "n_hat"):
             assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
         assert chunked.s.data.tobytes() == whole.s.data.tobytes()
 
@@ -189,7 +189,8 @@ class TestServerTrainStep:
         cfg = make_cfg()
         client = ClientWorker(0, world, cfg, RngState(6))
         pkt = client.forward_step(0)
-        uncond = unet_denoise(pkt.feat_unet, pkt.timestep, pkt.prompt_feat, [], world.unet)
+        uncond = unet_denoise(Tensor(pkt.feat_unet), pkt.timestep, Tensor(pkt.prompt_feat), [],
+                              world.unet)
         # careful: unet_denoise runs block 1 again; compare via server path
         h1 = Tensor(pkt.feat_unet)
         uncond = world.unet.server_forward(h1, pkt.timestep, Tensor(pkt.prompt_feat), [])

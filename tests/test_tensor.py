@@ -770,7 +770,7 @@ def test_attention_gradients():
 class TestAdamW:
     def test_zero_grad_zero_decay_is_noop(self):
         p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW([p], lr=0.1, weight_decay=0.0)
+        opt = AdamW([p], lr=0.1)
         p.grad = np.zeros_like(p.data)
         before = p.data.copy()
         opt.step()
@@ -780,19 +780,12 @@ class TestAdamW:
         # m_hat = g, v_hat = g^2 after bias correction, so the update is
         # -lr * g / (|g| + eps) ~= -lr * sign(g)
         p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW([p], lr=0.01, weight_decay=0.0)
+        opt = AdamW([p], lr=0.01)
         p.grad = np.array([0.5], dtype=np.float32)
         opt.step()
         expected = 1.0 - 0.01 * 0.5 / (np.sqrt(0.25) + 1e-8)
         assert abs(p.data[0] - expected) < 1e-7
         assert p.data[0] < 1.0  # moved against the gradient sign
-
-    def test_weight_decay_decoupled(self):
-        p = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(1, dtype=np.float32)
-        opt.step()
-        assert abs(p.data[0] - 2.0 * (1 - 0.1 * 0.5)) < 1e-6
 
     def test_missing_grad_raises(self):
         p = Tensor(np.zeros(1), requires_grad=True)
@@ -804,7 +797,7 @@ class TestAdamW:
         def run():
             rng = RngState(99)
             p = Tensor(rng.normal((4, 4)), requires_grad=True)
-            opt = AdamW([p], lr=1e-2, weight_decay=1e-2)
+            opt = AdamW([p], lr=1e-2)
             grad_rng = RngState(100)
             for _ in range(100):
                 p.grad = grad_rng.normal(p.shape)

@@ -1,4 +1,5 @@
-"""Every top-level def and class in the package has a caller in the program
+"""Every top-level def and class in the package, and every method and
+property of its classes (dunders aside), has a caller in the program
 (`src/`, `scripts/` or `perfbench/`), and every dataclass field is read as
 an attribute there, or is listed below with the reason it stays. A new
 unreferenced name or unread field fails, and so does a listed one that has
@@ -29,6 +30,9 @@ UNREFERENCED = {
     "tensor.sum_all": "reduction the model tests backpropagate from",
     "tensor.sum_squares": "reduction the gradient checks backpropagate from",
 }
+
+# module.Class.method -> why it stays without a caller in the program
+UNREFERENCED_METHODS: dict[str, str] = {}
 
 # module.Class.field -> why it stays although the program never reads it
 UNREAD_FIELDS = {
@@ -68,6 +72,25 @@ def test_unreferenced_definitions_are_listed():
     }
     assert not found - UNREFERENCED.keys(), "unreferenced and not listed"
     assert not UNREFERENCED.keys() - found, "listed but referenced (or gone): drop from the list"
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_unreferenced_methods_are_listed():
+    referenced = _referenced_names()
+    found = {
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not _is_dunder(node.name) and node.name not in referenced
+    }
+    assert not found - UNREFERENCED_METHODS.keys(), "unreferenced and not listed"
+    assert not UNREFERENCED_METHODS.keys() - found, "listed but referenced (or gone): drop it"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
