@@ -19,7 +19,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .tensor import Tensor
 from .wire import Reader, encode_tensor
 
 MAGIC = b"TCKP"
@@ -32,11 +31,11 @@ class CheckpointError(ValueError):
     pass
 
 
-def dump_checkpoint(tensors: Mapping[str, "np.ndarray | Tensor"]) -> bytes:
+def dump_checkpoint(tensors: Mapping[str, np.ndarray]) -> bytes:
     out = [MAGIC, _HEAD.pack(VERSION, len(tensors))]
     for name, t in tensors.items():
         enc = name.encode("utf-8")
-        out += [_NAME_LEN.pack(len(enc)), enc, encode_tensor(t.data if isinstance(t, Tensor) else t)]
+        out += [_NAME_LEN.pack(len(enc)), enc, encode_tensor(t)]
     return b"".join(out)
 
 
@@ -61,7 +60,7 @@ def parse_checkpoint(blob: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def save_checkpoint(path, tensors: Mapping[str, "np.ndarray | Tensor"]) -> None:
+def save_checkpoint(path, tensors: Mapping[str, np.ndarray]) -> None:
     with open(path, "wb") as f:
         f.write(dump_checkpoint(tensors))
 

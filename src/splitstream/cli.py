@@ -27,20 +27,17 @@ def _load_cfg(args) -> ExperimentConfig:
 def cmd_gen_data(args):
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    samples = dtt.generate_dataset(args.n, args.seed)
+    images, conds, prompts, _ = dtt.generate_dataset(args.n, args.seed)
     out = Path(args.out)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    for kind in dtt.CONDITION_KINDS:
-        (out / kind).mkdir(exist_ok=True)
-    prompts = []
-    for i, s in enumerate(samples):
-        dtt.write_ppm(out / "images" / f"{i:05d}.ppm", s.image)
-        for kind in dtt.CONDITION_KINDS:
-            dtt.write_ppm(out / kind / f"{i:05d}.ppm",
-                          dtt.condition_to_input(s.conditions[kind]))
-        prompts.append(" ".join(s.prompt))
-    (out / "prompts.txt").write_text("\n".join(prompts) + "\n")
-    print(f"wrote {len(samples)} samples to {out}")
+    for name in ("images", *conds):
+        (out / name).mkdir(parents=True, exist_ok=True)
+    inputs = {kind: dtt.condition_to_input(c) for kind, c in conds.items()}
+    for i, image in enumerate(images):
+        dtt.write_ppm(out / "images" / f"{i:05d}.ppm", image)
+        for kind, cond in inputs.items():
+            dtt.write_ppm(out / kind / f"{i:05d}.ppm", cond[i])
+    (out / "prompts.txt").write_text("\n".join(" ".join(p) for p in prompts) + "\n")
+    print(f"wrote {len(images)} samples to {out}")
 
 
 def cmd_pretrain(args):
@@ -51,7 +48,8 @@ def cmd_pretrain(args):
     _, ae, _ = prepare(cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "autoencoder.tckp", ae.named_parameters())
+    save_checkpoint(out / "autoencoder.tckp",
+                    {name: p.data for name, p in ae.named_parameters().items()})
     last = ae.pretrain_losses[-1] if ae.pretrain_losses else float("nan")
     print(f"pretrained autoencoder: final recon loss {last:.5f} -> {out / 'autoencoder.tckp'}")
 

@@ -7,13 +7,15 @@ coarse: a Sobel edge map (canny_like), a blocky downsampled edge sketch
 (scribble), and a flat-color segmentation map rendered from the
 generator's own ground truth.
 
-Each scene's shapes are drawn one sample at a time, with the same scalar
-RNG calls in the same order whatever is rendered. Scenes are then rendered
-in chunks of `CHUNK` as numpy batches: one mask per shape paints both the
-image and the segmentation, one gray -> Sobel -> threshold pass feeds both
-canny_like and scribble, and only the condition kinds asked for are
-rendered. `derive_condition` renders a batch of one through the same
-helpers, so the two give the same bytes.
+A dataset is held as batch arrays: images (N, 3, H, W), one (N, C, H, W)
+array per condition kind asked for, the prompts and the scenes' shape
+lists. Each scene's shapes are drawn one sample at a time, with the same
+scalar RNG calls in the same order whatever is rendered. Scenes are then
+rendered in chunks of `CHUNK`, straight into the dataset's arrays: one mask
+per shape paints both the image and the segmentation, one gray -> Sobel ->
+threshold pass feeds both canny_like and scribble, and only the condition
+kinds asked for are rendered. `derive_condition` renders a batch of one
+through the same helpers, so the two give the same bytes.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ PALETTE = np.array(
 BACKGROUND = np.zeros(3, dtype=np.float32)
 
 CONDITION_KINDS = ("canny_like", "scribble", "segmentation")
+_CHANNELS = {"canny_like": 1, "scribble": 1, "segmentation": 3}
 
 SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float32)
 SOBEL_Y = SOBEL_X.T
@@ -60,14 +63,6 @@ class ShapeSpec:
     kind: str
     color: int  # palette index
     params: tuple  # geometry, kind-specific
-
-
-@dataclass
-class ShapeSample:
-    image: np.ndarray  # (3, 32, 32) in [0, 1]
-    prompt: list[str]
-    shapes: list[ShapeSpec]
-    conditions: dict[str, np.ndarray]  # the kinds asked of generate_dataset
 
 
 # The pixel grid, built once as an open grid: xs is one row (1, W) and ys one
@@ -113,16 +108,24 @@ def _triangle(cx, y0, y1, half):
 _GEOMETRY = {"circle": _circle, "rect": _rect, "triangle": _triangle}
 
 
-def _render(scenes: list[list[ShapeSpec]], kinds) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Images (B, 3, H, W) of B scenes and their conditions of the given kinds.
+def _empty(n: int, kinds) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Unfilled images (n, 3, H, W) and condition maps (n, C, H, W) of the given kinds."""
+    unknown = set(kinds) - set(CONDITION_KINDS)
+    if unknown:
+        raise ValueError(f"unknown condition kind {sorted(unknown)[0]!r}, have {CONDITION_KINDS}")
+    return (np.empty((n, 3, IMAGE_HW, IMAGE_HW), dtype=np.float32),
+            {kind: np.empty((n, _CHANNELS[kind], IMAGE_HW, IMAGE_HW), dtype=np.float32)
+             for kind in kinds})
+
+
+def _render(scenes: list[list[ShapeSpec]], images: np.ndarray, conds: dict[str, np.ndarray]) -> None:
+    """Render B scenes into images (B, 3, H, W) and into each condition map of
+    conds, kind -> (B, C, H, W).
 
     Masks and shading are computed for all shapes of a kind at once. Each
     pixel then shows the last shape of its scene that covers it, in drawing
     order, or else the backdrop (the background in the segmentation).
     """
-    unknown = set(kinds) - set(CONDITION_KINDS)
-    if unknown:
-        raise ValueError(f"unknown condition kind {sorted(unknown)[0]!r}, have {CONDITION_KINDS}")
     specs = [spec for scene in scenes for spec in scene]
     strange = {spec.kind for spec in specs} - _GEOMETRY.keys()
     if strange:
@@ -144,22 +147,22 @@ def _render(scenes: list[list[ShapeSpec]], kinds) -> tuple[np.ndarray, dict[str,
     b, y, x = np.nonzero(top >= 0)
     shown = top[b, y, x]
 
-    images = np.empty((len(scenes), 3, IMAGE_HW, IMAGE_HW), dtype=np.float32)
     images[:] = _BACKDROP
     # radial falloff, so images are shaded while segmentation stays flat
     shading = 1.0 - 0.35 * np.minimum(dist[shown, y, x], 1.0)
     images[b, :, y, x] = colors[shown] * shading[:, None]
     np.clip(images, 0.0, 1.0, out=images)
 
-    conds = {}
-    if "segmentation" in kinds:
-        seg = conds["segmentation"] = np.empty_like(images)
+    if "segmentation" in conds:
+        seg = conds["segmentation"]
         seg[:] = BACKGROUND[:, None, None]
         seg[b, :, y, x] = colors[shown]
-    if {"canny_like", "scribble"} & set(kinds):
+    if conds.keys() & {"canny_like", "scribble"}:
         edges = _edges(images)
-        conds["canny_like"], conds["scribble"] = edges[:, None], _scribble(edges)
-    return images, {kind: conds[kind] for kind in kinds}
+        if "canny_like" in conds:
+            conds["canny_like"][:, 0] = edges
+        if "scribble" in conds:
+            conds["scribble"][:] = _scribble(edges)
 
 
 def _edges(images: np.ndarray) -> np.ndarray:
@@ -208,20 +211,21 @@ def _prompt(shapes: list[ShapeSpec]) -> list[str]:
     return prompt
 
 
-def generate_dataset(n: int, seed: int, kinds=CONDITION_KINDS) -> list[ShapeSample]:
-    """n deterministic samples with conditions of the given kinds; identical
-    seeds give byte-identical data, whatever kinds are asked for."""
+def generate_dataset(n: int, seed: int, kinds=CONDITION_KINDS):
+    """n deterministic samples as (images (n, 3, H, W), {kind: (n, C, H, W)}
+    of the given kinds, prompts, shape lists); identical seeds give
+    byte-identical data, whatever kinds are asked for."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
+    images, conds = _empty(n, kinds)
     rng = RngState(seed).split("shape-dataset")
-    samples: list[ShapeSample] = []
+    shapes: list[list[ShapeSpec]] = []
     for start in range(0, n, CHUNK):
         scenes = [_draw_scene(rng) for _ in range(min(CHUNK, n - start))]
-        images, conds = _render(scenes, kinds)
-        samples += [ShapeSample(image=images[i], prompt=_prompt(shapes), shapes=shapes,
-                                conditions={kind: c[i] for kind, c in conds.items()})
-                    for i, shapes in enumerate(scenes)]
-    return samples
+        rows = slice(start, start + len(scenes))
+        _render(scenes, images[rows], {kind: c[rows] for kind, c in conds.items()})
+        shapes += scenes
+    return images, conds, [_prompt(scene) for scene in shapes], shapes
 
 
 def _conv3(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -254,24 +258,16 @@ def derive_condition(image: np.ndarray, kind: str, shapes: list[ShapeSpec] | Non
     if kind == "segmentation":
         if shapes is None:
             raise ValueError("segmentation condition needs the ground-truth shape list")
-        return _render([shapes], (kind,))[1][kind][0]
+        images, conds = _empty(1, (kind,))
+        _render([shapes], images, conds)
+        return conds[kind][0]
     edges = _edges(np.asarray(image)[None])
     return edges[0][None] if kind == "canny_like" else _scribble(edges)[0]
 
 
-def condition_to_input(cond: np.ndarray) -> np.ndarray:
-    """Expand a 1-channel condition to the encoder's 3-channel input."""
-    if cond.shape[0] == 3:
-        return cond
-    return np.repeat(cond, 3, axis=0)
-
-
-def dataset_arrays(samples: list[ShapeSample], cond_kind: str):
-    """Stack a sample list into protocol-ready arrays."""
-    images = np.stack([s.image for s in samples])
-    conds = np.stack([condition_to_input(s.conditions[cond_kind]) for s in samples])
-    prompts = [s.prompt for s in samples]
-    return images, conds, prompts
+def condition_to_input(conds: np.ndarray) -> np.ndarray:
+    """Expand (N, 1, H, W) conditions to the encoder's 3-channel input."""
+    return conds if conds.shape[1] == 3 else np.repeat(conds, 3, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """End-to-end experiment orchestration.
 
 Stages: synthesize data (train / public / private from disjoint seed
-ranges, each drawn on first read, in the configured condition kind only),
+ranges, each drawn on first read as `data.generate_dataset`'s arrays, in
+the configured condition kind only),
 pretrain and freeze the autoencoder, calibrate the privacy
 budget, run split training with the configured mode and defense (whose
 files `record_training` writes, for `splitstream train` too), capture
@@ -62,7 +63,8 @@ class DataBundle:
 
     def _draw(self, split: str) -> tuple:
         n, seed, condition = self._draws[split]
-        return dtt.dataset_arrays(dtt.generate_dataset(n, seed, kinds=(condition,)), condition)
+        images, conds, prompts, _ = dtt.generate_dataset(n, seed, kinds=(condition,))
+        return images, dtt.condition_to_input(conds[condition]), prompts
 
     train = cached_property(lambda self: self._draw("train"))
     public = cached_property(lambda self: self._draw("public"))
@@ -405,7 +407,8 @@ def record_training(cfg: ExperimentConfig, world: SplitWorld, result: SplitResul
     ledger = result.ledger.to_dict(SimClock())
     with open(out_dir / "ledger.json", "w") as f:
         json.dump(ledger, f, indent=2, sort_keys=True)
-    save_checkpoint(out_dir / "control_branch.tckp", world.branch.named_parameters())
+    save_checkpoint(out_dir / "control_branch.tckp",
+                    {name: p.data for name, p in world.branch.named_parameters().items()})
     lines = ["# model manifest", "partition_point = after enc_block_1 / condition encoder", ""]
     for name, params, frozen in (("autoencoder", world.autoencoder.named_parameters(), True),
                                  ("unet", world.unet.named_parameters(), True),

@@ -321,16 +321,6 @@ def noise_confound(x: Tensor, act: NoiseConfoundingActivation) -> Tensor:
     return tt.bias_add(tt.scale(tt.mul(tt.abs_(x), tt.sigmoid(x)), 2.0), Tensor(act.delta))
 
 
-def control_forward(zt: Tensor, cond_feat: Tensor, t: int, prompt_feat: Tensor | None,
-                    branch: ControlBranch,
-                    act: NoiseConfoundingActivation | None = None) -> list[Tensor]:
-    """Whole control path in one call: mix, (confound), copied encoders, taps."""
-    s = tt.add(zt, cond_feat)
-    if act is not None:
-        s = noise_confound(s, act)
-    return branch.server_forward(s, t, prompt_feat)
-
-
 class PromptEncoder:
     """Fixed token embedding table; prompts are padded to MAX_PROMPT_LEN."""
 

@@ -163,7 +163,7 @@ def test_criterion_05_activation_identities():
 
 def test_criterion_06_zero_conv_neutrality():
     from splitstream.models import (ControlBranch, PromptEncoder, ToyAutoencoder,
-                                    ToyUNet, control_forward, unet_denoise)
+                                    ToyUNet, unet_denoise)
 
     rng = RngState(6)
     unet = ToyUNet(rng.split("unet"))
@@ -177,7 +177,8 @@ def test_criterion_06_zero_conv_neutrality():
         prompt = pe.encode([["one", "red"]])
         cond = rng.uniform((1, 3, 32, 32))
         cf = ae.E(Tensor(cond), rng, training=False)
-        taps = control_forward(Tensor(zt), cf, int(rng.integers(1, 1000)), Tensor(prompt), branch)
+        taps = branch.server_forward(tt.add(Tensor(zt), cf), int(rng.integers(1, 1000)),
+                                     Tensor(prompt))
         uncond = unet_denoise(Tensor(zt), 500, Tensor(prompt), [], unet)
         cond_out = unet_denoise(Tensor(zt), 500, Tensor(prompt), taps, unet)
         assert uncond.data.tobytes() == cond_out.data.tobytes()

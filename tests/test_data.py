@@ -7,34 +7,49 @@ import pytest
 
 from splitstream import data as dt
 from splitstream.config import ExperimentConfig
-from splitstream.data import (CONDITION_KINDS, VOCAB, condition_to_input, dataset_arrays,
+from splitstream.data import (CHUNK, CONDITION_KINDS, VOCAB, condition_to_input,
                               derive_condition, generate_dataset, read_ppm,
                               sobel_magnitude, write_ppm)
 from splitstream.experiment import synthesize_data
+
+
+def dataset_digest(n: int, seed: int) -> str:
+    """sha256 of each sample's image, prompt, shape specs and conditions of
+    every kind, sample by sample."""
+    images, conds, prompts, shapes = generate_dataset(n, seed)
+    h = hashlib.sha256()
+    for i, image in enumerate(images):
+        h.update(image.tobytes())
+        h.update(" ".join(prompts[i]).encode())
+        for spec in shapes[i]:
+            h.update(repr((spec.kind, spec.color, spec.params)).encode())
+        for kind in CONDITION_KINDS:
+            h.update(conds[kind][i].tobytes())
+    return h.hexdigest()
 
 
 class TestGeneration:
     def test_deterministic_per_seed(self):
         a = generate_dataset(16, 42)
         b = generate_dataset(16, 42)
-        for x, y in zip(a, b):
-            assert x.image.tobytes() == y.image.tobytes()
-            assert x.prompt == y.prompt
-            for k in x.conditions:
-                assert x.conditions[k].tobytes() == y.conditions[k].tobytes()
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].keys() == b[1].keys()
+        for k in a[1]:
+            assert a[1][k].tobytes() == b[1][k].tobytes()
+        assert a[2:] == b[2:]
 
     def test_bytes_pinned_across_commits(self):
-        # digest of images, prompts, shape specs and all conditions, as first
-        # generated; any change to the synthesis that moves a byte fails here
-        h = hashlib.sha256()
-        for s in generate_dataset(48, 2025):
-            h.update(s.image.tobytes())
-            h.update(" ".join(s.prompt).encode())
-            for spec in s.shapes:
-                h.update(repr((spec.kind, spec.color, spec.params)).encode())
-            for kind in CONDITION_KINDS:
-                h.update(s.conditions[kind].tobytes())
-        assert h.hexdigest() == "dcd2d3b8b39d78cadd74a7da3c2eb3969d3dec43e3ac88166e3749935adf6cee"
+        # every kind of one chunk, as first generated; any change to the synthesis
+        # that moves a byte fails here. Kept beside tests/output_digests.json: no
+        # table config draws canny_like or scribble
+        digest = "dcd2d3b8b39d78cadd74a7da3c2eb3969d3dec43e3ac88166e3749935adf6cee"
+        assert dataset_digest(48, 2025) == digest
+
+    def test_multi_chunk_bytes_pinned_across_commits(self):
+        # two full chunks and a short one, each rendered into its own rows of the
+        # dataset's arrays, as first generated. No table config draws a second chunk
+        digest = "22666ebb502637a8f9d0cbd005dbf0914f94b89f3b9e96a92ab9da975ecc0cc7"
+        assert dataset_digest(2 * CHUNK + 2, 2026) == digest
 
     @pytest.mark.parametrize("condition, digest", [
         ("canny_like", "df49f13ff5a0bc244a41a469664d37d1c541e3db41f0ba170a5373da513635be"),
@@ -43,7 +58,8 @@ class TestGeneration:
     ])
     def test_synthesized_splits_pinned_across_commits(self, condition, digest):
         # the arrays and prompts of all three splits at smoke.ini's seed and sizes, as
-        # first generated; rendering the one condition kind asked for moves no byte
+        # first generated; rendering the one condition kind asked for moves no byte.
+        # Kept beside the digest table: no table config draws canny_like or scribble
         cfg = ExperimentConfig()
         cfg.seed = 7
         cfg.dataset.n_train, cfg.dataset.n_public, cfg.dataset.n_private = 32, 24, 4
@@ -57,12 +73,14 @@ class TestGeneration:
         assert h.hexdigest() == digest
 
     def test_different_seed_differs(self):
-        a = generate_dataset(4, 1)
-        b = generate_dataset(4, 2)
-        assert any(x.image.tobytes() != y.image.tobytes() for x, y in zip(a, b))
+        a = generate_dataset(4, 1)[0]
+        b = generate_dataset(4, 2)[0]
+        assert any(x.tobytes() != y.tobytes() for x, y in zip(a, b))
 
     def test_n_one(self):
-        assert len(generate_dataset(1, 7)) == 1
+        images, conds, prompts, shapes = generate_dataset(1, 7)
+        assert len(images) == len(prompts) == len(shapes) == 1
+        assert all(len(c) == 1 for c in conds.values())
 
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -70,15 +88,17 @@ class TestGeneration:
 
     def test_closed_vocabulary(self):
         vocab = set(VOCAB)
-        for s in generate_dataset(10_000, 3):
-            assert set(s.prompt) <= vocab
-            assert 1 <= len(s.shapes) <= 3
+        _, _, prompts, shapes = generate_dataset(10_000, 3)
+        assert len(prompts) == len(shapes) == 10_000
+        for prompt, scene in zip(prompts, shapes):
+            assert set(prompt) <= vocab
+            assert 1 <= len(scene) <= 3
 
     def test_image_range_and_shape(self):
-        for s in generate_dataset(8, 4):
-            assert s.image.shape == (3, 32, 32)
-            assert s.image.dtype == np.float32
-            assert 0.0 <= s.image.min() and s.image.max() <= 1.0
+        images = generate_dataset(8, 4)[0]
+        assert images.shape == (8, 3, 32, 32)
+        assert images.dtype == np.float32
+        assert 0.0 <= images.min() and images.max() <= 1.0
 
 
 class TestConditions:
@@ -111,9 +131,9 @@ class TestConditions:
 
     def test_segmentation_palette_count(self):
         # a one-shape sample has exactly two flat colors: background + shape
-        for s in generate_dataset(50, 9):
-            if len(s.shapes) == 1:
-                seg = s.conditions["segmentation"]
+        _, conds, _, shapes = generate_dataset(50, 9)
+        for seg, scene in zip(conds["segmentation"], shapes):
+            if len(scene) == 1:
                 colors = np.unique(seg.reshape(3, -1).T, axis=0)
                 assert len(colors) == 2
                 break
@@ -126,21 +146,20 @@ class TestConditions:
             derive_condition(img, "segmentation")
 
     def test_condition_shapes(self):
-        samples = generate_dataset(12, 11)
-        assert {spec.kind for s in samples for spec in s.shapes} == {"circle", "rect", "triangle"}
+        images, conds, _, shapes = generate_dataset(12, 11)
+        assert {spec.kind for scene in shapes for spec in scene} == {"circle", "rect", "triangle"}
         channels = {"canny_like": 1, "scribble": 1, "segmentation": 3}
-        for s in samples:
-            for kind in CONDITION_KINDS:
-                cond = s.conditions[kind]
-                assert cond.shape == (channels[kind], 32, 32) and cond.dtype == np.float32
+        for kind in CONDITION_KINDS:
+            assert conds[kind].shape == (12, channels[kind], 32, 32)
+            assert conds[kind].dtype == np.float32
+            for image, cond, scene in zip(images, conds[kind], shapes):
                 # the public function and the generator's shared pass agree byte for byte
-                again = derive_condition(s.image, kind, s.shapes)
+                again = derive_condition(image, kind, scene)
                 assert again.shape == cond.shape and again.dtype == cond.dtype
                 assert again.tobytes() == cond.tobytes()
 
     def test_scribble_is_blocky(self):
-        s = generate_dataset(1, 12)[0]
-        sc = s.conditions["scribble"][0]
+        sc = generate_dataset(1, 12)[1]["scribble"][0, 0]
         blocks = sc.reshape(8, 4, 8, 4)
         # every 4x4 block is constant
         assert np.all(blocks.max(axis=(1, 3)) == blocks.min(axis=(1, 3)))
@@ -152,16 +171,18 @@ class TestConditions:
 
 class TestArrays:
     def test_dataset_arrays_shapes(self):
-        samples = generate_dataset(6, 13)
-        images, conds, prompts = dataset_arrays(samples, "canny_like")
+        images, conds, prompts, shapes = generate_dataset(6, 13, kinds=("canny_like",))
         assert images.shape == (6, 3, 32, 32)
-        assert conds.shape == (6, 3, 32, 32)
-        assert len(prompts) == 6
+        assert list(conds) == ["canny_like"]
+        assert condition_to_input(conds["canny_like"]).shape == (6, 3, 32, 32)
+        assert len(prompts) == len(shapes) == 6
 
     def test_condition_to_input_tiles(self):
-        c = np.ones((1, 32, 32), dtype=np.float32)
-        assert condition_to_input(c).shape == (3, 32, 32)
-        c3 = np.ones((3, 32, 32), dtype=np.float32)
+        c = np.arange(2 * 32 * 32, dtype=np.float32).reshape(2, 1, 32, 32)
+        tiled = condition_to_input(c)
+        assert tiled.shape == (2, 3, 32, 32)
+        assert all(np.array_equal(tiled[:, ch], c[:, 0]) for ch in range(3))
+        c3 = np.ones((2, 3, 32, 32), dtype=np.float32)
         assert condition_to_input(c3) is c3
 
 

@@ -189,6 +189,21 @@ class TestSynthesizeData:
         data.public, data.private
         assert calls == [drawn["public"], drawn["private"]]
 
+    def test_a_split_is_held_once_while_drawn(self):
+        # reference.ini's training split is rendered straight into its arrays:
+        # traced peak 1.17x their size, against 2.06x when per-sample arrays
+        # were re-stacked
+        cfg = load_config(Path(__file__).parent.parent / "configs" / "reference.ini")
+        data = synthesize_data(cfg)
+        tracemalloc.start()
+        try:
+            images, conds, _ = data.train
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(images) == 512
+        assert peak < 1.5 * (images.nbytes + conds.nbytes), peak / (images.nbytes + conds.nbytes)
+
 
 class TestEvalPackets:
     def test_defended_arms_run_their_hooks(self, tmp_path):
@@ -407,23 +422,17 @@ class TestRunExperiment:
                     "t_total_sequential", "t_total_pipelined"):
             assert key in ledger
         assert ledger["payload_bytes_down"] == 0  # gradient-free run
-        # the bytes and both model totals this run has always written
-        assert ledger == {"bytes_down": 0, "bytes_up": 24904, "packets": 4,
-                          "payload_bytes_down": 0, "payload_bytes_up": 24576,
-                          "t_total_pipelined": 5.006226, "t_total_sequential": 8.024904}
+        # ledger.json is pinned byte for byte by tests/output_digests.json, in both configs
 
+    # tests/output_digests.json pins gradient-free training with prompt hiding
+    # (smoke.ini) and classic training without it (classic_tiny.ini); no table
+    # config trains a classic client's scratch encoder with prompt hiding
     @pytest.mark.parametrize("overrides, branch_sha256, manifest_sha256", [
-        ({}, "4e353b72730c0617f30b4de2aaa6ffd8c1dee8fc343b61e8f548264904e644f4",
-         "5f50f14722d6a4eecd6461501973e2f6d5ad759c3861dd9129bd1c19a1710456"),
         # classic alone gives the client a scratch condition encoder to train
         ({"protocol.mode": "classic"},
          "97a2ac903ab1f317a24bfb56249d1c755ee6652f40bb6d34eb16666b2b58c073",
          "5f50f14722d6a4eecd6461501973e2f6d5ad759c3861dd9129bd1c19a1710456"),
-        # without prompt hiding every server block cross-attends to the prompt
-        ({"protocol.mode": "classic", "defense.kind": "none"},
-         "4c83d6f2c7cca439f3b82391f33426a7889b4bc8abb2001ca5f9840c09780a18",
-         "4f2f615b5f03cc3cc5686d997c4df0040c297b01824085a4d823c4a75d433ef7"),
-    ], ids=["gradient_free", "classic_scratch", "classic_none"])
+    ], ids=["classic_scratch"])
     def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256,
                                             manifest_sha256):
         # the trained control branch and its manifest, byte for byte as this run has

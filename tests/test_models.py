@@ -10,7 +10,7 @@ from splitstream import tensor as tt
 from splitstream.diffusion import training_loss
 from splitstream.models import (ControlBranch, NoiseConfoundingActivation,
                                 PromptEncoder, ToyAutoencoder, ToyUNet,
-                                control_forward, noise_confound, param_fingerprint,
+                                noise_confound, param_fingerprint,
                                 prompt_hide_transform, pretrain_autoencoder,
                                 timestep_embedding, unet_denoise)
 from splitstream.optim import AdamW
@@ -132,7 +132,7 @@ class TestZeroConvNeutrality:
             prompt = pe.encode([["one", "red"], ["circle"]])
             cond = rng.uniform((2, 3, 32, 32))
             cf = ae.E(Tensor(cond), rng, training=False)
-            taps = control_forward(Tensor(zt), cf, 100, Tensor(prompt), branch)
+            taps = branch.server_forward(tt.add(Tensor(zt), cf), 100, Tensor(prompt))
             assert all(np.all(t.data == 0.0) for t in taps)
             uncond = unet_denoise(Tensor(zt), 100, Tensor(prompt), [], unet)
             cond_out = unet_denoise(Tensor(zt), 100, Tensor(prompt), taps, unet)
@@ -159,7 +159,8 @@ class TestControlForward:
             zc.w.data[...] = eye
         zt = rng.normal((1, 4, 8, 8))
         prompt = pe.encode([["one"]])
-        taps = control_forward(Tensor(zt), Tensor(np.zeros_like(zt)), 7, Tensor(prompt), branch)
+        taps = branch.server_forward(tt.add(Tensor(zt), Tensor(np.zeros_like(zt))), 7,
+                                     Tensor(prompt))
         want = branch.enc_block_1(Tensor(zt), 7, Tensor(prompt))
         assert np.abs(taps[0].data - want.data).max() < 1e-6
 
@@ -170,9 +171,12 @@ class TestControlForward:
         zt = rng.normal((1, 4, 8, 8))
         cond_feat = rng.normal((1, 4, 8, 8))
         prompt = pe.encode([["one"]])
-        a = control_forward(Tensor(zt), Tensor(cond_feat), 9, Tensor(prompt), branch, act)
-        b = control_forward(Tensor(zt), Tensor(cond_feat), 9, Tensor(prompt), branch, act)
-        for x, y in zip(a, b):
+
+        def taps():
+            s = noise_confound(tt.add(Tensor(zt), Tensor(cond_feat)), act)
+            return branch.server_forward(s, 9, Tensor(prompt))
+
+        for x, y in zip(taps(), taps()):
             assert x.data.tobytes() == y.data.tobytes()
 
     def test_gradients_reach_branch_after_one_step(self, world):
@@ -186,7 +190,7 @@ class TestControlForward:
         def step():
             zt = rng.normal((1, 4, 8, 8))
             cf = rng.normal((1, 4, 8, 8))
-            taps = control_forward(Tensor(zt), Tensor(cf), 50, Tensor(prompt), branch)
+            taps = branch.server_forward(tt.add(Tensor(zt), Tensor(cf)), 50, Tensor(prompt))
             out = unet_denoise(Tensor(zt), 50, Tensor(prompt), taps, unet)
             loss = training_loss(rng.normal((1, 4, 8, 8)), out)
             opt.zero_grad()
@@ -196,7 +200,7 @@ class TestControlForward:
         step()  # zero convs move off zero
         zt = rng.normal((1, 4, 8, 8))
         cf = rng.normal((1, 4, 8, 8))
-        taps = control_forward(Tensor(zt), Tensor(cf), 50, Tensor(prompt), branch)
+        taps = branch.server_forward(tt.add(Tensor(zt), Tensor(cf)), 50, Tensor(prompt))
         out = unet_denoise(Tensor(zt), 50, Tensor(prompt), taps, unet)
         loss = training_loss(rng.normal((1, 4, 8, 8)), out)
         opt.zero_grad()
@@ -343,7 +347,7 @@ class TestFrozenConservation:
         for _ in range(20):
             zt = rng.normal((2, 4, 8, 8))
             cf = ae.E(Tensor(rng.uniform((2, 3, 32, 32))), rng, training=True)
-            taps = control_forward(Tensor(zt), cf, 30, Tensor(prompt), branch)
+            taps = branch.server_forward(tt.add(Tensor(zt), cf), 30, Tensor(prompt))
             out = unet_denoise(Tensor(zt), 30, Tensor(prompt), taps, unet)
             loss = training_loss(rng.normal((2, 4, 8, 8)), out)
             opt.zero_grad()
@@ -469,9 +473,9 @@ def test_checkpoint_roundtrip_of_model(tmp_path):
     rng = RngState(25)
     unet = ToyUNet(rng)
     path = tmp_path / "unet.tckp"
-    save_checkpoint(path, unet.named_parameters())
-    back = load_checkpoint(path)
     named = unet.named_parameters()
+    save_checkpoint(path, {name: p.data for name, p in named.items()})
+    back = load_checkpoint(path)
     assert set(back) == set(named)
     for k, v in named.items():
         assert back[k].tobytes() == v.data.tobytes()

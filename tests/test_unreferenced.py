@@ -20,8 +20,6 @@ UNREFERENCED = {
     "data.read_ppm": "read side of the PPM writer; the tests read written images back",
     "diffusion.sample_step": "the reverse diffusion step; nothing samples images yet, the "
                              "diffusion tests pin its statistics",
-    "models.control_forward": "the whole control path in one call; the acceptance suite "
-                              "checks the zero-conv identity through it",
     "models.unet_denoise": "the whole denoiser in one call; the acceptance and protocol tests "
                            "compare the split server path against it",
     "tensor.attention": "composed attention the fused attention nodes are checked against",
@@ -36,7 +34,6 @@ UNREFERENCED_METHODS: dict[str, str] = {}
 
 # module.Class.field -> why it stays although the program never reads it
 UNREAD_FIELDS = {
-    "data.ShapeSample.shapes": "the data tests re-derive the segmentation from it",
     "wire.GradientPacket.n_pred": "perfbench reads it by name; it goes in the next "
                                   "benchmark change",
 }
