@@ -21,7 +21,7 @@ from splitstream.cli import main as splitstream
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "tests" / "output_digests.json"
-CONFIGS = ("smoke.ini", "classic_tiny.ini")  # under configs/
+CONFIGS = ("smoke.ini", "classic_tiny.ini", "attack_tiny.ini")  # under configs/
 
 
 def output_digests(config: str, out_dir: Path) -> dict[str, str]:
