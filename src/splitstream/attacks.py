@@ -69,32 +69,46 @@ class ReconstructionReport:
 # gradient-descent attacks
 
 
-def whitebox_gd_attack(target_feats: np.ndarray, model_fn, x_shape: tuple, rng: RngState, *,
-                       iters: int, lr: float, clip: bool = True,
-                       init_scale: float = 1.0) -> tuple[np.ndarray, bool]:
-    """Optimize inputs so the known client model reproduces observed features;
-    returns the reconstruction and whether the loss went non-finite.
+def whitebox_gd_attack(target_feats: np.ndarray, model_fn, x_shape: tuple, rngs: list[RngState],
+                       *, iters: int, lr: float, clip: bool = True,
+                       init_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Optimize a batch of inputs so the known client model reproduces the
+    observed features, every row on its own; returns the reconstructions and,
+    per row, whether its loss went non-finite.
 
     `model_fn(x: Tensor) -> Tensor` is the attacker's copy of the client
-    computation (true weights; any secrets it lacks are its problem).
+    computation (true weights; any secrets it lacks are its problem), and
+    must compute each row from that row alone. Row i starts from a draw of
+    `rngs[i]` and descends its own mean squared error, so its gradient, its
+    Adam update and its result are bit-equal to a one-row descent's. A row
+    whose loss goes non-finite keeps the value it had then; the others go on.
     """
-    if clip:
-        x = Tensor(rng.uniform(x_shape) * np.float32(init_scale), requires_grad=True)
-    else:
-        x = Tensor(rng.normal(x_shape) * np.float32(init_scale), requires_grad=True)
+    if len(rngs) != x_shape[0]:
+        raise ValueError(f"whitebox_gd_attack: {len(rngs)} seeds for {x_shape[0]} rows")
+    row_shape = (1, *x_shape[1:])
+    draw = (lambda rng: rng.uniform(row_shape)) if clip else (lambda rng: rng.normal(row_shape))
+    x = Tensor(np.concatenate([draw(rng) * np.float32(init_scale) for rng in rngs]),
+               requires_grad=True)
     opt = AdamW([x], lr=lr)
     target = Tensor(np.asarray(target_feats, dtype=np.float32))
-    diverged = False
+    diverged = np.zeros(len(rngs), dtype=bool)
+    kept = np.empty_like(x.data)
     for _ in range(int(iters)):
-        loss = tt.mse(model_fn(x), target)
-        if not np.isfinite(loss.data):
-            diverged = True
+        loss = tt.row_mse(model_fn(x), target)
+        stop = ~diverged & ~np.isfinite(loss.data)
+        kept[stop] = x.data[stop]
+        diverged |= stop
+        if diverged.all():
             break
         opt.zero_grad()
-        loss.backward()
+        with np.errstate(invalid="ignore", over="ignore"):
+            # a stopped row's gradient may be non-finite; it is zeroed before the step
+            tt.backward(loss, seed_grad=np.ones_like(loss.data))
+        x.grad[diverged] = 0.0
         opt.step()
         if clip:
             np.clip(x.data, 0.0, 1.0, out=x.data)
+        x.data[diverged] = kept[diverged]
     return x.data.copy(), diverged
 
 

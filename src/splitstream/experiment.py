@@ -33,8 +33,9 @@ from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
                      PromptEncoder, ToyAutoencoder, ToyUNet, noise_confound,
                      param_fingerprint, pretrain_autoencoder, prompt_hide_transform)
 from .privacy import estimate_sensitivity, write_budget_csv
-from .protocol import (ClientDataset, ProtocolConfig, SimClock, SplitResult, SplitWorld,
-                       client_features, client_packet, encode_rows, run_split_training)
+from .protocol import (ClientDataset, ClientEncodings, ProtocolConfig, SimClock, SplitResult,
+                       SplitWorld, client_packet, encode_inputs, encode_rows, features_at,
+                       run_split_training)
 from .rng import RngState
 from .tensor import Tensor
 from .wire import frame_message
@@ -169,26 +170,36 @@ def _guess_act(world: SplitWorld) -> NoiseConfoundingActivation | None:
     return NoiseConfoundingActivation(delta=np.zeros((4, 8, 8), np.float32))
 
 
-def attacker_view_features(world: SplitWorld, images, conds, prompts, t: int,
+def public_encodings(cfg: ExperimentConfig, ae, data: DataBundle) -> ClientEncodings:
+    """The attacker's encodings of its public split, images and conditions
+    alike through the public `autoencoder.E`. No defense arm changes them,
+    so an attack suite makes them once for all its arms."""
+    images, conds, _ = data.public
+    drop = RngState(derived_seed(cfg, "attacker_features")).split("atk-dropout")
+    return encode_inputs(ae.E, ae.E, images, conds, drop)
+
+
+def attacker_view_features(world: SplitWorld, enc: ClientEncodings, prompts, t: int,
                            seed: int) -> np.ndarray:
-    """The attacker's own simulation of the client pipeline on public data.
+    """The attacker's own simulation of the client pipeline on public data,
+    from its encodings `enc` on.
 
     It knows every frozen weight and the sampling policy; it does not know
     the secret confound offset and uses zero for it.
     """
-    f = client_features(world, images, conds, prompts, t,
-                        RngState(seed).split("atk-dropout"), RngState(seed).split("atk-noise"),
-                        world.autoencoder.E, _guess_act(world))
+    f = features_at(world, enc, prompts, t, RngState(seed).split("atk-noise"), _guess_act(world))
     return np.concatenate([f.s.data, f.h1, f.n_hat], axis=1)
 
 
 def run_inverse_net_attack(world: SplitWorld, data: DataBundle, cap: EvalCapture,
-                           cfg: ExperimentConfig, net_type: str = "type2_condition"
-                           ) -> ReconstructionReport:
+                           cfg: ExperimentConfig, net_type: str = "type2_condition",
+                           public: ClientEncodings | None = None) -> ReconstructionReport:
     """Train an inverse network on public data and apply it to the captured
-    packets."""
+    packets. `public` is `public_encodings`' result, made here when not given."""
     images, conds, prompts = data.public
-    feats = attacker_view_features(world, images, conds, prompts, cap.t,
+    if public is None:
+        public = public_encodings(cfg, world.autoencoder, data)
+    feats = attacker_view_features(world, public, prompts, cap.t,
                                    derived_seed(cfg, "attacker_features"))
     targets = conds if net_type == "type2_condition" else images
     scaler = FeatureScaler(feats)
@@ -207,37 +218,35 @@ def run_inverse_net_attack(world: SplitWorld, data: DataBundle, cap: EvalCapture
 
 def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
                         cfg: ExperimentConfig) -> ReconstructionReport:
-    """Per-sample gradient descent on the condition latent.
+    """Gradient descent on the condition latent of every packet, as one
+    batch of per-sample descents, each from its own seed.
 
     The attacker knows the public encoder/decoder and the packet (n_hat, t)
     and is granted the noisy latent z_t, the strongest honest-but-curious
     position: without the confound activation it can subtract z_t exactly
     and decode; with it, the secret offset and the folded sign are missing.
     """
-    recons, diverged = [], False
     guess_act = _guess_act(world)
+    zt = Tensor(cap.zt)
     a = cfg.attacks
-    for i, pkt in enumerate(cap.packets):
-        zt = Tensor(cap.zt[i : i + 1])
-        target = pkt.feat_control
 
-        def model_fn(u):
-            pred = tt.add(zt, u)
-            if guess_act is not None:
-                pred = noise_confound(pred, guess_act)
-            return pred
+    def model_fn(u):
+        pred = tt.add(zt, u)
+        if guess_act is not None:
+            pred = noise_confound(pred, guess_act)
+        return pred
 
-        u, div = whitebox_gd_attack(target, model_fn, (1, 4, 8, 8),
-                                    RngState(cfg.seed + i).split("whitebox"),
-                                    iters=a.whitebox_iters, lr=a.whitebox_lr, clip=False,
-                                    init_scale=0.1)
-        diverged = diverged or div
-        recons.append(world.autoencoder.D(Tensor(u)).data[0])
+    u, diverged = whitebox_gd_attack(
+        np.concatenate([p.feat_control for p in cap.packets]), model_fn, cap.zt.shape,
+        [RngState(cfg.seed + i).split("whitebox") for i in range(len(cap.packets))],
+        iters=a.whitebox_iters, lr=a.whitebox_lr, clip=False, init_scale=0.1)
+    # one sample a decode: conv2d picks its formulation from the batch size
+    recons = [world.autoencoder.D(Tensor(u[i : i + 1])).data[0] for i in range(len(u))]
     return ReconstructionReport(
         method="whitebox", recons=np.stack(recons),
         attack_config={"iters": a.whitebox_iters, "lr": a.whitebox_lr,
                        "granted": "zt, n_hat, t, all public weights"},
-        diverged=diverged,
+        diverged=bool(diverged.any()),
     )
 
 
@@ -262,23 +271,27 @@ def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
 
 # each method of `config.ATTACK_METHODS` and its arm; the lambdas look the arm
 # functions up in this module when called, so a wrapper swapped in by name
-# (perfbench's tracer) is the one that runs
+# (perfbench's tracer) is the one that runs. `public` is the suite's
+# `public_encodings`, or None where no suite made them.
 ARMS = {
-    "inverse_net": lambda world, data, cap, cfg: run_inverse_net_attack(world, data, cap, cfg),
-    "inverse_net_type1": lambda world, data, cap, cfg: run_inverse_net_attack(
-        world, data, cap, cfg, "type1_raw_image"),
-    "whitebox": lambda world, data, cap, cfg: run_whitebox_attack(world, cap, cfg),
-    "unsplit": lambda world, data, cap, cfg: run_unsplit_attack_arm(world, cap, cfg),
+    "inverse_net": lambda world, data, cap, cfg, public: run_inverse_net_attack(
+        world, data, cap, cfg, "type2_condition", public),
+    "inverse_net_type1": lambda world, data, cap, cfg, public: run_inverse_net_attack(
+        world, data, cap, cfg, "type1_raw_image", public),
+    "whitebox": lambda world, data, cap, cfg, public: run_whitebox_attack(world, cap, cfg),
+    "unsplit": lambda world, data, cap, cfg, public: run_unsplit_attack_arm(world, cap, cfg),
 }
+READS_PUBLIC = ("inverse_net", "inverse_net_type1")  # the methods that use `public`
 
 
 def run_attack(method: str, world: SplitWorld, data: DataBundle, cap: EvalCapture,
-               cfg: ExperimentConfig, out_dir: Path | None = None) -> dict:
+               cfg: ExperimentConfig, out_dir: Path | None = None,
+               public: ClientEncodings | None = None) -> dict:
     """Run the attack arm `method` on `cap`, score it against the private
     ground truth (the image for `inverse_net_type1`, the condition otherwise),
     write its reconstructions to `out_dir/recons/<method>_<defense>_<i>.ppm`
     when `out_dir` is given, and return its metrics row."""
-    report = ARMS[method](world, data, cap, cfg)
+    report = ARMS[method](world, data, cap, cfg, public)
     defense = world.defense.kind
     report.defense_config = {"kind": defense, "t_s": cap.t}
     report.score_against(cap.truth_images if method == "inverse_net_type1" else cap.truth_conds)
@@ -292,7 +305,10 @@ def run_attack(method: str, world: SplitWorld, data: DataBundle, cap: EvalCaptur
 
 def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
                      out_dir: Path | None = None) -> list[dict]:
-    """Attacks x defense-arms grid; every arm shares seeds and private data."""
+    """Attacks x defense-arms grid; every arm shares seeds, private data and
+    the attacker's public encodings."""
+    public = (public_encodings(cfg, ae, data)
+              if any(m in READS_PUBLIC for m in cfg.attacks.methods) else None)
     rows = []
     for defense_kind in cfg.attacks.defenses:
         world = build_world(cfg, defense_kind, ae, data, alpha)
@@ -301,7 +317,7 @@ def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
             with open(out_dir / f"packets_{defense_kind}.bin", "wb") as f:
                 for p in cap.packets:
                     f.write(frame_message(p))
-        rows.extend(run_attack(method, world, data, cap, cfg, out_dir)
+        rows.extend(run_attack(method, world, data, cap, cfg, out_dir, public)
                     for method in cfg.attacks.methods)
     return rows
 

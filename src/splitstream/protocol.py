@@ -221,32 +221,58 @@ def encode_rows(encoder, x: np.ndarray, rng: RngState, training: bool) -> np.nda
     return _rows([encoder(Tensor(x[c]), rng, training).data for c in row_chunks(len(x))])
 
 
-def client_features(world: SplitWorld, images, conds, prompts, t: int, drop: RngState,
-                    noise: RngState, cond_encoder, act) -> ClientFeatures:
-    """The client pipeline: encode the image, diffuse it to timestep `t`, run
-    enc_block_1 on z_t and the encoded prompts, encode the condition, add it
-    to z_t, confound with `act`.
+@dataclass
+class ClientEncodings:
+    """A batch's inputs as the client pipeline encodes them, before any
+    timestep: they depend on the encoders and the dropout stream alone."""
 
-    `cond_encoder(x, rng, training)` is the condition encoder the caller
-    runs; `drop` feeds dropout in both encoders and `noise` the diffusion.
-    Every stage but the diffusion walks the batch in `row_chunks`, each
-    stage over all chunks before the next, so `drop` is read in the order a
-    whole-batch pass reads it and every output is bit-equal to that pass's;
-    the chunks of `s` are joined by `tensor.concat`, in the graph of the
-    condition encoder.
-    """
-    chunks = row_chunks(len(images))
-    z0 = encode_rows(world.autoencoder.E, images, drop, training=True)
-    state = forward_diffuse(z0, t, world.sched, noise, world.variant)
+    z0: np.ndarray  # image latents
+    conds: list[Tensor]  # condition encodings, one per row chunk, in the encoder's graph
+
+
+def encode_inputs(image_encoder, cond_encoder, images, conds, drop: RngState) -> ClientEncodings:
+    """The client pipeline's first stage: `image_encoder` over the images,
+    then `cond_encoder(x, rng, training)` over the conditions, each in
+    `row_chunks` and each with dropout from `drop`, read in that order."""
+    z0 = encode_rows(image_encoder, images, drop, training=True)
+    return ClientEncodings(z0, [cond_encoder(Tensor(conds[c]), drop, training=True)
+                                for c in row_chunks(len(conds))])
+
+
+def features_at(world: SplitWorld, enc: ClientEncodings, prompts, t: int, noise: RngState,
+                act) -> ClientFeatures:
+    """The client pipeline's second stage: diffuse the image latents to
+    timestep `t` with `noise`, run enc_block_1 on z_t and the encoded prompts,
+    add the condition encodings to z_t, confound with `act`. enc_block_1
+    walks the batch in `row_chunks`, and the chunks of `s` are joined by
+    `tensor.concat`, in the graph of the condition encoder."""
+    chunks = row_chunks(len(enc.z0))
+    state = forward_diffuse(enc.z0, t, world.sched, noise, world.variant)
     h1 = _rows([world.unet.enc_block_1(Tensor(state.zt[c]), t,
                                        Tensor(world.prompt_encoder.encode(prompts[c]))).data
                 for c in chunks])
     parts = []
-    for c in chunks:
-        s = tt.add(Tensor(state.zt[c]), cond_encoder(Tensor(conds[c]), drop, training=True))
+    for c, cond in zip(chunks, enc.conds):
+        s = tt.add(Tensor(state.zt[c]), cond)
         parts.append(s if act is None else noise_confound(s, act))
     s = parts[0] if len(parts) == 1 else tt.concat(parts, 0)
     return ClientFeatures(h1, s, state.zt, state.n_hat)
+
+
+def client_features(world: SplitWorld, images, conds, prompts, t: int, drop: RngState,
+                    noise: RngState, cond_encoder, act) -> ClientFeatures:
+    """The client pipeline: encode the image and the condition
+    (`encode_inputs`), then diffuse the image to timestep `t` and build the
+    features from it (`features_at`).
+
+    `cond_encoder(x, rng, training)` is the condition encoder the caller
+    runs; `drop` feeds dropout in both encoders and `noise` the diffusion.
+    Each stage walks the batch in `row_chunks`, all chunks before the next
+    stage, so `drop` is read in the order a whole-batch pass reads it and
+    every output is bit-equal to that pass's.
+    """
+    enc = encode_inputs(world.autoencoder.E, cond_encoder, images, conds, drop)
+    return features_at(world, enc, prompts, t, noise, act)
 
 
 def client_packet(world: SplitWorld, images, conds, prompts, t: int, drop: RngState,

@@ -32,7 +32,16 @@ and cross_attention a map plus the attention of its projected tokens over a
 projected context (the prompt), each as one node whose hand-written backward
 is bit-equal to the composed ops'. cross_attention computes a gradient only
 for the operands that need one, and keeps nothing when none does.
-silu's backward zeroes the subnormal gradients its underflowing slope makes.
+Four gradients zero the subnormal values (below 2**-126) their underflow
+makes, because BLAS multiplies subnormals many times slower: the backward of
+sigmoid and silu where they saturate, mse's where a saturated output meets
+its target, and the softmax gradient of softmax_last and both fused
+attention nodes. Outputs stay bit-identical: a zeroed value could move a
+sum it joins only when the sum is itself near 2**-126, and it reaches a
+weight only through an Adam step, whose denominator sqrt(v) + 1e-8 keeps its
+share of the step near lr * 1e-30, far under half an ulp of any weight. The
+digest table (tests/output_digests.json) pins this on runs whose inverse net
+saturates.
 Every gradient is checked against its tensor's shape; a node's first
 gradient is stored as a copy, never added onto zeros; later ones add onto it.
 
@@ -259,7 +268,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(g * y * (1.0 - y))
+            # the slope underflows where the output saturates
+            x._accumulate(_flush_subnormals(g * y * (1.0 - y)))
 
     return _out(y, (x,), bwd)
 
@@ -424,7 +434,7 @@ def _softmax(a: np.ndarray) -> np.ndarray:
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of the softmax input, given its output y and output gradient g."""
     dot = (g * y).sum(axis=-1, keepdims=True)
-    return y * (g - dot)
+    return _flush_subnormals(y * (g - dot))
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -848,14 +858,26 @@ def mean_all(x: Tensor) -> Tensor:
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared error over all elements."""
+    return _mse(a, b, ())
+
+
+def row_mse(a: Tensor, b: Tensor) -> Tensor:
+    """Mean squared error of each row (leading index), shape (N,): row i's
+    value and gradient are bit-equal to those of mse on row i alone."""
+    return _mse(a, b, a.shape[:1])
+
+
+def _mse(a: Tensor, b: Tensor, out_shape: tuple) -> Tensor:
     _check_same_shape("mse", a, b)
-    diff = a.data.astype(np.float64) - b.data
-    val = np.float32(np.mean(diff * diff))
-    k = np.float32(2.0 / a.data.size)
+    diff = (a.data.astype(np.float64) - b.data).reshape(math.prod(out_shape), -1)
+    val = np.mean(diff * diff, axis=1).astype(np.float32).reshape(out_shape)
+    k = np.float32(2.0 / diff.shape[1])
     d32 = (a.data - b.data)
+    lead = out_shape + (1,) * (a.ndim - len(out_shape))
 
     def bwd(g):
-        gd = g.reshape(()) * k * d32
+        # the error underflows where a saturated output meets its target
+        gd = _flush_subnormals(g.reshape(lead) * k * d32)
         if a.requires_grad:
             a._accumulate(gd)
         if b.requires_grad:

@@ -9,6 +9,7 @@ from splitstream.attacks import (FeatureScaler, InverseNet, ReconstructionReport
                                  train_inverse_network, unsplit_attack, whitebox_gd_attack)
 from splitstream.metrics import psnr, ssim
 from splitstream.models import NoiseConfoundingActivation, noise_confound
+from splitstream.optim import AdamW
 from splitstream.rng import RngState
 from splitstream.tensor import Tensor
 
@@ -88,7 +89,7 @@ class TestWhitebox:
         target = tt.conv2d(Tensor(x_true), w).data
 
         recons, _ = whitebox_gd_attack(target, lambda x: tt.conv2d(x, w), x_true.shape,
-                                       RngState(611), iters=400, lr=0.05)
+                                       [RngState(611)], iters=400, lr=0.05)
         assert ssim01(recons, x_true) > 0.9
 
     def test_dropout_at_attack_time_degrades(self):
@@ -100,9 +101,9 @@ class TestWhitebox:
         clean = tt.conv2d(Tensor(x_true), w).data
         noisy = tt.conv2d(tt.dropout(Tensor(x_true), 0.3, RngState(613), training=True), w).data
         rec_clean, _ = whitebox_gd_attack(clean, lambda x: tt.conv2d(x, w),
-                                          x_true.shape, RngState(614), iters=300, lr=0.05)
+                                          x_true.shape, [RngState(614)], iters=300, lr=0.05)
         rec_noisy, _ = whitebox_gd_attack(noisy, lambda x: tt.conv2d(x, w),
-                                          x_true.shape, RngState(614), iters=300, lr=0.05)
+                                          x_true.shape, [RngState(614)], iters=300, lr=0.05)
         assert ssim01(rec_noisy, x_true) < ssim01(rec_clean, x_true)
 
     def test_confound_defense_drops_ssim(self):
@@ -118,10 +119,10 @@ class TestWhitebox:
         defended = noise_confound(tt.conv2d(Tensor(x_true), w), act_secret).data
 
         rec_plain, _ = whitebox_gd_attack(plain, lambda x: tt.conv2d(x, w),
-                                          x_true.shape, RngState(616), iters=400, lr=0.05)
+                                          x_true.shape, [RngState(616)], iters=400, lr=0.05)
         rec_def, _ = whitebox_gd_attack(
             defended, lambda x: noise_confound(tt.conv2d(x, w), act_guess),
-            x_true.shape, RngState(616), iters=400, lr=0.05)
+            x_true.shape, [RngState(616)], iters=400, lr=0.05)
         assert ssim01(rec_def, x_true) <= ssim01(rec_plain, x_true) - 0.1
 
     def test_divergence_flagged(self):
@@ -130,9 +131,98 @@ class TestWhitebox:
         def explode(x):
             return tt.scale(x, float("nan"))
 
-        _, diverged = whitebox_gd_attack(target, explode, (1, 1, 4, 4), RngState(617),
+        _, diverged = whitebox_gd_attack(target, explode, (1, 1, 4, 4), [RngState(617)],
                                          iters=5, lr=0.1)
         assert diverged
+
+
+def one_sample_descent(target_feats, model_fn, x_shape, rng, *, iters, lr, clip=True,
+                       init_scale=1.0):
+    """The whitebox descent of one sample as the library ran it before the
+    descents of a batch ran as one: the oracle for each row of the batch."""
+    if clip:
+        x = Tensor(rng.uniform(x_shape) * np.float32(init_scale), requires_grad=True)
+    else:
+        x = Tensor(rng.normal(x_shape) * np.float32(init_scale), requires_grad=True)
+    opt = AdamW([x], lr=lr)
+    target = Tensor(np.asarray(target_feats, dtype=np.float32))
+    diverged = False
+    for _ in range(int(iters)):
+        loss = tt.mse(model_fn(x), target)
+        if not np.isfinite(loss.data):
+            diverged = True
+            break
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        if clip:
+            np.clip(x.data, 0.0, 1.0, out=x.data)
+    return x.data.copy(), diverged
+
+
+class TestBatchedWhitebox:
+    """The whitebox arm's model over three rows, a batch that is not a power
+    of two: z_t plus the input, through a confound with a guessed offset."""
+
+    N = 3
+
+    def setup_method(self):
+        rng = RngState(650)
+        self.zt = rng.normal((self.N, 4, 8, 8))
+        self.target = rng.normal((self.N, 4, 8, 8))
+        self.act = NoiseConfoundingActivation(delta=np.zeros((4, 8, 8), np.float32))
+        self.rngs = lambda: [RngState(651 + i).split("whitebox") for i in range(self.N)]
+
+    def model(self, rows, poisoned=(), at=None):
+        """`model_fn` over the given rows of z_t; from call `at` on (0-based),
+        the rows at the `poisoned` positions of its batch read +inf."""
+        calls = [0]
+        zt = Tensor(self.zt[rows])
+
+        def model_fn(u):
+            out = noise_confound(tt.add(zt, u), self.act)
+            calls[0] += 1
+            if at is not None and calls[0] > at:
+                bad = np.zeros(out.shape, np.float32)
+                bad[list(poisoned)] = np.inf
+                out = tt.add(out, Tensor(bad))
+            return out
+
+        return model_fn
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_every_row_is_bit_equal_to_its_own_descent(self, clip):
+        settings = {"iters": 40, "lr": 0.05, "clip": clip, "init_scale": 0.1}
+        batch, diverged = whitebox_gd_attack(self.target, self.model(slice(None)),
+                                             self.target.shape, self.rngs(), **settings)
+        assert not diverged.any()
+        for i, rng in enumerate(self.rngs()):
+            row, div = one_sample_descent(self.target[i : i + 1], self.model(slice(i, i + 1)),
+                                          (1, 4, 8, 8), rng, **settings)
+            assert not div
+            assert batch[i : i + 1].tobytes() == row.tobytes(), i
+
+    def test_a_row_that_goes_non_finite_stops_alone(self):
+        settings = {"iters": 30, "lr": 0.05, "clip": False, "init_scale": 0.1}
+        k, bad = 12, 1
+        batch, diverged = whitebox_gd_attack(self.target, self.model(slice(None), [bad], k),
+                                             self.target.shape, self.rngs(), **settings)
+        assert diverged.tolist() == [False, True, False]
+        for i, rng in enumerate(self.rngs()):
+            row, div = one_sample_descent(
+                self.target[i : i + 1], self.model(slice(i, i + 1), [0] if i == bad else (), k),
+                (1, 4, 8, 8), rng, **settings)
+            assert div == (i == bad)
+            assert batch[i : i + 1].tobytes() == row.tobytes(), i
+        # the stopped row kept its value after k steps; the others ran all 30
+        at_k, _ = one_sample_descent(self.target[bad : bad + 1], self.model(slice(bad, bad + 1)),
+                                     (1, 4, 8, 8), self.rngs()[bad], **{**settings, "iters": k})
+        assert batch[bad : bad + 1].tobytes() == at_k.tobytes()
+
+    def test_one_seed_per_row(self):
+        with pytest.raises(ValueError, match="2 seeds for 3 rows"):
+            whitebox_gd_attack(self.target, self.model(slice(None)), self.target.shape,
+                               self.rngs()[:2], iters=1, lr=0.05)
 
 
 class TestInverseNet:

@@ -20,7 +20,7 @@ from splitstream.defenses import postprocess_features, preprocess_batch
 from splitstream.experiment import (build_world, derived_seed, generate_eval_packets,
                                     prepare, run_experiment, synthesize_data)
 from splitstream.privacy import timestep_for_epsilon
-from splitstream.protocol import CHUNK_ROWS, client_features
+from splitstream.protocol import CHUNK_ROWS, client_features, encode_inputs
 from splitstream.rng import RngState
 from splitstream.wire import frame_message, iter_frames
 
@@ -261,7 +261,8 @@ class TestAttackerView:
             prompts = [["two", "red", "circle"]] * n
             tracemalloc.start()
             try:
-                experiment.attacker_view_features(world, images, conds, prompts, 300, 5)
+                enc = encode_inputs(ae.E, ae.E, images, conds, RngState(5))
+                experiment.attacker_view_features(world, enc, prompts, 300, 5)
                 return tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()
@@ -269,6 +270,27 @@ class TestAttackerView:
         peak_mb(1)  # packs the frozen kernels once, outside the measured passes
         small, large = peak_mb(CHUNK_ROWS), peak_mb(4 * CHUNK_ROWS)
         assert large - small < 2.0, (small, large)
+
+
+    def test_a_suite_encodes_the_public_split_once(self, tmp_path, monkeypatch):
+        cfg = mini_cfg(tmp_path, **{"attacks.methods": ["inverse_net", "whitebox"],
+                                    "attacks.inverse_iters": 2})
+        data, ae, alpha = prepare(cfg)
+        images, conds, _ = data.public
+        passes = {"images": 0, "conditions": 0}
+        encode = type(ae.E).__call__
+
+        def counted(module, x, *args, **kwargs):
+            for name, split in (("images", images), ("conditions", conds)):
+                passes[name] += x.shape == split.shape and np.array_equal(x.data, split)
+            return encode(module, x, *args, **kwargs)
+
+        monkeypatch.setattr(type(ae.E), "__call__", counted)
+        rows = experiment.run_attack_suite(cfg, ae, data, alpha)
+        assert [(r["method"], r["defense"]) for r in rows] == [
+            ("inverse_net_type2_condition", "none"), ("whitebox", "none"),
+            ("inverse_net_type2_condition", "ours_plus_plus"), ("whitebox", "ours_plus_plus")]
+        assert passes == {"images": 1, "conditions": 1}
 
 
 class TestBuildWorld:

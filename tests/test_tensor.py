@@ -586,6 +586,74 @@ class TestPointwise:
         assert np.array_equal(tt.relu(x).data, [0.0, 0.0, 3.0])
 
 
+_TINY = np.finfo(np.float32).tiny
+
+
+def _subnormal(a: np.ndarray) -> np.ndarray:
+    return (a != 0) & (np.abs(a) < _TINY)
+
+
+class TestSubnormalFlush:
+    """Where a saturating op's gradient underflows, the op zeroes the
+    subnormal values and leaves every normal one as it was."""
+
+    @staticmethod
+    def _grads(monkeypatch, op, x, capture=None):
+        """The gradient `op` hands its input, unflushed and as the op makes
+        it, from a backward seeded with random values; with `capture` named,
+        the values that tensor function returns instead."""
+
+        def run():
+            seen = []
+            if capture is not None:
+                fn = getattr(tt, capture)
+                monkeypatch.setattr(tt, capture, lambda *a: seen.append(fn(*a)) or seen[-1])
+            xt = Tensor(x, requires_grad=True)
+            out = op(xt)
+            tt.backward(out, seed_grad=RngState(5).normal(out.shape))
+            monkeypatch.undo()
+            return (seen[0] if seen else xt.grad), xt.grad
+
+        monkeypatch.setattr(tt, "_flush_subnormals", lambda a: a)
+        raw, raw_x = run()
+        flushed, flushed_x = run()
+        return raw, flushed, raw_x, flushed_x
+
+    @staticmethod
+    def _check(raw, flushed):
+        sub = _subnormal(raw)
+        assert sub.any(), "the inputs do not saturate"
+        assert not _subnormal(flushed).any()
+        assert not flushed[sub].any()
+        assert np.array_equal(flushed[~sub], raw[~sub])
+
+    def test_sigmoid(self, monkeypatch):
+        x = np.linspace(-110.0, 20.0, 4096, dtype=np.float32).reshape(4, 1024)
+        raw, flushed, _, _ = self._grads(monkeypatch, tt.sigmoid, x)
+        self._check(raw, flushed)
+
+    @pytest.mark.parametrize("op", [tt.mse, tt.row_mse])
+    def test_mse(self, monkeypatch, op):
+        # a saturated sigmoid output against a black target
+        x = np.exp(-np.linspace(0.0, 100.0, 3 * 256, dtype=np.float32)).reshape(3, 4, 8, 8)
+        target = Tensor(np.zeros_like(x))
+        raw, flushed, _, _ = self._grads(monkeypatch, lambda a: op(a, target), x)
+        self._check(raw, flushed)
+
+    def test_softmax_last(self, monkeypatch):
+        x = RngState(6).normal((4, 16, 16)) * np.float32(30.0)
+        raw, flushed, _, _ = self._grads(monkeypatch, tt.softmax_last, x)
+        self._check(raw, flushed)
+
+    def test_self_attention(self, monkeypatch):
+        # long tokens: the attention of each over the others underflows
+        x = RngState(7).normal((2, 4, 4, 4)) * np.float32(6.0)
+        raw, flushed, raw_x, flushed_x = self._grads(monkeypatch, tt.self_attention, x,
+                                                     capture="_softmax_grad")
+        self._check(raw, flushed)
+        assert np.array_equal(flushed_x, raw_x)
+
+
 class TestDropout:
     def test_p_zero_identity(self):
         x = Tensor(np.arange(8, dtype=np.float32))
