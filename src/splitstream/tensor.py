@@ -39,9 +39,9 @@ its target, and the softmax gradient of softmax_last and both fused
 attention nodes. Outputs stay bit-identical: a zeroed value could move a
 sum it joins only when the sum is itself near 2**-126, and it reaches a
 weight only through an Adam step, whose denominator sqrt(v) + 1e-8 keeps its
-share of the step near lr * 1e-30, far under half an ulp of any weight. The
-digest table (tests/output_digests.json) pins this on runs whose inverse net
-saturates.
+share of the step orders of magnitude under half an ulp of any weight the
+runs hold. The digest table (tests/output_digests.json) pins this on runs
+whose inverse net saturates.
 Every gradient is checked against its tensor's shape; a node's first
 gradient is stored as a copy, never added onto zeros; later ones add onto it.
 
