@@ -3,7 +3,8 @@ for each pinned config, stored in tests/output_digests.json.
 
 `tests/test_output_digests.py` reruns each config and names every file
 whose digest differs from the table. A change that moves output bits on
-purpose rewrites the table with this script and lists the moved files.
+purpose rewrites the table with this script, which prints each file whose
+digest moved, appeared or went against the table it replaces.
 `manifest.json` is hashed with its `config.out_dir` value blanked, so the
 table does not depend on where the run wrote.
 
@@ -37,12 +38,25 @@ def output_digests(config: str, out_dir: Path) -> dict[str, str]:
     return digests
 
 
+def changes(want: dict[str, str], got: dict[str, str]) -> dict[str, list[str]]:
+    """The files of one config whose digest moved, that appeared or that
+    went, in the digests `got` against the digests `want`."""
+    return {"moved": sorted(name for name in want.keys() & got.keys() if want[name] != got[name]),
+            "appeared": sorted(got.keys() - want.keys()),
+            "went": sorted(want.keys() - got.keys())}
+
+
 def main():
     os.environ.pop("SPLITSTREAM_SEED", None)  # the table pins each config's own seed
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = {config: output_digests(config, Path(tmp) / Path(config).stem)
                  for config in CONFIGS}
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    for config, got in table.items():
+        for change, names in changes(old.get(config, {}), got).items():
+            for name in names:
+                print(f"{config}: {change} {name}", file=sys.stderr)
     print(f"pinned {sum(map(len, table.values()))} files of {len(table)} configs -> {TABLE}",
           file=sys.stderr)
 

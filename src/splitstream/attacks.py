@@ -69,26 +69,28 @@ class ReconstructionReport:
 # gradient-descent attacks
 
 
+WHITEBOX_INIT_SCALE = 0.1  # std of the normal draw each row starts from
+
+
 def whitebox_gd_attack(target_feats: np.ndarray, model_fn, x_shape: tuple, rngs: list[RngState],
-                       *, iters: int, lr: float, clip: bool = True,
-                       init_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+                       *, iters: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimize a batch of inputs so the known client model reproduces the
     observed features, every row on its own; returns the reconstructions and,
     per row, whether its loss went non-finite.
 
     `model_fn(x: Tensor) -> Tensor` is the attacker's copy of the client
     computation (true weights; any secrets it lacks are its problem), and
-    must compute each row from that row alone. Row i starts from a draw of
-    `rngs[i]` and descends its own mean squared error, so its gradient, its
-    Adam update and its result are bit-equal to a one-row descent's. A row
-    whose loss goes non-finite keeps the value it had then; the others go on.
+    must compute each row from that row alone. Row i starts from a normal
+    draw of `rngs[i]`, scaled by WHITEBOX_INIT_SCALE, and descends its own
+    mean squared error, unclipped, so its gradient, its Adam update and its
+    result are bit-equal to a one-row descent's. A row whose loss goes
+    non-finite keeps the value it had then; the others go on.
     """
     if len(rngs) != x_shape[0]:
         raise ValueError(f"whitebox_gd_attack: {len(rngs)} seeds for {x_shape[0]} rows")
     row_shape = (1, *x_shape[1:])
-    draw = (lambda rng: rng.uniform(row_shape)) if clip else (lambda rng: rng.normal(row_shape))
-    x = Tensor(np.concatenate([draw(rng) * np.float32(init_scale) for rng in rngs]),
-               requires_grad=True)
+    x = Tensor(np.concatenate([rng.normal(row_shape) * np.float32(WHITEBOX_INIT_SCALE)
+                               for rng in rngs]), requires_grad=True)
     opt = AdamW([x], lr=lr)
     target = Tensor(np.asarray(target_feats, dtype=np.float32))
     diverged = np.zeros(len(rngs), dtype=bool)
@@ -106,8 +108,6 @@ def whitebox_gd_attack(target_feats: np.ndarray, model_fn, x_shape: tuple, rngs:
             tt.backward(loss, seed_grad=np.ones_like(loss.data))
         x.grad[diverged] = 0.0
         opt.step()
-        if clip:
-            np.clip(x.data, 0.0, 1.0, out=x.data)
         x.data[diverged] = kept[diverged]
     return x.data.copy(), diverged
 
@@ -116,8 +116,8 @@ UNSPLIT_L2_WEIGHT = 1e-4  # input penalty of the inner input loop; no config set
 
 
 def unsplit_attack(target_feats: np.ndarray, make_guess_model, x_shape: tuple, rng: RngState,
-                   *, outer: int, inner_x: int, inner_theta: int, lr: float,
-                   l2_weight: float = UNSPLIT_L2_WEIGHT) -> tuple[np.ndarray, bool]:
+                   *, outer: int, inner_x: int, inner_theta: int,
+                   lr: float) -> tuple[np.ndarray, bool]:
     """Alternating optimization of a guessed client model and its input;
     returns the reconstruction and whether the loss went non-finite.
 
@@ -134,7 +134,7 @@ def unsplit_attack(target_feats: np.ndarray, make_guess_model, x_shape: tuple, r
     for _ in range(int(outer)):
         for _ in range(int(inner_x)):
             loss = tt.add(tt.mse(forward_fn(x), target),
-                          tt.scale(tt.mean_all(tt.mul(x, x)), l2_weight))
+                          tt.scale(tt.mean_all(tt.mul(x, x)), UNSPLIT_L2_WEIGHT))
             if not np.isfinite(loss.data):
                 diverged = True
                 break

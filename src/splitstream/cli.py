@@ -13,15 +13,10 @@ import sys
 from pathlib import Path
 
 from . import data as dtt
-from .config import ATTACK_METHODS, ConfigError, ExperimentConfig, load_config
-from .defenses import BATCH_MIXING
+from .config import ATTACK_METHODS, ConfigError, load_config
 from .diffusion import ScheduleError
 from .privacy import (CalibrationError, epsilon_for_timestep, timestep_for_epsilon,
                       write_budget_csv)
-
-
-def _load_cfg(args) -> ExperimentConfig:
-    return load_config(args.config) if args.config else ExperimentConfig().validate()
 
 
 def cmd_gen_data(args):
@@ -44,7 +39,7 @@ def cmd_pretrain(args):
     from .checkpoint import save_checkpoint
     from .experiment import prepare
 
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config)
     _, ae, _ = prepare(cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -67,7 +62,7 @@ def _endpoint(args) -> tuple[str, int] | None:
 
 
 def cmd_train(args):
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config)
     if args.connect and not 0 <= args.client_id < cfg.protocol.clients:
         raise ConfigError(
             f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {args.client_id}")
@@ -109,14 +104,11 @@ def cmd_attack(args):
                              prepare, run_attack)
     from .wire import FeaturePacket, WireError, iter_frames
 
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config)
     kind = args.defense or cfg.defense.kind
-    named = f"--defense {kind}" if args.defense else f"[defense] kind = {kind}"
-    if kind not in cfg.arm_kinds:
-        raise ConfigError(f"{named} is not an arm of the config: "
+    if kind not in cfg.arm_kinds:  # only --defense can name a kind outside the config
+        raise ConfigError(f"--defense {kind} is not an arm of the config: "
                           f"{', '.join(dict.fromkeys(cfg.arm_kinds))}")
-    if kind in BATCH_MIXING:
-        raise ConfigError(f"{named} mixes a batch, but eval packets hold one sample each")
     if args.packets:
         try:
             with open(args.packets, "rb") as f:
@@ -168,7 +160,7 @@ def cmd_attack(args):
 
 
 def cmd_budget(args):
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config)
     delta, alpha = cfg.privacy.delta, cfg.privacy.alpha
     if alpha is None:
         raise ConfigError("budget needs [privacy] alpha: an empty one is estimated in a run")
@@ -200,7 +192,7 @@ def cmd_report(args):
 def cmd_run(args):
     from .experiment import run_experiment
 
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config)
     if args.out:
         cfg.out_dir = args.out
     out = run_experiment(cfg)

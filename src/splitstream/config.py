@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import CONDITION_KINDS, IMAGE_HW
-from .defenses import (BATCH_MIXING, KINDS as DEFENSE_KINDS, TIMESTEP_FLOOR, DefenseConfig,
+from .defenses import (KINDS as DEFENSE_KINDS, TIMESTEP_FLOOR, DefenseConfig,
                        postprocess_features, preprocess_batch)
 from .diffusion import VARIANTS, NoiseSchedule, ScheduleError, make_linear_schedule
 from .privacy import CalibrationError, PrivacyParams, timestep_for_epsilon
@@ -128,10 +128,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown defense kind {self.defense.kind!r}")
         for kind in self.attacks.defenses:
             if kind not in DEFENSE_KINDS:
-                raise ConfigError(f"unknown attack-arm defense {kind!r}")
-            if kind in BATCH_MIXING:
-                raise ConfigError(f"attack-arm defense {kind!r} mixes a batch, "
-                                  "but eval packets hold one sample each")
+                raise ConfigError(f"unknown attack-arm defense kind {kind!r}")
         for m in self.attacks.methods:
             if m not in ATTACK_METHODS:
                 raise ConfigError(f"unknown attack method {m!r}")
@@ -195,17 +192,16 @@ class ExperimentConfig:
             raise ConfigError(f"{_OWNER_KEYS[exc.param]}: {exc}") from None
         if pv.alpha is not None:
             self.check_epsilon(pv.alpha)
-        # every arm runs both defense hooks, on training or evaluation packets
-        blank = np.zeros((self.protocol.batch, 3, IMAGE_HW, IMAGE_HW), np.float32)
+        # every arm runs both defense hooks, each sample on its own
+        blank = np.zeros((1, 3, IMAGE_HW, IMAGE_HW), np.float32)
         feat = np.arange(2, dtype=np.float32)  # not constant: ldp_rr needs a range to quantize
         for kind in dict.fromkeys(kinds):
             arm = replace(d, kind=kind)
             try:
                 preprocess_batch(blank, blank, arm, RngState(0))
             except ValueError as exc:
-                key = _DEFENSE_KEYS[kind]
-                raise ConfigError(f"[defense] {key} = {getattr(d, key)} for kind = {kind} at "
-                                  f"[protocol] batch = {self.protocol.batch}: {exc}") from None
+                raise ConfigError(f"[defense] sigma2 = {d.sigma2} for kind = {kind}: "
+                                  f"{exc}") from None
             try:
                 postprocess_features(feat, feat, arm, pv.delta, alpha, RngState(0))
             except CalibrationError as exc:
@@ -221,8 +217,6 @@ _SECTIONS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _EXP
 _OWNER_KEYS = {"T": "[schedule] T", "k": "[schedule] k", "beta0": "[schedule] beta0",
                "delta": "[privacy] delta", "alpha_sens": "[privacy] alpha",
                "t_s": "[defense] t_s"}
-# the key each raw-data defense kind reads
-_DEFENSE_KEYS = {"add_raw": "sigma2", "mixup": "mix_count", "patch_shuffle": "patch"}
 # the [defense] key behind each argument the feature defenses' checks name
 _FEATURE_KEYS = {"epsilon": "epsilon", "bits": "rr_bits"}
 
@@ -251,13 +245,24 @@ def _coerce(raw: str, ftype: str, where: str):
         raise ConfigError(f"{where} = {raw!r} is not {noun}") from None
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path=None) -> ExperimentConfig:
+    """The validated config of the file at `path`, or the defaults without
+    one; a set SPLITSTREAM_SEED overrides the seed of either."""
+    cfg = ExperimentConfig()
+    if path is not None:
+        _read_into(cfg, path)
+    env_seed = os.environ.get("SPLITSTREAM_SEED")
+    if env_seed:
+        cfg.seed = _coerce(env_seed, "int", "SPLITSTREAM_SEED")
+    return cfg.validate()
+
+
+def _read_into(cfg: ExperimentConfig, path) -> None:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (schedule T)
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    cfg = ExperimentConfig()
     for section in parser.sections():
         if section == "experiment":
             target, ftypes = cfg, _EXPERIMENT_KEYS
@@ -270,10 +275,6 @@ def load_config(path) -> ExperimentConfig:
             if key not in ftypes:
                 raise ConfigError(f"unknown key [{section}] {key}")
             setattr(target, key, _coerce(raw, ftypes[key], f"[{section}] {key}"))
-    env_seed = os.environ.get("SPLITSTREAM_SEED")
-    if env_seed:
-        cfg.seed = _coerce(env_seed, "int", "SPLITSTREAM_SEED")
-    return cfg.validate()
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

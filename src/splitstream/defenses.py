@@ -1,14 +1,13 @@
 """Comparison defenses applied at the client before transmission.
 
-Raw-data defenses (add_raw, mixup, patch_shuffle) run on the image/condition
-batch before encoding; feature defenses (ldp_gauss, ldp_rr) perturb the
-transmitted activations. The proposed mechanisms are flags consumed by the
-client step itself: a timestep floor, the noise-confounding activation, and
-prompt hiding. Both hooks run in `protocol.client_packet`, which builds the
+The raw-data defense (add_raw) runs on the image/condition batch before
+encoding; feature defenses (ldp_gauss, ldp_rr) perturb the transmitted
+activations. The proposed mechanisms are flags consumed by the client step
+itself: a timestep floor, the noise-confounding activation, and prompt
+hiding. Both hooks run in `protocol.client_packet`, which builds the
 training packets and the evaluation packets the attacks score, so attack
-comparisons are like-for-like. The batch-mixing kinds need several samples
-per batch, so they can train but are not attack arms: an evaluation packet
-holds one sample.
+comparisons are like-for-like. Every defense acts on each sample alone, so
+every kind is an attack arm: an evaluation packet holds one sample.
 """
 
 from __future__ import annotations
@@ -20,22 +19,18 @@ import numpy as np
 from .privacy import gaussian_sigma, randomized_response
 from .rng import RngState
 
-KINDS = (
-    "none", "ldp_gauss", "ldp_rr", "add_raw", "mixup", "patch_shuffle",
-    "ours_t", "ours_c", "ours_plus_plus",
-)
-BATCH_MIXING = ("mixup", "patch_shuffle")  # need a batch of several samples
+KINDS = ("none", "ldp_gauss", "ldp_rr", "add_raw", "ours_t", "ours_c", "ours_plus_plus")
 TIMESTEP_FLOOR = ("ours_c", "ours_plus_plus")  # floor t at t_s, with the confound activation
 
 
 @dataclass
 class DefenseConfig:
     kind: str = "none"
-    epsilon: float = 0.3        # ldp_gauss / ldp_rr budget
+    # the ldp_gauss budget; ldp_rr's is per bit (privacy.randomized_response),
+    # so a value's budget is rr_bits * epsilon
+    epsilon: float = 0.3
     rr_bits: int = 8
     sigma2: float = 1.0         # add_raw variance on the 0..255 pixel scale
-    mix_count: int = 4
-    patch: int = 4
     t_s: int = 536              # timestep floor for ours_c / ours_plus_plus
 
     def __post_init__(self):
@@ -72,58 +67,12 @@ def add_raw_noise(image: np.ndarray, sigma2: float, rng: RngState) -> np.ndarray
     return image + np.float32(np.sqrt(sigma2) / 255.0) * rng.normal(image.shape)
 
 
-def mixup_indices(batch_size: int, rng: RngState) -> np.ndarray:
-    """Shared base permutation so paired tensors mix identically."""
-    return rng.shuffle(batch_size)
-
-
-def mixup_apply(batch: np.ndarray, perm: np.ndarray, mix_count: int) -> np.ndarray:
-    b = batch.shape[0]
-    if not 1 <= mix_count <= b:
-        raise ValueError(f"mixup averages 1 to batch = {b} samples, not mix_count = {mix_count}")
-    out = np.zeros_like(batch)
-    w = np.float32(1.0 / mix_count)
-    for j in range(mix_count):
-        out += w * batch[perm[(np.arange(b) + j) % b]]
-    return out
-
-
-def patch_shuffle_perms(batch_size: int, h: int, w: int, patch: int, rng: RngState) -> np.ndarray:
-    if patch < 1 or h % patch or w % patch:
-        raise ValueError(f"spatial dims {h}x{w} not divisible by patch {patch}")
-    th, tw = h // patch, w // patch
-    perms = np.empty((th, tw, batch_size), dtype=np.int64)
-    for i in range(th):
-        for j in range(tw):
-            perms[i, j] = rng.shuffle(batch_size)
-    return perms
-
-
-def patch_shuffle_apply(batch: np.ndarray, perms: np.ndarray, patch: int) -> np.ndarray:
-    out = np.empty_like(batch)
-    th, tw = perms.shape[:2]
-    for i in range(th):
-        for j in range(tw):
-            tile = np.s_[:, :, i * patch : (i + 1) * patch, j * patch : (j + 1) * patch]
-            out[tile] = batch[tile][perms[i, j]]
-    return out
-
-
 def preprocess_batch(images: np.ndarray, conds: np.ndarray, cfg: DefenseConfig,
                      rng: RngState) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-data defenses; images and conditions transform in lockstep."""
+    """The raw-data defense; images, then conditions, draw from `rng`."""
     if cfg.kind == "add_raw":
         return (add_raw_noise(images, cfg.sigma2, rng),
                 add_raw_noise(conds, cfg.sigma2, rng))
-    if cfg.kind == "mixup":
-        perm = mixup_indices(images.shape[0], rng)
-        return (mixup_apply(images, perm, cfg.mix_count),
-                mixup_apply(conds, perm, cfg.mix_count))
-    if cfg.kind == "patch_shuffle":
-        b, _, h, w = images.shape
-        perms = patch_shuffle_perms(b, h, w, cfg.patch, rng)
-        return (patch_shuffle_apply(images, perms, cfg.patch),
-                patch_shuffle_apply(conds, perms, cfg.patch))
     return images, conds
 
 

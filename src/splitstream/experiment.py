@@ -239,7 +239,7 @@ def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
     u, diverged = whitebox_gd_attack(
         np.concatenate([p.feat_control for p in cap.packets]), model_fn, cap.zt.shape,
         [RngState(cfg.seed + i).split("whitebox") for i in range(len(cap.packets))],
-        iters=a.whitebox_iters, lr=a.whitebox_lr, clip=False, init_scale=0.1)
+        iters=a.whitebox_iters, lr=a.whitebox_lr)
     # one sample a decode: conv2d picks its formulation from the batch size
     recons = [world.autoencoder.D(Tensor(u[i : i + 1])).data[0] for i in range(len(u))]
     return ReconstructionReport(

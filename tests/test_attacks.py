@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from splitstream import tensor as tt
-from splitstream.attacks import (FeatureScaler, InverseNet, ReconstructionReport,
-                                 train_inverse_network, unsplit_attack, whitebox_gd_attack)
+from splitstream.attacks import (WHITEBOX_INIT_SCALE, FeatureScaler, InverseNet,
+                                 ReconstructionReport, train_inverse_network, unsplit_attack,
+                                 whitebox_gd_attack)
 from splitstream.metrics import psnr, ssim
 from splitstream.models import NoiseConfoundingActivation, noise_confound
 from splitstream.optim import AdamW
@@ -44,7 +45,7 @@ class TestUnsplit:
         target = self._linear_client()(Tensor(self.x_true)).data
         recons, diverged = unsplit_attack(target, self._make_guess, self.x_true.shape,
                                           RngState(601), outer=25, inner_x=40, inner_theta=40,
-                                          lr=2e-2, l2_weight=1e-6)
+                                          lr=2e-2)
         assert not diverged
         assert scale_aligned_psnr(recons, self.x_true) > 30
 
@@ -52,8 +53,7 @@ class TestUnsplit:
         clean = self._linear_client()(Tensor(self.x_true)).data
         dropped = self._linear_client()(
             tt.dropout(Tensor(self.x_true), 0.3, RngState(602), training=True)).data
-        settings = {"outer": 25, "inner_x": 40, "inner_theta": 40, "lr": 2e-2,
-                    "l2_weight": 1e-6}
+        settings = {"outer": 25, "inner_x": 40, "inner_theta": 40, "lr": 2e-2}
         rec_clean, _ = unsplit_attack(clean, self._make_guess, self.x_true.shape,
                                       RngState(603), **settings)
         rec_drop, _ = unsplit_attack(dropped, self._make_guess, self.x_true.shape,
@@ -69,8 +69,7 @@ class TestUnsplit:
 
         target = np.zeros((1, 1, 8, 8), dtype=np.float32)
         recons, _ = unsplit_attack(target, make_nonneg, (1, 1, 8, 8), RngState(604),
-                                   outer=10, inner_x=50, inner_theta=10, lr=5e-2,
-                                   l2_weight=1e-6)
+                                   outer=10, inner_x=50, inner_theta=10, lr=5e-2)
         fwd, params = make_nonneg(RngState(604).split("model"))
         # the converged input maps (under its own converged model) to ~zero;
         # verify via a fresh forward of the attack's reconstruction through a
@@ -136,14 +135,10 @@ class TestWhitebox:
         assert diverged
 
 
-def one_sample_descent(target_feats, model_fn, x_shape, rng, *, iters, lr, clip=True,
-                       init_scale=1.0):
+def one_sample_descent(target_feats, model_fn, x_shape, rng, *, iters, lr):
     """The whitebox descent of one sample as the library ran it before the
     descents of a batch ran as one: the oracle for each row of the batch."""
-    if clip:
-        x = Tensor(rng.uniform(x_shape) * np.float32(init_scale), requires_grad=True)
-    else:
-        x = Tensor(rng.normal(x_shape) * np.float32(init_scale), requires_grad=True)
+    x = Tensor(rng.normal(x_shape) * np.float32(WHITEBOX_INIT_SCALE), requires_grad=True)
     opt = AdamW([x], lr=lr)
     target = Tensor(np.asarray(target_feats, dtype=np.float32))
     diverged = False
@@ -155,8 +150,6 @@ def one_sample_descent(target_feats, model_fn, x_shape, rng, *, iters, lr, clip=
         opt.zero_grad()
         loss.backward()
         opt.step()
-        if clip:
-            np.clip(x.data, 0.0, 1.0, out=x.data)
     return x.data.copy(), diverged
 
 
@@ -190,9 +183,8 @@ class TestBatchedWhitebox:
 
         return model_fn
 
-    @pytest.mark.parametrize("clip", [False, True])
-    def test_every_row_is_bit_equal_to_its_own_descent(self, clip):
-        settings = {"iters": 40, "lr": 0.05, "clip": clip, "init_scale": 0.1}
+    def test_every_row_is_bit_equal_to_its_own_descent(self):
+        settings = {"iters": 40, "lr": 0.05}
         batch, diverged = whitebox_gd_attack(self.target, self.model(slice(None)),
                                              self.target.shape, self.rngs(), **settings)
         assert not diverged.any()
@@ -203,7 +195,7 @@ class TestBatchedWhitebox:
             assert batch[i : i + 1].tobytes() == row.tobytes(), i
 
     def test_a_row_that_goes_non_finite_stops_alone(self):
-        settings = {"iters": 30, "lr": 0.05, "clip": False, "init_scale": 0.1}
+        settings = {"iters": 30, "lr": 0.05}
         k, bad = 12, 1
         batch, diverged = whitebox_gd_attack(self.target, self.model(slice(None), [bad], k),
                                              self.target.shape, self.rngs(), **settings)

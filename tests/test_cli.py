@@ -400,42 +400,51 @@ def _no_pretraining(monkeypatch):
 
 
 def test_attack_revalidates_the_defense_config(tmp_path, monkeypatch, capsys):
-    # a batch-mixing arm cannot be scored on one-sample eval packets
+    # a kind that is not in defenses.KINDS fails at config load, before any work
     _no_pretraining(monkeypatch)
-    p = tmp_path / "shuffle.ini"
-    p.write_text(MINI_INI + "[defense]\nkind = patch_shuffle\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["attack", "--method", "whitebox", "--config", str(p),
-              "--defense", "patch_shuffle", "--out", str(tmp_path / "atk")])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2 and len(err.splitlines()) == 1
-    assert "--defense patch_shuffle mixes a batch" in err
-    assert not (tmp_path / "atk").exists()
+    p = tmp_path / "gone.ini"
+    arms = "defenses = none, ours_plus_plus"
+    for text, want in ((MINI_INI + "[defense]\nkind = mixup\n", "unknown defense kind 'mixup'"),
+                       (MINI_INI.replace(arms, "defenses = none, patch_shuffle"),
+                        "unknown attack-arm defense kind 'patch_shuffle'")):
+        p.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--method", "whitebox", "--config", str(p),
+                  "--out", str(tmp_path / "atk")])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == f"splitstream: error: {want}\n"
+        assert not (tmp_path / "atk").exists()
 
 
-def test_attack_refuses_a_batch_mixing_training_arm(tmp_path, monkeypatch, capsys):
-    # without --defense the arm is [defense] kind, which may mix the training batch
-    _no_pretraining(monkeypatch)
-    p = tmp_path / "mixup.ini"
-    p.write_text(MINI_INI + "[defense]\nkind = mixup\nmix_count = 2\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["attack", "--method", "whitebox", "--config", str(p),
-              "--out", str(tmp_path / "atk")])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
-    assert "[defense] kind = mixup mixes a batch" in captured.err
-    assert not (tmp_path / "atk").exists()
+def test_the_seed_override_holds_with_and_without_a_config(tmp_path, monkeypatch):
+    import splitstream.experiment
+
+    seeds = []
+
+    def prepare(cfg):
+        seeds.append(cfg.seed)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(splitstream.experiment, "prepare", prepare)
+    monkeypatch.setenv("SPLITSTREAM_SEED", "99")
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    for config in ([], ["--config", str(empty)]):
+        with pytest.raises(SystemExit):
+            main(["pretrain", *config, "--out", str(tmp_path / "pre")])
+    assert seeds == [99, 99]
 
 
 def test_config_error_is_one_line_and_exit_2(tmp_path, mini_config, monkeypatch, capsys):
     _no_pretraining(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["attack", "--method", "whitebox", "--config", str(mini_config),
-              "--defense", "mixup", "--out", str(tmp_path / "atk")])
+              "--defense", "ldp_gauss", "--out", str(tmp_path / "atk")])
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert err.count("\n") == 1 and err.startswith("splitstream: error: ") and "mixup" in err
-    assert "not an arm of the config: ours_plus_plus, none" in err
+    assert err.count("\n") == 1 and err.startswith("splitstream: error: ")
+    assert "--defense ldp_gauss is not an arm of the config: ours_plus_plus, none" in err
 
 
 # (subcommand, option dest) -> why the option may share its name with a config value

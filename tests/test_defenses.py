@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from splitstream.defenses import (DefenseConfig, add_raw_noise, ldp_gauss_features,
-                                  mixup_apply, mixup_indices, patch_shuffle_apply,
-                                  patch_shuffle_perms, postprocess_features,
-                                  preprocess_batch)
+                                  postprocess_features, preprocess_batch)
 from splitstream.metrics import psnr
 from splitstream.rng import RngState
 
@@ -56,72 +54,6 @@ class TestAddRaw:
         assert abs(got - 31.14) < 0.3
 
 
-class TestMixup:
-    def test_mix_count_one_is_permutation(self):
-        rng = RngState(8)
-        batch = rng.normal((6, 3, 4, 4))
-        perm = mixup_indices(6, RngState(9))
-        out = mixup_apply(batch, perm, 1)
-        assert np.array_equal(out, batch[perm])
-
-    def test_identical_members_fixed_point(self):
-        one = RngState(10).normal((3, 4, 4))
-        batch = np.broadcast_to(one, (5, 3, 4, 4)).copy()
-        out = mixup_apply(batch, mixup_indices(5, RngState(11)), 4)
-        assert np.abs(out - one).max() < 1e-6
-
-    def test_batch_mean_preserved(self):
-        rng = RngState(12)
-        batch = rng.normal((8, 3, 8, 8))
-        out = mixup_apply(batch, mixup_indices(8, RngState(13)), 4)
-        assert np.abs(out.mean(axis=0) - batch.mean(axis=0)).max() < 1e-5
-
-    def test_coefficients_sum_to_one(self):
-        # constant-one batch stays exactly one if coefficients sum to 1
-        batch = np.ones((4, 1, 2, 2), dtype=np.float32)
-        out = mixup_apply(batch, mixup_indices(4, RngState(14)), 4)
-        assert np.abs(out - 1.0).max() < 1e-6
-
-    def test_too_small_batch(self):
-        with pytest.raises(ValueError, match="batch"):
-            mixup_apply(np.ones((2, 1, 2, 2)), mixup_indices(2, RngState(15)), 4)
-
-
-class TestPatchShuffle:
-    def test_single_sample_identity(self):
-        x = RngState(16).normal((1, 3, 8, 8))
-        perms = patch_shuffle_perms(1, 8, 8, 4, RngState(17))
-        assert np.array_equal(patch_shuffle_apply(x, perms, 4), x)
-
-    def test_tile_multiset_preserved(self):
-        rng = RngState(18)
-        x = rng.normal((4, 2, 8, 8))
-        out = patch_shuffle_apply(x, patch_shuffle_perms(4, 8, 8, 4, RngState(19)), 4)
-        def tiles(arr):
-            t = []
-            for b in range(4):
-                for i in range(2):
-                    for j in range(2):
-                        t.append(arr[b, :, i * 4 : (i + 1) * 4, j * 4 : (j + 1) * 4].tobytes())
-            return sorted(t)
-        assert tiles(out) == tiles(x)
-
-    def test_known_permutation_roundtrip(self):
-        rng = RngState(20)
-        x = rng.normal((5, 3, 8, 8))
-        perms = patch_shuffle_perms(5, 8, 8, 4, RngState(21))
-        inv = np.empty_like(perms)
-        for i in range(perms.shape[0]):
-            for j in range(perms.shape[1]):
-                inv[i, j] = np.argsort(perms[i, j])
-        back = patch_shuffle_apply(patch_shuffle_apply(x, perms, 4), inv, 4)
-        assert np.array_equal(back, x)
-
-    def test_divisibility(self):
-        with pytest.raises(ValueError, match="divisible"):
-            patch_shuffle_perms(2, 10, 10, 4, RngState(22))
-
-
 class TestConfigAndHooks:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown defense"):
@@ -138,13 +70,14 @@ class TestConfigAndHooks:
         assert DefenseConfig("ldp_gauss", t_s=536).timestep_floor == 1
 
     def test_preprocess_lockstep(self):
+        # add_raw noises the images, then the conditions, from the one stream
         rng = RngState(23)
-        imgs = rng.normal((4, 3, 8, 8))
-        conds = imgs.copy()  # identical inputs shuffle identically
-        for kind in ("mixup", "patch_shuffle"):
-            cfg = DefenseConfig(kind, patch=4)
-            oi, oc = preprocess_batch(imgs, conds, cfg, RngState(24))
-            assert np.array_equal(oi, oc)
+        imgs, conds = rng.normal((4, 3, 8, 8)), rng.normal((4, 3, 8, 8))
+        oi, oc = preprocess_batch(imgs, conds, DefenseConfig("add_raw", sigma2=50.0),
+                                  RngState(24))
+        want = RngState(24)
+        assert np.array_equal(oi, add_raw_noise(imgs, 50.0, want))
+        assert np.array_equal(oc, add_raw_noise(conds, 50.0, want))
 
     def test_none_is_passthrough(self):
         rng = RngState(25)

@@ -16,7 +16,7 @@ from splitstream import data as dtt
 from splitstream import experiment
 from splitstream.config import (ATTACK_METHODS, ConfigError, ExperimentConfig,
                                 config_to_dict, load_config)
-from splitstream.defenses import postprocess_features, preprocess_batch
+from splitstream.defenses import KINDS as DEFENSE_KINDS, postprocess_features, preprocess_batch
 from splitstream.experiment import (build_world, derived_seed, generate_eval_packets,
                                     prepare, run_experiment, synthesize_data)
 from splitstream.privacy import timestep_for_epsilon
@@ -79,15 +79,18 @@ class TestConfig:
         monkeypatch.setenv("SPLITSTREAM_SEED", "99")
         assert load_config(p).seed == 99
 
+    def test_every_defense_kind_is_an_attack_arm(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[attacks]\ndefenses = {', '.join(DEFENSE_KINDS)}\n")
+        assert load_config(p).attacks.defenses == list(DEFENSE_KINDS)
+
     def test_bad_values_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
         for text in ("[defense]\nkind = shredder\n",
                      "[protocol]\ncondition_encoder = scrach\n",
-                     # mixup averages mix_count = 4 samples of a training batch
-                     "[defense]\nkind = mixup\n[protocol]\nbatch = 2\n",
-                     # eval packets hold one sample: nothing for these arms to mix
-                     "[attacks]\ndefenses = none, mixup\n",
-                     "[attacks]\ndefenses = patch_shuffle\n",
+                     # kinds that are not in defenses.KINDS
+                     "[defense]\nkind = mixup\n",
+                     "[attacks]\ndefenses = none, patch_shuffle\n",
                      "[schedule]\nvariant = per-step\n",
                      "[dataset]\ncondition = edges\n",
                      "[protocol]\nbatch = 0\n",
@@ -128,9 +131,8 @@ class TestConfig:
             key = line.partition("=")[0].strip()
             with pytest.raises(ConfigError, match=rf"\[defense\] {key} = \S+ for kind = {arm}"):
                 load_config(p)
-        # refused by the defense's own checks on a batch of [protocol] batch samples
-        for kind, line in (("patch_shuffle", "patch = 5"), ("mixup", "mix_count = 0"),
-                           ("add_raw", "sigma2 = -1"),
+        # refused by the defense's own checks on one sample
+        for kind, line in (("add_raw", "sigma2 = -1"),
                            # and by the feature defenses' own checks
                            ("ldp_gauss", "epsilon = 0"), ("ldp_rr", "epsilon = 0"),
                            ("ldp_rr", "rr_bits = 0")):
@@ -138,8 +140,6 @@ class TestConfig:
             key = line.partition("=")[0].strip()
             with pytest.raises(ConfigError, match=re.escape(f"[defense] {key}")):
                 load_config(p)
-        p.write_text("[defense]\nkind = mixup\n[protocol]\nbatch = 4\n")
-        assert load_config(p).defense.kind == "mixup"
         p.write_text("[dataset]\nn_train = 32\n[protocol]\nclients = 32\niterations = 0\n")
         assert load_config(p).protocol.clients == 32
         # an empty value means "estimate" for the optional floats only
@@ -381,7 +381,7 @@ class TestRunExperiment:
         assert hasattr(cfg.schedule, "beta0") and hasattr(cfg.schedule, "variant")
         for name in ("delta", "alpha", "epsilon"):
             assert hasattr(cfg.privacy, name)
-        for name in ("kind", "epsilon", "rr_bits", "sigma2", "mix_count", "patch", "t_s"):
+        for name in ("kind", "epsilon", "rr_bits", "sigma2", "t_s"):
             assert hasattr(cfg.defense, name)
         for name in ("mode", "clients", "iterations", "batch", "transport",
                      "server_lr", "client_lr"):
