@@ -400,14 +400,28 @@ def _no_pretraining(monkeypatch):
 
 
 def test_attack_revalidates_the_defense_config(tmp_path, monkeypatch, capsys):
-    # a kind that is not in defenses.KINDS fails at config load, before any work
+    # an attack arm whose kind is not in defenses.KINDS fails at config load
     _no_pretraining(monkeypatch)
     p = tmp_path / "gone.ini"
-    arms = "defenses = none, ours_plus_plus"
-    for text, want in ((MINI_INI + "[defense]\nkind = mixup\n", "unknown defense kind 'mixup'"),
-                       (MINI_INI.replace(arms, "defenses = none, patch_shuffle"),
-                        "unknown attack-arm defense kind 'patch_shuffle'")):
-        p.write_text(text)
+    p.write_text(MINI_INI.replace("defenses = none, ours_plus_plus",
+                                  "defenses = none, patch_shuffle"))
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--method", "whitebox", "--config", str(p),
+              "--out", str(tmp_path / "atk")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == "splitstream: error: unknown attack-arm defense kind 'patch_shuffle'\n"
+    assert not (tmp_path / "atk").exists()
+
+
+def test_attack_refuses_a_batch_mixing_training_arm(tmp_path, monkeypatch, capsys):
+    # without --defense the arm is [defense] kind; the batch-mixing kinds are gone,
+    # so a config naming one fails at config load, before any work
+    _no_pretraining(monkeypatch)
+    p = tmp_path / "mixup.ini"
+    for section, want in (("kind = mixup\n", "unknown defense kind 'mixup'"),
+                          ("kind = mixup\nmix_count = 2\n", "unknown key [defense] mix_count")):
+        p.write_text(MINI_INI + "[defense]\n" + section)
         with pytest.raises(SystemExit) as exc:
             main(["attack", "--method", "whitebox", "--config", str(p),
                   "--out", str(tmp_path / "atk")])
