@@ -26,10 +26,9 @@ def cmd_gen_data(args):
     out = Path(args.out)
     for name in ("images", *conds):
         (out / name).mkdir(parents=True, exist_ok=True)
-    inputs = {kind: dtt.condition_to_input(c) for kind, c in conds.items()}
     for i, image in enumerate(images):
         dtt.write_ppm(out / "images" / f"{i:05d}.ppm", image)
-        for kind, cond in inputs.items():
+        for kind, cond in conds.items():
             dtt.write_ppm(out / kind / f"{i:05d}.ppm", cond[i])
     (out / "prompts.txt").write_text("\n".join(" ".join(p) for p in prompts) + "\n")
     print(f"wrote {len(images)} samples to {out}")
@@ -147,7 +146,7 @@ def cmd_attack(args):
             print(f"note: scoring uses the {len(packets)} packets from {args.packets}",
                   file=sys.stderr)
         cap = EvalCapture(packets=packets, zt=cap.zt[: len(packets)], t=cap.t,
-                          truth_conds=cap.truth_conds[: len(packets)],
+                          truth_conds=cap.truth_conds.select(slice(len(packets))),
                           truth_images=cap.truth_images[: len(packets)])
     method = args.method.replace("-", "_")
     out = Path(args.out or cfg.out_dir)

@@ -7,15 +7,21 @@ coarse: a Sobel edge map (canny_like), a blocky downsampled edge sketch
 (scribble), and a flat-color segmentation map rendered from the
 generator's own ground truth.
 
-A dataset is held as batch arrays: images (N, 3, H, W), one (N, C, H, W)
-array per condition kind asked for, the prompts and the scenes' shape
-lists. Each scene's shapes are drawn one sample at a time, with the same
-scalar RNG calls in the same order whatever is rendered. Scenes are then
-rendered in chunks of `CHUNK`, straight into the dataset's arrays: one mask
-per shape paints both the image and the segmentation, one gray -> Sobel ->
-threshold pass feeds both canny_like and scribble, and only the condition
-kinds asked for are rendered. `derive_condition` renders a batch of one
-through the same helpers, so the two give the same bytes.
+A dataset is held as batch arrays: images (N, 3, H, W) float32, one
+`ConditionMaps` per condition kind asked for, the prompts and the scenes'
+shape lists. Condition maps are discrete, so they are held as uint8 codes
+(N, H, W): 0 for the background and 1 + palette index on shape pixels in a
+segmentation, 0/1 in an edge map. `ConditionMaps` alone knows that format:
+indexed with any rows, it returns them as the encoder's float32 3-channel
+input, and a reader materializes only the rows it reads.
+
+Each scene's shapes are drawn one sample at a time, with the same scalar
+RNG calls in the same order whatever is rendered. Scenes are then rendered
+in chunks of `CHUNK`, straight into the dataset's arrays and codes: one
+mask per shape paints both the image and the segmentation, one gray ->
+Sobel -> threshold pass feeds both canny_like and scribble, and only the
+condition kinds asked for are rendered. `derive_condition` renders a batch
+of one through the same helpers, so the two give the same codes.
 """
 
 from __future__ import annotations
@@ -50,7 +56,15 @@ PALETTE = np.array(
 BACKGROUND = np.zeros(3, dtype=np.float32)
 
 CONDITION_KINDS = ("canny_like", "scribble", "segmentation")
-_CHANNELS = {"canny_like": 1, "scribble": 1, "segmentation": 3}
+
+# kind -> the encoder's float32 input pixel of each code, channel-major
+# (3, codes), so `take` gathers rows straight into channel planes. An edge
+# map's one channel is repeated three times.
+_LEVELS = {
+    "canny_like": np.array([[0.0, 1.0]] * 3, dtype=np.float32),
+    "scribble": np.array([[0.0, 1.0]] * 3, dtype=np.float32),
+    "segmentation": np.ascontiguousarray(np.vstack([BACKGROUND, PALETTE]).T),
+}
 
 SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float32)
 SOBEL_Y = SOBEL_X.T
@@ -108,19 +122,44 @@ def _triangle(cx, y0, y1, half):
 _GEOMETRY = {"circle": _circle, "rect": _rect, "triangle": _triangle}
 
 
+class ConditionMaps:
+    """The condition maps of one kind for a split, held as uint8 codes
+    (n, H, W).
+
+    Indexing takes rows as numpy does (an index array, a slice or one row)
+    and returns them as the encoder's float32 input, (k, 3, H, W) or for one
+    row (3, H, W); only the rows asked for are materialized. `select` keeps
+    rows as codes.
+    """
+
+    def __init__(self, kind: str, codes: np.ndarray):
+        self.kind = kind
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        planes = _LEVELS[self.kind].take(self.codes[rows], axis=1)  # (3, [k,] H, W)
+        return np.ascontiguousarray(np.moveaxis(planes, 0, -3))
+
+    def select(self, rows) -> "ConditionMaps":
+        """The maps of `rows`, still as codes."""
+        return ConditionMaps(self.kind, self.codes[rows])
+
+
 def _empty(n: int, kinds) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Unfilled images (n, 3, H, W) and condition maps (n, C, H, W) of the given kinds."""
+    """Unfilled images (n, 3, H, W) and condition codes (n, H, W) of the given kinds."""
     unknown = set(kinds) - set(CONDITION_KINDS)
     if unknown:
         raise ValueError(f"unknown condition kind {sorted(unknown)[0]!r}, have {CONDITION_KINDS}")
     return (np.empty((n, 3, IMAGE_HW, IMAGE_HW), dtype=np.float32),
-            {kind: np.empty((n, _CHANNELS[kind], IMAGE_HW, IMAGE_HW), dtype=np.float32)
-             for kind in kinds})
+            {kind: np.empty((n, IMAGE_HW, IMAGE_HW), dtype=np.uint8) for kind in kinds})
 
 
 def _render(scenes: list[list[ShapeSpec]], images: np.ndarray, conds: dict[str, np.ndarray]) -> None:
-    """Render B scenes into images (B, 3, H, W) and into each condition map of
-    conds, kind -> (B, C, H, W).
+    """Render B scenes into images (B, 3, H, W) and into each condition's
+    codes in conds, kind -> (B, H, W).
 
     Masks and shading are computed for all shapes of a kind at once. Each
     pixel then shows the last shape of its scene that covers it, in drawing
@@ -137,7 +176,7 @@ def _render(scenes: list[list[ShapeSpec]], images: np.ndarray, conds: dict[str, 
         if idx:
             params = np.array([specs[i].params for i in idx], dtype=np.float32)
             masks[idx], dist[idx] = geometry(*params.T[:, :, None, None])
-    colors = PALETTE[[spec.color for spec in specs]]
+    palette_idx = np.array([spec.color for spec in specs], dtype=np.uint8)
 
     # the shape each pixel shows, as an index into specs, or -1
     top = np.full((len(scenes), IMAGE_HW, IMAGE_HW), -1)
@@ -150,32 +189,32 @@ def _render(scenes: list[list[ShapeSpec]], images: np.ndarray, conds: dict[str, 
     images[:] = _BACKDROP
     # radial falloff, so images are shaded while segmentation stays flat
     shading = 1.0 - 0.35 * np.minimum(dist[shown, y, x], 1.0)
-    images[b, :, y, x] = colors[shown] * shading[:, None]
+    images[b, :, y, x] = PALETTE[palette_idx[shown]] * shading[:, None]
     np.clip(images, 0.0, 1.0, out=images)
 
     if "segmentation" in conds:
         seg = conds["segmentation"]
-        seg[:] = BACKGROUND[:, None, None]
-        seg[b, :, y, x] = colors[shown]
+        seg[:] = 0
+        seg[b, y, x] = 1 + palette_idx[shown]
     if conds.keys() & {"canny_like", "scribble"}:
         edges = _edges(images)
         if "canny_like" in conds:
-            conds["canny_like"][:, 0] = edges
+            conds["canny_like"][:] = edges
         if "scribble" in conds:
             conds["scribble"][:] = _scribble(edges)
 
 
 def _edges(images: np.ndarray) -> np.ndarray:
-    """Thresholded Sobel edges of gray (..., 3, H, W) images, (..., H, W) in {0, 1}."""
+    """Thresholded Sobel edges of gray (..., 3, H, W) images, (..., H, W) codes in {0, 1}."""
     gray = np.asarray(images, dtype=np.float32).mean(axis=-3)
-    return (sobel_magnitude(gray) > EDGE_THRESHOLD).astype(np.float32)
+    return (sobel_magnitude(gray) > EDGE_THRESHOLD).view(np.uint8)
 
 
 def _scribble(edges: np.ndarray) -> np.ndarray:
-    """(B, 1, H, W) sketch of (B, H, W) edges: average-pool 4x, re-threshold
-    (more than 4 of 16 edge pixels), upsample back."""
-    blocky = (edges.reshape(-1, 8, 4, 8, 4).sum(axis=(2, 4)) > 4).astype(np.float32)
-    return blocky.repeat(4, axis=1).repeat(4, axis=2)[:, None]
+    """(B, H, W) sketch of (B, H, W) edge codes: pool 4x, threshold (more than
+    4 of 16 edge pixels), upsample back."""
+    blocky = (edges.reshape(-1, 8, 4, 8, 4).sum(axis=(2, 4)) > 4).view(np.uint8)
+    return blocky.repeat(4, axis=1).repeat(4, axis=2)
 
 
 def _draw_scene(rng: RngState) -> list[ShapeSpec]:
@@ -212,7 +251,7 @@ def _prompt(shapes: list[ShapeSpec]) -> list[str]:
 
 
 def generate_dataset(n: int, seed: int, kinds=CONDITION_KINDS):
-    """n deterministic samples as (images (n, 3, H, W), {kind: (n, C, H, W)}
+    """n deterministic samples as (images (n, 3, H, W), {kind: ConditionMaps}
     of the given kinds, prompts, shape lists); identical seeds give
     byte-identical data, whatever kinds are asked for."""
     if n < 1:
@@ -225,7 +264,8 @@ def generate_dataset(n: int, seed: int, kinds=CONDITION_KINDS):
         rows = slice(start, start + len(scenes))
         _render(scenes, images[rows], {kind: c[rows] for kind, c in conds.items()})
         shapes += scenes
-    return images, conds, [_prompt(scene) for scene in shapes], shapes
+    return (images, {kind: ConditionMaps(kind, c) for kind, c in conds.items()},
+            [_prompt(scene) for scene in shapes], shapes)
 
 
 def _conv3(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -252,7 +292,7 @@ def sobel_magnitude(gray: np.ndarray) -> np.ndarray:
 
 
 def derive_condition(image: np.ndarray, kind: str, shapes: list[ShapeSpec] | None = None) -> np.ndarray:
-    """Condition map for an image; segmentation needs the generator's shapes."""
+    """Condition codes (H, W) for an image; segmentation needs the generator's shapes."""
     if kind not in CONDITION_KINDS:
         raise ValueError(f"unknown condition kind {kind!r}, have {CONDITION_KINDS}")
     if kind == "segmentation":
@@ -262,12 +302,7 @@ def derive_condition(image: np.ndarray, kind: str, shapes: list[ShapeSpec] | Non
         _render([shapes], images, conds)
         return conds[kind][0]
     edges = _edges(np.asarray(image)[None])
-    return edges[0][None] if kind == "canny_like" else _scribble(edges)[0]
-
-
-def condition_to_input(conds: np.ndarray) -> np.ndarray:
-    """Expand (N, 1, H, W) conditions to the encoder's 3-channel input."""
-    return conds if conds.shape[1] == 3 else np.repeat(conds, 3, axis=1)
+    return edges[0] if kind == "canny_like" else _scribble(edges)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Stages: synthesize data (train / public / private from disjoint seed
 ranges, each drawn on first read as `data.generate_dataset`'s arrays, in
-the configured condition kind only),
+the configured condition kind only, its maps held as codes),
 pretrain and freeze the autoencoder, calibrate the privacy
 budget, run split training with the configured mode and defense (whose
 files `record_training` writes, for `splitstream train` too), capture
@@ -54,7 +54,9 @@ def derived_seed(cfg: ExperimentConfig, name: str) -> int:
 class DataBundle:
     """The train, public and private splits of a config as (images, conds,
     prompts), each drawn from its own seed on first read: a stage that reads
-    only the training split never synthesizes or holds the other two."""
+    only the training split never synthesizes or holds the other two.
+    `conds` is the split's `data.ConditionMaps`: uint8 codes, of which a
+    reader materializes the float32 rows it reads."""
 
     def __init__(self, cfg: ExperimentConfig):
         d = cfg.dataset
@@ -65,7 +67,7 @@ class DataBundle:
     def _draw(self, split: str) -> tuple:
         n, seed, condition = self._draws[split]
         images, conds, prompts, _ = dtt.generate_dataset(n, seed, kinds=(condition,))
-        return images, dtt.condition_to_input(conds[condition]), prompts
+        return images, conds[condition], prompts
 
     train = cached_property(lambda self: self._draw("train"))
     public = cached_property(lambda self: self._draw("public"))
@@ -111,7 +113,7 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
     datasets = []
     for c in range(cfg.protocol.clients):
         sl = slice(c * per, (c + 1) * per)
-        datasets.append(ClientDataset(images[sl], conds[sl], prompts[sl]))
+        datasets.append(ClientDataset(images[sl], conds.select(sl), prompts[sl]))
     return SplitWorld(sched, cfg.schedule.variant, privacy, defense, pe, ae, cond_encoder,
                       unet, branch, act, datasets)
 
@@ -132,7 +134,7 @@ class EvalCapture:
     packets: list
     zt: np.ndarray          # (N, 4, 8, 8) noisy latents (whitebox side info)
     t: int
-    truth_conds: np.ndarray
+    truth_conds: dtt.ConditionMaps
     truth_images: np.ndarray
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import tensor as tt
 from .config import ProtocolSection
+from .data import ConditionMaps
 from .defenses import DefenseConfig, postprocess_features, preprocess_batch
 from .diffusion import NoiseSchedule, forward_diffuse, training_loss
 from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation, PromptEncoder,
@@ -145,7 +146,7 @@ class TransmissionLedger:
 @dataclass
 class ClientDataset:
     images: np.ndarray
-    conds: np.ndarray
+    conds: ConditionMaps  # indexed rows come back as the encoder's float32 input
     prompts: list[list[str]]
 
 
@@ -196,10 +197,13 @@ class ClientFeatures:
 # From 16 rows up every conv of the client pipeline takes the formulation and
 # column layout it takes for any larger batch (E's stride-2 32 -> 4 conv
 # unfolds channels-last at 14 rows or fewer, enc_block_1's 32 -> 4 conv takes
-# kn2row from 16), so each output row is bit-equal to a whole-batch pass. At
-# 64 rows the attacker's pass over the 256 public samples peaks at 12.7 MB of
-# traced allocations instead of 39.5 MB, and its batch size no longer sets it.
-CHUNK_ROWS = 64
+# kn2row from 16), so each output row is bit-equal to a whole-batch pass; 32
+# is the smallest value that keeps every chunk at 16 rows or more. At 32 rows
+# the attacker's pass over reference.ini's 256 public samples (encodings and
+# features, its condition rows materialized chunk by chunk) peaks at 5.4 MB of
+# traced allocations, against 10.2 MB at 64 and 39.4 MB in one chunk, and its
+# batch size no longer sets it.
+CHUNK_ROWS = 32
 
 
 def row_chunks(n: int) -> list[slice]:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_output_digests import TABLE, pin_outputs
 
 from splitstream import tensor as tt
 from splitstream.config import load_config
@@ -45,8 +46,11 @@ def sched():
 
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
-    """One full reference-config experiment, shared by criteria 11 and 12."""
-    cfg = load_config(ROOT / "configs" / "reference.ini")
+    """One full reference-config experiment at the config's own seed, shared by
+    criteria 11 and 12 and by the check of its output digests."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SPLITSTREAM_SEED", raising=False)
+        cfg = load_config(ROOT / "configs" / "reference.ini")
     cfg.out_dir = str(tmp_path_factory.mktemp("reference-run"))
     t0 = time.perf_counter()
     out = run_experiment(cfg)
@@ -409,3 +413,11 @@ def test_criterion_14_determinism(tmp_path):
     assert outputs[0]["ledger"] == outputs[1]["ledger"]
     ok(14, "two identical-config experiments produced byte-identical metrics, "
            "checkpoints, and ledgers")
+
+
+def test_reference_outputs_match_the_digest_table(reference_run):
+    # the only pinned run that splits a pass into row chunks and draws a 256-row
+    # public split; checked here so that tier-1 runs the reference config once
+    got = pin_outputs.run_digests(reference_run["out"])
+    changed = pin_outputs.changes(TABLE["reference.ini"], got)
+    assert not any(changed.values()), changed

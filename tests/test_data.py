@@ -7,15 +7,20 @@ import pytest
 
 from splitstream import data as dt
 from splitstream.config import ExperimentConfig
-from splitstream.data import (CHUNK, CONDITION_KINDS, VOCAB, condition_to_input,
-                              derive_condition, generate_dataset, read_ppm,
+from splitstream.data import (BACKGROUND, CHUNK, CONDITION_KINDS, EDGE_THRESHOLD, PALETTE,
+                              VOCAB, derive_condition, generate_dataset, read_ppm,
                               sobel_magnitude, write_ppm)
 from splitstream.experiment import synthesize_data
+
+# channels of each kind's condition map as rendered in float32 before it is
+# tiled to the encoder's 3-channel input
+CHANNELS = {"canny_like": 1, "scribble": 1, "segmentation": 3}
 
 
 def dataset_digest(n: int, seed: int) -> str:
     """sha256 of each sample's image, prompt, shape specs and conditions of
-    every kind, sample by sample."""
+    every kind (each as its float32 map of CHANNELS[kind] channels), sample
+    by sample."""
     images, conds, prompts, shapes = generate_dataset(n, seed)
     h = hashlib.sha256()
     for i, image in enumerate(images):
@@ -24,8 +29,42 @@ def dataset_digest(n: int, seed: int) -> str:
         for spec in shapes[i]:
             h.update(repr((spec.kind, spec.color, spec.params)).encode())
         for kind in CONDITION_KINDS:
-            h.update(conds[kind][i].tobytes())
+            h.update(conds[kind][i][: CHANNELS[kind]].tobytes())
     return h.hexdigest()
+
+
+def shape_masks(scene):
+    """(spec, (H, W) mask) of each shape of a scene, in drawing order."""
+    for spec in scene:
+        params = np.array([spec.params], dtype=np.float32).T[:, :, None, None]
+        yield spec, dt._GEOMETRY[spec.kind](*params)[0][0]
+
+
+def float_rendering(images, shapes, kind: str) -> np.ndarray:
+    """Reference float32 condition maps (n, CHANNELS[kind], H, W), drawn one
+    sample and one shape at a time: the segmentation paints each shape's
+    palette colour over the background in drawing order, canny_like
+    thresholds the Sobel magnitude of the gray image, and scribble pools
+    those edges 4x4 and keeps blocks with more than 4 edge pixels."""
+    out = []
+    for image, scene in zip(images, shapes):
+        if kind == "segmentation":
+            seg = np.broadcast_to(BACKGROUND[:, None, None], (3, 32, 32)).copy()
+            for spec, mask in shape_masks(scene):
+                seg[:, mask] = PALETTE[spec.color][:, None]
+            out.append(seg)
+            continue
+        edges = (sobel_magnitude(image.mean(axis=0)) > EDGE_THRESHOLD).astype(np.float32)
+        if kind == "scribble":
+            blocks = edges.reshape(8, 4, 8, 4).sum(axis=(1, 3)) > 4
+            edges = np.kron(blocks, np.ones((4, 4))).astype(np.float32)
+        out.append(edges[None])
+    return np.stack(out)
+
+
+def condition_to_input(conds: np.ndarray) -> np.ndarray:
+    """Float maps (n, C, H, W) as the encoder's 3-channel input."""
+    return conds if conds.shape[1] == 3 else np.repeat(conds, 3, axis=1)
 
 
 class TestGeneration:
@@ -35,7 +74,7 @@ class TestGeneration:
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].keys() == b[1].keys()
         for k in a[1]:
-            assert a[1][k].tobytes() == b[1][k].tobytes()
+            assert a[1][k].codes.tobytes() == b[1][k].codes.tobytes()
         assert a[2:] == b[2:]
 
     def test_bytes_pinned_across_commits(self):
@@ -57,9 +96,10 @@ class TestGeneration:
         ("segmentation", "8d6a509d467c42d161a9ebe01c6af39ccf4e577a69300ef81dbf4cce3706c717"),
     ])
     def test_synthesized_splits_pinned_across_commits(self, condition, digest):
-        # the arrays and prompts of all three splits at smoke.ini's seed and sizes, as
-        # first generated; rendering the one condition kind asked for moves no byte.
-        # Kept beside the digest table: no table config draws canny_like or scribble
+        # the arrays, conditions (all rows, as the encoder's input) and prompts of all
+        # three splits at smoke.ini's seed and sizes, as first generated; rendering the
+        # one condition kind asked for moves no byte. Kept beside the digest table: no
+        # table config draws canny_like or scribble
         cfg = ExperimentConfig()
         cfg.seed = 7
         cfg.dataset.n_train, cfg.dataset.n_public, cfg.dataset.n_private = 32, 24, 4
@@ -68,7 +108,7 @@ class TestGeneration:
         h = hashlib.sha256()
         for images, conds, prompts in (data.train, data.public, data.private):
             h.update(images.tobytes())
-            h.update(conds.tobytes())
+            h.update(conds[:].tobytes())
             h.update("\n".join(" ".join(p) for p in prompts).encode())
         assert h.hexdigest() == digest
 
@@ -148,18 +188,17 @@ class TestConditions:
     def test_condition_shapes(self):
         images, conds, _, shapes = generate_dataset(12, 11)
         assert {spec.kind for scene in shapes for spec in scene} == {"circle", "rect", "triangle"}
-        channels = {"canny_like": 1, "scribble": 1, "segmentation": 3}
         for kind in CONDITION_KINDS:
-            assert conds[kind].shape == (12, channels[kind], 32, 32)
-            assert conds[kind].dtype == np.float32
-            for image, cond, scene in zip(images, conds[kind], shapes):
+            assert conds[kind][:].shape == (12, 3, 32, 32)
+            assert conds[kind][:].dtype == np.float32
+            for image, codes, scene in zip(images, conds[kind].codes, shapes):
                 # the public function and the generator's shared pass agree byte for byte
                 again = derive_condition(image, kind, scene)
-                assert again.shape == cond.shape and again.dtype == cond.dtype
-                assert again.tobytes() == cond.tobytes()
+                assert again.shape == codes.shape and again.dtype == codes.dtype
+                assert again.tobytes() == codes.tobytes()
 
     def test_scribble_is_blocky(self):
-        sc = generate_dataset(1, 12)[1]["scribble"][0, 0]
+        sc = generate_dataset(1, 12)[1]["scribble"].codes[0]
         blocks = sc.reshape(8, 4, 8, 4)
         # every 4x4 block is constant
         assert np.all(blocks.max(axis=(1, 3)) == blocks.min(axis=(1, 3)))
@@ -174,16 +213,55 @@ class TestArrays:
         images, conds, prompts, shapes = generate_dataset(6, 13, kinds=("canny_like",))
         assert images.shape == (6, 3, 32, 32)
         assert list(conds) == ["canny_like"]
-        assert condition_to_input(conds["canny_like"]).shape == (6, 3, 32, 32)
-        assert len(prompts) == len(shapes) == 6
+        assert conds["canny_like"][:].shape == (6, 3, 32, 32)
+        assert len(conds["canny_like"]) == len(prompts) == len(shapes) == 6
 
-    def test_condition_to_input_tiles(self):
-        c = np.arange(2 * 32 * 32, dtype=np.float32).reshape(2, 1, 32, 32)
-        tiled = condition_to_input(c)
-        assert tiled.shape == (2, 3, 32, 32)
-        assert all(np.array_equal(tiled[:, ch], c[:, 0]) for ch in range(3))
-        c3 = np.ones((2, 3, 32, 32), dtype=np.float32)
-        assert condition_to_input(c3) is c3
+
+class TestConditionCodes:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        # two render chunks and a short one, so rows cross chunk boundaries
+        return generate_dataset(2 * CHUNK + 5, 31)
+
+    @pytest.mark.parametrize("kind", CONDITION_KINDS)
+    def test_codes_are_uint8_class_indices(self, dataset, kind):
+        # segmentation: 0 on the background, 1 + palette index on a shape's pixels;
+        # canny_like and scribble: 0/1, one channel
+        images, conds, _, shapes = dataset
+        codes = conds[kind].codes
+        assert codes.dtype == np.uint8 and codes.shape == (len(images), 32, 32)
+        if kind == "segmentation":
+            want = np.zeros_like(codes)
+            for row, scene in zip(want, shapes):
+                for spec, mask in shape_masks(scene):
+                    row[mask] = 1 + spec.color
+            assert np.array_equal(codes, want)
+        else:
+            assert set(np.unique(codes)) == {0, 1}
+
+    @pytest.mark.parametrize("kind", CONDITION_KINDS)
+    def test_rows_equal_the_float_rendering(self, dataset, kind):
+        images, conds, _, shapes = dataset
+        want = condition_to_input(float_rendering(images, shapes, kind))
+        maps = conds[kind]
+        idx = np.array([CHUNK + 3, 0, 7, 7, len(images) - 1])
+        for rows in (idx, slice(None), slice(CHUNK - 2, CHUNK + 30), slice(5, 6)):
+            got = maps[rows]
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert got.shape == want[rows].shape and got.tobytes() == want[rows].tobytes()
+        for i in (0, CHUNK, len(images) - 1):
+            assert maps[i].shape == (3, 32, 32) and maps[i].tobytes() == want[i].tobytes()
+        part = maps.select(slice(CHUNK, None))
+        assert len(part) == len(images) - CHUNK
+        assert part[:].tobytes() == want[CHUNK:].tobytes()
+
+    def test_a_split_holds_at_most_1_kib_of_conditions_a_sample(self):
+        # the float32 3-channel input would be 12 KiB a sample
+        n = 512
+        _, conds, _, _ = generate_dataset(n, 32)
+        for kind, maps in conds.items():
+            held = sum(v.nbytes for v in vars(maps).values() if isinstance(v, np.ndarray))
+            assert held <= 1024 * n, (kind, held / n)
 
 
 class TestPpm:

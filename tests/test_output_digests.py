@@ -1,6 +1,8 @@
 """Every file `splitstream run` writes for the pinned configs matches the
 committed digest table (tests/output_digests.json). A change that moves
-output bits on purpose rewrites the table with scripts/pin_outputs.py."""
+output bits on purpose rewrites the table with scripts/pin_outputs.py.
+reference.ini's entry is checked in tests/test_acceptance.py, on the
+reference run its criteria share."""
 
 import importlib.util
 import json
@@ -20,7 +22,7 @@ def test_table_covers_the_pinned_configs():
     assert sorted(TABLE) == sorted(pin_outputs.CONFIGS)
 
 
-@pytest.mark.parametrize("config", pin_outputs.CONFIGS)
+@pytest.mark.parametrize("config", [c for c in pin_outputs.CONFIGS if c != "reference.ini"])
 def test_outputs_match_the_digest_table(config, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SPLITSTREAM_SEED", raising=False)  # the table pins each config's seed
     got = pin_outputs.output_digests(config, tmp_path / "run")
