@@ -4,11 +4,11 @@ Three families: UnSplit-style alternating optimization over a guessed
 client model and its input, white-box gradient descent against known
 client weights, and trained inverse networks (type 1 reconstructs the
 original image, type 2 the condition image). The attacks here are generic:
-they take explicit settings and return reconstructions. Each attack arm of
-the experiment (`experiment.run_attack`, shared by `splitstream run` and
-`splitstream attack`) reads its settings from `[attacks]`, runs one of
-them over the captured packets and scores the result with PSNR/SSIM on the
-0..255 scale against the private ground truth.
+they take explicit settings and return reconstructions. Each cell of the
+experiment's attack grid (`experiment.run_attack_suite`, which `splitstream
+run` runs whole and `splitstream attack` on one cell) reads its settings
+from `[attacks]`, runs one of them over the captured packets and scores the
+result with PSNR/SSIM on the 0..255 scale against the private ground truth.
 """
 
 from __future__ import annotations

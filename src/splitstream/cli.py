@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import data as dtt
@@ -61,10 +62,13 @@ def _endpoint(args) -> tuple[str, int] | None:
 
 
 def cmd_train(args):
+    if args.client_id is not None and not args.connect:
+        raise ConfigError("--client-id names the client a --connect process runs; "
+                          "pass --connect HOST:PORT with it")
+    client_id = args.client_id or 0
     cfg = load_config(args.config)
-    if args.connect and not 0 <= args.client_id < cfg.protocol.clients:
-        raise ConfigError(
-            f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {args.client_id}")
+    if args.connect and not 0 <= client_id < cfg.protocol.clients:
+        raise ConfigError(f"--client-id must be in 0..{cfg.protocol.clients - 1}, got {client_id}")
     endpoint = _endpoint(args)
     from .experiment import (build_world, frozen_fingerprint, prepare, protocol_config,
                              record_training, save_client_secret)
@@ -76,9 +80,9 @@ def cmd_train(args):
     out = Path(args.out or cfg.out_dir)
     if args.connect:
         # a client writes its own confound secret, and nothing else
-        run_client_role(world, protocol_config(cfg), args.client_id, *endpoint)
+        run_client_role(world, protocol_config(cfg), client_id, *endpoint)
         save_client_secret(world, out)
-        print(f"client {args.client_id} finished {cfg.protocol.iterations} iterations")
+        print(f"client {client_id} finished {cfg.protocol.iterations} iterations")
         return
     out.mkdir(parents=True, exist_ok=True)
     pcfg = protocol_config(cfg, capture_path=str(out / "packets_training.bin"))
@@ -94,64 +98,21 @@ def cmd_train(args):
     print(f"ledger: up={res.ledger.bytes_up}B down={res.ledger.bytes_down}B -> {out}")
 
 
-def _sent(t: int, hidden: bool) -> str:
-    return f"t = {t} {'without' if hidden else 'with'} the prompt"
-
-
 def cmd_attack(args):
-    from .experiment import (EvalCapture, build_world, derived_seed, generate_eval_packets,
-                             prepare, run_attack)
-    from .wire import FeaturePacket, WireError, iter_frames
+    from .experiment import prepare, run_attack_suite
 
     cfg = load_config(args.config)
     kind = args.defense or cfg.defense.kind
     if kind not in cfg.arm_kinds:  # only --defense can name a kind outside the config
         raise ConfigError(f"--defense {kind} is not an arm of the config: "
                           f"{', '.join(dict.fromkeys(cfg.arm_kinds))}")
-    if args.packets:
-        try:
-            with open(args.packets, "rb") as f:
-                packets = [p for p in iter_frames(f) if isinstance(p, FeaturePacket)]
-        except OSError as e:
-            raise SystemExit(f"{args.packets}: cannot read packet capture: {e.strerror}") from None
-        except WireError as e:
-            raise SystemExit(f"{args.packets}: corrupt packet capture: WireError: {e}") from None
-        # attacks score packet i against private sample i, one sample a packet
-        batches = sorted({len(p.feat_unet) for p in packets})
-        if batches != [1] or len(packets) > cfg.dataset.n_private:
-            raise SystemExit(
-                f"{args.packets}: {len(packets)} packets of batch "
-                f"{'/'.join(map(str, batches)) or '-'}, but attacks score 1 to "
-                f"{cfg.dataset.n_private} packets of batch 1, one per private sample; pass the "
-                "eval capture packets_<defense>.bin that `splitstream run` writes")
-    data, ae, alpha = prepare(cfg)
-    world = build_world(cfg, kind, ae, data, alpha)
-    cap = generate_eval_packets(world, data, derived_seed(cfg, "eval_packets"))
-    if args.packets:
-        # a capture does not record its arm; its timestep and prompt features tell the
-        # timestep-floor and prompt-hiding arms from the rest
-        sends = {}
-        for arm in cfg.arm_kinds:
-            _, defense, privacy = cfg.calibrate(arm, alpha)
-            sends[arm] = _sent(privacy.t_s, defense.hides_prompt)
-        want = sends[kind]
-        got = next((s for s in (_sent(p.timestep, p.prompt_feat is None) for p in packets)
-                    if s != want), None)
-        if got is not None:
-            fits = "/".join(k for k, s in sends.items() if s == got) or "no"
-            raise SystemExit(f"{args.packets}: packets at {got} ({fits} arm of the config), "
-                             f"but its {kind} arm sends {want}; pass --defense with the "
-                             "packets' arm")
-        if len(packets) != len(cap.packets):
-            print(f"note: scoring uses the {len(packets)} packets from {args.packets}",
-                  file=sys.stderr)
-        cap = EvalCapture(packets=packets, zt=cap.zt[: len(packets)], t=cap.t,
-                          truth_conds=cap.truth_conds.select(slice(len(packets))),
-                          truth_images=cap.truth_images[: len(packets)])
     method = args.method.replace("-", "_")
+    data, ae, alpha = prepare(cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    row = run_attack(method, world, data, cap, cfg, out)
+    # one cell of `run`'s attack grid: the same row, recons and packets_<kind>.bin
+    cell = replace(cfg, attacks=replace(cfg.attacks, methods=[method], defenses=[kind]))
+    [row] = run_attack_suite(cell, ae, data, alpha, out)
     with open(out / f"attack_{method}.jsonl", "w") as f:
         f.write(json.dumps(row, sort_keys=True) + "\n")
     print(f"{method}: SSIM {row['ssim_mean']:.3f} PSNR {row['psnr_mean']:.2f} "
@@ -221,14 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the server role only, for cross-process deployments")
     role.add_argument("--connect", metavar="HOST:PORT",
                       help="run one client role against a remote server")
-    tr.add_argument("--client-id", type=int, default=0)
+    tr.add_argument("--client-id", type=int, help="the client --connect runs (default: 0)")
     tr.add_argument("--out")
     tr.set_defaults(fn=cmd_train)
 
-    at = sub.add_parser("attack", help="run an inversion attack over captured packets")
+    at = sub.add_parser("attack", help="run one cell of the config's attack grid")
     dashed = (m.replace("_", "-") for m in ATTACK_METHODS)
     at.add_argument("--method", required=True, choices=sorted({*ATTACK_METHODS, *dashed}))
-    at.add_argument("--packets", help="captured packet frames (defaults to fresh eval packets)")
     at.add_argument("--defense", metavar="KIND",
                     help="the config's arm to attack (default: its [defense] kind)")
     at.add_argument("--config")

@@ -132,6 +132,10 @@ class ExperimentConfig:
         for m in self.attacks.methods:
             if m not in ATTACK_METHODS:
                 raise ConfigError(f"unknown attack method {m!r}")
+        for key in ("methods", "defenses"):
+            values = getattr(self.attacks, key)
+            if repeated := [v for v in dict.fromkeys(values) if values.count(v) > 1]:
+                raise ConfigError(f"[attacks] {key} lists {', '.join(repeated)} more than once")
         self.protocol.validate()
         # sizes below these fail only later: in data synthesis, a batch loop or a reshape
         _at_least("dataset", self.dataset, n_public=1, n_private=1)

@@ -194,13 +194,11 @@ def attacker_view_features(world: SplitWorld, enc: ClientEncodings, prompts, t: 
 
 
 def run_inverse_net_attack(world: SplitWorld, data: DataBundle, cap: EvalCapture,
-                           cfg: ExperimentConfig, net_type: str = "type2_condition",
-                           public: ClientEncodings | None = None) -> ReconstructionReport:
+                           cfg: ExperimentConfig, net_type: str,
+                           public: ClientEncodings) -> ReconstructionReport:
     """Train an inverse network on public data and apply it to the captured
-    packets. `public` is `public_encodings`' result, made here when not given."""
+    packets. `public` is the suite's `public_encodings`."""
     images, conds, prompts = data.public
-    if public is None:
-        public = public_encodings(cfg, world.autoencoder, data)
     feats = attacker_view_features(world, public, prompts, cap.t,
                                    derived_seed(cfg, "attacker_features"))
     targets = conds if net_type == "type2_condition" else images
@@ -274,7 +272,7 @@ def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
 # each method of `config.ATTACK_METHODS` and its arm; the lambdas look the arm
 # functions up in this module when called, so a wrapper swapped in by name
 # (perfbench's tracer) is the one that runs. `public` is the suite's
-# `public_encodings`, or None where no suite made them.
+# `public_encodings`, made only when a method of READS_PUBLIC runs.
 ARMS = {
     "inverse_net": lambda world, data, cap, cfg, public: run_inverse_net_attack(
         world, data, cap, cfg, "type2_condition", public),
@@ -287,8 +285,8 @@ READS_PUBLIC = ("inverse_net", "inverse_net_type1")  # the methods that use `pub
 
 
 def run_attack(method: str, world: SplitWorld, data: DataBundle, cap: EvalCapture,
-               cfg: ExperimentConfig, out_dir: Path | None = None,
-               public: ClientEncodings | None = None) -> dict:
+               cfg: ExperimentConfig, out_dir: Path | None,
+               public: ClientEncodings | None) -> dict:
     """Run the attack arm `method` on `cap`, score it against the private
     ground truth (the image for `inverse_net_type1`, the condition otherwise),
     write its reconstructions to `out_dir/recons/<method>_<defense>_<i>.ppm`
@@ -308,7 +306,8 @@ def run_attack(method: str, world: SplitWorld, data: DataBundle, cap: EvalCaptur
 def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
                      out_dir: Path | None = None) -> list[dict]:
     """Attacks x defense-arms grid; every arm shares seeds, private data and
-    the attacker's public encodings."""
+    the attacker's public encodings. `splitstream attack` runs it on a
+    one-cell grid."""
     public = (public_encodings(cfg, ae, data)
               if any(m in READS_PUBLIC for m in cfg.attacks.methods) else None)
     rows = []

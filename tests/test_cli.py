@@ -7,13 +7,12 @@ import threading
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from splitstream.cli import build_parser, main
 from splitstream.config import ATTACK_METHODS, ExperimentConfig
 from splitstream.data import read_ppm
-from splitstream.wire import FeaturePacket, frame_message, iter_frames
+from splitstream.wire import iter_frames
 
 SMOKE_INI = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
 
@@ -176,8 +175,8 @@ def _free_port() -> int:
 
 def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys):
     # the --listen server writes what an in-process session writes but the clients'
-    # secret, and the --connect client writes that secret alone; an in-process
-    # session writes what `run` writes
+    # secret, and the --connect client (client 0: no --client-id) writes that secret
+    # alone; an in-process session writes what `run` writes
     run_dir, local, served = tmp_path / "run", tmp_path / "local", tmp_path / "served"
     client = tmp_path / "client"
     main(["run", "--config", str(mini_config), "--out", str(run_dir)])
@@ -194,8 +193,7 @@ def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys
 
     server = threading.Thread(target=serve, daemon=True)
     server.start()
-    main(["train", "--config", str(mini_config), "--connect", endpoint, "--client-id", "0",
-          "--out", str(client)])
+    main(["train", "--config", str(mini_config), "--connect", endpoint, "--out", str(client)])
     server.join(60)
     if errors:
         raise errors[0]
@@ -219,39 +217,32 @@ def test_full_run_and_report(tmp_path, mini_config, capsys):
     assert "whitebox" in capsys.readouterr().out
 
 
-def test_attack_with_packet_file(tmp_path, mini_config, capsys):
-    run_dir = tmp_path / "run"
-    main(["run", "--config", str(mini_config), "--out", str(run_dir)])
-    atk_dir = tmp_path / "atk"
-    main(["attack", "--method", "whitebox", "--config", str(mini_config),
-          "--packets", str(run_dir / "packets_ours_plus_plus.bin"),
-          "--out", str(atk_dir)])
-    assert (atk_dir / "attack_whitebox.jsonl").exists()
-    assert list((atk_dir / "recons").glob("*.ppm"))
-    row = json.loads((atk_dir / "attack_whitebox.jsonl").read_text())
-    assert "ssim" in row and len(row["ssim"]) == 3
+def assert_attack_is_the_runs_cell(atk_dir, run_dir, method, defense, n_private=3):
+    """`attack` wrote the run's row, reconstructions and eval packets of that cell."""
+    rows = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
+    row = json.loads((atk_dir / f"attack_{method}.jsonl").read_text())
+    assert row in rows and (row["defense"], row["kind"]) == (defense, "attack")
+    names = [f"packets_{defense}.bin",
+             *(f"recons/{method}_{defense}_{i:03d}.ppm" for i in range(n_private))]
+    for name in names:
+        assert (atk_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+    return row
 
 
 def test_attack_row_equals_the_run_row(tmp_path, capsys):
-    # `attack` over a run's eval capture is the run's own attack arm, row for row
+    # `attack` runs one cell of the run's attack grid, row for row and byte for byte
     p = tmp_path / "all.ini"
     p.write_text(MINI_INI.replace("methods = whitebox", "methods = " + ", ".join(ATTACK_METHODS))
                  .replace("inverse_iters = 60", "inverse_iters = 5\nunsplit_outer = 2\n"
                           "unsplit_inner_x = 3\nunsplit_inner_theta = 3"))
     run_dir = tmp_path / "run"
     main(["run", "--config", str(p), "--out", str(run_dir)])
-    rows = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
-    for method, defense in [*((m, "ours_plus_plus") for m in ATTACK_METHODS),
-                            ("unsplit", "none")]:
-        atk_dir = tmp_path / f"atk_{method}_{defense}"
-        extra = ["--defense", "none"] if defense == "none" else []
-        main(["attack", "--method", method, "--config", str(p), *extra,
-              "--packets", str(run_dir / f"packets_{defense}.bin"), "--out", str(atk_dir)])
-        row = json.loads((atk_dir / f"attack_{method}.jsonl").read_text())
-        assert row in rows and (row["defense"], row["kind"]) == (defense, "attack")
-        for i in range(3):
-            name = f"recons/{method}_{defense}_{i:03d}.ppm"
-            assert (atk_dir / name).read_bytes() == (run_dir / name).read_bytes()
+    for method in ATTACK_METHODS:
+        for defense in ("none", "ours_plus_plus"):
+            atk_dir = tmp_path / f"atk_{method}_{defense}"
+            main(["attack", "--method", method, "--config", str(p), "--defense", defense,
+                  "--out", str(atk_dir)])
+            assert_attack_is_the_runs_cell(atk_dir, run_dir, method, defense)
 
 
 def test_attack_builds_the_arm_from_the_runs_defense_section(tmp_path, capsys):
@@ -261,81 +252,21 @@ def test_attack_builds_the_arm_from_the_runs_defense_section(tmp_path, capsys):
                  + "[defense]\nkind = ours_plus_plus\nt_s = 700\n")
     run_dir, atk_dir = tmp_path / "run", tmp_path / "atk"
     main(["run", "--config", str(p), "--out", str(run_dir)])
-    rows = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
     main(["attack", "--method", "whitebox", "--config", str(p), "--defense", "ours_c",
-          "--packets", str(run_dir / "packets_ours_c.bin"), "--out", str(atk_dir)])
-    row = json.loads((atk_dir / "attack_whitebox.jsonl").read_text())
-    assert row in rows and (row["defense"], row["t_s"]) == ("ours_c", 700)
-    for i in range(3):
-        name = f"recons/whitebox_ours_c_{i:03d}.ppm"
-        assert (atk_dir / name).read_bytes() == (run_dir / name).read_bytes()
+          "--out", str(atk_dir)])
+    row = assert_attack_is_the_runs_cell(atk_dir, run_dir, "whitebox", "ours_c")
+    assert row["t_s"] == 700
 
 
-def test_attack_refuses_a_capture_of_another_arm(tmp_path, mini_config, capsys):
-    # a packet file does not record its arm; its timestep and prompt features show it
-    run_dir = tmp_path / "run"
-    main(["run", "--config", str(mini_config), "--out", str(run_dir)])
-    for packets, extra, line in (
-            ("none", [], "packets at t = 1 with the prompt (none arm of the config), but its "
-                         "ours_plus_plus arm sends t = 536 without the prompt"),
-            ("ours_plus_plus", ["--defense", "none"],
-             "packets at t = 536 without the prompt (ours_plus_plus arm of the config), but "
-             "its none arm sends t = 1 with the prompt")):
-        with pytest.raises(SystemExit) as exc:
-            main(["attack", "--method", "whitebox", "--config", str(mini_config), *extra,
-                  "--packets", str(run_dir / f"packets_{packets}.bin"),
-                  "--out", str(tmp_path / "atk")])
-        assert line in str(exc.value) and str(exc.value).count("\n") == 0
-    assert not (tmp_path / "atk").exists()
-
-
-def test_attack_rejects_a_training_capture(tmp_path, mini_config, capsys):
-    # training packets carry `batch` samples each; attacks score one per packet
-    train_dir = tmp_path / "train"
-    main(["train", "--config", str(mini_config), "--out", str(train_dir)])
-    capture = train_dir / "packets_training.bin"
-    with pytest.raises(SystemExit, match="batch 2"):
-        main(["attack", "--method", "inverse-net", "--config", str(mini_config),
-              "--packets", str(capture), "--out", str(tmp_path / "atk")])
-    assert not (tmp_path / "atk").exists()
-
-
-def test_attack_refuses_an_empty_packet_file(tmp_path, mini_config, capsys):
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
-    with pytest.raises(SystemExit, match="0 packets") as exc:
-        main(["attack", "--method", "whitebox", "--config", str(mini_config),
-              "--packets", str(empty), "--out", str(tmp_path / "atk")])
-    assert str(exc.value).count("\n") == 0
-    assert not (tmp_path / "atk").exists()
-
-
-def test_attack_refuses_a_missing_packet_file(tmp_path, monkeypatch):
-    import splitstream.experiment
-
-    def no_pretraining(*args, **kwargs):
-        raise AssertionError("pretrained before reading --packets")
-
-    monkeypatch.setattr(splitstream.experiment, "prepare", no_pretraining)
-    missing = tmp_path / "missing.bin"
-    with pytest.raises(SystemExit, match="missing.bin: cannot read packet capture") as exc:
+def test_attack_takes_no_packet_file(tmp_path, monkeypatch, capsys):
+    # `attack` builds its arm's eval packets itself, as `run` does
+    _no_pretraining(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
         main(["attack", "--method", "whitebox", "--config", str(SMOKE_INI),
-              "--packets", str(missing), "--out", str(tmp_path / "atk")])
-    assert str(exc.value).count("\n") == 0
-    assert not (tmp_path / "atk").exists()
-
-
-@pytest.mark.parametrize("cut, error", [(slice(0, -10), "stream ended mid-frame"),
-                                        (slice(1, None), "bad magic")], ids=["truncated", "bad-magic"])
-def test_attack_refuses_a_corrupt_packet_file(tmp_path, mini_config, cut, error):
-    one = np.zeros((1, 4, 8, 8), np.float32)
-    frames = b"".join(frame_message(FeaturePacket(0, i, 5, one, one, one)) for i in range(2))
-    corrupt = tmp_path / "corrupt.bin"
-    corrupt.write_bytes(frames[cut])
-    with pytest.raises(SystemExit, match=f"corrupt.bin: .*WireError: {error}") as exc:
-        main(["attack", "--method", "whitebox", "--config", str(mini_config),
-              "--packets", str(corrupt), "--out", str(tmp_path / "atk")])
-    assert str(exc.value).count("\n") == 0
+              "--packets", "x.bin", "--out", str(tmp_path / "atk")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1] == "splitstream: error: unrecognized arguments: --packets x.bin"
     assert not (tmp_path / "atk").exists()
 
 
@@ -370,6 +301,20 @@ def test_train_connect_rejects_an_unknown_client_id(client_id, monkeypatch, caps
     err = capsys.readouterr().err
     assert exc.value.code == 2 and len(err.splitlines()) == 1
     assert f"--client-id must be in 0..0, got {client_id}" in err
+
+
+@pytest.mark.parametrize("role", [[], ["--listen", "127.0.0.1:1"]], ids=["local", "listen"])
+def test_train_refuses_a_client_id_without_connect(tmp_path, monkeypatch, capsys, role):
+    # only a --connect process runs one client; `--connect` alone runs client 0
+    assert build_parser().parse_args(["train", "--connect", ":1"]).client_id is None
+    _no_pretraining(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(SMOKE_INI), *role, "--client-id", "0",
+              "--out", str(tmp_path / "tr")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "error: --client-id names the client a --connect process runs" in err
+    assert not (tmp_path / "tr").exists()
 
 
 @pytest.mark.parametrize("role", ["--listen", "--connect"])

@@ -112,6 +112,9 @@ class TestConfig:
                               ("attacks", "unsplit_outer = -1"),
                               ("attacks", "unsplit_inner_x = -1"),
                               ("attacks", "unsplit_inner_theta = -1"),
+                              # an arm or a method listed twice would run twice
+                              ("attacks", "defenses = none, none"),
+                              ("attacks", "methods = whitebox, inverse_net, whitebox"),
                               # refused by the schedule's and the calibration's own checks
                               ("schedule", "T = 0"), ("schedule", "k = 0.01"),
                               ("privacy", "delta = 0"), ("privacy", "alpha = -1"),
