@@ -4,65 +4,24 @@ Three families: UnSplit-style alternating optimization over a guessed
 client model and its input, white-box gradient descent against known
 client weights, and trained inverse networks (type 1 reconstructs the
 original image, type 2 the condition image). The attacks here are generic:
-they take explicit settings and return reconstructions. Each cell of the
-experiment's attack grid (`experiment.run_attack_suite`, which `splitstream
-run` runs whole and `splitstream attack` on one cell) reads its settings
-from `[attacks]`, runs one of them over the captured packets and scores the
-result with PSNR/SSIM on the 0..255 scale against the private ground truth.
+they take explicit settings and return reconstructions, and score nothing.
+Each cell of the experiment's attack grid (`experiment.run_attack_suite`,
+which `splitstream run` runs whole and `splitstream attack` on one cell)
+reads its settings from `[attacks]` and runs one of them over the captured
+packets; `experiment.run_attack` scores the reconstructions with PSNR/SSIM
+on the 0..255 scale against the private ground truth and builds the cell's
+metrics row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import tensor as tt
-from .metrics import psnr, ssim
 from .models import Conv, Module
 from .optim import AdamW
 from .rng import RngState
 from .tensor import Tensor
-
-
-@dataclass
-class ReconstructionReport:
-    method: str
-    recons: np.ndarray  # (N, 3, H, W) in [0, 1]
-    psnr: list[float] = field(default_factory=list)
-    ssim: list[float] = field(default_factory=list)
-    attack_config: dict = field(default_factory=dict)
-    defense_config: dict = field(default_factory=dict)
-    diverged: bool = False
-
-    @property
-    def mean_psnr(self) -> float:
-        return float(np.mean(self.psnr)) if self.psnr else float("nan")
-
-    @property
-    def mean_ssim(self) -> float:
-        return float(np.mean(self.ssim)) if self.ssim else float("nan")
-
-    def score_against(self, truth01: np.ndarray) -> "ReconstructionReport":
-        if len(self.recons) != len(truth01):
-            raise ValueError(f"score_against: {len(self.recons)} reconstructions "
-                             f"against {len(truth01)} ground-truth images")
-        self.psnr = [psnr(r * 255.0, t * 255.0) for r, t in zip(self.recons, truth01)]
-        self.ssim = [ssim(r * 255.0, t * 255.0) for r, t in zip(self.recons, truth01)]
-        return self
-
-    def summary_row(self) -> dict:
-        return {
-            "method": self.method,
-            "psnr_mean": self.mean_psnr,
-            "ssim_mean": self.mean_ssim,
-            "n_samples": len(self.psnr),
-            "diverged": self.diverged,
-            "attack_config": self.attack_config,
-            "defense_config": self.defense_config,
-            "psnr": self.psnr,
-            "ssim": self.ssim,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from .config import ATTACK_METHODS, ConfigError, load_config
 from .diffusion import ScheduleError
 from .privacy import (CalibrationError, epsilon_for_timestep, timestep_for_epsilon,
                       write_budget_csv)
+from .protocol import TransportError
+from .wire import WireError
 
 
 def cmd_gen_data(args):
@@ -51,13 +53,14 @@ def cmd_pretrain(args):
 
 def _endpoint(args) -> tuple[str, int] | None:
     """The HOST:PORT of --listen or --connect, if either is given; an empty
-    HOST is 127.0.0.1."""
+    HOST is 127.0.0.1. Port 0 is refused: a client cannot reach it, and a
+    listener on it binds a port no client can learn."""
     flag, text = ("--listen", args.listen) if args.listen else ("--connect", args.connect)
     if not text:
         return None
     host, _, port = text.rpartition(":")
-    if not port.isdecimal() or int(port) > 65535:
-        raise ConfigError(f"{flag} {text}: needs HOST:PORT with a port in 0..65535")
+    if not port.isdecimal() or not 1 <= int(port) <= 65535:
+        raise ConfigError(f"{flag} {text}: needs HOST:PORT with a port in 1..65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -222,6 +225,8 @@ def main(argv=None):
     except ConfigError as e:
         # argparse's error line and exit status; the arguments themselves parsed, so no usage
         parser.exit(2, f"{parser.prog}: error: {e}\n")
+    except (TransportError, WireError) as e:  # a session that failed, not a usage error
+        parser.exit(1, f"{parser.prog}: error: {e}\n")
 
 
 if __name__ == "__main__":

@@ -25,10 +25,11 @@ import numpy as np
 from . import __version__
 from . import data as dtt
 from . import tensor as tt
-from .attacks import (UNSPLIT_L2_WEIGHT, FeatureScaler, InverseNet, ReconstructionReport,
-                      train_inverse_network, unsplit_attack, whitebox_gd_attack)
+from .attacks import (UNSPLIT_L2_WEIGHT, FeatureScaler, InverseNet, train_inverse_network,
+                      unsplit_attack, whitebox_gd_attack)
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, config_to_dict
+from .metrics import psnr, ssim
 from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
                      PromptEncoder, ToyAutoencoder, ToyUNet, noise_confound,
                      param_fingerprint, pretrain_autoencoder, prompt_hide_transform)
@@ -195,9 +196,10 @@ def attacker_view_features(world: SplitWorld, enc: ClientEncodings, prompts, t: 
 
 def run_inverse_net_attack(world: SplitWorld, data: DataBundle, cap: EvalCapture,
                            cfg: ExperimentConfig, net_type: str,
-                           public: ClientEncodings) -> ReconstructionReport:
+                           public: ClientEncodings) -> tuple[np.ndarray, dict, bool]:
     """Train an inverse network on public data and apply it to the captured
-    packets. `public` is the suite's `public_encodings`."""
+    packets. `public` is the suite's `public_encodings`. It never reports
+    divergence: a diverging training raises."""
     images, conds, prompts = data.public
     feats = attacker_view_features(world, public, prompts, cap.t,
                                    derived_seed(cfg, "attacker_features"))
@@ -209,15 +211,12 @@ def run_inverse_net_attack(world: SplitWorld, data: DataBundle, cap: EvalCapture
                                    RngState(cfg.seed).split("inverse-train"),
                                    lr=a.inverse_lr, iters=a.inverse_iters, batch=a.inverse_batch)
     recons = net(Tensor(scaler(_packet_matrix(cap.packets)))).data
-    return ReconstructionReport(
-        method=f"inverse_net_{net_type}", recons=recons,
-        attack_config={"net_type": net_type, "iters": a.inverse_iters, "lr": a.inverse_lr,
-                       "final_train_loss": losses[-1]},
-    )
+    return recons, {"net_type": net_type, "iters": a.inverse_iters, "lr": a.inverse_lr,
+                    "final_train_loss": losses[-1]}, False
 
 
 def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
-                        cfg: ExperimentConfig) -> ReconstructionReport:
+                        cfg: ExperimentConfig) -> tuple[np.ndarray, dict, bool]:
     """Gradient descent on the condition latent of every packet, as one
     batch of per-sample descents, each from its own seed.
 
@@ -242,16 +241,12 @@ def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
         iters=a.whitebox_iters, lr=a.whitebox_lr)
     # one sample a decode: conv2d picks its formulation from the batch size
     recons = [world.autoencoder.D(Tensor(u[i : i + 1])).data[0] for i in range(len(u))]
-    return ReconstructionReport(
-        method="whitebox", recons=np.stack(recons),
-        attack_config={"iters": a.whitebox_iters, "lr": a.whitebox_lr,
-                       "granted": "zt, n_hat, t, all public weights"},
-        diverged=bool(diverged.any()),
-    )
+    return np.stack(recons), {"iters": a.whitebox_iters, "lr": a.whitebox_lr,
+                              "granted": "zt, n_hat, t, all public weights"}, bool(diverged.any())
 
 
 def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
-                           cfg: ExperimentConfig) -> ReconstructionReport:
+                           cfg: ExperimentConfig) -> tuple[np.ndarray, dict, bool]:
     """Black-box alternating optimization against the condition-path features."""
     targets = np.concatenate([p.feat_control for p in cap.packets], axis=0)
 
@@ -265,14 +260,14 @@ def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
                 "inner_theta": cfg.attacks.unsplit_inner_theta, "lr": cfg.attacks.unsplit_lr}
     recons, diverged = unsplit_attack(targets, make_model, (len(cap.packets), 3, 32, 32),
                                       RngState(cfg.seed).split("unsplit"), **settings)
-    return ReconstructionReport(method="unsplit", recons=recons, diverged=diverged,
-                                attack_config={**settings, "l2_weight": UNSPLIT_L2_WEIGHT})
+    return recons, {**settings, "l2_weight": UNSPLIT_L2_WEIGHT}, diverged
 
 
-# each method of `config.ATTACK_METHODS` and its arm; the lambdas look the arm
-# functions up in this module when called, so a wrapper swapped in by name
-# (perfbench's tracer) is the one that runs. `public` is the suite's
-# `public_encodings`, made only when a method of READS_PUBLIC runs.
+# each method of `config.ATTACK_METHODS` and its arm, which returns the
+# reconstructions, the attack's settings and whether it diverged; the lambdas
+# look the arm functions up in this module when called, so a wrapper swapped
+# in by name (perfbench's tracer) is the one that runs. `public` is the
+# suite's `public_encodings`, made only when a method of READS_PUBLIC runs.
 ARMS = {
     "inverse_net": lambda world, data, cap, cfg, public: run_inverse_net_attack(
         world, data, cap, cfg, "type2_condition", public),
@@ -287,20 +282,28 @@ READS_PUBLIC = ("inverse_net", "inverse_net_type1")  # the methods that use `pub
 def run_attack(method: str, world: SplitWorld, data: DataBundle, cap: EvalCapture,
                cfg: ExperimentConfig, out_dir: Path | None,
                public: ClientEncodings | None) -> dict:
-    """Run the attack arm `method` on `cap`, score it against the private
-    ground truth (the image for `inverse_net_type1`, the condition otherwise),
-    write its reconstructions to `out_dir/recons/<method>_<defense>_<i>.ppm`
-    when `out_dir` is given, and return its metrics row."""
-    report = ARMS[method](world, data, cap, cfg, public)
+    """Run the attack arm `method` on `cap`, score each reconstruction by
+    PSNR and SSIM on the 0..255 scale against its private ground truth (the
+    image for `inverse_net_type1`, the condition otherwise), write the
+    reconstructions to `out_dir/recons/<method>_<defense>_<i>.ppm` when
+    `out_dir` is given, and return the cell's metrics row."""
+    recons, attack_config, diverged = ARMS[method](world, data, cap, cfg, public)
+    truth = cap.truth_images if method == "inverse_net_type1" else cap.truth_conds
+    if len(recons) != len(truth):
+        raise ValueError(f"{method}: {len(recons)} reconstructions for "
+                         f"{len(truth)} private samples")
+    psnrs = [psnr(recons[i] * 255.0, truth[i] * 255.0) for i in range(len(truth))]
+    ssims = [ssim(recons[i] * 255.0, truth[i] * 255.0) for i in range(len(truth))]
     defense = world.defense.kind
-    report.defense_config = {"kind": defense, "t_s": cap.t}
-    report.score_against(cap.truth_images if method == "inverse_net_type1" else cap.truth_conds)
     if out_dir is not None:
         rdir = out_dir / "recons"
         rdir.mkdir(exist_ok=True)
-        for i, img in enumerate(report.recons):
+        for i, img in enumerate(recons):
             dtt.write_ppm(rdir / f"{method}_{defense}_{i:03d}.ppm", np.clip(img, 0.0, 1.0))
-    return {**report.summary_row(), "kind": "attack", "defense": defense, "t_s": cap.t}
+    return {"kind": "attack", "method": method, "defense": defense, "t_s": cap.t,
+            "psnr": psnrs, "ssim": ssims, "psnr_mean": float(np.mean(psnrs)),
+            "ssim_mean": float(np.mean(ssims)), "n_samples": len(truth), "diverged": diverged,
+            "attack_config": attack_config}
 
 
 def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,

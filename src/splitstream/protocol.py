@@ -398,20 +398,26 @@ JOIN_TIMEOUT_S = 10.0  # teardown waits this long for each client thread
 
 def _client_loop(client: ClientWorker, cfg: ProtocolConfig, sock: socket.socket) -> None:
     """HELLO, one packet per iteration (waiting for its gradient in classic
-    mode), DONE; the socket is closed however the loop ends."""
+    mode), DONE; the socket is closed however the loop ends. A reset, closed
+    or silent (IO_TIMEOUT_S) connection is a TransportError."""
     with sock:
-        sock.sendall(frame_message(ControlMessage(code=CTRL_HELLO, client_id=client.client_id)))
-        for it in range(cfg.iterations):
-            sock.sendall(frame_message(client.forward_step(it)))
-            if cfg.mode == "classic":
-                frame = read_frame(sock)
-                if frame is None:
-                    raise TransportError("server closed the connection mid-session")
-                gpkt = parse_message(frame)
-                if not isinstance(gpkt, GradientPacket):
-                    raise TransportError(f"expected GradientPacket, got {type(gpkt).__name__}")
-                client.apply_gradient(gpkt)
-        sock.sendall(frame_message(ControlMessage(code=CTRL_DONE, client_id=client.client_id)))
+        try:
+            sock.sendall(frame_message(ControlMessage(code=CTRL_HELLO, client_id=client.client_id)))
+            for it in range(cfg.iterations):
+                sock.sendall(frame_message(client.forward_step(it)))
+                if cfg.mode == "classic":
+                    frame = read_frame(sock)
+                    if frame is None:
+                        raise TransportError("server closed the connection mid-session")
+                    gpkt = parse_message(frame)
+                    if not isinstance(gpkt, GradientPacket):
+                        raise TransportError(f"expected GradientPacket, got {type(gpkt).__name__}")
+                    client.apply_gradient(gpkt)
+            sock.sendall(frame_message(ControlMessage(code=CTRL_DONE, client_id=client.client_id)))
+        except TimeoutError as exc:
+            raise TransportError(f"the server sent nothing for {IO_TIMEOUT_S:g} s") from exc
+        except OSError as exc:  # reset or closed under a send
+            raise TransportError(f"connection to the server lost: {exc}") from exc
 
 
 def _serve(server: ServerWorker, cfg: ProtocolConfig, conns: list[socket.socket],

@@ -330,7 +330,7 @@ def test_criterion_12_attack_defense_ordering(reference_run):
     cfg = reference_run["cfg"]
 
     def mean_ssim(method, defense):
-        row = next(r for r in rows if r["method"].startswith(method) and r["defense"] == defense)
+        row = next(r for r in rows if r["method"] == method and r["defense"] == defense)
         return row["ssim_mean"]
 
     inv_undef = mean_ssim("inverse_net", "none")

@@ -6,8 +6,7 @@ import pytest
 
 from splitstream import tensor as tt
 from splitstream.attacks import (WHITEBOX_INIT_SCALE, FeatureScaler, InverseNet,
-                                 ReconstructionReport, train_inverse_network, unsplit_attack,
-                                 whitebox_gd_attack)
+                                 train_inverse_network, unsplit_attack, whitebox_gd_attack)
 from splitstream.metrics import psnr, ssim
 from splitstream.models import NoiseConfoundingActivation, noise_confound
 from splitstream.optim import AdamW
@@ -252,30 +251,3 @@ class TestInverseNet:
         out = scaler(feats)
         assert np.abs(out.mean(axis=(0, 2, 3))).max() < 1e-4
         assert np.abs(out.std(axis=(0, 2, 3)) - 1).max() < 1e-3
-
-
-class TestReport:
-    def test_score_against(self):
-        rng = RngState(640)
-        truth = rng.uniform((3, 3, 32, 32))
-        rep = ReconstructionReport(method="x", recons=truth.copy())
-        rep.score_against(truth)
-        assert all(s == pytest.approx(1.0) for s in rep.ssim)
-        assert all(np.isinf(p) for p in rep.psnr)
-
-    def test_score_against_rejects_a_length_mismatch(self):
-        truth = RngState(641).uniform((3, 3, 32, 32))
-        rep = ReconstructionReport(method="x", recons=truth[:2].copy())
-        with pytest.raises(ValueError, match="2 reconstructions against 3"):
-            rep.score_against(truth)
-
-    def test_summary_row(self):
-        rep = ReconstructionReport(method="m", recons=np.zeros((1, 3, 8, 8)),
-                                   psnr=[10.0], ssim=[0.5],
-                                   attack_config={"iters": 3},
-                                   defense_config={"kind": "none"})
-        row = rep.summary_row()
-        assert row["method"] == "m"
-        assert row["ssim_mean"] == 0.5
-        assert row["defense_config"] == {"kind": "none"}
-        assert row["psnr"] == [10.0] and row["ssim"] == [0.5]

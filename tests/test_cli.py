@@ -318,7 +318,7 @@ def test_train_refuses_a_client_id_without_connect(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("role", ["--listen", "--connect"])
-@pytest.mark.parametrize("endpoint", ["localhost", "h:abc", ":70000"])
+@pytest.mark.parametrize("endpoint", ["localhost", "h:abc", ":70000", ":0"])
 def test_train_refuses_a_bad_endpoint(tmp_path, monkeypatch, capsys, role, endpoint):
     import splitstream.experiment
 
@@ -333,6 +333,21 @@ def test_train_refuses_a_bad_endpoint(tmp_path, monkeypatch, capsys, role, endpo
     assert exc.value.code == 2 and len(err.splitlines()) == 1
     assert f"{role} {endpoint}: needs HOST:PORT" in err
     assert not (tmp_path / "tr").exists()
+
+
+def test_train_connect_to_nobody_is_one_line_and_exit_1(tmp_path, mini_config, monkeypatch,
+                                                         capsys):
+    # a session that fails is no usage error: exit status 1, and no traceback
+    from splitstream import protocol
+
+    monkeypatch.setattr(protocol, "CONNECT_DEADLINE_S", 0.3)
+    endpoint = f"127.0.0.1:{_free_port()}"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(mini_config), "--connect", endpoint,
+              "--out", str(tmp_path / "client")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1 and len(err.splitlines()) == 1
+    assert f"splitstream: error: could not connect to {endpoint} within 0.3 s" in err
 
 
 def _no_pretraining(monkeypatch):
@@ -488,4 +503,4 @@ def test_attack_inverse_net_type1(tmp_path, capsys):
     atk_dir = tmp_path / "atk3"
     main(["attack", "--method", "inverse-net-type1", "--config", str(p), "--out", str(atk_dir)])
     row = json.loads((atk_dir / "attack_inverse_net_type1.jsonl").read_text())
-    assert row["method"] == "inverse_net_type1_raw_image" and len(row["ssim"]) == 3
+    assert row["method"] == "inverse_net_type1" and len(row["ssim"]) == 3

@@ -8,6 +8,7 @@ import os
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,9 +294,58 @@ class TestAttackerView:
         monkeypatch.setattr(type(ae.E), "__call__", counted)
         rows = experiment.run_attack_suite(cfg, ae, data, alpha)
         assert [(r["method"], r["defense"]) for r in rows] == [
-            ("inverse_net_type2_condition", "none"), ("whitebox", "none"),
-            ("inverse_net_type2_condition", "ours_plus_plus"), ("whitebox", "ours_plus_plus")]
+            ("inverse_net", "none"), ("whitebox", "none"),
+            ("inverse_net", "ours_plus_plus"), ("whitebox", "ours_plus_plus")]
         assert passes == {"images": 1, "conditions": 1}
+
+
+class TestRunAttack:
+    """`run_attack` scores a cell's reconstructions and builds its row,
+    here with stub arms in place of the real ones."""
+
+    ROW_FIELDS = {"kind", "method", "defense", "t_s", "psnr", "ssim", "psnr_mean", "ssim_mean",
+                  "n_samples", "diverged", "attack_config"}
+
+    @pytest.fixture
+    def cell(self):
+        images, conds, _, _ = dtt.generate_dataset(3, 650, kinds=("segmentation",))
+        cap = experiment.EvalCapture(packets=[], zt=np.zeros((3, 4, 8, 8), np.float32), t=536,
+                                     truth_conds=conds["segmentation"], truth_images=images)
+        world = SimpleNamespace(defense=SimpleNamespace(kind="ours_plus_plus"))
+        return world, cap
+
+    def run_stub(self, monkeypatch, cell, method, recons, out_dir=None) -> dict:
+        monkeypatch.setitem(experiment.ARMS, method,
+                            lambda *args: (recons, {"iters": 1}, False))
+        world, cap = cell
+        return experiment.run_attack(method, world, None, cap, None, out_dir, None)
+
+    def test_an_arm_short_of_reconstructions_is_refused(self, monkeypatch, cell):
+        recons = np.zeros((2, 3, 32, 32), np.float32)
+        with pytest.raises(ValueError, match="2 reconstructions for 3 private samples"):
+            self.run_stub(monkeypatch, cell, "whitebox", recons)
+
+    @pytest.mark.parametrize("method", ATTACK_METHODS)
+    def test_the_row_carries_the_configured_method_name(self, monkeypatch, cell, method,
+                                                          tmp_path):
+        recons = np.full((3, 3, 32, 32), 0.5, np.float32)
+        row = self.run_stub(monkeypatch, cell, method, recons, tmp_path)
+        assert set(row) == self.ROW_FIELDS
+        assert (row["kind"], row["method"], row["defense"], row["t_s"]) == (
+            "attack", method, "ours_plus_plus", 536)
+        assert row["n_samples"] == len(row["psnr"]) == len(row["ssim"]) == 3
+        assert row["attack_config"] == {"iters": 1} and row["diverged"] is False
+        assert sorted(p.name for p in (tmp_path / "recons").iterdir()) == [
+            f"{method}_ours_plus_plus_{i:03d}.ppm" for i in range(3)]
+
+    @pytest.mark.parametrize("method", ATTACK_METHODS)
+    def test_perfect_reconstructions_score_ssim_1_and_psnr_inf(self, monkeypatch, cell, method):
+        # the truth is the image for inverse_net_type1 and the condition otherwise
+        _, cap = cell
+        truth = cap.truth_images if method == "inverse_net_type1" else cap.truth_conds[:]
+        row = self.run_stub(monkeypatch, cell, method, truth.copy())
+        assert all(s == pytest.approx(1.0) for s in row["ssim"])
+        assert all(np.isinf(p) for p in row["psnr"]) and np.isinf(row["psnr_mean"])
 
 
 class TestBuildWorld:

@@ -688,6 +688,38 @@ def test_silent_peer_ends_the_server_role(monkeypatch):
     assert "no client sent anything" in str(box["error"])
 
 
+def test_silent_server_ends_the_client_role(monkeypatch):
+    # a classic-mode server that accepts and reads every frame but never
+    # sends the gradient the client waits for
+    monkeypatch.setattr(pr, "IO_TIMEOUT_S", 0.5)
+    world = build_world("none", seed=48)
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as lsock:
+        lsock.settimeout(10.0)
+
+        def read_and_never_reply():
+            conn = lsock.accept()[0]
+            with conn:
+                conn.settimeout(0.1)
+                while not stop.is_set():
+                    try:
+                        if not conn.recv(1 << 16):
+                            return
+                    except TimeoutError:
+                        pass
+
+        t = threading.Thread(target=read_and_never_reply, daemon=True)
+        t.start()
+        try:
+            box = run_within(lambda: pr.run_client_role(world, make_cfg(mode="classic"), 0,
+                                                        *lsock.getsockname()))
+        finally:
+            stop.set()
+            t.join(10)
+    assert isinstance(box.get("error"), TransportError), box
+    assert "the server sent nothing for 0.5 s" in str(box["error"])
+
+
 def test_server_role_gives_up_when_nobody_connects(monkeypatch):
     monkeypatch.setattr(pr, "CONNECT_DEADLINE_S", 0.3)
     world = build_world("ours_plus_plus", seed=44)
