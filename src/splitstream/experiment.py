@@ -16,6 +16,7 @@ a pure function of the config, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -39,7 +40,7 @@ from .protocol import (ClientDataset, ClientEncodings, ProtocolConfig, SimClock,
                        run_split_training)
 from .rng import RngState
 from .tensor import Tensor
-from .wire import frame_message
+from .wire import FeaturePacket, frame_message
 
 
 # every seed the pipeline derives, as its offset from [experiment] seed;
@@ -158,19 +159,16 @@ def generate_eval_packets(world: SplitWorld, data: DataBundle, seed: int) -> Eva
                        truth_conds=conds, truth_images=images)
 
 
-def _packet_matrix(packets) -> np.ndarray:
-    """Stack everything the server sees into the attacker's input channels."""
-    return np.concatenate([
-        np.concatenate([p.feat_control, p.feat_unet, p.label_noise], axis=1)
-        for p in packets
-    ], axis=0)
+def _packet_matrix(packets, fields) -> np.ndarray:
+    """Each packet's `fields`, stacked as channels in that order; one row a packet."""
+    return np.concatenate([np.concatenate([getattr(p, name) for name in fields], axis=1)
+                           for p in packets], axis=0)
 
 
 def _guess_act(world: SplitWorld) -> NoiseConfoundingActivation | None:
     """The attacker's stand-in for the confound activation: zero offset."""
-    if world.act is None:
-        return None
-    return NoiseConfoundingActivation(delta=np.zeros((4, 8, 8), np.float32))
+    return None if world.act is None else NoiseConfoundingActivation(
+        np.zeros((4, 8, 8), np.float32))
 
 
 def public_encodings(cfg: ExperimentConfig, ae, data: DataBundle) -> ClientEncodings:
@@ -183,47 +181,47 @@ def public_encodings(cfg: ExperimentConfig, ae, data: DataBundle) -> ClientEncod
 
 
 def attacker_view_features(world: SplitWorld, enc: ClientEncodings, prompts, t: int,
-                           seed: int) -> np.ndarray:
+                           seed: int, fields) -> np.ndarray:
     """The attacker's own simulation of the client pipeline on public data,
-    from its encodings `enc` on.
+    from its encodings `enc` on, as the packet `fields`, stacked like `_packet_matrix`.
 
     It knows every frozen weight and the sampling policy; it does not know
     the secret confound offset and uses zero for it.
     """
     f = features_at(world, enc, prompts, t, RngState(seed).split("atk-noise"), _guess_act(world))
-    return np.concatenate([f.s.data, f.h1, f.n_hat], axis=1)
+    return _packet_matrix([FeaturePacket(0, 0, t, f.h1, f.s.data, f.n_hat)], fields)
 
 
-def run_inverse_net_attack(world: SplitWorld, data: DataBundle, cap: EvalCapture,
-                           cfg: ExperimentConfig, net_type: str,
-                           public: ClientEncodings) -> tuple[np.ndarray, dict, bool]:
-    """Train an inverse network on public data and apply it to the captured
-    packets. `public` is the suite's `public_encodings`. It never reports
-    divergence: a diverging training raises."""
+def run_inverse_net_attack(arm: Arm, observed, world: SplitWorld, data: DataBundle, cap: EvalCapture,
+                           cfg: ExperimentConfig, public) -> tuple[np.ndarray, dict, bool]:
+    """Train an inverse network on public data, from the attacker's
+    simulation of the fields `arm` reads to its truth, and apply it to the
+    observed fields. It never reports divergence: a diverging training raises."""
     images, conds, prompts = data.public
     feats = attacker_view_features(world, public, prompts, cap.t,
-                                   derived_seed(cfg, "attacker_features"))
-    targets = conds if net_type == "type2_condition" else images
+                                   derived_seed(cfg, "attacker_features"), arm.reads)
+    net_type, targets = {"image": ("type1_raw_image", images),
+                         "condition": ("type2_condition", conds)}[arm.truth]
     scaler = FeatureScaler(feats)
     net = InverseNet(net_type, RngState(cfg.seed).split("inverse-net"), in_ch=feats.shape[1])
     a = cfg.attacks
     losses = train_inverse_network(scaler(feats), targets, net,
                                    RngState(cfg.seed).split("inverse-train"),
                                    lr=a.inverse_lr, iters=a.inverse_iters, batch=a.inverse_batch)
-    recons = net(Tensor(scaler(_packet_matrix(cap.packets)))).data
+    recons = net(Tensor(scaler(observed))).data
     return recons, {"net_type": net_type, "iters": a.inverse_iters, "lr": a.inverse_lr,
                     "final_train_loss": losses[-1]}, False
 
 
-def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
-                        cfg: ExperimentConfig) -> tuple[np.ndarray, dict, bool]:
+def run_whitebox_attack(arm: Arm, observed, world: SplitWorld, data: DataBundle, cap: EvalCapture,
+                        cfg: ExperimentConfig, public) -> tuple[np.ndarray, dict, bool]:
     """Gradient descent on the condition latent of every packet, as one
     batch of per-sample descents, each from its own seed.
 
-    The attacker knows the public encoder/decoder and the packet (n_hat, t)
-    and is granted the noisy latent z_t, the strongest honest-but-curious
-    position: without the confound activation it can subtract z_t exactly
-    and decode; with it, the secret offset and the folded sign are missing.
+    The attacker knows the public encoder/decoder and is granted the noisy
+    latent z_t, the strongest honest-but-curious position: without the
+    confound activation it can subtract z_t from feat_control exactly and
+    decode; with it, the secret offset and the folded sign are missing.
     """
     guess_act = _guess_act(world)
     zt = Tensor(cap.zt)
@@ -231,25 +229,20 @@ def run_whitebox_attack(world: SplitWorld, cap: EvalCapture,
 
     def model_fn(u):
         pred = tt.add(zt, u)
-        if guess_act is not None:
-            pred = noise_confound(pred, guess_act)
-        return pred
+        return pred if guess_act is None else noise_confound(pred, guess_act)
 
     u, diverged = whitebox_gd_attack(
-        np.concatenate([p.feat_control for p in cap.packets]), model_fn, cap.zt.shape,
-        [RngState(cfg.seed + i).split("whitebox") for i in range(len(cap.packets))],
+        observed, model_fn, cap.zt.shape,
+        [RngState(cfg.seed + i).split("whitebox") for i in range(len(observed))],
         iters=a.whitebox_iters, lr=a.whitebox_lr)
     # one sample a decode: conv2d picks its formulation from the batch size
     recons = [world.autoencoder.D(Tensor(u[i : i + 1])).data[0] for i in range(len(u))]
-    return np.stack(recons), {"iters": a.whitebox_iters, "lr": a.whitebox_lr,
-                              "granted": "zt, n_hat, t, all public weights"}, bool(diverged.any())
+    return np.stack(recons), {"iters": a.whitebox_iters, "lr": a.whitebox_lr}, bool(diverged.any())
 
 
-def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
-                           cfg: ExperimentConfig) -> tuple[np.ndarray, dict, bool]:
+def run_unsplit_attack_arm(arm: Arm, observed, world: SplitWorld, data: DataBundle, cap: EvalCapture,
+                           cfg: ExperimentConfig, public) -> tuple[np.ndarray, dict, bool]:
     """Black-box alternating optimization against the condition-path features."""
-    targets = np.concatenate([p.feat_control for p in cap.packets], axis=0)
-
     def make_model(rng):
         enc = CondEncoder(rng, dropout_p=0.0)
         params = list(enc.named_parameters().values())
@@ -258,37 +251,46 @@ def run_unsplit_attack_arm(world: SplitWorld, cap: EvalCapture,
 
     settings = {"outer": cfg.attacks.unsplit_outer, "inner_x": cfg.attacks.unsplit_inner_x,
                 "inner_theta": cfg.attacks.unsplit_inner_theta, "lr": cfg.attacks.unsplit_lr}
-    recons, diverged = unsplit_attack(targets, make_model, (len(cap.packets), 3, 32, 32),
+    recons, diverged = unsplit_attack(observed, make_model, (len(observed), 3, 32, 32),
                                       RngState(cfg.seed).split("unsplit"), **settings)
     return recons, {**settings, "l2_weight": UNSPLIT_L2_WEIGHT}, diverged
 
 
-# each method of `config.ATTACK_METHODS` and its arm, which returns the
-# reconstructions, the attack's settings and whether it diverged; the lambdas
-# look the arm functions up in this module when called, so a wrapper swapped
-# in by name (perfbench's tracer) is the one that runs. `public` is the
-# suite's `public_encodings`, made only when a method of READS_PUBLIC runs.
+@dataclass(frozen=True)
+class Arm:
+    """An attack method's threat model. `run` (called by name here, so a wrapper
+    swapped in by name runs) gets the `_packet_matrix` of `reads` as `observed`, reads
+    `cap.zt` only if granted "zt" and `data.public` or `public` (`public_encodings`)
+    only if granted "public", and returns (recons, settings, diverged) for `truth`."""
+
+    run: Callable
+    reads: tuple[str, ...]  # packet fields, in the order they stack as channels
+    grants: tuple[str, ...]  # side information beyond the packets: "zt", "public"
+    truth: str  # "image" or "condition"
+
+
+INVERSE_NET_READS = ("feat_control", "feat_unet", "label_noise")  # all but prompt_feat
+# each method of `config.ATTACK_METHODS` and its arm
 ARMS = {
-    "inverse_net": lambda world, data, cap, cfg, public: run_inverse_net_attack(
-        world, data, cap, cfg, "type2_condition", public),
-    "inverse_net_type1": lambda world, data, cap, cfg, public: run_inverse_net_attack(
-        world, data, cap, cfg, "type1_raw_image", public),
-    "whitebox": lambda world, data, cap, cfg, public: run_whitebox_attack(world, cap, cfg),
-    "unsplit": lambda world, data, cap, cfg, public: run_unsplit_attack_arm(world, cap, cfg),
+    "inverse_net": Arm(run_inverse_net_attack, INVERSE_NET_READS, ("public",), "condition"),
+    "inverse_net_type1": Arm(run_inverse_net_attack, INVERSE_NET_READS, ("public",), "image"),
+    "whitebox": Arm(run_whitebox_attack, ("feat_control",), ("zt",), "condition"),
+    "unsplit": Arm(run_unsplit_attack_arm, ("feat_control",), (), "condition"),
 }
-READS_PUBLIC = ("inverse_net", "inverse_net_type1")  # the methods that use `public`
 
 
 def run_attack(method: str, world: SplitWorld, data: DataBundle, cap: EvalCapture,
                cfg: ExperimentConfig, out_dir: Path | None,
                public: ClientEncodings | None) -> dict:
-    """Run the attack arm `method` on `cap`, score each reconstruction by
-    PSNR and SSIM on the 0..255 scale against its private ground truth (the
-    image for `inverse_net_type1`, the condition otherwise), write the
-    reconstructions to `out_dir/recons/<method>_<defense>_<i>.ppm` when
-    `out_dir` is given, and return the cell's metrics row."""
-    recons, attack_config, diverged = ARMS[method](world, data, cap, cfg, public)
-    truth = cap.truth_images if method == "inverse_net_type1" else cap.truth_conds
+    """Run the attack arm `method` on the packet fields its record reads,
+    score each reconstruction by PSNR and SSIM on the 0..255 scale against
+    the private ground truth of its truth domain, write the reconstructions
+    to `out_dir/recons/<method>_<defense>_<i>.ppm` when `out_dir` is given,
+    and return the cell's metrics row."""
+    arm = ARMS[method]
+    recons, attack_config, diverged = globals()[arm.run.__name__](
+        arm, _packet_matrix(cap.packets, arm.reads), world, data, cap, cfg, public)
+    truth = {"image": cap.truth_images, "condition": cap.truth_conds}[arm.truth]
     if len(recons) != len(truth):
         raise ValueError(f"{method}: {len(recons)} reconstructions for "
                          f"{len(truth)} private samples")
@@ -312,7 +314,7 @@ def run_attack_suite(cfg: ExperimentConfig, ae, data: DataBundle, alpha: float,
     the attacker's public encodings. `splitstream attack` runs it on a
     one-cell grid."""
     public = (public_encodings(cfg, ae, data)
-              if any(m in READS_PUBLIC for m in cfg.attacks.methods) else None)
+              if any("public" in ARMS[m].grants for m in cfg.attacks.methods) else None)
     rows = []
     for defense_kind in cfg.attacks.defenses:
         world = build_world(cfg, defense_kind, ae, data, alpha)
@@ -392,13 +394,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                     "absolute full-scale reconstruction numbers are not reproducible here",
         },
         "attacker_model": {
-            "inverse_net_input": "feat_control + feat_unet + label_noise channels, "
-                                 "standardized with public-data statistics",
+            **{m: {**asdict(ARMS[m]), "run": ARMS[m].run.__name__} for m in cfg.attacks.methods},
             "inverse_net_scaling": "reference stack scaled to toy dims: halved depth, "
                                    "channels divided by ~10, two convs kept at latent "
                                    "resolution before upsampling",
-            "whitebox_granted": "zt side information plus all public weights; "
-                                "the secret confound offset stays unknown",
             "dropout_state": "eval packets keep dropout active (training-time artifact)",
         },
         "partition_point": "after denoiser enc_block_1 and after the condition encoder",

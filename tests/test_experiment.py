@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,9 +22,11 @@ from splitstream.defenses import KINDS as DEFENSE_KINDS, postprocess_features, p
 from splitstream.experiment import (build_world, derived_seed, generate_eval_packets,
                                     prepare, run_experiment, synthesize_data)
 from splitstream.privacy import timestep_for_epsilon
-from splitstream.protocol import CHUNK_ROWS, client_features, encode_inputs
+from splitstream.protocol import CHUNK_ROWS, client_features, encode_inputs, features_at
 from splitstream.rng import RngState
-from splitstream.wire import frame_message, iter_frames
+from splitstream.wire import FeaturePacket, frame_message, iter_frames
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def mini_cfg(tmp_path, **overrides) -> ExperimentConfig:
@@ -267,7 +270,8 @@ class TestAttackerView:
             tracemalloc.start()
             try:
                 enc = encode_inputs(ae.E, ae.E, images, conds, RngState(5))
-                experiment.attacker_view_features(world, enc, prompts, 300, 5)
+                experiment.attacker_view_features(world, enc, prompts, 300, 5,
+                                                  experiment.ARMS["inverse_net"].reads)
                 return tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()
@@ -309,14 +313,21 @@ class TestRunAttack:
     @pytest.fixture
     def cell(self):
         images, conds, _, _ = dtt.generate_dataset(3, 650, kinds=("segmentation",))
-        cap = experiment.EvalCapture(packets=[], zt=np.zeros((3, 4, 8, 8), np.float32), t=536,
-                                     truth_conds=conds["segmentation"], truth_images=images)
+        zeros = np.zeros((1, 4, 8, 8), np.float32)
+        packets = [FeaturePacket(0, i, 536, zeros, zeros, zeros) for i in range(3)]
+        cap = experiment.EvalCapture(packets=packets, zt=np.zeros((3, 4, 8, 8), np.float32),
+                                     t=536, truth_conds=conds["segmentation"], truth_images=images)
         world = SimpleNamespace(defense=SimpleNamespace(kind="ours_plus_plus"))
         return world, cap
 
     def run_stub(self, monkeypatch, cell, method, recons, out_dir=None) -> dict:
+        # the method's own record, its function swapped for a stub
+        def run_stub_attack(*args):
+            return recons, {"iters": 1}, False
+
+        monkeypatch.setattr(experiment, "run_stub_attack", run_stub_attack, raising=False)
         monkeypatch.setitem(experiment.ARMS, method,
-                            lambda *args: (recons, {"iters": 1}, False))
+                            replace(experiment.ARMS[method], run=run_stub_attack))
         world, cap = cell
         return experiment.run_attack(method, world, None, cap, None, out_dir, None)
 
@@ -340,12 +351,120 @@ class TestRunAttack:
 
     @pytest.mark.parametrize("method", ATTACK_METHODS)
     def test_perfect_reconstructions_score_ssim_1_and_psnr_inf(self, monkeypatch, cell, method):
-        # the truth is the image for inverse_net_type1 and the condition otherwise
+        # the truth is the one the method's record declares
         _, cap = cell
-        truth = cap.truth_images if method == "inverse_net_type1" else cap.truth_conds[:]
+        truth = {"image": cap.truth_images,
+                 "condition": cap.truth_conds[:]}[experiment.ARMS[method].truth]
         row = self.run_stub(monkeypatch, cell, method, truth.copy())
         assert all(s == pytest.approx(1.0) for s in row["ssim"])
         assert all(np.isinf(p) for p in row["psnr"]) and np.isinf(row["psnr_mean"])
+
+
+class _NoPublicSplit(experiment.DataBundle):
+    """A config's splits, of which reading the public one fails."""
+
+    @property
+    def public(self):
+        raise AssertionError("read the public split without the grant")
+
+
+class TestArmRecords:
+    """Each arm of `experiment.ARMS` reads what its record declares, and
+    the records are all a run needs to know about an arm."""
+
+    @pytest.mark.parametrize("method", sorted(experiment.ARMS))
+    def test_an_arm_reads_only_what_it_declares(self, tmp_path, monkeypatch, method):
+        cfg = mini_cfg(tmp_path, **{"attacks.methods": [method], "attacks.inverse_iters": 2,
+                                    "attacks.whitebox_iters": 3, "attacks.unsplit_outer": 1,
+                                    "attacks.unsplit_inner_x": 2,
+                                    "attacks.unsplit_inner_theta": 2})
+        data, ae, alpha = prepare(cfg)
+        world = build_world(cfg, "ours_c", ae, data, alpha)  # confound on, prompt sent
+        cap = generate_eval_packets(world, data, 5)
+        public = experiment.public_encodings(cfg, ae, data)
+        arm = experiment.ARMS[method]
+        recons, arm_fn = [], arm.run
+
+        def recorded(*args):
+            out = arm_fn(*args)
+            recons.append(out[0])
+            return out
+
+        monkeypatch.setattr(experiment, arm.run.__name__, recorded)  # as perfbench's tracer
+
+        def poisoned(p):
+            return replace(p, **{f.name: np.full_like(getattr(p, f.name), np.nan)
+                                 for f in fields(p) if f.name not in arm.reads
+                                 and isinstance(getattr(p, f.name), np.ndarray)})
+
+        nan_cap = replace(cap, packets=[poisoned(p) for p in cap.packets],
+                          zt=cap.zt if "zt" in arm.grants else np.full_like(cap.zt, np.nan))
+        assert np.isnan(nan_cap.packets[0].prompt_feat).all()
+        poisoned_run = ((data, public) if "public" in arm.grants
+                        else (_NoPublicSplit(cfg), None))
+        rows = [experiment.run_attack(method, world, data, cap, cfg, None, public),
+                experiment.run_attack(method, world, poisoned_run[0], nan_cap, cfg, None,
+                                      poisoned_run[1])]
+        assert json.dumps(rows[0], sort_keys=True) == json.dumps(rows[1], sort_keys=True)
+        assert recons[0].tobytes() == recons[1].tobytes()
+
+    def test_a_new_arm_is_one_record_and_one_function(self, tmp_path, monkeypatch):
+        def run_echo_attack(arm, observed, world, data, cap, cfg, public):
+            return cap.truth_images.copy(), {"iters": 0}, False
+
+        def no_public_encodings(*args):
+            raise AssertionError("the public split encoded for arms granted none of it")
+
+        monkeypatch.setattr(experiment, "run_echo_attack", run_echo_attack, raising=False)
+        monkeypatch.setitem(experiment.ARMS, "echo",
+                            experiment.Arm(run_echo_attack, ("feat_unet",), (), "image"))
+        monkeypatch.setattr(experiment, "public_encodings", no_public_encodings)
+        cfg = mini_cfg(tmp_path, **{"protocol.iterations": 0})
+        cfg.attacks.methods = ["echo"]  # past validation: `config.ATTACK_METHODS` lacks it
+        out = Path(run_experiment(cfg))
+        rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+        attacks = [r for r in rows if r["kind"] == "attack"]
+        assert [r["defense"] for r in attacks] == ["none", "ours_plus_plus"]
+        for r in attacks:  # scored against the private images
+            assert all(s == pytest.approx(1.0) for s in r["ssim"])
+            assert all(np.isinf(p) for p in r["psnr"])
+        model = json.loads((out / "manifest.json").read_text())["attacker_model"]
+        assert set(model) == {"echo", "inverse_net_scaling", "dropout_state"}  # configured only
+        assert model["echo"] == {"run": "run_echo_attack", "reads": ["feat_unet"], "grants": [],
+                                 "truth": "image"}
+
+    def test_the_manifest_states_each_configured_arm(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SPLITSTREAM_SEED", raising=False)
+        cfg = load_config(ROOT / "configs" / "classic_tiny.ini")
+        cfg.out_dir = str(tmp_path / "run")
+        model = json.loads((Path(run_experiment(cfg)) / "manifest.json").read_text())[
+            "attacker_model"]
+        assert set(model) == {*cfg.attacks.methods, "inverse_net_scaling", "dropout_state"}
+        assert len(cfg.attacks.methods) == 4
+        for method in cfg.attacks.methods:
+            arm = experiment.ARMS[method]
+            assert model[method] == {"run": arm.run.__name__, "reads": list(arm.reads),
+                                     "grants": list(arm.grants), "truth": arm.truth}, method
+
+    def test_the_inverse_net_stacks_its_declared_fields_in_order(self, tmp_path):
+        # on the packets and in the attacker's simulation alike
+        cfg = mini_cfg(tmp_path)
+        data, ae, alpha = prepare(cfg)
+        world = build_world(cfg, "none", ae, data, alpha)
+        cap = generate_eval_packets(world, data, 5)
+        reads = experiment.ARMS["inverse_net"].reads
+        assert reads == experiment.ARMS["inverse_net_type1"].reads == (
+            "feat_control", "feat_unet", "label_noise")
+        observed = experiment._packet_matrix(cap.packets, reads)
+        assert observed.shape == (3, 12, 8, 8)  # 4 + 4 + 4 channels
+        for row, p in zip(observed, cap.packets):
+            assert np.array_equal(row, np.concatenate([p.feat_control, p.feat_unet,
+                                                       p.label_noise], axis=1)[0])
+        enc = experiment.public_encodings(cfg, ae, data)
+        prompts = data.public[2]
+        simulated = experiment.attacker_view_features(world, enc, prompts, cap.t, 5, reads)
+        f = features_at(world, enc, prompts, cap.t, RngState(5).split("atk-noise"), None)
+        assert np.array_equal(simulated, np.concatenate([f.s.data, f.h1, f.n_hat], axis=1))
 
 
 class TestBuildWorld:
