@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import CONDITION_KINDS, IMAGE_HW
-from .defenses import (KINDS as DEFENSE_KINDS, TIMESTEP_FLOOR, DefenseConfig,
-                       postprocess_features, preprocess_batch)
+from .defenses import KINDS as DEFENSE_KINDS, DefenseConfig, postprocess_features, preprocess_batch
 from .diffusion import VARIANTS, NoiseSchedule, ScheduleError, make_linear_schedule
 from .privacy import CalibrationError, PrivacyParams, timestep_for_epsilon
 from .rng import RngState
@@ -161,18 +160,20 @@ class ExperimentConfig:
     def calibrate(self, kind: str, alpha: float) -> tuple[NoiseSchedule, DefenseConfig,
                                                           PrivacyParams]:
         """The schedule, defense and privacy parameters of the arm `kind` at
-        sensitivity `alpha`. A timestep-floor arm takes its t_s from [privacy]
-        epsilon when one is given, else from [defense] t_s."""
+        sensitivity `alpha`. An arm that runs the timestep floor takes its t_s
+        from [privacy] epsilon when one is given, never below 1 (at t = 0 a
+        packet carries the clean latent), else from [defense] t_s; other arms floor at 1."""
         pv, sched = self.privacy, self.schedule.build()
         defense = replace(self.defense, kind=kind)
-        if kind in TIMESTEP_FLOOR and pv.epsilon is not None:
+        if defense.runs("floor") and pv.epsilon is not None:
             try:
-                defense.t_s = timestep_for_epsilon(pv.epsilon, sched, pv.delta, alpha)
+                defense.t_s = max(1, timestep_for_epsilon(pv.epsilon, sched, pv.delta, alpha))
                 return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha, defense.t_s)
             except CalibrationError as exc:
                 raise ConfigError(f"[privacy] epsilon = {pv.epsilon} at alpha = {alpha:.6g}: "
                                   f"{exc}") from None
-        return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha, defense.timestep_floor)
+        floor = defense.t_s if defense.runs("floor") else 1
+        return sched, defense, PrivacyParams.from_ts(sched, pv.delta, alpha, floor)
 
     def check_epsilon(self, alpha: float) -> None:
         """Calibrate every arm at sensitivity `alpha`, [privacy] epsilon included.
@@ -186,8 +187,8 @@ class ExperimentConfig:
         s, pv, d = self.schedule, self.privacy, self.defense
         kinds = self.arm_kinds
         # with [privacy] epsilon the floor comes from the budget, once alpha is known
-        floor = 1 if pv.epsilon is not None else max(
-            replace(d, kind=k).timestep_floor for k in kinds)
+        floor = max(d.t_s if pv.epsilon is None and replace(d, kind=k).runs("floor") else 1
+                    for k in kinds)
         # an empty alpha is estimated after pretraining; a positive stand-in checks the rest
         alpha = 1.0 if pv.alpha is None else pv.alpha
         try:

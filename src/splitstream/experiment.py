@@ -107,8 +107,9 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
         cond_encoder = ae.E
     branch = ControlBranch(unet)
     pe = PromptEncoder(dtt.VOCAB, rng.split("prompt-encoder"))
-    act = NoiseConfoundingActivation.create(rng.split("confound")) if defense.uses_confound else None
-    if defense.hides_prompt:
+    act = (NoiseConfoundingActivation.create(rng.split("confound"))
+           if defense.runs("confound") else None)
+    if defense.runs("prompt"):
         prompt_hide_transform(branch, unet)
     images, conds, prompts = data.train
     per = max(1, len(images) // cfg.protocol.clients)
@@ -166,9 +167,10 @@ def _packet_matrix(packets, fields) -> np.ndarray:
 
 
 def _guess_act(world: SplitWorld) -> NoiseConfoundingActivation | None:
-    """The attacker's stand-in for the confound activation: zero offset."""
-    return None if world.act is None else NoiseConfoundingActivation(
-        np.zeros((4, 8, 8), np.float32))
+    """The attacker's stand-in for the confound activation of an arm that
+    runs it: zero offset. It knows the arm's mechanisms, never the secret."""
+    zero = NoiseConfoundingActivation(np.zeros((4, 8, 8), np.float32))
+    return zero if world.defense.runs("confound") else None
 
 
 def public_encodings(cfg: ExperimentConfig, ae, data: DataBundle) -> ClientEncodings:

@@ -291,7 +291,7 @@ def client_packet(world: SplitWorld, images, conds, prompts, t: int, drop: RngSt
     f = client_features(world, images, conds, prompts, t, drop, noise, cond_encoder, world.act)
     feat_unet, feat_control = postprocess_features(f.h1, f.s.data, arm, privacy.delta,
                                                    privacy.alpha_sens, defense)
-    prompt_feat = None if arm.hides_prompt else world.prompt_encoder.encode(prompts)
+    prompt_feat = None if arm.runs("prompt") else world.prompt_encoder.encode(prompts)
     return FeaturePacket(client_id, iteration, t, feat_unet, feat_control, f.n_hat,
                          prompt_feat), f
 

@@ -1,14 +1,29 @@
-"""Comparison defenses: calibration, conservation laws, hook plumbing."""
+"""Defense kinds and comparison defenses: the kind table, calibration,
+conservation laws, hook plumbing."""
+
+import ast
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splitstream.defenses import (DefenseConfig, add_raw_noise, ldp_gauss_features,
+from splitstream.config import load_config
+from splitstream.defenses import (KINDS, DefenseConfig, add_raw_noise, ldp_gauss_features,
                                   postprocess_features, preprocess_batch)
+from splitstream.experiment import build_world, derived_seed, generate_eval_packets, prepare
 from splitstream.metrics import psnr
 from splitstream.rng import RngState
 
+ROOT = Path(__file__).resolve().parents[1]
 DELTA, ALPHA = 1e-4, 0.16
+MECHANISMS = ("floor", "confound", "prompt", "ldp_gauss", "ldp_rr", "add_raw")
+# each kind and exactly the mechanisms it runs
+WANT_MECHANISMS = {
+    "none": set(), "ldp_gauss": {"ldp_gauss"}, "ldp_rr": {"ldp_rr"}, "add_raw": {"add_raw"},
+    "ours_t": {"prompt"}, "ours_c": {"floor", "confound"},
+    "ours_plus_plus": {"floor", "confound", "prompt"},
+}
 
 
 class TestLdpGauss:
@@ -59,15 +74,11 @@ class TestConfigAndHooks:
         with pytest.raises(ValueError, match="unknown defense"):
             DefenseConfig(kind="shredder")
 
-    def test_flags(self):
-        assert DefenseConfig("ours_plus_plus").uses_confound
-        assert DefenseConfig("ours_plus_plus").hides_prompt
-        assert DefenseConfig("ours_c").uses_confound
-        assert not DefenseConfig("ours_c").hides_prompt
-        assert DefenseConfig("ours_t").hides_prompt
-        assert not DefenseConfig("ours_t").uses_confound
-        assert DefenseConfig("ours_c", t_s=536).timestep_floor == 536
-        assert DefenseConfig("ldp_gauss", t_s=536).timestep_floor == 1
+    @pytest.mark.parametrize("kind", sorted(WANT_MECHANISMS))
+    def test_a_kind_runs_exactly_its_mechanisms(self, kind):
+        assert WANT_MECHANISMS.keys() == KINDS.keys()
+        assert {m for m in MECHANISMS if DefenseConfig(kind).runs(m)} == WANT_MECHANISMS[kind]
+        assert set(KINDS[kind]) == WANT_MECHANISMS[kind]
 
     def test_preprocess_lockstep(self):
         # add_raw noises the images, then the conditions, from the one stream
@@ -96,3 +107,39 @@ class TestConfigAndHooks:
             ou, oc = postprocess_features(fu, fc, cfg, DELTA, ALPHA, RngState(29))
             assert not np.array_equal(ou, fu)
             assert not np.array_equal(oc, fc)
+
+
+def test_prompt_hiding_is_all_that_parts_the_packets_of_each_pair():
+    # why `ours_t` scores as `none` and `ours_plus_plus` as `ours_c`: no attack reads prompt_feat
+    cfg = load_config(ROOT / "configs" / "attack_tiny.ini")
+    data, ae, alpha = prepare(cfg)
+    caps = {kind: generate_eval_packets(build_world(cfg, kind, ae, data, alpha), data,
+                                        derived_seed(cfg, "eval_packets"))
+            for kind in ("none", "ours_t", "ours_c", "ours_plus_plus")}
+    assert caps["none"].t == 1 and caps["ours_c"].t == cfg.defense.t_s
+    for sent, hidden in (("none", "ours_t"), ("ours_c", "ours_plus_plus")):
+        assert caps[sent].zt.tobytes() == caps[hidden].zt.tobytes()
+        for p, q in zip(caps[sent].packets, caps[hidden].packets, strict=True):
+            assert p.prompt_feat is not None and q.prompt_feat is None
+            for f in fields(p):
+                if f.name != "prompt_feat":
+                    a, b = np.asarray(getattr(p, f.name)), np.asarray(getattr(q, f.name))
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (sent, f.name)
+
+
+def test_only_the_kind_table_compares_a_kind_name():
+    """No comparison in `src/` or `scripts/` outside `defenses.py` has a
+    name of `KINDS` as a constant operand: other modules ask
+    `DefenseConfig.runs` which mechanisms an arm runs."""
+    found = []
+    for top in ("src", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "defenses.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare):
+                    found += [f"{path.relative_to(ROOT)}:{node.lineno} {c.value!r}"
+                              for operand in (node.left, *node.comparators)
+                              for c in ast.walk(operand)
+                              if isinstance(c, ast.Constant) and c.value in KINDS]
+    assert not found

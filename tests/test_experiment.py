@@ -402,8 +402,10 @@ class TestArmRecords:
         assert np.isnan(nan_cap.packets[0].prompt_feat).all()
         poisoned_run = ((data, public) if "public" in arm.grants
                         else (_NoPublicSplit(cfg), None))
+        # no arm reads the clients' confound secret or their training data
+        no_secrets = replace(world, act=None, datasets=[])
         rows = [experiment.run_attack(method, world, data, cap, cfg, None, public),
-                experiment.run_attack(method, world, poisoned_run[0], nan_cap, cfg, None,
+                experiment.run_attack(method, no_secrets, poisoned_run[0], nan_cap, cfg, None,
                                       poisoned_run[1])]
         assert json.dumps(rows[0], sort_keys=True) == json.dumps(rows[1], sort_keys=True)
         assert recons[0].tobytes() == recons[1].tobytes()
@@ -586,6 +588,21 @@ class TestRunExperiment:
         with open(out / "packets_training.bin", "rb") as f:
             timesteps = [pkt.timestep for pkt in iter_frames(f)]
         assert len(timesteps) == 4 and min(timesteps) >= cal["t_s"]
+
+    def test_a_floor_is_never_below_1(self):
+        # above epsilon(0) the budget asks for t_s = 0, where a packet carries the clean latent
+        cfg = ExperimentConfig()
+        cfg.privacy.epsilon = 100.0
+        with pytest.warns(UserWarning, match="exceeds epsilon"):
+            _, defense, privacy = cfg.calibrate("ours_c", 0.16)
+        assert defense.t_s == privacy.t_s == cfg.calibrate("none", 0.16)[2].t_s == 1
+        cfg.privacy.epsilon = 8.0
+        sched = cfg.schedule.build()
+        assert cfg.calibrate("ours_c", 0.16)[2].t_s == timestep_for_epsilon(
+            8.0, sched, cfg.privacy.delta, 0.16) == 593
+        # without [privacy] epsilon only a floor arm takes [defense] t_s
+        cfg.privacy.epsilon = None
+        assert [cfg.calibrate(kind, 0.16)[2].t_s for kind in ("ours_c", "ldp_gauss")] == [536, 1]
 
     def test_metrics_rows_complete(self, tmp_path):
         out = Path(run_experiment(mini_cfg(tmp_path)))

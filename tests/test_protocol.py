@@ -35,7 +35,8 @@ def build_world(defense_kind="none", seed=777, n_data=12, clients=1,
     rng = RngState(seed)
     sched = make_linear_schedule(1000, 1.115e-5, 8.85e-4)
     defense = DefenseConfig(defense_kind)
-    privacy = PrivacyParams.from_ts(sched, DELTA, ALPHA, defense.timestep_floor)
+    privacy = PrivacyParams.from_ts(sched, DELTA, ALPHA,
+                                    defense.t_s if defense.runs("floor") else 1)
     ae = ToyAutoencoder(rng.split("ae"))
     ae.freeze()
     unet = ToyUNet(rng.split("unet"))
@@ -48,8 +49,8 @@ def build_world(defense_kind="none", seed=777, n_data=12, clients=1,
         enc = CondEncoder(rng.split("cond"))
     branch = ControlBranch(unet)
     pe = PromptEncoder(VOCAB, rng.split("pe"))
-    act = NoiseConfoundingActivation.create(rng.split("act")) if defense.uses_confound else None
-    if defense.hides_prompt:
+    act = NoiseConfoundingActivation.create(rng.split("act")) if defense.runs("confound") else None
+    if defense.runs("prompt"):
         from splitstream.models import prompt_hide_transform
 
         prompt_hide_transform(branch, unet)
