@@ -187,8 +187,11 @@ class ExperimentConfig:
         s, pv, d = self.schedule, self.privacy, self.defense
         kinds = self.arm_kinds
         # with [privacy] epsilon the floor comes from the budget, once alpha is known
-        floor = max(d.t_s if pv.epsilon is None and replace(d, kind=k).runs("floor") else 1
-                    for k in kinds)
+        floored = pv.epsilon is None and any(replace(d, kind=k).runs("floor") for k in kinds)
+        if floored and d.t_s < 1:
+            raise ConfigError(f"[defense] t_s = {d.t_s}: a timestep floor is at least 1 "
+                              f"(at t = 0 a packet carries the clean latent)")
+        floor = d.t_s if floored else 1
         # an empty alpha is estimated after pretraining; a positive stand-in checks the rest
         alpha = 1.0 if pv.alpha is None else pv.alpha
         try:

@@ -33,7 +33,7 @@ from .config import ExperimentConfig, config_to_dict
 from .metrics import psnr, ssim
 from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation,
                      PromptEncoder, ToyAutoencoder, ToyUNet, noise_confound,
-                     param_fingerprint, pretrain_autoencoder, prompt_hide_transform)
+                     param_fingerprint, pretrain_autoencoder)
 from .privacy import estimate_sensitivity, write_budget_csv
 from .protocol import (ClientDataset, ClientEncodings, ProtocolConfig, SimClock, SplitResult,
                        SplitWorld, client_packet, encode_inputs, encode_rows, features_at,
@@ -96,7 +96,8 @@ def prepare(cfg: ExperimentConfig) -> tuple[DataBundle, ToyAutoencoder, float]:
 def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
                 alpha_sens: float) -> SplitWorld:
     """Deterministic world for one defense arm; frozen parts are identical
-    across arms because they derive from the same seed labels."""
+    across arms because they derive from the same seed labels, and no arm
+    changes them: the arm shapes only its own control branch."""
     rng = RngState(cfg.seed)
     sched, defense, privacy = cfg.calibrate(defense_kind, alpha_sens)
     unet = ToyUNet(rng.split("unet"))
@@ -105,12 +106,10 @@ def build_world(cfg: ExperimentConfig, defense_kind: str, ae, data: DataBundle,
         cond_encoder = CondEncoder(rng.split("cond-encoder"), cfg.pretrain.ae_dropout)
     else:
         cond_encoder = ae.E
-    branch = ControlBranch(unet)
+    branch = ControlBranch(unet, self_attend=defense.runs("prompt"))
     pe = PromptEncoder(dtt.VOCAB, rng.split("prompt-encoder"))
     act = (NoiseConfoundingActivation.create(rng.split("confound"))
            if defense.runs("confound") else None)
-    if defense.runs("prompt"):
-        prompt_hide_transform(branch, unet)
     images, conds, prompts = data.train
     per = max(1, len(images) // cfg.protocol.clients)
     datasets = []

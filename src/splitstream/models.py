@@ -16,7 +16,8 @@ The cut between client and server falls right after the denoiser's
 enc_block_1 and after the condition encoder: the client ships the block-1
 activation and the (optionally noise-confounded) sum of noisy latent and
 encoded condition; every block downstream, the whole control branch
-included, runs on the server.
+included, runs on the server. Under prompt hiding the server gives its
+blocks no prompt, and a block given none skips its cross-attention.
 """
 
 from __future__ import annotations
@@ -143,10 +144,10 @@ def timestep_embedding(t: int) -> np.ndarray:
 class UNetBlock(Module):
     """conv -> +timestep embedding -> silu -> attention -> (upsample) -> conv.
 
-    The attention, residual included, is one graph node: cross-attention
-    to the prompt (`tensor.cross_attention` with the CrossAttention
-    weights), self-attention once prompt hiding swaps in SelfAttention, and
-    nothing for a block bound to the zero prompt."""
+    The attention, residual included, is one graph node: self-attention in
+    a block built with SelfAttention, else cross-attention to the prompt
+    (`tensor.cross_attention` with the CrossAttention weights). No prompt,
+    no cross-attention: the block skips it."""
 
     def __init__(self, in_ch, mid_ch, out_ch, rng: RngState, stride=1, upsample=False):
         self.conv1 = Conv(in_ch, mid_ch, 3, rng, stride=stride, padding=1)
@@ -154,8 +155,6 @@ class UNetBlock(Module):
         self.attn = CrossAttention(mid_ch, D_PROMPT, 32, rng)
         self.conv2 = Conv(mid_ch, out_ch, 3, rng, padding=1)
         self.upsample = upsample
-        # once set, the block ignores its prompt argument (prompt hiding)
-        self.bound_zero_prompt = False
 
     def __call__(self, x: Tensor, t: int, prompt: Tensor | None) -> Tensor:
         h = self.conv1(x)
@@ -165,11 +164,9 @@ class UNetBlock(Module):
         h = tt.silu(h)
         if isinstance(self.attn, SelfAttention):
             h = self.attn(h)
-        # a block bound to the zero prompt skips its cross-attention: K and V
-        # have no bias, so attention over a zero context is exactly zero
-        elif not self.bound_zero_prompt:
-            if prompt is None:
-                raise ValueError("block needs prompt features (or a bound zero feature)")
+        # no prompt, no cross-attention: K and V have no bias, so attention
+        # over the zero prompt is exactly zero and the block builds no node for it
+        elif prompt is not None:
             a = self.attn
             h = tt.cross_attention(h, prompt, a.wq, a.wk, a.wv, a.wo)
         if self.upsample:
@@ -253,9 +250,6 @@ class ToyUNet(Module):
         self.dec_block_2 = UNetBlock(128, 64, 32, rng.split("dec2"), upsample=True)
         self.dec_block_1 = UNetBlock(36, 32, 4, rng.split("dec1"))
 
-    def server_blocks(self):
-        return (self.enc_block_2, self.mid, self.dec_block_2, self.dec_block_1)
-
     def server_forward(self, h1: Tensor, t: int, prompt, control_taps) -> Tensor:
         """Everything after the cut. Empty taps = unconditional denoiser."""
         if control_taps and len(control_taps) != N_TAPS:
@@ -281,12 +275,17 @@ def unet_denoise(zt: Tensor, t: int, prompt_feat: Tensor | None, control_taps,
 
 class ControlBranch(Module):
     """Trainable twin of the denoiser's encoder half plus zero convolutions:
-    every parameter is the server's, in checkpoint order."""
+    every parameter is the server's, in checkpoint order. Built with
+    `self_attend` (prompt hiding), its blocks attend over the condition
+    features instead of the prompt."""
 
-    def __init__(self, unet: ToyUNet):
+    def __init__(self, unet: ToyUNet, self_attend: bool = False):
         self.enc_block_1 = unet.enc_block_1.clone()
         self.enc_block_2 = unet.enc_block_2.clone()
         self.mid = unet.mid.clone()
+        if self_attend:
+            for blk in (self.enc_block_1, self.enc_block_2, self.mid):
+                blk.attn = SelfAttention()
         self.zero_conv_1 = Conv(4, 4, 1, None, zero_init=True)
         self.zero_conv_2 = Conv(64, 64, 1, None, zero_init=True)
         self.zero_conv_mid = Conv(64, 64, 1, None, zero_init=True)
@@ -340,21 +339,6 @@ class PromptEncoder:
             for j, tok in enumerate(toks):
                 out[i, j] = self.table[self.index[tok]]
         return out
-
-
-def prompt_hide_transform(branch: ControlBranch, unet: ToyUNet) -> None:
-    """Rewire the pipeline, in place, so no prompt ever reaches the server.
-
-    Control-branch attention becomes self-attention over condition features;
-    the frozen denoiser blocks behind the cut are permanently bound to the
-    zero text feature. Their cross-attention keys and values are projections
-    without bias, so its term is exactly zero: a bound block skips it and
-    builds no graph for it. The client-side enc_block_1 is untouched.
-    """
-    for blk in (branch.enc_block_1, branch.enc_block_2, branch.mid):
-        blk.attn = SelfAttention()
-    for blk in unet.server_blocks():
-        blk.bound_zero_prompt = True
 
 
 def param_fingerprint(named: dict[str, Tensor]) -> str:

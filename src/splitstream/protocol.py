@@ -40,14 +40,15 @@ from .config import ProtocolSection
 from .data import ConditionMaps
 from .defenses import DefenseConfig, postprocess_features, preprocess_batch
 from .diffusion import NoiseSchedule, forward_diffuse, training_loss
-from .models import (CondEncoder, ControlBranch, NoiseConfoundingActivation, PromptEncoder,
-                     ToyAutoencoder, ToyUNet, noise_confound)
+from .models import (D_PROMPT, LATENT_SHAPE, MAX_PROMPT_LEN, CondEncoder, ControlBranch,
+                     NoiseConfoundingActivation, PromptEncoder, ToyAutoencoder, ToyUNet,
+                     noise_confound)
 from .optim import AdamW
 from .privacy import PrivacyParams, sample_private_timestep
 from .rng import RngState
 from .tensor import Tensor
 from .wire import (CTRL_DONE, CTRL_HELLO, ControlMessage, FeaturePacket, GradientPacket,
-                   frame_message, parse_message, read_frame, tensor_payload_bytes)
+                   WireError, frame_message, parse_message, read_frame, tensor_payload_bytes)
 
 
 class TransportError(RuntimeError):
@@ -346,16 +347,25 @@ class ServerWorker:
         self.loss_history: list[float] = []
 
     def train_step(self, pkt: FeaturePacket) -> tuple[float, GradientPacket | None]:
+        """One step on one packet, which keeps the packet contract or is a
+        WireError naming the client: each latent field is (batch,
+        *LATENT_SHAPE), and `prompt_feat` is (batch, MAX_PROMPT_LEN, D_PROMPT)
+        exactly when the arm reads the prompt. A hiding arm's blocks get none."""
         w = self.world
-        if pkt.feat_unet.shape != pkt.feat_control.shape or pkt.feat_unet.shape != pkt.label_noise.shape:
-            raise ValueError(
-                f"packet shape mismatch: feat_unet {pkt.feat_unet.shape}, "
-                f"feat_control {pkt.feat_control.shape}, label {pkt.label_noise.shape}"
-            )
+        hides_prompt = w.defense.runs("prompt")
+        want = dict.fromkeys(("feat_unet", "feat_control", "label_noise"),
+                             (self.cfg.batch, *LATENT_SHAPE))
+        want["prompt_feat"] = ("absent" if hides_prompt
+                               else (self.cfg.batch, MAX_PROMPT_LEN, D_PROMPT))
+        for name, shape in want.items():
+            got = "absent" if getattr(pkt, name) is None else getattr(pkt, name).shape
+            if got != shape:
+                raise WireError(f"client {pkt.client_id} iteration {pkt.iteration}: {name} "
+                                f"shape {got}, expected {shape} under {w.defense.kind}")
         classic = self.cfg.mode == "classic"
         s = Tensor(pkt.feat_control, requires_grad=classic)
         h1 = Tensor(pkt.feat_unet)
-        prompt = None if pkt.prompt_feat is None else Tensor(pkt.prompt_feat)
+        prompt = None if hides_prompt else Tensor(pkt.prompt_feat)
         taps = w.branch.server_forward(s, pkt.timestep, prompt)
         n = w.unet.server_forward(h1, pkt.timestep, prompt, taps)
         loss = training_loss(pkt.label_noise, n)

@@ -7,6 +7,7 @@ import threading
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splitstream.cli import build_parser, main
@@ -348,6 +349,27 @@ def test_train_connect_to_nobody_is_one_line_and_exit_1(tmp_path, mini_config, m
     err = capsys.readouterr().err
     assert exc.value.code == 1 and len(err.splitlines()) == 1
     assert f"splitstream: error: could not connect to {endpoint} within 0.3 s" in err
+
+
+def test_train_a_packet_off_the_contract_is_one_line_and_exit_1(tmp_path, mini_config,
+                                                                monkeypatch, capsys):
+    # a packet that carries the prompt its arm hides ends the session at the server
+    from splitstream import protocol
+
+    real = protocol.ClientWorker.forward_step
+
+    def prompting(self, iteration):
+        pkt = real(self, iteration)
+        pkt.prompt_feat = np.zeros((2, 77, 32), np.float32)
+        return pkt
+
+    monkeypatch.setattr(protocol.ClientWorker, "forward_step", prompting)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(mini_config), "--out", str(tmp_path / "tr")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1 and len(err.splitlines()) == 1
+    assert ("splitstream: error: client 0 iteration 0: prompt_feat shape (2, 77, 32), "
+            "expected absent under ours_plus_plus") in err
 
 
 def _no_pretraining(monkeypatch):

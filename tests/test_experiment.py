@@ -21,12 +21,27 @@ from splitstream.config import (ATTACK_METHODS, ConfigError, ExperimentConfig,
 from splitstream.defenses import KINDS as DEFENSE_KINDS, postprocess_features, preprocess_batch
 from splitstream.experiment import (build_world, derived_seed, generate_eval_packets,
                                     prepare, run_experiment, synthesize_data)
+from splitstream.models import Module, param_fingerprint
 from splitstream.privacy import timestep_for_epsilon
-from splitstream.protocol import CHUNK_ROWS, client_features, encode_inputs, features_at
+from splitstream.protocol import (CHUNK_ROWS, client_features, encode_inputs, features_at,
+                                  run_split_training)
 from splitstream.rng import RngState
+from splitstream.tensor import Tensor
 from splitstream.wire import FeaturePacket, frame_message, iter_frames
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _layout(module, prefix="") -> dict:
+    """Each submodule's type and each attribute that is not a parameter,
+    by attribute path."""
+    out = {prefix: type(module).__name__}
+    for name, value in vars(module).items():
+        if isinstance(value, Module):
+            out.update(_layout(value, f"{prefix}{name}."))
+        elif not isinstance(value, Tensor):
+            out[prefix + name] = value
+    return out
 
 
 def mini_cfg(tmp_path, **overrides) -> ExperimentConfig:
@@ -122,8 +137,9 @@ class TestConfig:
                               # refused by the schedule's and the calibration's own checks
                               ("schedule", "T = 0"), ("schedule", "k = 0.01"),
                               ("privacy", "delta = 0"), ("privacy", "alpha = -1"),
-                              # a floor above [schedule] T = 1000
-                              ("defense", "t_s = 1001"),
+                              # a floor above [schedule] T = 1000, and one at t = 0,
+                              # where a packet carries the clean latent
+                              ("defense", "t_s = 1001"), ("defense", "t_s = 0"),
                               # no budget, and one below the schedule's floor of 6.297
                               # at alpha = 0.16
                               ("privacy", "epsilon = -1"), ("privacy", "epsilon = 5")):
@@ -478,6 +494,30 @@ class TestBuildWorld:
         world = build_world(cfg, "none", ae, data, alpha)
         assert world.cond_encoder is not ae.E and not world.cond_encoder.frozen
         assert world.autoencoder is ae and ae.E.frozen
+
+    def test_every_arm_builds_the_same_frozen_denoiser(self, tmp_path):
+        # no arm changes the frozen UNet, so one object can serve every arm
+        cfg = mini_cfg(tmp_path, **{"protocol.iterations": 2})
+        data, ae, alpha = prepare(cfg)
+        kinds = ("ours_plus_plus", "none")
+        own = {k: build_world(cfg, k, ae, data, alpha) for k in kinds}
+        a, b = (own[k].unet for k in kinds)
+        assert param_fingerprint(a.named_parameters()) == param_fingerprint(b.named_parameters())
+        assert _layout(a) == _layout(b)
+        shared = build_world(cfg, "none", ae, data, alpha).unet
+        layout = _layout(shared)
+
+        def outputs(world):
+            cap = generate_eval_packets(world, data, 5)
+            result = run_split_training(world, experiment.protocol_config(cfg))
+            return ([frame_message(p) for p in cap.packets], result.loss_history,
+                    param_fingerprint(world.branch.named_parameters()))
+
+        # the hiding arm first, so a change it left on the shared UNet would show in the next
+        for k in kinds:
+            on_shared = replace(build_world(cfg, k, ae, data, alpha), unet=shared)
+            assert outputs(on_shared) == outputs(own[k]), k
+        assert _layout(shared) == layout
 
     def test_protocol_config_copies_declared_fields_only(self, tmp_path):
         cfg = mini_cfg(tmp_path)

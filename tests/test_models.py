@@ -10,12 +10,16 @@ from splitstream import tensor as tt
 from splitstream.diffusion import training_loss
 from splitstream.models import (ControlBranch, NoiseConfoundingActivation,
                                 PromptEncoder, ToyAutoencoder, ToyUNet,
-                                noise_confound, param_fingerprint,
-                                prompt_hide_transform, pretrain_autoencoder,
+                                noise_confound, param_fingerprint, pretrain_autoencoder,
                                 timestep_embedding, unet_denoise)
 from splitstream.optim import AdamW
 from splitstream.rng import RngState
 from splitstream.tensor import Tensor
+
+
+def server_blocks(unet: ToyUNet) -> tuple:
+    """The denoiser blocks behind the cut, in the order the server runs them."""
+    return (unet.enc_block_2, unet.mid, unet.dec_block_2, unet.dec_block_1)
 
 
 def graph_ops(y: Tensor) -> set[str]:
@@ -210,35 +214,6 @@ class TestControlForward:
 
 
 class TestPromptHiding:
-    def test_transform_and_isolation(self):
-        rng = RngState(14)
-        unet = ToyUNet(rng.split("u"))
-        unet.freeze()
-        branch = ControlBranch(unet)
-        pe = PromptEncoder(["one", "red", "circle", "blue"], rng.split("p"))
-        prompt_hide_transform(branch, unet)
-
-        # server-side forward requires no prompt argument
-        zt = rng.normal((1, 4, 8, 8))
-        h1 = unet.enc_block_1(Tensor(zt), 3, Tensor(pe.encode([["red"]])))
-        out_a = unet.server_forward(h1, 3, None, [])
-        out_b = unet.server_forward(h1, 3, None, [])
-        assert out_a.data.tobytes() == out_b.data.tobytes()
-
-        # prompts no longer reach server blocks: identical h1, different
-        # prompts, identical output
-        out_c = unet.server_forward(h1, 3, Tensor(pe.encode([["blue", "blue"]])), [])
-        assert out_a.data.tobytes() == out_c.data.tobytes()
-
-        # but the client-side block still sees real prompts
-        h1_other = unet.enc_block_1(Tensor(zt), 3, Tensor(pe.encode([["blue"]])))
-        assert h1.data.tobytes() != h1_other.data.tobytes()
-
-        # control branch attention is now projection-free self-attention
-        s = Tensor(rng.normal((1, 4, 8, 8)))
-        taps = branch.server_forward(s, 3, None)
-        assert len(taps) == 3
-
     def test_self_attention_matches_oracle(self):
         # the fused op against the graph it replaces, at the control
         # branch's two attention shapes: output and input gradient equal
@@ -298,28 +273,25 @@ class TestPromptHiding:
             tt.cross_attention(Tensor(rng.normal((1, 4, 2, 2))), ctx,
                                attn.wq, attn.wk, attn.wv, attn.wo)
 
-    def test_bound_blocks_equal_explicit_zero_prompt_attention(self):
-        # a bound block skips its cross-attention; unbound, the same block
-        # attends to the zero prompt, and output and input gradient must not
-        # move by a bit
+    def test_a_block_given_no_prompt_equals_zero_prompt_attention(self):
+        # a block given no prompt skips its cross-attention; given the zero
+        # prompt, the same block attends to it, and output and input gradient
+        # must not move by a bit
         rng = RngState(18)
         unet = ToyUNet(rng.split("u"))
         unet.freeze()
-        prompt_hide_transform(ControlBranch(unet), unet)
         shapes = ((3, 4, 8, 8), (3, 64, 4, 4), (3, 128, 4, 4), (3, 36, 8, 8))
-        for blk, shape in zip(unet.server_blocks(), shapes):
+        for blk, shape in zip(server_blocks(unet), shapes):
             x_np = rng.normal(shape)
             prompt = Tensor(np.zeros((shape[0], 1, M.D_PROMPT), np.float32))
             runs = []
-            for bound, p in ((True, None), (False, prompt)):
-                blk.bound_zero_prompt = bound
+            for p in (None, prompt):
                 x = Tensor(x_np, requires_grad=True)
                 y = blk(x, 11, p)
-                # bound, the block builds no attention node
-                assert ("cross_attention" in graph_ops(y)) == (not bound)
+                # without a prompt, the block builds no attention node
+                assert ("cross_attention" in graph_ops(y)) == (p is not None)
                 tt.backward(y, seed_grad=RngState(19).normal(y.shape))
                 runs.append((y.data.tobytes(), x.grad.tobytes()))
-            blk.bound_zero_prompt = True
             assert runs[0] == runs[1]
 
     def test_zeroed_value_path_makes_prompt_irrelevant(self):
@@ -327,7 +299,7 @@ class TestPromptHiding:
         unet = ToyUNet(rng.split("u"))
         pe = PromptEncoder(["one", "red"], rng.split("p"))
         # zero the value path of every cross-attention: no prompt influence
-        for blk in (unet.enc_block_1, *unet.server_blocks()):
+        for blk in (unet.enc_block_1, *server_blocks(unet)):
             blk.attn.wv.data[...] = 0.0
         zt = rng.normal((1, 4, 8, 8))
         a = unet_denoise(Tensor(zt), 5, Tensor(pe.encode([["one"]])), [], unet)
@@ -375,8 +347,7 @@ class TestParameterTree:
         rng = RngState(22)
         unet = ToyUNet(rng.split("u"))
         unet.freeze()
-        branch = ControlBranch(unet)
-        prompt_hide_transform(branch, unet)
+        branch = ControlBranch(unet, self_attend=True)
         x = Tensor(rng.normal((1, 64, 4, 4)))
         for blk in (branch.mid, unet.mid):
             twin = blk.clone()
@@ -391,7 +362,6 @@ class TestParameterTree:
         # a frozen kernel's packed layouts stay behind
         assert unet.mid.conv1.w._packs is not None
         assert all(p._packs is None for p in unet.mid.clone().named_parameters().values())
-        assert unet.mid.clone().bound_zero_prompt is True
 
     def test_frozen_follows_freeze(self):
         ae = ToyAutoencoder(RngState(23))

@@ -14,8 +14,8 @@ from splitstream.config import ConfigError
 from splitstream.defenses import DefenseConfig
 from splitstream.diffusion import make_linear_schedule
 from splitstream.models import (ControlBranch, NoiseConfoundingActivation,
-                                PromptEncoder, ToyAutoencoder, ToyUNet,
-                                param_fingerprint, unet_denoise)
+                                PromptEncoder, SelfAttention, ToyAutoencoder, ToyUNet,
+                                UNetBlock, param_fingerprint, unet_denoise)
 from splitstream.privacy import PrivacyParams, epsilon_for_timestep
 from splitstream.protocol import (ClientDataset, ClientWorker, IterationSample,
                                   ProtocolConfig, ServerWorker, SimClock, SplitWorld,
@@ -47,13 +47,9 @@ def build_world(defense_kind="none", seed=777, n_data=12, clients=1,
         from splitstream.models import CondEncoder
 
         enc = CondEncoder(rng.split("cond"))
-    branch = ControlBranch(unet)
+    branch = ControlBranch(unet, self_attend=defense.runs("prompt"))
     pe = PromptEncoder(VOCAB, rng.split("pe"))
     act = NoiseConfoundingActivation.create(rng.split("act")) if defense.runs("confound") else None
-    if defense.runs("prompt"):
-        from splitstream.models import prompt_hide_transform
-
-        prompt_hide_transform(branch, unet)
     data_rng = rng.split("data")
     datasets = []
     for _ in range(clients):
@@ -240,6 +236,31 @@ class TestServerTrainStep:
                             np.zeros((1, 4, 8, 8), np.float32))
         with pytest.raises(ValueError, match="shape"):
             server.train_step(bad)
+
+    def test_prompts_never_reach_a_hiding_servers_blocks(self, monkeypatch):
+        # every block a hiding server runs gets no prompt, so none attends to
+        # one; the control branch self-attends and the client's enc_block_1
+        # still reads the real prompt
+        world = build_world("ours_plus_plus", seed=14)
+        cfg = make_cfg()
+        pkt = ClientWorker(0, world, cfg, RngState(1)).forward_step(0)
+        given = []
+        call = UNetBlock.__call__
+
+        def recording(blk, x, t, prompt):
+            given.append(prompt)
+            return call(blk, x, t, prompt)
+
+        monkeypatch.setattr(UNetBlock, "__call__", recording)
+        ServerWorker(world, cfg).train_step(pkt)
+        assert len(given) == 7 and all(p is None for p in given)
+        branch = world.branch
+        assert all(isinstance(b.attn, SelfAttention)
+                   for b in (branch.enc_block_1, branch.enc_block_2, branch.mid))
+        zt = Tensor(RngState(2).normal((2, 4, 8, 8)))
+        h1 = [world.unet.enc_block_1(zt, 3, Tensor(world.prompt_encoder.encode([[w]] * 2))).data
+              for w in ("red", "blue")]
+        assert h1[0].tobytes() != h1[1].tobytes()
 
     def test_nan_loss_aborts_with_diagnostic(self):
         world = build_world("none")
@@ -525,6 +546,40 @@ class TestFaults:
         monkeypatch.setattr(pr, "frame_message", corrupting)
         assert isinstance(self.run_faulty(transport), WireError)
 
+    @pytest.mark.parametrize("defense, breach, says", [
+        # latents cropped to 4x4, under either arm
+        ("none", "latent_size", "feat_unet shape (2, 4, 4, 4), expected (2, 4, 8, 8)"),
+        ("ours_plus_plus", "latent_size", "feat_unet shape (2, 4, 4, 4), expected (2, 4, 8, 8)"),
+        # three rows in a batch-2 session
+        ("none", "batch", "feat_unet shape (3, 4, 8, 8), expected (2, 4, 8, 8)"),
+        ("none", "missing_prompt", "prompt_feat shape absent, expected (2, 77, 32)"),
+        ("ours_plus_plus", "unexpected_prompt", "prompt_feat shape (2, 77, 32), expected absent"),
+    ], ids=["latent_size", "latent_size_hiding", "batch", "missing_prompt", "unexpected_prompt"])
+    def test_a_packet_off_the_contract_ends_the_session(self, transport, defense, breach, says,
+                                                         monkeypatch):
+        real = ClientWorker.forward_step
+        latents = ("feat_unet", "feat_control", "label_noise")
+
+        def breaching(self, iteration):
+            pkt = real(self, iteration)
+            if iteration == 1:
+                if breach == "latent_size":
+                    for name in latents:
+                        setattr(pkt, name, getattr(pkt, name)[:, :, :4, :4].copy())
+                elif breach == "batch":
+                    for name in (*latents, "prompt_feat"):
+                        setattr(pkt, name, np.concatenate([getattr(pkt, name)] * 2)[:3])
+                elif breach == "missing_prompt":
+                    pkt.prompt_feat = None
+                else:
+                    pkt.prompt_feat = np.zeros((2, 77, 32), np.float32)
+            return pkt
+
+        monkeypatch.setattr(ClientWorker, "forward_step", breaching)
+        err = self.run_faulty(transport, mode="gradient_free", defense=defense)
+        assert isinstance(err, WireError)
+        assert str(err) == f"client 0 iteration 1: {says} under {defense}"
+
     def test_packet_from_unregistered_client_id(self, transport, monkeypatch):
         real = ClientWorker.forward_step
 
@@ -631,7 +686,7 @@ def test_connection_closed_before_hello_is_named_as_such(monkeypatch):
 
 
 @pytest.mark.parametrize("defense_kind, mode, bound", [
-    # prompt hiding: the control branch self-attends, the frozen blocks are bound
+    # prompt hiding: the control branch self-attends, the frozen blocks get no prompt
     ("ours_plus_plus", "gradient_free", 45),
     # the prompt reaches all 7 server blocks, one cross_attention node each (129 composed)
     ("none", "classic", 48),
