@@ -93,7 +93,9 @@ def cmd_train(args):
     res = run_server_role(world, pcfg, *endpoint) if args.listen else run_split_training(world, pcfg)
     record_training(cfg, world, res, frozen_before, out)
     if args.listen:
-        print(f"served {res.ledger.packets} packets from {cfg.protocol.clients} clients -> {out}")
+        up = len(res.ledger.samples)
+        print(f"served {up} packets and {res.ledger.packets - up} replies from "
+              f"{cfg.protocol.clients} clients -> {out}")
         return
     losses = res.loss_history
     print(f"trained {cfg.protocol.mode} for {len(losses)} steps: "

@@ -11,12 +11,13 @@ runs.
 Packets cross the boundary only as framed bytes over sockets: one end of a
 socketpair per client in-process, a loopback TCP connection per client
 otherwise. There is one client loop and one serve loop: each client sends
-HELLO, one packet per iteration and DONE in-band over its socket, and one
-serve thread waits on every connection, reads one whole frame from each
-ready one, counts and captures each uplink frame, trains on it and sends
-any reply back down the connection whose HELLO named that client. The
-session ends when every client has sent DONE, so the byte ledger measures
-exactly what a real deployment would send.
+its `iterations` packets over its socket and closes it, and one serve
+thread waits on every connection, reads one whole frame from each ready
+one, counts and captures each uplink frame, trains on it and sends any
+reply back down the connection it came in on. A connection belongs to the
+client its first packet names, and it ends at end of file after exactly
+`iterations` packets; the session ends when every connection has, so the
+byte ledger measures exactly what a real deployment would send.
 A session records only measured bytes, one ledger sample per uplink
 frame. Time is a model the caller applies when it reports the ledger: a
 `SimClock`'s per-iteration client/server costs and link rate give the
@@ -47,8 +48,8 @@ from .optim import AdamW
 from .privacy import PrivacyParams, sample_private_timestep
 from .rng import RngState
 from .tensor import Tensor
-from .wire import (CTRL_DONE, CTRL_HELLO, ControlMessage, FeaturePacket, GradientPacket,
-                   WireError, frame_message, parse_message, read_frame, tensor_payload_bytes)
+from .wire import (FeaturePacket, GradientPacket, WireError, frame_message, parse_message,
+                   read_frame, tensor_payload_bytes)
 
 
 class TransportError(RuntimeError):
@@ -348,10 +349,15 @@ class ServerWorker:
 
     def train_step(self, pkt: FeaturePacket) -> tuple[float, GradientPacket | None]:
         """One step on one packet, which keeps the packet contract or is a
-        WireError naming the client: each latent field is (batch,
-        *LATENT_SHAPE), and `prompt_feat` is (batch, MAX_PROMPT_LEN, D_PROMPT)
-        exactly when the arm reads the prompt. A hiding arm's blocks get none."""
+        WireError naming the client: the timestep is in the arm's range
+        [t_s, t_max], each latent field is (batch, *LATENT_SHAPE), and
+        `prompt_feat` is (batch, MAX_PROMPT_LEN, D_PROMPT) exactly when the
+        arm reads the prompt. A hiding arm's blocks get none."""
         w = self.world
+        lo, hi = w.privacy.t_s, w.privacy.t_max
+        if not lo <= pkt.timestep <= hi:
+            raise WireError(f"client {pkt.client_id} iteration {pkt.iteration}: timestep "
+                            f"{pkt.timestep} outside [{lo}, {hi}] under {w.defense.kind}")
         hides_prompt = w.defense.runs("prompt")
         want = dict.fromkeys(("feat_unet", "feat_control", "label_noise"),
                              (self.cfg.batch, *LATENT_SHAPE))
@@ -407,12 +413,12 @@ JOIN_TIMEOUT_S = 10.0  # teardown waits this long for each client thread
 
 
 def _client_loop(client: ClientWorker, cfg: ProtocolConfig, sock: socket.socket) -> None:
-    """HELLO, one packet per iteration (waiting for its gradient in classic
-    mode), DONE; the socket is closed however the loop ends. A reset, closed
-    or silent (IO_TIMEOUT_S) connection is a TransportError."""
+    """One packet per iteration (waiting for its gradient in classic mode);
+    the socket is closed however the loop ends, and its end of file ends the
+    client's session. A reset, closed or silent (IO_TIMEOUT_S) connection is
+    a TransportError."""
     with sock:
         try:
-            sock.sendall(frame_message(ControlMessage(code=CTRL_HELLO, client_id=client.client_id)))
             for it in range(cfg.iterations):
                 sock.sendall(frame_message(client.forward_step(it)))
                 if cfg.mode == "classic":
@@ -423,7 +429,6 @@ def _client_loop(client: ClientWorker, cfg: ProtocolConfig, sock: socket.socket)
                     if not isinstance(gpkt, GradientPacket):
                         raise TransportError(f"expected GradientPacket, got {type(gpkt).__name__}")
                     client.apply_gradient(gpkt)
-            sock.sendall(frame_message(ControlMessage(code=CTRL_DONE, client_id=client.client_id)))
         except TimeoutError as exc:
             raise TransportError(f"the server sent nothing for {IO_TIMEOUT_S:g} s") from exc
         except OSError as exc:  # reset or closed under a send
@@ -432,22 +437,23 @@ def _client_loop(client: ClientWorker, cfg: ProtocolConfig, sock: socket.socket)
 
 def _serve(server: ServerWorker, cfg: ProtocolConfig, conns: list[socket.socket],
            ledger: TransmissionLedger, capture) -> None:
-    """Train on every uplink frame until `cfg.clients` clients have sent DONE.
+    """Train on every uplink frame until every connection has closed.
 
     One thread waits on every connection and reads one whole frame from
-    each ready one; a peer silent for IO_TIMEOUT_S ends the session, and so
-    does any frame on a connection after its client's DONE. Every
-    connection is closed here, however the loop ends.
+    each ready one. A connection belongs to the client its first packet
+    names; an id outside 0..clients-1 or held elsewhere, a change of id, a
+    packet past `cfg.iterations`, an end of file before it and a peer silent
+    for IO_TIMEOUT_S end the session. Every connection is closed here.
     """
-    routes: dict[int, socket.socket] = {}  # client id -> connection its HELLO came in on
-    finished: dict[socket.socket, int] = {}  # connection -> client whose DONE came in on it
+    owner: dict[socket.socket, int] = {}  # connection -> client its first packet named
+    sent = [0] * cfg.clients  # packets each client has sent
     with contextlib.ExitStack() as stack:
         sel = stack.enter_context(selectors.DefaultSelector())
         for conn in conns:
             stack.enter_context(conn)
             conn.settimeout(IO_TIMEOUT_S)
             sel.register(conn, selectors.EVENT_READ)
-        while len(finished) < cfg.clients:
+        while sel.get_map():
             ready = sel.select(IO_TIMEOUT_S)
             if not ready:
                 raise TransportError(f"no client sent anything for {IO_TIMEOUT_S:g} s")
@@ -457,30 +463,29 @@ def _serve(server: ServerWorker, cfg: ProtocolConfig, conns: list[socket.socket]
                     frame = read_frame(conn)
                 except OSError as exc:  # reset, or silent mid-frame
                     raise TransportError(f"connection to a client lost: {exc}") from exc
+                cid = owner.get(conn)
                 if frame is None:  # a connection ended
                     sel.unregister(conn)
-                    cid = next((c for c, r in routes.items() if r is conn), None)
-                    if cid is None:
-                        raise TransportError("a connection closed before its client sent HELLO")
-                    if conn not in finished:
-                        raise TransportError(f"client {cid} closed its connection before DONE")
+                    k = 0 if cid is None else sent[cid]
+                    if k != cfg.iterations:
+                        who = "a connection" if cid is None else f"client {cid}"
+                        raise TransportError(f"{who} closed after {k} of {cfg.iterations} packets")
                     continue
                 msg = parse_message(frame)
-                if conn in finished:
-                    what = msg if isinstance(msg, ControlMessage) else type(msg).__name__
-                    raise TransportError(f"client {finished[conn]} sent {what} after DONE")
-                if isinstance(msg, ControlMessage):
-                    if msg.code == CTRL_HELLO and msg.client_id not in routes:
-                        routes[msg.client_id] = conn
-                    elif msg.code == CTRL_DONE and routes.get(msg.client_id) is conn:
-                        finished[conn] = msg.client_id
-                    else:
-                        raise TransportError(f"unexpected control message {msg}")
-                    continue
                 if not isinstance(msg, FeaturePacket):
                     raise TransportError(f"server received a {type(msg).__name__}")
-                if routes.get(msg.client_id) is not conn:
-                    raise TransportError(f"packet from unregistered client id {msg.client_id}")
+                if not 0 <= msg.client_id < cfg.clients:
+                    raise TransportError(f"client id {msg.client_id} outside 0..{cfg.clients - 1}")
+                if cid is None:
+                    if msg.client_id in owner.values():
+                        raise TransportError(f"client {msg.client_id} already has a connection")
+                    owner[conn] = cid = msg.client_id
+                if msg.client_id != cid:
+                    raise TransportError(f"client {cid}'s connection sent client {msg.client_id}")
+                if sent[cid] == cfg.iterations:
+                    raise TransportError(f"client {cid} sent packet {sent[cid] + 1} of "
+                                         f"{cfg.iterations}")
+                sent[cid] += 1
                 if capture is not None:
                     capture.write(frame)
                 _, gpkt = server.train_step(msg)

@@ -2,9 +2,10 @@
 
 Frame layout (integers little-endian):
     magic "SPLT" | version u8 | msg-type u8 | payload length u64 | payload
-so a frame is exactly 14 bytes + payload. Msg types: 0 = FeaturePacket,
-1 = GradientPacket, 2 = Control. A payload is the message's leading integer
-fields, then its tensors, each one tensor record
+so a frame is exactly 14 bytes + payload. Msg types: 0 = FeaturePacket
+(client -> server), 1 = GradientPacket (server -> client); no other type
+parses. A payload is the message's leading integer fields, then its
+tensors, each one tensor record
     rank u8 | dims u32 * rank | f32 row-major data
 and optional tensors carry a u8 presence flag. TCKP checkpoints store their
 tensors with the same record, written by encode_tensor and read by Reader.
@@ -27,10 +28,6 @@ HEADER_LEN = 14
 
 MSG_FEATURE = 0
 MSG_GRADIENT = 1
-MSG_CONTROL = 2
-
-CTRL_HELLO = 0
-CTRL_DONE = 1
 
 _MAX_RANK = 8
 _MAX_ELEMENTS = 1 << 26  # refuse absurd allocations from corrupt frames
@@ -121,14 +118,6 @@ class GradientPacket(_Message):
     n_pred: np.ndarray | None = None
 
 
-@dataclass(eq=False, frozen=True)
-class ControlMessage(_Message):
-    """Session control (hello/done)."""
-
-    code: int
-    client_id: int
-
-
 @dataclass(frozen=True)
 class _Layout:
     mtype: int
@@ -150,7 +139,6 @@ def _layout(cls, mtype: int, head: str) -> _Layout:
 _LAYOUTS = {
     FeaturePacket: _layout(FeaturePacket, MSG_FEATURE, "<IQI"),
     GradientPacket: _layout(GradientPacket, MSG_GRADIENT, "<Q"),
-    ControlMessage: _layout(ControlMessage, MSG_CONTROL, "<BI"),
 }
 _BY_TYPE = {layout.mtype: cls for cls, layout in _LAYOUTS.items()}
 # the largest legal payload: the largest message with every tensor at the

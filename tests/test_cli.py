@@ -174,6 +174,26 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
+def _listen_and_connect(config, served, client) -> None:
+    """`train --listen` in a thread and one `train --connect` client beside it."""
+    endpoint = f"127.0.0.1:{_free_port()}"
+    errors = []
+
+    def serve():
+        try:
+            main(["train", "--config", str(config), "--listen", endpoint, "--out", str(served)])
+        except BaseException as exc:  # re-raised in the test thread
+            errors.append(exc)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    main(["train", "--config", str(config), "--connect", endpoint, "--out", str(client)])
+    server.join(60)
+    if errors:
+        raise errors[0]
+    assert not server.is_alive()
+
+
 def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys):
     # the --listen server writes what an in-process session writes but the clients'
     # secret, and the --connect client (client 0: no --client-id) writes that secret
@@ -182,23 +202,7 @@ def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys
     client = tmp_path / "client"
     main(["run", "--config", str(mini_config), "--out", str(run_dir)])
     main(["train", "--config", str(mini_config), "--out", str(local)])
-    endpoint = f"127.0.0.1:{_free_port()}"
-    errors = []
-
-    def serve():
-        try:
-            main(["train", "--config", str(mini_config), "--listen", endpoint,
-                  "--out", str(served)])
-        except BaseException as exc:  # re-raised in the test thread
-            errors.append(exc)
-
-    server = threading.Thread(target=serve, daemon=True)
-    server.start()
-    main(["train", "--config", str(mini_config), "--connect", endpoint, "--out", str(client)])
-    server.join(60)
-    if errors:
-        raise errors[0]
-    assert not server.is_alive()
+    _listen_and_connect(mini_config, served, client)
     shared = ["ledger.json", "control_branch.tckp", "model_manifest.txt", "packets_training.bin"]
     for name in [*shared, "client_secret/confound_delta.tckp"]:
         assert (local / name).read_bytes() == (run_dir / name).read_bytes(), name
@@ -208,6 +212,16 @@ def test_train_roles_write_the_runs_training_files(tmp_path, mini_config, capsys
     secret = "client_secret/confound_delta.tckp"
     assert [p.relative_to(client).as_posix() for p in client.rglob("*") if p.is_file()] == [secret]
     assert (client / secret).read_bytes() == (local / secret).read_bytes()
+
+
+def test_listen_summary_counts_packets_and_replies_apart(tmp_path, capsys):
+    # a classic session of 2 iterations: 2 packets up, 2 gradient replies down
+    p = tmp_path / "classic.ini"
+    p.write_text(MINI_INI.replace("iterations = 3", "iterations = 2\nmode = classic"))
+    served = tmp_path / "served"
+    _listen_and_connect(p, served, tmp_path / "client")
+    out = capsys.readouterr().out.splitlines()
+    assert f"served 2 packets and 2 replies from 1 clients -> {served}" in out
 
 
 def test_full_run_and_report(tmp_path, mini_config, capsys):

@@ -22,9 +22,8 @@ from splitstream.protocol import (ClientDataset, ClientWorker, IterationSample,
                                   TransmissionLedger, TransportError, run_split_training)
 from splitstream.rng import RngState
 from splitstream.tensor import Tensor
-from splitstream.wire import (CTRL_DONE, CTRL_HELLO, ControlMessage, FeaturePacket,
-                              GradientPacket, WireError, frame_message, iter_frames,
-                              tensor_payload_bytes)
+from splitstream.wire import (MAGIC, FeaturePacket, GradientPacket, WireError, frame_message,
+                              iter_frames, tensor_payload_bytes)
 
 DELTA, ALPHA = 1e-4, 0.16
 VOCAB = ["one", "two", "red", "blue", "circle", "rect"]
@@ -236,6 +235,21 @@ class TestServerTrainStep:
                             np.zeros((1, 4, 8, 8), np.float32))
         with pytest.raises(ValueError, match="shape"):
             server.train_step(bad)
+
+    @pytest.mark.parametrize("defense, t", [
+        ("ours_plus_plus", 0), ("ours_plus_plus", 5), ("ours_plus_plus", 4000), ("none", 0),
+    ])
+    def test_timestep_outside_the_arms_range_rejected(self, defense, t):
+        # a packet below the arm's floor, or past T, is refused before any step
+        world = build_world(defense)
+        server = ServerWorker(world, make_cfg())
+        pkt = ClientWorker(0, world, make_cfg(), RngState(9)).forward_step(3)
+        pkt.timestep = t
+        lo, hi = world.privacy.t_s, world.privacy.t_max
+        with pytest.raises(WireError, match=fr"client 0 iteration 3: timestep {t} outside "
+                                            fr"\[{lo}, {hi}\] under {defense}"):
+            server.train_step(pkt)
+        assert server.loss_history == []
 
     def test_prompts_never_reach_a_hiding_servers_blocks(self, monkeypatch):
         # every block a hiding server runs gets no prompt, so none attends to
@@ -591,7 +605,8 @@ class TestFaults:
 
         monkeypatch.setattr(ClientWorker, "forward_step", impostor)
         err = self.run_faulty(transport, mode="gradient_free", defense="ours_plus_plus")
-        assert "unregistered client id 99" in str(err)
+        assert isinstance(err, TransportError)
+        assert str(err) == "client id 99 outside 0..0"
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
@@ -644,45 +659,62 @@ def test_slow_reads_end_with_every_thread_joined(transport, monkeypatch):
 
 def serve_hand_rolled(world, cfg, sent: list[list[bytes]], closed=()):
     """`_serve` over one socketpair per client; client i's end sends the
-    frames sent[i] and then stays open, or closes if i is in `closed`."""
+    frames sent[i] and then stays open, or closes if i is in `closed`. The
+    box also holds the number of steps the server trained."""
     pairs = [socket.socketpair() for _ in sent]
+    server = ServerWorker(world, cfg)
     try:
         for i, ((sock, _), frames) in enumerate(zip(pairs, sent)):
             for frame in frames:
                 sock.sendall(frame)
             if i in closed:
                 sock.close()
-        return run_within(lambda: pr._serve(ServerWorker(world, cfg), cfg,
-                                            [conn for _, conn in pairs], TransmissionLedger(), None))
+        box = run_within(lambda: pr._serve(server, cfg, [conn for _, conn in pairs],
+                                           TransmissionLedger(), None))
     finally:
         for sock, _ in pairs:
             sock.close()
+    box["steps"] = len(server.loss_history)
+    return box
 
 
-def control(code: int, client_id: int) -> bytes:
-    return frame_message(ControlMessage(code=code, client_id=client_id))
+# a frame of an older peer's HELLO: message type 2, a u8 code and a u32 client id
+STALE_HELLO = MAGIC + bytes([1, 2]) + (5).to_bytes(8, "little") + bytes(5)
 
 
-@pytest.mark.parametrize("late", ["packet", "hello", "done"])
-def test_frames_after_done_are_refused(late, monkeypatch):
-    # client 0 stays in the session, so the server goes on reading client 1
+@pytest.mark.parametrize("clients, iterations, sends, closed, says, steps", [
+    (1, 2, [[0, 0, 0]], (), "client 0 sent packet 3 of 2", 2),
+    (2, 2, [[0, 1], []], (), "client 0's connection sent client 1", 1),
+    (2, 1, [[1], [1]], (), "client 1 already has a connection", 1),
+    (1, 2, [[99, 99, 99]], (), "client id 99 outside 0..0", 0),
+    (1, 3, [[0, 0]], {0}, "client 0 closed after 2 of 3 packets", 2),
+    (1, 1, [[]], {0}, "a connection closed after 0 of 1 packets", 0),
+    (2, 0, [[], []], {0, 1}, None, 0),
+    (1, 1, [[STALE_HELLO]], (), "unknown message type 2", 0),
+], ids=["past_iterations", "id_switch", "one_id_twice", "id_out_of_range", "short_close",
+        "close_before_a_packet", "clean_zero_of_zero", "stale_control_frame"])
+def test_a_connection_is_the_client_its_packets_name(clients, iterations, sends, closed, says,
+                                                      steps, monkeypatch):
+    # the first packet on a connection names its client, and `iterations`
+    # packets then an end of file end it; client ids stand for their packets
     monkeypatch.setattr(pr, "IO_TIMEOUT_S", 2.0)
     world = build_world("ours_plus_plus", seed=45, clients=2)
-    cfg = make_cfg(clients=2)
-    pkt = frame_message(ClientWorker(1, world, cfg, RngState(8)).forward_step(0))
-    last = {"packet": pkt, "hello": control(CTRL_HELLO, 2), "done": control(CTRL_DONE, 1)}[late]
-    box = serve_hand_rolled(world, cfg, [[control(CTRL_HELLO, 0)],
-                                         [control(CTRL_HELLO, 1), pkt, control(CTRL_DONE, 1), last]])
-    assert isinstance(box.get("error"), TransportError), box
-    assert "client 1 sent" in str(box["error"]) and "after DONE" in str(box["error"])
+    cfg = make_cfg(clients=clients, iterations=iterations)
+    pkt = ClientWorker(0, world, cfg, RngState(8)).forward_step(0)
 
+    def frame(cid):
+        if isinstance(cid, bytes):
+            return cid
+        pkt.client_id = cid
+        return frame_message(pkt)
 
-def test_connection_closed_before_hello_is_named_as_such(monkeypatch):
-    monkeypatch.setattr(pr, "IO_TIMEOUT_S", 2.0)
-    world = build_world("ours_plus_plus", seed=46, clients=2)
-    box = serve_hand_rolled(world, make_cfg(clients=2), [[control(CTRL_HELLO, 0)], []], closed={1})
-    assert isinstance(box.get("error"), TransportError), box
-    assert "closed before its client sent HELLO" in str(box["error"])
+    box = serve_hand_rolled(world, cfg, [[frame(c) for c in s] for s in sends], closed)
+    if says is None:
+        assert "error" not in box, box
+    else:
+        assert isinstance(box.get("error"), WireError if "type" in says else TransportError), box
+        assert str(box["error"]) == says
+    assert box["steps"] == steps
 
 
 @pytest.mark.parametrize("defense_kind, mode, bound", [
@@ -721,18 +753,16 @@ def free_port() -> int:
 
 
 def test_silent_peer_ends_the_server_role(monkeypatch):
-    # a peer that says HELLO and then neither sends nor closes
+    # a peer that connects and then neither sends nor closes
     monkeypatch.setattr(pr, "IO_TIMEOUT_S", 0.5)
     port = free_port()
     world = build_world("ours_plus_plus", seed=43)
     peers = []
 
-    def say_hello_then_nothing():
-        sock = pr._connect("127.0.0.1", port)
-        sock.sendall(frame_message(ControlMessage(code=CTRL_HELLO, client_id=0)))
-        peers.append(sock)
+    def connect_then_nothing():
+        peers.append(pr._connect("127.0.0.1", port))
 
-    t = threading.Thread(target=say_hello_then_nothing, daemon=True)
+    t = threading.Thread(target=connect_then_nothing, daemon=True)
     t.start()
     try:
         box = run_within(lambda: pr.run_server_role(world, make_cfg(), "127.0.0.1", port))

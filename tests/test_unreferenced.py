@@ -1,9 +1,10 @@
 """Every top-level def and class in the package, and every method and
 property of its classes (dunders aside), has a caller in the program
-(`src/`, `scripts/` or `perfbench/`), and every dataclass field is read as
-an attribute there, or is listed below with the reason it stays. A new
-unreferenced name or unread field fails, and so does a listed one that has
-gained a reader: it then leaves its list."""
+(`src/`, `scripts/` or `perfbench/`), every dataclass field is read as an
+attribute there, and every module-level constant is read there, or is
+listed below with the reason it stays. A new unreferenced name, unread
+field or unread constant fails, and so does a listed one that has gained a
+reader: it then leaves its list."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,9 @@ UNREAD_FIELDS = {
     "wire.GradientPacket.n_pred": "perfbench reads it by name; it goes in the next "
                                   "benchmark change",
 }
+
+# module.NAME -> why a module-level constant stays although the program never reads it
+UNREAD_CONSTANTS: dict[str, str] = {}
 
 
 def _program_trees():
@@ -96,9 +100,13 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
 
 
-def test_unread_dataclass_fields_are_listed():
-    read = {node.attr for tree in _program_trees() for node in ast.walk(tree)
+def _read_attributes() -> set[str]:
+    return {node.attr for tree in _program_trees() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_unread_dataclass_fields_are_listed():
+    read = _read_attributes()
     found = {
         f"{path.stem}.{cls.name}.{stmt.target.id}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -110,3 +118,21 @@ def test_unread_dataclass_fields_are_listed():
     }
     assert not found - UNREAD_FIELDS.keys(), "unread and not listed"
     assert not UNREAD_FIELDS.keys() - found, "listed but read (or gone): drop from the list"
+
+
+def test_unread_module_constants_are_listed():
+    # read means loaded, as a name or an attribute: the assignment itself does not count
+    read = _read_attributes() | {
+        node.id for tree in _program_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = {
+        f"{path.stem}.{name.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id not in read
+    }
+    assert not found - UNREAD_CONSTANTS.keys(), "unread and not listed"
+    assert not UNREAD_CONSTANTS.keys() - found, "listed but read (or gone): drop from the list"

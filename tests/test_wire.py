@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitstream.rng import RngState
-from splitstream.wire import (_MAX_PAYLOAD, HEADER_LEN, MAGIC, ControlMessage, FeaturePacket,
-                              GradientPacket, WireError, frame_message, iter_frames,
-                              parse_message, read_frame, tensor_payload_bytes)
+from splitstream.wire import (_MAX_PAYLOAD, HEADER_LEN, MAGIC, FeaturePacket, GradientPacket,
+                              WireError, frame_message, iter_frames, parse_message, read_frame,
+                              tensor_payload_bytes)
 
 
 def random_feature_packet(rng: RngState, with_prompt=True) -> FeaturePacket:
@@ -39,10 +39,6 @@ class TestRoundtrip:
             pkt = GradientPacket(iteration=7, grad_control=rng.normal((1, 4, 8, 8)), n_pred=n_pred)
             assert parse_message(frame_message(pkt)) == pkt
 
-    def test_control_message(self):
-        msg = ControlMessage(code=1, client_id=99)
-        assert parse_message(frame_message(msg)) == msg
-
     def test_frame_size_is_header_plus_payload(self):
         pkt = random_feature_packet(RngState(43))
         framed = frame_message(pkt)
@@ -63,6 +59,10 @@ class TestRoundtrip:
         assert sum(len(frame_message(pkt)) for _ in range(100)) == 100 * one
 
 
+def small_frame() -> bytes:
+    return frame_message(GradientPacket(iteration=1, grad_control=np.ones((1, 4, 2, 2), np.float32)))
+
+
 class TestParseErrors:
     def test_empty_is_truncated(self):
         with pytest.raises(WireError, match="truncated"):
@@ -73,15 +73,16 @@ class TestParseErrors:
             parse_message(b"NOPE" + b"\x00" * 20)
 
     def test_version_mismatch(self):
-        framed = bytearray(frame_message(ControlMessage(0, 1)))
+        framed = bytearray(small_frame())
         framed[4] = 99
         with pytest.raises(WireError, match="version"):
             parse_message(bytes(framed))
 
-    def test_unknown_type(self):
-        framed = bytearray(frame_message(ControlMessage(0, 1)))
-        framed[5] = 7
-        with pytest.raises(WireError, match="unknown message type"):
+    @pytest.mark.parametrize("mtype", [2, 7])  # 2 was a control message
+    def test_unknown_type(self, mtype):
+        framed = bytearray(small_frame())
+        framed[5] = mtype
+        with pytest.raises(WireError, match=f"unknown message type {mtype}"):
             parse_message(bytes(framed))
 
     def test_truncated_payload(self):
@@ -90,7 +91,7 @@ class TestParseErrors:
             parse_message(framed[:-10])
 
     def test_trailing_bytes(self):
-        framed = frame_message(ControlMessage(0, 1))
+        framed = small_frame()
         with pytest.raises(WireError, match="trailing"):
             parse_message(framed + b"x")
 
@@ -139,7 +140,7 @@ class TestStreams:
         assert read_frame(io.BytesIO(b"")) is None
 
     def test_read_frame_mid_stream_truncation(self):
-        framed = frame_message(ControlMessage(0, 1))
+        framed = small_frame()
         with pytest.raises(WireError):
             read_frame(io.BytesIO(framed[: HEADER_LEN + 2]))
 
@@ -190,7 +191,7 @@ BASE_FRAMES = [
     frame_message(random_feature_packet(RngState(50))),
     frame_message(random_feature_packet(RngState(51), with_prompt=False)),
     frame_message(GradientPacket(3, RngState(52).normal((1, 4, 2, 2)), RngState(53).normal((1, 4, 2, 2)))),
-    frame_message(ControlMessage(1, 7)),
+    frame_message(GradientPacket(7, RngState(54).normal((1, 4, 2, 2)))),
 ]
 
 
