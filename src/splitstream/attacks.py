@@ -122,7 +122,9 @@ class InverseNet(Module):
     """Feature-to-image decoder mirroring the reference attack stack at toy
     scale (conv + nearest upsample + SiLU trunk, Sigmoid head). Both types
     process at the latent resolution before upsampling, which the
-    disentangling needs at 8x8."""
+    disentangling needs at 8x8. The conv after each up-sample (after convs
+    1 and 2) is a resize-conv (`Conv.after_upsample`), computed at its
+    input's resolution."""
 
     def __init__(self, net_type: str, rng: RngState, in_ch: int = 4):
         if net_type not in ("type1_raw_image", "type2_condition"):
@@ -147,11 +149,9 @@ class InverseNet(Module):
     def __call__(self, feat: Tensor) -> Tensor:
         h = feat
         for i, conv in enumerate(self.convs):
-            h = conv(h)
+            h = conv.after_upsample(h) if i - 1 in self.up_after else conv(h)
             if i < len(self.convs) - 1:
                 h = tt.silu(h)
-            if i in self.up_after:
-                h = tt.upsample2x(h)
         return tt.sigmoid(h)
 
 

@@ -93,8 +93,7 @@ def cmd_train(args):
     res = run_server_role(world, pcfg, *endpoint) if args.listen else run_split_training(world, pcfg)
     record_training(cfg, world, res, frozen_before, out)
     if args.listen:
-        up = len(res.ledger.samples)
-        print(f"served {up} packets and {res.ledger.packets - up} replies from "
+        print(f"served {res.ledger.packets_up} packets and {res.ledger.replies_down} replies from "
               f"{cfg.protocol.clients} clients -> {out}")
         return
     losses = res.loss_history

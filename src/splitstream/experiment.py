@@ -500,7 +500,8 @@ def emit_report(out_dir: Path, metrics: list[dict]) -> None:
                          f"last-loss={losses[-1]:.4f}")
     if ledger:
         extra.append(f"wire: up={ledger['bytes_up']} B, down={ledger['bytes_down']} B, "
-                     f"packets={ledger['packets']}; clock model: sequential "
+                     f"packets up={ledger['packets_up']}, replies down={ledger['replies_down']}; "
+                     f"clock model: sequential "
                      f"{ledger['t_total_sequential']:.1f}, pipelined "
                      f"{ledger['t_total_pipelined']:.1f}")
     (out_dir / "summary.md").write_text("\n".join(md) + "\n" + "\n".join(extra) + "\n")

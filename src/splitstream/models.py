@@ -94,6 +94,16 @@ class Conv(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return tt.conv2d(x, self.w, self.stride, self.padding, bias=self.b)
 
+    def after_upsample(self, x: Tensor) -> Tensor:
+        """This conv over x up-sampled 2x nearest, computed at x's resolution
+        (tensor.upsample_conv2d): the one way a model runs a resize-conv,
+        for a 3x3 conv of stride 1 and padding 1 only."""
+        k = self.w.shape[2:]
+        if (k, self.stride, self.padding) != ((3, 3), 1, 1):
+            raise tt.ShapeError(f"after_upsample: need a 3x3 conv of stride 1 and padding 1, "
+                                f"got {k[0]}x{k[1]}, stride {self.stride}, padding {self.padding}")
+        return tt.upsample_conv2d(x, self.w, self.b)
+
 
 class Dense(Module):
     def __init__(self, in_dim, out_dim, rng: RngState):
@@ -147,7 +157,9 @@ class UNetBlock(Module):
     The attention, residual included, is one graph node: self-attention in
     a block built with SelfAttention, else cross-attention to the prompt
     (`tensor.cross_attention` with the CrossAttention weights). No prompt,
-    no cross-attention: the block skips it."""
+    no cross-attention: the block skips it. A block built with `upsample`
+    runs its second conv as a resize-conv (`Conv.after_upsample`), so the
+    up-sampled map is never built."""
 
     def __init__(self, in_ch, mid_ch, out_ch, rng: RngState, stride=1, upsample=False):
         self.conv1 = Conv(in_ch, mid_ch, 3, rng, stride=stride, padding=1)
@@ -169,9 +181,7 @@ class UNetBlock(Module):
         elif prompt is not None:
             a = self.attn
             h = tt.cross_attention(h, prompt, a.wq, a.wk, a.wv, a.wo)
-        if self.upsample:
-            h = tt.upsample2x(h)
-        return self.conv2(h)
+        return self.conv2.after_upsample(h) if self.upsample else self.conv2(h)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +203,19 @@ class CondEncoder(Module):
 
 
 class Decoder(Module):
+    """4x8x8 latent -> 3x32x32 image: a conv at 8x8, then two resize-convs
+    (`Conv.after_upsample`, to 16x16 and 32x32), each computed at its
+    input's resolution, and a sigmoid."""
+
     def __init__(self, rng: RngState):
         self.conv1 = Conv(4, 32, 3, rng, padding=1)
         self.conv2 = Conv(32, 16, 3, rng, padding=1)
         self.conv3 = Conv(16, 3, 3, rng, padding=1)
 
     def __call__(self, z: Tensor) -> Tensor:
-        h = tt.upsample2x(tt.silu(self.conv1(z)))
-        h = tt.upsample2x(tt.silu(self.conv2(h)))
-        return tt.sigmoid(self.conv3(h))
+        h = tt.silu(self.conv1(z))
+        h = tt.silu(self.conv2.after_upsample(h))
+        return tt.sigmoid(self.conv3.after_upsample(h))
 
 
 class ToyAutoencoder(Module):

@@ -98,9 +98,13 @@ class TransmissionLedger:
         return sum(s.payload_down for s in self.samples)
 
     @property
-    def packets(self) -> int:
-        """Frames counted both ways: each uplink packet and each reply."""
-        return sum(1 + (s.bytes_down > 0) for s in self.samples)
+    def packets_up(self) -> int:
+        return len(self.samples)
+
+    @property
+    def replies_down(self) -> int:
+        """Downlink replies: one per packet in classic mode, none gradient-free."""
+        return sum(s.bytes_down > 0 for s in self.samples)
 
     def total_bytes(self) -> int:
         return self.bytes_up + self.bytes_down
@@ -133,7 +137,8 @@ class TransmissionLedger:
         return {
             "bytes_up": self.bytes_up,
             "bytes_down": self.bytes_down,
-            "packets": self.packets,
+            "packets_up": self.packets_up,
+            "replies_down": self.replies_down,
             "t_total_sequential": self.t_total_sequential(clock),
             "t_total_pipelined": self.t_total_pipelined(clock),
             "payload_bytes_up": self.payload_bytes_up,
@@ -600,7 +605,8 @@ def run_split_training(world: SplitWorld, cfg: ProtocolConfig) -> SplitResult:
 
 
 def run_server_role(world: SplitWorld, cfg: ProtocolConfig, host: str, port: int) -> SplitResult:
-    """Serve `cfg.clients` remote clients until each signals done.
+    """Serve `cfg.clients` remote clients until each has sent its
+    `iterations` packets and closed its connection.
 
     Both endpoints rebuild the same world from the shared config; only
     framed messages cross the wire.

@@ -27,6 +27,15 @@ reordered once per layout: the packed matrices stay on its Tensor and are
 reused while its `data` is the array they were packed from; a trainable
 kernel is reordered on every call. conv2d takes an optional bias, added
 while the output is written.
+upsample_conv2d is a fourth formulation, of conv2d(upsample2x(x), k, 1, 1)
+for a 3x3 kernel (a resize-convolution), computed at x's resolution: each
+output phase y[:, :, i::2, j::2] is a 2x2 correlation of x whose taps each
+sum the 3x3 taps that read the same input sample (the sub-pixel identity),
+run kn2row-style with (16*o, c) phase taps and 16 shifted adds. It is exact
+in exact arithmetic and does 16/36 of the multiply-adds; in float32 its
+bits differ from the composed ops' by a few ulps, because the taps are
+summed before the multiply and each output sums 4*c products, not 9*c.
+upsample2x remains as its oracle.
 self_attention is a map plus the attention of its tokens over themselves,
 and cross_attention a map plus the attention of its projected tokens over a
 projected context (the prompt), each as one node whose hand-written backward
@@ -54,6 +63,8 @@ raises ShapeError.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -83,8 +94,9 @@ class Tensor:
     once, at construction, to a same-shape view of its own flat buffer; code
     that holds a parameter reads `p.data` afresh rather than keeping an
     earlier array. Nothing writes a frozen tensor's `data` in place:
-    conv2d keeps a frozen kernel's packed layouts for as long as `data` is
-    the same array, and drops them only on a call with the kernel trainable.
+    conv2d and upsample_conv2d keep a frozen kernel's packed layouts for as
+    long as `data` is the same array, and drop them only on a call with the
+    kernel trainable.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_packs")
@@ -757,8 +769,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
 
     Three formulations, picked from the shape:
     - kn2row (_kn2row) where _kn2row_fits: stride 1, 2*o <= c and
-      n*h*w >= 1024, as for the autoencoder decoder's and the inverse net's
-      narrow convolutions at 16x16 and 32x32. Per sample, taps
+      n*h*w >= 1024, as for a type-1 inverse net's last conv at 32x32 and
+      enc_block_1's 32->4 conv over 16 whitebox rows at 8x8. Per sample, taps
       (kh*kw*o, c) @ x[n] (c, h*w), each tap's plane added at its shift
       onto the bias. The backward lays the output gradient out as gz[n]
       (kh*kw*o, h*w): the kernel gradient is sum_n gz[n] @ x[n].T, the
@@ -815,8 +827,91 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     return _out(y, (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 
+def _phase_matrix() -> np.ndarray:
+    """(16, 9) 0/1 matrix: row (i, j, r, s) marks the 3x3 taps that phase
+    (i, j)'s 2x2 tap (r, s) sums. Up-sampled row 2m + i + u - 1 (3x3 tap u,
+    padding 1) is input row m + (i + u - 1) // 2, so output phase i reads
+    input rows m + i - 1 (r = 0) and m + i (r = 1): phase 0 takes taps {0}
+    and {1, 2}, phase 1 taps {0, 1} and {2}; columns alike."""
+    rows = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+    return np.einsum("iru,jsv->ijrsuv", rows, rows).reshape(16, 9)
+
+
+_PHASES = _phase_matrix()
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_slices(h: int, w: int) -> tuple:
+    """(i, j, r, s, input rows, input columns, output rows, output columns)
+    for each 2x2 tap of each output phase: tap (r, s) of phase (i, j) reads
+    input (a, b) into the phase plane's (a + 1 - i - r, b + 1 - j - s).
+    Kept per map size: the models call it at a handful of sizes."""
+    out = []
+    for i, j, r, s in itertools.product((0, 1), repeat=4):
+        src_h, dst_h = _axis_slices(h, 1 - i - r, h, 1)
+        src_w, dst_w = _axis_slices(w, 1 - j - s, w, 1)
+        out.append((i, j, r, s, src_h, src_w, dst_h, dst_w))
+    return tuple(out)
+
+
+def upsample_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """conv2d(upsample2x(x), kernel, 1, 1, bias) for a 3x3 kernel, computed
+    at x's resolution: output phase (i, j), y[:, :, i::2, j::2], is a 2x2
+    correlation of x, whose taps each sum the 3x3 taps they read
+    (_phase_matrix).
+
+    The phase taps are (16*o, c), rows in (i, j, r, s, o) order, summed in
+    float64 and rounded once, and packed once for a frozen kernel. Per
+    sample, taps @ x[n] (c, h*w) gives every tap's plane; the output starts
+    from the bias and adds each plane at its shift into its phase. The
+    backward lays the output gradient out once as gz[n] (16*o, h*w) from
+    the phase views: the phase-tap gradient sum_n gz[n] @ x[n].T maps back
+    to the 3x3 taps through the same matrix, and the input gradient is
+    taps.T @ gz[n], already at x's resolution. It does 16/36 of the
+    composed ops' multiply-adds and never builds the up-sampled map; it
+    equals them in exact arithmetic and differs by float32 rounding.
+    """
+    if x.ndim != 4 or kernel.ndim != 4 or kernel.shape[1:] != (x.shape[1], 3, 3):
+        raise ShapeError(f"upsample_conv2d: need a rank-4 input and a 3x3 kernel over its "
+                         f"channels, got {x.shape}, {kernel.shape}")
+    n, c, h, w = x.shape
+    o = kernel.shape[0]
+    if bias is not None and bias.shape != (o,):
+        raise ShapeError(f"upsample_conv2d: bias {bias.shape} for {o} output channels")
+    xs = x.data.reshape(n, c, h * w)
+
+    def pack(k):
+        return (_PHASES @ k.reshape(o * c, 9).T).astype(np.float32).reshape(16 * o, c)
+
+    taps = _packed(kernel, "phase_taps", pack)
+    planes = np.matmul(taps, xs).reshape(n, 2, 2, 2, 2, o, h, w)
+    y = np.empty((n, o, 2 * h, 2 * w), dtype=np.float32)
+    y[...] = 0 if bias is None else bias.data.reshape(1, o, 1, 1)
+    for i, j, r, s, src_h, src_w, dst_h, dst_w in _phase_slices(h, w):
+        y[:, :, i::2, j::2][:, :, dst_h, dst_w] += planes[:, i, j, r, s, :, src_h, src_w]
+
+    def bwd(g):
+        if x.requires_grad or kernel.requires_grad:
+            gz = np.zeros((n, 2, 2, 2, 2, o, h, w), dtype=np.float32)
+            for i, j, r, s, src_h, src_w, dst_h, dst_w in _phase_slices(h, w):
+                gz[:, i, j, r, s, :, src_h, src_w] = g[:, :, i::2, j::2][:, :, dst_h, dst_w]
+            gz = gz.reshape(n, 16 * o, h * w)
+            if kernel.requires_grad:
+                gt = np.matmul(gz, xs.transpose(0, 2, 1)).sum(axis=0).reshape(16, o * c)
+                gk = (_PHASES.T @ gt).astype(np.float32)
+                kernel._accumulate(np.ascontiguousarray(gk.T).reshape(o, c, 3, 3))
+            if x.requires_grad:
+                x._accumulate(np.matmul(taps.T, gz).reshape(n, c, h, w))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
+
+    return _out(y, (x, kernel) if bias is None else (x, kernel, bias), bwd)
+
+
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling of an NCHW map."""
+    """Nearest-neighbour 2x spatial upsampling of an NCHW map. No model
+    calls it: upsample_conv2d runs every resize-convolution, and this op
+    remains as its oracle."""
     if x.ndim != 4:
         raise ShapeError(f"upsample2x: need rank-4 input, got {x.shape}")
     y = x.data.repeat(2, axis=2).repeat(2, axis=3)

@@ -144,7 +144,7 @@ def test_train_and_report(tmp_path, mini_config, capsys):
     assert (out / "ledger.json").exists()
     assert (out / "control_branch.tckp").exists()
     ledger = json.loads((out / "ledger.json").read_text())
-    assert ledger["packets"] == 3
+    assert (ledger["packets_up"], ledger["replies_down"]) == (3, 0)
 
 
 def test_train_mode_override(tmp_path, capsys):
@@ -154,7 +154,8 @@ def test_train_mode_override(tmp_path, capsys):
     out = tmp_path / "classic"
     main(["train", "--config", str(p), "--out", str(out)])
     ledger = json.loads((out / "ledger.json").read_text())
-    assert ledger["bytes_down"] > 0 and ledger["packets"] == 2 * 2  # a reply to each packet
+    assert ledger["bytes_down"] > 0
+    assert (ledger["packets_up"], ledger["replies_down"]) == (2, 2)  # a reply to each packet
 
 
 def test_train_on_a_shorter_schedule(tmp_path, capsys):

@@ -671,9 +671,10 @@ class TestRunExperiment:
     def test_ledger_json_schema(self, tmp_path):
         out = Path(run_experiment(mini_cfg(tmp_path)))
         ledger = json.loads((out / "ledger.json").read_text())
-        for key in ("bytes_up", "bytes_down", "packets",
+        for key in ("bytes_up", "bytes_down", "packets_up", "replies_down",
                     "t_total_sequential", "t_total_pipelined"):
             assert key in ledger
+        assert "packets" not in ledger  # uplink packets and replies are never summed
         assert ledger["payload_bytes_down"] == 0  # gradient-free run
         # ledger.json is pinned byte for byte by tests/output_digests.json, in both configs
 
@@ -683,7 +684,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("overrides, branch_sha256, manifest_sha256", [
         # classic alone gives the client a scratch condition encoder to train
         ({"protocol.mode": "classic"},
-         "97a2ac903ab1f317a24bfb56249d1c755ee6652f40bb6d34eb16666b2b58c073",
+         "ac9b1d36f619c07e370560a793e8039457586896a833ab7432e3110c618a094d",
          "5f50f14722d6a4eecd6461501973e2f6d5ad759c3861dd9129bd1c19a1710456"),
     ], ids=["classic_scratch"])
     def test_server_checkpoint_bytes_pinned(self, tmp_path, overrides, branch_sha256,

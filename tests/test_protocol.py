@@ -305,7 +305,7 @@ class TestRunSplitTraining:
         res = run_split_training(world, make_cfg(iterations=5))
         assert res.ledger.payload_bytes_down == 0
         assert res.ledger.bytes_down == 0
-        assert res.ledger.packets == 5
+        assert (res.ledger.packets_up, res.ledger.replies_down) == (5, 0)
         assert len(res.loss_history) == 5
 
     def test_classic_downlink_nonzero(self):
@@ -358,14 +358,14 @@ class TestRunSplitTraining:
             down = [frame_message(GradientPacket(p.iteration, np.zeros_like(p.feat_control)))
                     for p in pkts] if mode == "classic" else []
             assert res.ledger.bytes_down == sum(map(len, down))
-            assert res.ledger.packets == len(pkts) + len(down)
+            assert (res.ledger.packets_up, res.ledger.replies_down) == (len(pkts), len(down))
             assert res.ledger.payload_bytes_up == sum(map(tensor_payload_bytes, pkts))
             assert res.ledger.payload_bytes_down == len(down) * pkts[0].feat_control.nbytes
 
     def test_multi_client_processes_all(self):
         world = build_world("none", clients=3)
         res = run_split_training(world, make_cfg(clients=3, iterations=3))
-        assert res.ledger.packets == 9
+        assert (res.ledger.packets_up, res.ledger.replies_down) == (9, 0)
         assert len(res.loss_history) == 9
 
     def test_byte_ratio_classic_vs_gradient_free(self):
@@ -412,7 +412,8 @@ class TestRunSplitTraining:
         world = build_world("none", seed=2)
         res = run_split_training(world, make_cfg(iterations=2))
         d = res.ledger.to_dict(SimClock())
-        for key in ("bytes_up", "bytes_down", "packets", "t_total_sequential", "t_total_pipelined"):
+        for key in ("bytes_up", "bytes_down", "packets_up", "replies_down", "t_total_sequential",
+                    "t_total_pipelined"):
             assert key in d
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from splitstream import tensor as tt
 from splitstream.checkpoint import CheckpointError, dump_checkpoint, parse_checkpoint
+from splitstream.models import Conv
 from splitstream.optim import AdamW
 from splitstream.rng import RngState
 from splitstream.tensor import GraphError, ShapeError, Tensor
@@ -229,8 +230,8 @@ class TestConv2d:
     @pytest.mark.parametrize("c,o,hw", [(16, 3, 32), (32, 16, 16)],
                              ids=["c16-o3-32x32", "c32-o16-16x16"])
     def test_kn2row_matches_tap_oracle(self, c, o, hw, k, padding, frozen, with_bias, monkeypatch):
-        # the autoencoder decoder's and the inverse net's narrow convolutions
-        # at batch 8 take kn2row: no columns are unfolded in either direction
+        # narrow convolutions at 16x16 and 32x32 over batch 8 take kn2row:
+        # no columns are unfolded in either direction
         def no_columns(*args):
             raise AssertionError("_im2col ran on a kn2row shape")
 
@@ -282,7 +283,7 @@ class TestConv2d:
         assert np.arange(size)[dst].tolist() == [lo + dilate * i for i in kept]
 
     @pytest.mark.parametrize("n,c,o,hw,stride,kn2row", [
-        (8, 16, 3, 32, 1, True),     # the decoder's last conv while pretraining
+        (8, 16, 3, 32, 1, True),     # a 16->3 conv at 32x32 over batch 8
         (1, 16, 3, 32, 1, True),     # the same over one sample: 1024 positions
         (8, 32, 16, 16, 1, True),
         (2, 32, 16, 16, 1, False),   # 512 positions
@@ -499,10 +500,128 @@ def test_upsample2x_gradient_matches_the_2x2_reduction(shape):
     assert x.grad.tobytes() == want.tobytes()
 
 
+class TestUpsampleConv2d:
+    """upsample_conv2d against its definition, conv2d(upsample2x(x), k, 1, 1)."""
+
+    @pytest.mark.parametrize("x_grad", [False, True], ids=["x-data", "x-grad"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("n,c,o,hw", [
+        (8, 32, 16, (8, 8)),     # the decoder's conv2 while pretraining
+        (8, 16, 3, (16, 16)),    # the decoder's conv3
+        (16, 24, 16, (8, 8)),    # a type-1 inverse net's conv2
+        (16, 16, 8, (16, 16)),   # a type-1 inverse net's conv3
+        (4, 64, 32, (4, 4)),     # dec_block_2's conv2 in a server step
+        (1, 32, 16, (8, 8)),     # one sample, as a whitebox decode
+        (2, 5, 2, (3, 3)),       # odd sizes
+        (3, 3, 4, (5, 7)),
+    ])
+    def test_matches_the_composed_ops(self, n, c, o, hw, frozen, with_bias, x_grad, monkeypatch):
+        rng = RngState(n + c + o + hw[1])
+        x_np, w_np, b_np = rng.normal((n, c) + hw), rng.normal((o, c, 3, 3)) * 0.2, rng.normal((o,))
+        g = rng.normal((n, o, 2 * hw[0], 2 * hw[1]))
+
+        def run(op):
+            x = Tensor(x_np, requires_grad=x_grad)
+            w = Tensor(w_np, requires_grad=not frozen)
+            b = Tensor(b_np, requires_grad=not frozen) if with_bias else None
+            y = op(x, w, b)
+            tt.backward(y, seed_grad=g)
+            return y, x, w, b
+
+        want = run(lambda x, w, b: tt.conv2d(tt.upsample2x(x), w, 1, 1, bias=b))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the up-sampled map was built or convolved")
+
+        for name in ("upsample2x", "conv2d", "_im2col", "_kn2row"):
+            monkeypatch.setattr(tt, name, never)
+        (y, *operands), (want_y, *want_operands) = run(tt.upsample_conv2d), want
+        pairs = [(y.data, want_y.data)]
+        for t, ref in zip(operands, want_operands):
+            if ref is not None:
+                assert (t.grad is None) == (ref.grad is None) == (not t.requires_grad)
+                if ref.grad is not None:
+                    pairs.append((t.grad, ref.grad))
+        assert y.data.flags.c_contiguous
+        for have, ref in pairs:
+            assert have.dtype == np.float32 and have.shape == ref.shape
+            assert np.abs(have - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
+        if frozen:
+            assert list(operands[1]._packs[1]) == ["phase_taps"]
+
+    def test_phase_taps_sum_the_taps_they_read(self):
+        # phase (i, j)'s tap (r, s) reads up-sampled rows 2m + i - 1 .. 2m + i + 1
+        # through one input row each: the taps that land on the same input row sum
+        w_np = RngState(44).normal((2, 3, 3, 3))
+        w = Tensor(w_np)
+        tt.upsample_conv2d(Tensor(np.zeros((1, 3, 2, 2))), w)
+        taps = w._packs[1]["phase_taps"].reshape(2, 2, 2, 2, 2, 3)
+        rows = ([[0], [1, 2]], [[0, 1], [2]])
+        for i, j, r, s in itertools.product((0, 1), repeat=4):
+            want = w_np[:, :, rows[i][r]][:, :, :, rows[j][s]].astype(np.float64).sum(axis=(2, 3))
+            assert np.abs(taps[i, j, r, s] - want).max() < 1e-6
+
+    def test_frozen_phase_taps_are_packed_once_and_never_stale(self):
+        rng = RngState(35)
+        x_np, w = rng.normal((8, 32, 8, 8)), Tensor(rng.normal((16, 32, 3, 3)) * 0.1)
+        g = rng.normal((8, 16, 16, 16))
+
+        def run(kernel):
+            x = Tensor(x_np, requires_grad=True)
+            y = tt.upsample_conv2d(x, kernel)
+            tt.backward(y, seed_grad=g)
+            return y.data.tobytes() + x.grad.tobytes()
+
+        def fresh():
+            return run(Tensor(w.data.copy()))
+
+        want = fresh()
+        assert run(w) == want
+        taps = w._packs[1]["phase_taps"]
+        assert list(w._packs[1]) == ["phase_taps"] and taps.shape == (16 * 16, 32)
+        assert run(w) == want and w._packs[1]["phase_taps"] is taps
+        w.requires_grad = True
+        w.data[...] *= np.float32(2.0)
+        assert run(w) == fresh() and w._packs is None
+        w.requires_grad = False
+        assert run(w) == fresh() and w._packs[1]["phase_taps"] is not taps
+        w.data = w.data * np.float32(-1.0)
+        assert run(w) == fresh() and w._packs[0] is w.data
+
+    @pytest.mark.parametrize("x_shape,w_shape,bias", [
+        ((1, 4, 4, 4), (2, 4, 1, 1), None),     # 1x1
+        ((1, 4, 4, 4), (2, 4, 5, 5), None),     # 5x5
+        ((1, 4, 4, 4), (2, 4, 3, 2), None),     # not square
+        ((1, 4, 4, 4), (2, 3, 3, 3), None),     # channels differ
+        ((4, 4, 4), (2, 4, 3, 3), None),        # not a map
+        ((1, 4, 4, 4), (2, 4, 3, 3), (3,)),     # bias of another length
+    ])
+    def test_shape_errors(self, x_shape, w_shape, bias):
+        with pytest.raises(ShapeError, match="upsample_conv2d"):
+            tt.upsample_conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)),
+                               None if bias is None else Tensor(np.zeros(bias)))
+
+    @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 2, 1), (3, 1, 0), (3, 1, 2)])
+    def test_conv_that_is_not_3x3_stride_1_padding_1_is_refused(self, k, stride, padding):
+        conv = Conv(4, 2, k, RngState(1), stride=stride, padding=padding)
+        with pytest.raises(ShapeError, match="after_upsample"):
+            conv.after_upsample(Tensor(np.zeros((1, 4, 4, 4))))
+
+    def test_conv_after_upsample_is_the_op_with_its_weights(self):
+        conv = Conv(4, 2, 3, RngState(2), padding=1)
+        conv.b.data[...] = RngState(3).normal((2,))
+        x = Tensor(RngState(4).normal((2, 4, 3, 5)))
+        want = tt.upsample_conv2d(x, conv.w, conv.b).data
+        assert conv.after_upsample(x).data.tobytes() == want.tobytes()
+
+
 def conv2d_grad_bytes():
     """Gradient bytes of one conv2d forward and backward at three training
-    shapes: the 64->64 mid block at 4x4 (batch 4), the 32->16 decoder conv at
+    shapes: the 64->64 mid block at 4x4 (batch 4), a 32->16 kn2row conv at
     32x32 (batch 16) and the stride-2 4->64 control-branch conv at 8x8
+    (batch 4); then of upsample_conv2d, with a bias, at the decoder's 32->16
+    resize-conv from 8x8 (batch 8) and dec_block_2's 64->32 from 4x4
     (batch 4)."""
     out = b""
     for n, c, hw, o, stride in ((4, 64, 4, 64, 1), (16, 32, 32, 16, 1), (4, 4, 8, 64, 2)):
@@ -512,6 +631,14 @@ def conv2d_grad_bytes():
         y = tt.conv2d(x, w, stride=stride, padding=1)
         tt.backward(y, seed_grad=rng.normal(y.shape))
         out += y.data.tobytes() + x.grad.tobytes() + w.grad.tobytes()
+    for n, c, hw, o in ((8, 32, 8, 16), (4, 64, 4, 32)):
+        rng = RngState(100 + hw)
+        x = Tensor(rng.normal((n, c, hw, hw)), requires_grad=True)
+        w = Tensor(rng.normal((o, c, 3, 3)) * 0.1, requires_grad=True)
+        b = Tensor(rng.normal((o,)), requires_grad=True)
+        y = tt.upsample_conv2d(x, w, b)
+        tt.backward(y, seed_grad=rng.normal(y.shape))
+        out += y.data.tobytes() + x.grad.tobytes() + w.grad.tobytes() + b.grad.tobytes()
     return out
 
 
@@ -785,6 +912,8 @@ OPS = {
     "abs": lambda x, rng: tt.abs_(x),
     "softmax": lambda x, rng: tt.softmax_last(tt.reshape(x, (2, 9))),
     "upsample": lambda x, rng: tt.upsample2x(x),
+    "upsample_conv2d": lambda x, rng: tt.upsample_conv2d(x, Tensor(rng.normal((2, 2, 3, 3)) * 0.5),
+                                                         Tensor(rng.normal((2,)) * 0.5)),
     "permute": lambda x, rng: tt.permute(x, (0, 2, 3, 1)),
     "mul_self": lambda x, rng: tt.mul(x, x),
     # halved so that the residual's float32 rounding stays out of the quotient

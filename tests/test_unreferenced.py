@@ -28,6 +28,9 @@ UNREFERENCED = {
     "tensor.relu": "op of the gradient checks and of the UnSplit toy clients in the tests",
     "tensor.sum_all": "reduction the model tests backpropagate from",
     "tensor.sum_squares": "reduction the gradient checks backpropagate from",
+    "tensor.upsample2x": "nearest 2x up-sampling; upsample_conv2d runs every resize-conv, and "
+                         "the tensor tests check it against conv2d over this op, which "
+                         "criterion 7 also checks",
 }
 
 # module.Class.method -> why it stays without a caller in the program
